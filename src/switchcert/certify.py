@@ -12,7 +12,7 @@ minimises gamma subject to
     -(V - gamma) + q * (||x||_2^2 - beta)   is SOS,
 
 which makes {V <= gamma} an absorbing set containing that ball.  beta is
-tightened by bisection, the degree of V escalates until feasibility, and
+lowered by bisection, the degree of V escalates until feasibility, and
 every certificate is re-checked by independent Gram re-derivation plus
 deterministic sampling before any verdict is issued.  For linear switched
 systems with Hurwitz subsystem matrices an absorbing set implies global
@@ -34,8 +34,8 @@ from . import sdp
 from .sdp import SolverConfig, SdpSolution, solve, strict_feasibility_margin
 from .sosprog import (DecodedSos, ScalarTerm, SdpEncoding, SosIdentity,
                       SosProgram, SosUnknown, UnknownLieTerm, UnknownTerm,
-                      decode, encode, gram_expand, identity_residual,
-                      monomial_basis, _identity_basis as _sos_identity_basis)
+                      decode, encode, gram_expand, monomial_basis,
+                      _identity_basis as _sos_identity_basis)
 
 GAS = "GLOBALLY_ASYMPTOTICALLY_STABLE"
 ULTIMATELY_BOUNDED = "ULTIMATELY_BOUNDED"
@@ -246,28 +246,21 @@ def _even_floor(k: int) -> int:
     return k - (k % 2)
 
 
-RELAXED_FEAS_TOL = 1e-6
-RELAXED_GAP_TOL = 1e-6
+def _multiplier_basis(f: PolynomialVectorField, v_degree: int, beta: float,
+                      homogeneous_v: bool):
+    """Gram basis of the decay multiplier p_i for subsystem f and deg V.
+
+    p_i has the largest even degree <= deg f + deg V - 3, and is
+    homogeneous when V is, beta = 0 and f is linear (the decay identity is
+    then homogeneous)."""
+    top = max(0, _even_floor(f.degree() + v_degree - 3)) // 2
+    low = top if homogeneous_v and beta == 0.0 and f.is_linear() else 0
+    return monomial_basis(f.dimension, low, top)
 
 
-def _solve_robust(problem, config: SolverConfig):
-    """Solve, retrying once with relaxed tolerances on numerical failure.
-
-    Ill-conditioned instances (large certificate scales at feasibility
-    edges) can sit below the double-precision residual floor of the default
-    tolerances; the relaxed retry still faces the fixed Farkas-ray bar, and
-    certificates are re-checked independently afterwards, so this cannot
-    silently accept noise.  Returns (solution, relaxed_flag).
-    """
-    solution = solve(problem, config)
-    if solution.status != sdp.STATUS_FAILURE:
-        return solution, False
-    if config.feas_tol >= RELAXED_FEAS_TOL and config.gap_tol >= RELAXED_GAP_TOL:
-        return solution, False
-    relaxed = dataclasses.replace(
-        config, feas_tol=max(config.feas_tol, RELAXED_FEAS_TOL),
-        gap_tol=max(config.gap_tol, RELAXED_GAP_TOL))
-    return solve(problem, relaxed), True
+def _default_deg_q(V: Polynomial) -> int:
+    """Degree of the sublevel multiplier q: the largest even <= deg V - 2."""
+    return max(0, _even_floor(V.degree() - 2))
 
 
 def _sum_of_squares_norm(n: int) -> Polynomial:
@@ -293,15 +286,8 @@ def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
     unknowns = [SosUnknown("S", s_basis, role="lyapunov")]
     identities = []
     for i, f in enumerate(system.fields, start=1):
-        deg_f = f.degree()
-        target_deg = deg_f + degree - 1
-        p_deg = max(0, _even_floor(target_deg - 2))
-        hom_identity = homogeneous and beta == 0.0 and f.is_linear()
-        if hom_identity:
-            p_basis = monomial_basis(n, p_deg // 2, p_deg // 2)
-        else:
-            p_basis = monomial_basis(n, 0, p_deg // 2)
-        unknowns.append(SosUnknown(f"p{i}", p_basis))
+        unknowns.append(SosUnknown(
+            f"p{i}", _multiplier_basis(f, degree, beta, homogeneous)))
         known = (-delta) * lie_derivative(nrm, f) - delta * nrm
         identities.append(SosIdentity(
             name=f"decay{i}",
@@ -321,9 +307,9 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     """Solve the decay identities at fixed beta and degree.
 
     Feasibility is declared only when every Gram block is PSD within
-    psd_tol; a solve that misses the bar triggers one re-solve with
-    tightened tolerances.  Proven infeasibility and numerical failure are
-    kept distinct, and the strict margin is recorded in the solve log.
+    psd_tol; a feasible solve that misses the bar is reported as marginal.
+    Proven infeasibility and numerical failure are kept distinct, and the
+    strict margin is recorded in the solve log.
     """
     if query.beta is None:
         raise ValueError("query.beta must be a fixed scalar here")
@@ -331,27 +317,11 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     program, nrm = build_absorbing_program(
         system, query.ell, query.delta, degree, query.beta, query.homogeneous)
     encoding = encode(program)
-
-    # acceptance bar: PSD up to psd_tol.  Structurally rank-deficient Gram
-    # faces are unavoidable for vector fields whose top-degree part vanishes
-    # on a subspace, so a strictly positive margin cannot be required.
-    def acceptable(solution):
-        return solution.feasible \
-            and min(solution.min_eigenvalues) >= -query.solver.psd_tol
-
-    def attempt(config):
-        solution, _ = _solve_robust(encoding.problem, config)
-        margin = None
-        if solution.feasible:
-            margin = strict_feasibility_margin(
-                encoding.problem, solution, config)
-        return solution, margin
-
-    solution, margin = attempt(query.solver)
-    if solution.feasible and not acceptable(solution):
-        tightened = dataclasses.replace(
-            query.solver, feas_tol=1e-9, gap_tol=1e-9)
-        solution, margin = attempt(tightened)
+    solution = solve(encoding.problem, query.solver)
+    margin = None
+    if solution.feasible:
+        margin = strict_feasibility_margin(
+            encoding.problem, solution, query.solver)
 
     if logs is not None:
         logs.append(SolveLog(
@@ -368,7 +338,10 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
         raise NumericalFailureError(
             f"decay program at beta={query.beta:g}, degree={degree}: "
             f"{solution.message}")
-    if not acceptable(solution):
+    # acceptance bar: PSD up to psd_tol.  Structurally rank-deficient Gram
+    # faces are unavoidable for vector fields whose top-degree part vanishes
+    # on a subspace, so a strictly positive margin cannot be required.
+    if min(solution.min_eigenvalues) < -query.solver.psd_tol:
         return AbsorbingSearchResult(
             feasible=False, marginal=True, solution=solution,
             encoding=encoding, margin=margin, degree=degree)
@@ -419,7 +392,7 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
         raise ValueError("Lyapunov dimension mismatch")
     solver = solver or SolverConfig()
     if deg_q is None:
-        deg_q = max(0, _even_floor(V.degree() - 2))
+        deg_q = _default_deg_q(V)
     sumsq = _sum_of_squares_norm(n)
     q_basis = monomial_basis(n, 0, deg_q // 2)
     identity = SosIdentity(
@@ -436,7 +409,7 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
         scalars=("gamma",),
         objective={"gamma": 1.0})
     encoding = encode(program)
-    solution, _ = _solve_robust(encoding.problem, solver)
+    solution = solve(encoding.problem, solver)
     if logs is not None:
         logs.append(SolveLog(
             purpose="sublevel", degree=V.degree(), beta=beta,
@@ -591,7 +564,7 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float,
             objective={"slack": 1.0}))
     except ValueError as exc:
         return f"not representable: {exc}"
-    solution, _ = _solve_robust(encoding.problem, solver)
+    solution = solve(encoding.problem, solver)
     if not solution.feasible:
         return f"membership solve failed ({solution.status})"
     scale = 1.0 + poly.max_abs_coefficient()
@@ -623,15 +596,9 @@ def _solve_for_multipliers(system, cert, solver):
     identities = []
     unknowns = []
     for i, f in enumerate(system.fields, start=1):
-        target_deg = f.degree() + cert.lyapunov.degree() - 1
-        p_deg = max(0, _even_floor(target_deg - 2))
-        hom = (cert.beta == 0.0 and f.is_linear()
-               and cert.lyapunov.is_homogeneous())
-        if hom:
-            basis = monomial_basis(n, p_deg // 2, p_deg // 2)
-        else:
-            basis = monomial_basis(n, 0, p_deg // 2)
-        unknowns.append(SosUnknown(f"p{i}", basis))
+        unknowns.append(SosUnknown(f"p{i}", _multiplier_basis(
+            f, cert.lyapunov.degree(), cert.beta,
+            cert.lyapunov.is_homogeneous())))
         known = (-1.0) * lie_derivative(cert.lyapunov, f) - cert.delta * nrm
         identities.append(SosIdentity(
             name=f"decay{i}", dimension=n, known=known,
@@ -639,7 +606,7 @@ def _solve_for_multipliers(system, cert, solver):
                                Polynomial.constant(n, cert.beta) - sumsq),)))
     program = SosProgram(identities=tuple(identities), unknowns=tuple(unknowns))
     encoding = encode(program)
-    solution, _ = _solve_robust(encoding.problem, solver)
+    solution = solve(encoding.problem, solver)
     if not solution.feasible:
         return None, f"decay witnesses not found ({solution.status})"
     decoded = decode(encoding, solution)
@@ -650,7 +617,7 @@ def _solve_for_multipliers(system, cert, solver):
 def _solve_for_radius_multiplier(system, cert, solver):
     n = system.dimension
     sumsq = _sum_of_squares_norm(n)
-    deg_q = max(0, _even_floor(cert.lyapunov.degree() - 2))
+    deg_q = _default_deg_q(cert.lyapunov)
     identity = SosIdentity(
         name="sublevel", dimension=n,
         known=Polynomial.constant(n, cert.gamma) - cert.lyapunov,
@@ -658,7 +625,7 @@ def _solve_for_radius_multiplier(system, cert, solver):
     program = SosProgram(identities=(identity,),
                          unknowns=(SosUnknown("q", monomial_basis(n, 0, deg_q // 2)),))
     encoding = encode(program)
-    solution, _ = _solve_robust(encoding.problem, solver)
+    solution = solve(encoding.problem, solver)
     if not solution.feasible:
         return None, f"sublevel witness not found ({solution.status})"
     return decode(encoding, solution).polynomials["q"], None

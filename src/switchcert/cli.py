@@ -41,7 +41,7 @@ from .certify import (AbsorbingSetCertificate, CertificateRejectedError,
                       GammaInfeasibleError, InfeasibleAtCapError,
                       NumericalFailureError, SwitchedSystem, escalate,
                       verify_certificate)
-from .poly import (ParseError, Polynomial, PolynomialVectorField,
+from .poly import (ParseError, PolynomialVectorField,
                    parse_expression, poly_to_text)
 from .sdp import write_sdpa
 
@@ -53,6 +53,10 @@ EXIT_VERIFY_FAILED = 4
 EXIT_CONTRADICTION = 5
 
 _FLOAT_FMT = ".17g"
+
+# printed after the solve logs and written under them in the certificate
+SIZE_NOTE = ("sizes: native convention; toolbox conventions may swap "
+             "equalities and decision variables")
 
 
 class FileFormatError(ValueError):
@@ -317,9 +321,7 @@ def cmd_certify(args) -> int:
 
     for log in outcome.logs:
         print(log.line())
-    print("note: sizes use the native convention (equalities = matching rows,"
-          " decision variables = Gram triangle entries + scalars); toolbox"
-          " conventions may swap the two counts")
+    print(f"note: {SIZE_NOTE}")
     if args.degree is None and outcome.degree > 4 and args.delta is None:
         print(f"warning: escalation reached degree {outcome.degree} with the"
               " default delta; consider an explicit --delta", file=sys.stdout)
@@ -330,9 +332,7 @@ def cmd_certify(args) -> int:
           f"gamma {_fmt(outcome.certificate.gamma)}")
 
     out_path = args.out or (str(Path(args.system).with_suffix(".cert")))
-    size_comments = [log.line() for log in outcome.logs]
-    size_comments.append("sizes: native convention; toolbox conventions may "
-                         "swap equalities and decision variables")
+    size_comments = [log.line() for log in outcome.logs] + [SIZE_NOTE]
     Path(out_path).write_text(
         certificate_to_text(outcome.certificate, size_comments))
     print(f"certificate written to {out_path}")
@@ -407,10 +407,9 @@ def cmd_simulate(args) -> int:
     grid_rows = [header] + [",".join(_fmt(v) for v in row) for row in x0]
     (out_dir / "x0_grid.csv").write_text("\n".join(grid_rows) + "\n")
 
-    signals = [random_signal for random_signal in (
-        sim.random_switching(system.n_subsystems, args.horizon,
-                             args.mean_dwell, args.seed + k)
-        for k in range(args.signals))]
+    signals = [sim.random_switching(system.n_subsystems, args.horizon,
+                                    args.mean_dwell, args.seed + k)
+               for k in range(args.signals)]
     if args.adversarial:
         V = cert.lyapunov if cert is not None else None
         signals.append(sim.adversarial_switching(

@@ -108,11 +108,6 @@ class Polynomial:
             return 0
         return max(sum(m) for m in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return min(sum(m) for m in self.terms)
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True

@@ -15,10 +15,24 @@ never silently misclassified.  Runs are deterministic for a fixed config.
 
 Constraints are normalised to unit Frobenius norm internally; reported
 residuals refer to the original data, scaled by 1/(1 + max |rhs|).
+
+``solve`` is the only place that retries.  It walks one attempt list, the
+tolerance levels times the KKT regularisations ``(0, 1e-10, 1e-8)``, and
+returns the first result that is not numerical failure.  The levels are the
+config's tolerances, then the relaxed floor max(tol, 1e-6) when the config
+is tighter than that floor.  Ill-conditioned SOS programs (large
+certificate scales at feasibility edges) can sit below the double-precision
+residual floor of the default tolerances.  Relaxing is safe because the
+Farkas-ray bar does not loosen with feas_tol, so a relaxed attempt cannot
+misclassify a feasible problem as infeasible, and every certificate is
+re-verified independently of the search.  An attempt that exhausts
+complementarity ("tolerances unreachable") skips the remaining
+regularisations, which do not lower that floor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,17 +45,19 @@ STATUS_FEASIBLE = "feasible"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_FAILURE = "numerical-failure"
 
+MAX_ITERATIONS = 20000
+STEP_SCALE = 0.98                     # fraction of the step to the cone edge
+REGULARIZATIONS = (0.0, 1e-10, 1e-8)  # KKT diagonal shifts, tried in order
+TOLERANCE_FLOOR = 1e-6                # feas_tol, gap_tol of the relaxed level
+_MU_FLOOR = "tolerances unreachable in double precision"
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     feas_tol: float = 1e-7
     psd_tol: float = 1e-8
-    max_iterations: int = 20000
     gap_tol: float = 1e-7
-    seed: int = 0
-    step_scale: float = 0.98
     audit: bool = False    # verify Newton equations each iteration (tests)
-    verbose: bool = False  # per-iteration diagnostics on stdout
 
     def __post_init__(self):
         if min(self.feas_tol, self.psd_tol, self.gap_tol) <= 0:
@@ -71,16 +87,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return len(self.rhs)
-
-    def constraint_matrix(self, j: int, block: int) -> np.ndarray:
-        """Dense symmetric data matrix of constraint j in one block."""
-        s = self.block_sizes[block]
-        A = np.zeros((s, s))
-        for ent in self.entries[j]:
-            if ent.block == block:
-                A[ent.rows, ent.cols] = ent.vals
-                A[ent.cols, ent.rows] = ent.vals
-        return A
 
     def constraint_value(self, j: int, blocks, free) -> float:
         """<A_j, X> + d_j . u for given primal values."""
@@ -373,7 +379,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
 
     feasibility_only = max_abs_C == 0.0 and max_abs_g == 0.0
 
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         iterations = it
         # factor the cone variables; retreat to failure on breakdown
         try:
@@ -513,7 +519,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
                              1.0 - sigma, sigma * mu_hat, corrM, corr_tk,
                              dX, du, dy, dS, dtau, dkappa)
 
-        alpha = min(1.0, config.step_scale * max_step(dX, dS, dtau, dkappa))
+        alpha = min(1.0, STEP_SCALE * max_step(dX, dS, dtau, dkappa))
         if not np.isfinite(alpha) or alpha <= 1e-10:
             status, message = STATUS_FAILURE, "step size collapsed"
             break
@@ -556,16 +562,6 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
         dobj = float(emb.b @ emb.y) / tau
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if config.verbose:
-            minx = min(float(np.linalg.eigvalsh(emb.X[b])[0])
-                       for b in range(emb.nblocks))
-            mins = min(float(np.linalg.eigvalsh(emb.S[b])[0])
-                       for b in range(emb.nblocks))
-            print(f"  it={it:3d} mu={emb.mu():9.2e} tau={emb.tau:9.2e} "
-                  f"kappa={emb.kappa:9.2e} alpha={alpha:6.3f} sigma={sigma:8.2e} "
-                  f"pres={pres:9.2e} dres={dres:9.2e} gap={gap:9.2e} "
-                  f"minX={minx:9.2e} minS={mins:9.2e}")
 
         if pres <= config.feas_tol and dres <= config.feas_tol \
                 and gres <= config.feas_tol and gap <= config.gap_tol:
@@ -623,8 +619,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
             break
         if mu_hat < 1e-6 * min(config.feas_tol, config.gap_tol) ** 2:
             # complementarity is exhausted; nothing further can improve
-            status, message = STATUS_FAILURE, "tolerances unreachable in " \
-                "double precision"
+            status, message = STATUS_FAILURE, _MU_FLOOR
             break
     else:
         status, message = STATUS_FAILURE, "iteration limit reached"
@@ -704,23 +699,44 @@ def _audit_direction(emb, E1, E2, E3, E4, Sinv, eta, tc, corrM, corr_tk,
     assert abs(lhs6) < tol, "tau-kappa Newton row failed"
 
 
+def _tolerance_levels(config: SolverConfig) -> list:
+    """The config, then the relaxed floor when the config is tighter."""
+    if min(config.feas_tol, config.gap_tol) >= TOLERANCE_FLOOR:
+        return [config]
+    return [config, dataclasses.replace(
+        config, feas_tol=max(config.feas_tol, TOLERANCE_FLOOR),
+        gap_tol=max(config.gap_tol, TOLERANCE_FLOOR))]
+
+
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve the SDP; deterministic retry ladder with KKT regularisation."""
+    """Solve the SDP, walking the attempt list of the module docstring.
+
+    For each tolerance level (the config's, then max(tol, 1e-6) when the
+    config is tighter) try the regularisations 0, 1e-10 and 1e-8, and
+    return the first result that is not numerical failure, or the last
+    failure.  An attempt stopped by the double-precision floor of mu goes
+    straight to the next level.  The relaxed level is safe: the Farkas-ray
+    bar stays fixed, and certify.verify_certificate re-checks every
+    certificate independently.
+    """
     config = config or SolverConfig()
     if problem.m == 0:
         raise ValueError("problem has no constraints")
-    solution = None
-    for reg in (0.0, 1e-10, 1e-8):
-        try:
-            solution = _solve(problem, config, reg)
-        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
-            solution = SdpSolution(
-                status=STATUS_FAILURE, blocks=None, free=None, y=None,
-                objective=None, dual_objective=None, primal_residual=np.inf,
-                min_eigenvalues=None, gap=None, iterations=0,
-                message=f"linear algebra failure: {exc}")
-        if solution.status in (STATUS_OPTIMAL, STATUS_FEASIBLE, STATUS_INFEASIBLE):
-            return solution
+    for level in _tolerance_levels(config):
+        for reg in REGULARIZATIONS:
+            try:
+                solution = _solve(problem, level, reg)
+            except (np.linalg.LinAlgError, ValueError,
+                    FloatingPointError) as exc:
+                solution = SdpSolution(
+                    status=STATUS_FAILURE, blocks=None, free=None, y=None,
+                    objective=None, dual_objective=None,
+                    primal_residual=np.inf, min_eigenvalues=None, gap=None,
+                    iterations=0, message=f"linear algebra failure: {exc}")
+            if solution.status != STATUS_FAILURE:
+                return solution
+            if solution.message == _MU_FLOOR:
+                break
     return solution
 
 

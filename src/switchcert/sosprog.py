@@ -155,7 +155,6 @@ class SdpEncoding:
     identity_bases: Mapping[str, GramBasis]
     scalar_index: Mapping[str, int]
     unknown_bases: Mapping[str, GramBasis]
-    sizes_note: str = ""
 
     @property
     def n_equalities(self) -> int:
@@ -287,19 +286,13 @@ def encode(program: SosProgram) -> SdpEncoding:
                 rhs, {b: trips for b, trips in sorted(block_map.items())},
                 free_map)
 
-    problem = builder.build()
-    note = ("native encoding: equalities = coefficient-matching rows, "
-            "decision variables = Gram upper-triangle entries + scalars; "
-            "toolbox conventions may count these two quantities the other "
-            "way around")
     return SdpEncoding(
-        problem=problem,
+        problem=builder.build(),
         unknown_blocks=unknown_blocks,
         identity_blocks=identity_blocks,
         identity_bases=identity_bases,
         scalar_index=scalar_index,
         unknown_bases={u.name: u.basis for u in program.unknowns},
-        sizes_note=note,
     )
 
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from switchcert import sdp
+from switchcert.certify import build_absorbing_program
+from switchcert.cli import load_system
 from switchcert.sdp import (SdpProblemBuilder, SolverConfig, min_eigenvalue,
                             read_sdpa, solve, strict_feasibility_margin,
                             write_sdpa)
+from switchcert.sosprog import encode
 
 
 def planted_feasible(rng, size, m):
@@ -124,6 +128,43 @@ class TestPlantedSuites:
         assert a.iterations == b.iterations
         for Xa, Xb in zip(a.blocks, b.blocks):
             assert np.array_equal(Xa, Xb)
+
+
+class TestAttemptList:
+    """The degree-12 homogeneous GAS decay program of the linear pair at
+    b = 12 exhausts complementarity before reaching the default tolerances
+    of 1e-7; solve reaches it at the relaxed level of 1e-6."""
+
+    @pytest.fixture(scope="class")
+    def gas_b12(self, systems_dir):
+        system = load_system(str(systems_dir / "linear_pair.sys"), {"b": 12.0})
+        program, _ = build_absorbing_program(
+            system, ell=6, delta=1e-3, degree=12, beta=0.0, homogeneous=True)
+        return encode(program).problem
+
+    def test_relaxed_level_reaches_optimal(self, gas_b12):
+        assert solve(gas_b12).status == "optimal"
+
+    def test_mu_floor_skips_regularisations(self, gas_b12, monkeypatch):
+        attempts = []
+        inner = sdp._solve
+
+        def recording(problem, config, regularization):
+            attempts.append((config.feas_tol, config.gap_tol, regularization))
+            return inner(problem, config, regularization)
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        solve(gas_b12)
+        assert attempts == [(1e-7, 1e-7, 0.0), (1e-6, 1e-6, 0.0)]
+
+    def test_relaxed_level_only_below_the_floor(self):
+        loose = SolverConfig(feas_tol=1e-6, gap_tol=1e-5)
+        assert sdp._tolerance_levels(loose) == [loose]
+        tight = SolverConfig(feas_tol=1e-9, psd_tol=1e-9, gap_tol=1e-5)
+        first, relaxed = sdp._tolerance_levels(tight)
+        assert first == tight
+        assert (relaxed.feas_tol, relaxed.psd_tol, relaxed.gap_tol) == \
+            (1e-6, 1e-9, 1e-5)
 
 
 class TestMinEigenvalue:
