@@ -7,18 +7,26 @@ state norm 1e12 separates falsification evidence from numerical failure.
 The adversarial signal greedily maximises the worst-case derivative of a
 given function V at each grid point; it is evidence of instability, never
 proof, and never accepts a certificate.
+
+``integrate``, ``adversarial_switching`` and ``check_absorption`` run on one
+batched engine: states are contiguous (n, k) blocks, one column per start,
+and each subsystem gets one RK4 stepper per call, a one-step matrix for a
+linear field and the four stages on a shared power table for a polynomial
+one.  A batch is stepped in switch segments: between two steps where some
+signal changes its index, the rows of each subsystem form one block.  A
+single start is a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .certify import AbsorbingSetCertificate, SwitchedSystem
-from .poly import (Polynomial, PolynomialVectorField, evaluate_exponent_form,
-                   lie_derivative)
+from .poly import Polynomial, lie_derivative
 
 DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
@@ -130,54 +138,106 @@ def _grid(horizon: float, h: float):
 
 def _active_steps(signal: SwitchingSignal, n_points: int, h: float) -> np.ndarray:
     """Active subsystem index at each grid point, switch times snapped to
-    multiples of h."""
-    active = np.empty(n_points, dtype=np.intp)
-    switch_steps = [(int(round(t / h)), idx) for t, idx in signal.switches]
-    pos = 0
-    current = switch_steps[0][1]
-    for k in range(n_points):
-        while pos < len(switch_steps) and switch_steps[pos][0] <= k:
-            current = switch_steps[pos][1]
-            pos += 1
-        active[k] = current
-    return active
+    multiples of h; of several switches snapped to one step the last wins."""
+    steps = np.array([int(round(t / h)) for t, _ in signal.switches])
+    indices = np.array([idx for _, idx in signal.switches], dtype=np.intp)
+    return indices[np.searchsorted(steps, np.arange(n_points), side="right")
+                   - 1]
 
 
-def _polynomial_field_kernel(f: PolynomialVectorField):
-    """Fused evaluator: one shared power table for all components."""
-    exponents = sorted({m for c in f.components for m in c.terms},
+def _segments(active: np.ndarray, n_steps: int):
+    """(start, stop) step ranges over which no row of ``active`` (signals x
+    grid points) changes its index; step k uses the index at grid point k."""
+    changed = np.any(active[:, 1:n_steps] != active[:, :n_steps - 1], axis=0)
+    bounds = [0, *(np.flatnonzero(changed) + 1).tolist(), n_steps]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _check_indices(system: SwitchedSystem, signals) -> None:
+    if any(i > system.n_subsystems for s in signals for _, i in s.switches):
+        raise ValueError("signal index exceeds subsystem count")
+
+
+class _PowerKernel:
+    """Several polynomials evaluated on a point block from one power table.
+
+    Points are a contiguous (n, k) block, one row per variable.  The table
+    holds the powers 0..top of all variables, one contiguous (n, k) level
+    per power, each level the previous one times the points; each monomial
+    is the product of one table row per variable, and the outputs are one
+    product with the coefficient matrix, summed over the monomials in
+    ascending (degree, exponent tuple) order.
+    """
+
+    def __init__(self, polys: Sequence[Polynomial], dimension: int):
+        monos = sorted({m for p in polys for m in p.terms},
                        key=lambda m: (sum(m), m))
-    index = {m: k for k, m in enumerate(exponents)}
-    E = np.array(exponents, dtype=np.int64).reshape(len(exponents), f.dimension)
-    C = np.zeros((f.dimension, len(exponents)))
-    for row, comp in enumerate(f.components):
-        for mono, coef in comp.terms.items():
-            C[row, index[mono]] = coef
+        exps = np.array(monos, dtype=np.intp).reshape(len(monos), dimension)
+        self.coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
+                               for p in polys]).reshape(len(polys), len(monos))
+        self.top = int(exps.max()) if len(monos) else 0
+        # row of x_j^e in the table flattened to ((top + 1) n, k)
+        rows = exps * dimension + np.arange(dimension)
+        self.columns = [rows[:, j] for j in range(dimension)
+                        if exps[:, j].any()] or [rows[:, 0]]
 
-    def evaluate(pts):
-        return evaluate_exponent_form(pts, E, C.T)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Values (n_polys, k) at the points x (n, k)."""
+        n, k = x.shape
+        table = np.empty((self.top + 1, n, k))
+        table[0] = 1.0
+        if self.top:
+            table[1] = x
+        for e in range(2, self.top + 1):
+            np.multiply(table[e - 1], x, out=table[e])
+        table = table.reshape(-1, k)
+        monomials = table[self.columns[0]]
+        for column in self.columns[1:]:
+            monomials *= table[column]
+        return self.coefs @ monomials
 
-    return evaluate
+
+def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
+    """D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so that one RK4 step of
+    x' = Ax is x <- M x with M = I + D.  The step is applied as x + D x:
+    as in the four-stage step, only the small increment carries the
+    rounding of the products."""
+    hA = dt * A
+    term = hA
+    D = hA.copy()
+    for j in range(2, 5):
+        term = term @ hA / j
+        D += term
+    return D
 
 
-def _field_evaluators(system: SwitchedSystem):
-    """Batch evaluators x (k, n) -> f(x) (k, n), with a linear fast path."""
-    evaluators = []
+def _steppers(system: SwitchedSystem, dts: np.ndarray):
+    """One RK4 step per subsystem, x (n, k) -> x (n, k), for the step sizes
+    of the grid: a one-step matrix per step size for linear fields, the
+    four stages on a shared power table for polynomial ones."""
+    steppers = []
     for f in system.fields:
         if f.is_linear():
             A = f.linear_matrix()
-            evaluators.append(lambda pts, A=A: pts @ A.T)
+            increments = {dt: _rk4_increment(A, dt) for dt in set(dts.tolist())}
+            steppers.append(lambda x, dt, D=increments: x + D[dt] @ x)
         else:
-            evaluators.append(_polynomial_field_kernel(f))
-    return evaluators
+            steppers.append(functools.partial(
+                _rk4_stages, _PowerKernel(f.components, f.dimension)))
+    return steppers
 
 
-def _rk4_step(evaluate, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = evaluate(x)
-    k2 = evaluate(x + 0.5 * h * k1)
-    k3 = evaluate(x + 0.5 * h * k2)
-    k4 = evaluate(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_stages(field, x: np.ndarray, dt: float) -> np.ndarray:
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _within_guard(x: np.ndarray) -> np.ndarray:
+    """Per column of x (n, k): finite with norm at most DIVERGENCE_GUARD."""
+    return (x * x).sum(axis=0) <= DIVERGENCE_GUARD ** 2
 
 
 def integrate(system: SwitchedSystem, signal: SwitchingSignal,
@@ -190,19 +250,18 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dimension,):
         raise ValueError("initial state has wrong dimension")
-    if any(i > system.n_subsystems for _, i in signal.switches):
-        raise ValueError("signal index exceeds subsystem count")
+    _check_indices(system, [signal])
     dts, times = _grid(horizon, h)
     active = _active_steps(signal, len(times), h)
-    evaluators = _field_evaluators(system)
+    steppers = _steppers(system, dts)
 
     states = np.empty((len(times), system.dimension))
     states[0] = x0
-    x = x0[None, :]
+    x = x0[:, None].copy()
     for k, dt in enumerate(dts):
-        x = _rk4_step(evaluators[active[k] - 1], x, dt)
-        states[k + 1] = x[0]
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x[0]) > DIVERGENCE_GUARD:
+        x = steppers[active[k] - 1](x, dt)
+        states[k + 1] = x[:, 0]
+        if not _within_guard(x)[0]:
             return Trajectory(times[:k + 2], states[:k + 2], active[:k + 2],
                               diverged=True, diverged_at=float(times[k + 1]))
     return Trajectory(times, states, active)
@@ -231,24 +290,26 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     selected, ties broken by the lowest index; V defaults to ||x||_2^2.
     """
     n = system.dimension
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError("initial state has wrong dimension")
     if V is None:
         V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
                            for j in range(n)})
-    lies = [lie_derivative(V, f) for f in system.fields]
-    evaluators = _field_evaluators(system)
+    rates = _PowerKernel([lie_derivative(V, f) for f in system.fields], n)
     dts, times = _grid(horizon, h)
+    steppers = _steppers(system, dts)
 
-    x = np.asarray(x0, dtype=float)[None, :]
+    x = x0[:, None].copy()
     switches = []
     current = None
     for k, dt in enumerate(dts):
-        rates = [lie.evaluate_many(x)[0] for lie in lies]
-        choice = int(np.argmax(rates)) + 1
-        if current is None or choice != current:
+        choice = int(rates(x).argmax()) + 1
+        if choice != current:
             switches.append((times[k], choice))
             current = choice
-        x = _rk4_step(evaluators[choice - 1], x, dt)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x[0]) > DIVERGENCE_GUARD:
+        x = steppers[choice - 1](x, dt)
+        if not _within_guard(x)[0]:
             break
     return SwitchingSignal(horizon, tuple(switches))
 
@@ -269,49 +330,58 @@ def check_absorption(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     X0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     if X0.shape[1] != system.dimension:
         raise ValueError("initial states have wrong dimension")
-    evaluators = _field_evaluators(system)
-    V = cert.lyapunov
+    if not signals:
+        raise ValueError("no switching signals given")
+    _check_indices(system, signals)
+    V = _PowerKernel([cert.lyapunov], system.dimension)
     gamma = cert.gamma
     n_starts = len(X0)
     n_signals = len(signals)
 
-    # one batch across all (signal, start) pairs; per step the rows are
-    # grouped by their signal's active subsystem
+    # one batch across all (signal, start) pairs; between the steps where
+    # some signal switches, the rows of each subsystem are stepped together
     T = horizon if horizon is not None else max(s.horizon for s in signals)
     dts, times = _grid(T, h)
     active = np.stack([_active_steps(s, len(times), h) for s in signals])
     signal_of_row = np.repeat(np.arange(n_signals), n_starts)
+    steppers = _steppers(system, dts)
 
-    x = np.tile(X0, (n_signals, 1))
-    entered = np.zeros(len(x), dtype=bool)
-    entry_time = np.full(len(x), np.nan)
-    post_max = np.full(len(x), -np.inf)
+    x = np.tile(X0, (n_signals, 1)).T.copy()
+    v = V(x)[0]
+    entered = v <= gamma
+    entry_time = np.where(entered, 0.0, np.nan)
+    post_max = np.full(len(v), -np.inf)
 
-    v = V.evaluate_many(x)
-    entered |= v <= gamma
-    entry_time[entered] = 0.0
-
-    for k, dt in enumerate(dts):
-        row_active = active[signal_of_row, k]
-        for idx in np.unique(row_active):
-            rows = row_active == idx
-            x[rows] = _rk4_step(evaluators[idx - 1], x[rows], dt)
-        norms = np.linalg.norm(x, axis=1)
-        if not np.all(np.isfinite(x)) or np.any(norms > DIVERGENCE_GUARD):
-            bad = int(np.argmax(~np.isfinite(x).all(axis=1)
-                                | (norms > DIVERGENCE_GUARD)))
-            raise CertificateContradictionError(
-                f"trajectory diverged under a certified system "
-                f"(signal {signal_of_row[bad]}, t={times[k + 1]})")
-        v = V.evaluate_many(x)
-        newly = (~entered) & (v <= gamma)
-        entry_time[newly] = times[k + 1]
-        entered |= newly
-        post_max = np.where(entered, np.maximum(post_max, v - gamma), post_max)
+    for start, stop in _segments(active, len(dts)):
+        index_of_row = active[signal_of_row, start]
+        blocks = [(steppers[idx - 1], np.flatnonzero(index_of_row == idx))
+                  for idx in np.unique(index_of_row)]
+        states = [x[:, rows] for _, rows in blocks]
+        for k in range(start, stop):
+            for b, (step, _) in enumerate(blocks):
+                states[b] = step(states[b], dts[k])
+            bad = []
+            for (_, rows), xb in zip(blocks, states):
+                ok = _within_guard(xb)
+                if not ok.all():
+                    bad.append(rows[np.argmin(ok)])
+            if bad:
+                raise CertificateContradictionError(
+                    f"trajectory diverged under a certified system "
+                    f"(signal {signal_of_row[min(bad)]}, t={times[k + 1]})")
+            for (_, rows), xb in zip(blocks, states):
+                v[rows] = V(xb)[0]
+            newly = (~entered) & (v <= gamma)
+            entry_time[newly] = times[k + 1]
+            entered |= newly
+            post_max = np.where(entered, np.maximum(post_max, v - gamma),
+                                post_max)
+        for (_, rows), xb in zip(blocks, states):
+            x[:, rows] = xb
 
     records = []
     not_entered = 0
-    for row in range(len(x)):
+    for row in range(len(v)):
         s_idx = int(signal_of_row[row])
         start = X0[row % n_starts]
         if not entered[row]:

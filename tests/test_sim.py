@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import linear_pair_matrices
 from switchcert.certify import (AbsorbingSetCertificate, CertificationQuery,
                                 SwitchedSystem, escalate)
-from switchcert.poly import parse_expression
+from switchcert.poly import PolynomialVectorField, parse_expression
 from switchcert.sim import (CertificateContradictionError, SwitchingSignal,
                             adversarial_switching, check_absorption,
                             integrate, random_switching)
@@ -18,6 +20,37 @@ def decay_1d():
 @pytest.fixture(scope="module")
 def rotation():
     return SwitchedSystem.from_matrices([np.array([[0.0, 1.0], [-1.0, 0.0]])])
+
+
+def _field(*components):
+    return PolynomialVectorField(
+        len(components),
+        tuple(parse_expression(c, len(components)) for c in components))
+
+
+@pytest.fixture(scope="module")
+def mixed_triple():
+    """A linear, an affine and a cubic subsystem."""
+    return SwitchedSystem(2, (
+        _field("-0.5*x1 + 2*x2", "-2*x1 - 0.5*x2"),
+        _field("x2 + 0.3", "-x1 - x2 - 0.2"),
+        _field("-x1 + x2 - x1^3", "-x1 - x2^3")))
+
+
+def _certificate(system, text, gamma):
+    return AbsorbingSetCertificate(
+        dimension=2, n_subsystems=system.n_subsystems,
+        lyapunov=parse_expression(text, 2),
+        beta=1.0, delta=1.0, ell=1, gamma=gamma)
+
+
+def _rk4_reference(A, x, dt):
+    """One classical RK4 step of x' = Ax, stage by stage."""
+    k1 = A @ x
+    k2 = A @ (x + 0.5 * dt * k1)
+    k3 = A @ (x + 0.5 * dt * k2)
+    k4 = A @ (x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestSwitchingSignal:
@@ -69,6 +102,28 @@ class TestIntegrate:
                            first.final_state, 1e-2, 1.0)
         assert np.array_equal(second.final_state, full.final_state)
 
+    def test_linear_steps_match_stagewise_rk4_off_grid_horizon(self):
+        # 1000 full steps of h and one remainder step of 5e-4, with switches
+        # at steps 400 and 700
+        matrices = linear_pair_matrices(13.26)
+        system = SwitchedSystem.from_matrices(matrices)
+        h, horizon = 1e-3, 1.0005
+        signal = SwitchingSignal(horizon, ((0.0, 1), (0.4, 2), (0.7, 1)))
+        trajectory = integrate(system, signal, [1.0, 0.5], h, horizon)
+        assert len(trajectory.times) == 1002
+        assert trajectory.times[-1] == horizon
+
+        x = np.array([1.0, 0.5])
+        reference = [x]
+        for k in range(1001):
+            index = 2 if 400 <= k < 700 else 1
+            dt = h if k < 1000 else horizon - 1000 * h
+            x = _rk4_reference(matrices[index - 1], x, dt)
+            reference.append(x)
+        reference = np.array(reference)
+        scale = np.max(np.linalg.norm(reference, axis=1))
+        assert np.max(np.abs(trajectory.states - reference)) <= 1e-13 * scale
+
     def test_divergence_flag(self):
         system = SwitchedSystem.from_matrices([np.array([[2.0]])])
         trajectory = integrate(system, SwitchingSignal.constant(1, 40.0),
@@ -103,6 +158,10 @@ class TestAdversarialSwitching:
         signal = adversarial_switching(rotation, None, [1.0, 0.0], 1e-2, 5.0)
         assert signal.switches == ((0.0, 1),)
 
+    def test_wrong_dimension_rejected(self, rotation):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            adversarial_switching(rotation, None, [1.0, 0.0, 0.0], 1e-2, 1.0)
+
     def test_growth_beyond_critical_parameter(self):
         # the worst-case switching law destabilises this pair for b above
         # roughly 13.28; at b=16 the greedy signal grows strongly
@@ -110,6 +169,25 @@ class TestAdversarialSwitching:
         signal = adversarial_switching(system, None, [1.0, 0.0], 1e-3, 50.0)
         trajectory = integrate(system, signal, [1.0, 0.0], 1e-3, 50.0)
         assert np.linalg.norm(trajectory.final_state) >= 10.0
+
+    def test_linear_pair_matches_reference_greedy(self):
+        # greedy on the squared norm: the rate of subsystem i is x . A_i x
+        matrices = linear_pair_matrices(13.26)
+        system = SwitchedSystem.from_matrices(matrices)
+        h = 1e-3
+        signal = adversarial_switching(system, None, [1.0, 0.0], h, 5.0)
+
+        x = np.array([1.0, 0.0])
+        switches = []
+        current = None
+        for k in range(5000):
+            choice = int(np.argmax([x @ (A @ x) for A in matrices])) + 1
+            if choice != current:
+                switches.append((k * h, choice))
+                current = choice
+            x = _rk4_reference(matrices[choice - 1], x, h)
+        assert len(switches) > 2
+        assert signal.switches == tuple(switches)
 
     def test_certificate_v_non_increasing_outside_set(self):
         system = SwitchedSystem.from_matrices(linear_pair_matrices(12.0))
@@ -173,3 +251,74 @@ class TestCheckAbsorption:
             check_absorption(system, cert, np.array([[3.0, 0.0]]),
                              [SwitchingSignal.constant(1, 40.0)], h=1e-2,
                              horizon=40.0)
+
+    def test_signal_index_beyond_subsystems_rejected(self, decay_1d):
+        cert = AbsorbingSetCertificate(
+            dimension=1, n_subsystems=1, lyapunov=parse_expression("x1^2", 1),
+            beta=1.0, delta=1.0, ell=1, gamma=1.0)
+        signal = SwitchingSignal(1.0, ((0.0, 1), (0.5, 2)))
+        with pytest.raises(ValueError, match="exceeds subsystem count"):
+            check_absorption(decay_1d, cert, np.array([[0.5]]), [signal],
+                             h=1e-2)
+
+    def test_empty_signal_list_rejected(self, decay_1d):
+        cert = AbsorbingSetCertificate(
+            dimension=1, n_subsystems=1, lyapunov=parse_expression("x1^2", 1),
+            beta=1.0, delta=1.0, ell=1, gamma=1.0)
+        with pytest.raises(ValueError, match="no switching signals"):
+            check_absorption(decay_1d, cert, np.array([[0.5]]), [], h=1e-2)
+
+    @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple"])
+    def test_rows_match_integrate(self, case, request):
+        # signals that switch every 0.2 s on average move rows between the
+        # subsystem blocks many times within the 2 s horizon
+        system = request.getfixturevalue(case)
+        cert = _certificate(system, "x1^2 + 0.25*x1*x2 + 0.5*x2^2 + 0.01*x1^4",
+                            1.5)
+        starts = np.array([[0.5, 0.5], [2.5, -1.0], [-2.0, 1.5],
+                           [1.0, 2.5]])
+        signals = [random_switching(system.n_subsystems, 2.0, 0.2, seed)
+                   for seed in range(3)]
+        h = 2e-3
+        report = check_absorption(system, cert, starts, signals, h=h)
+        assert len(report.records) == len(signals) * len(starts)
+
+        entered_later = set()
+        for row, record in enumerate(report.records):
+            signal = signals[row // len(starts)]
+            assert record.signal_index == row // len(starts)
+            trajectory = integrate(system, signal, starts[row % len(starts)],
+                                   h, 2.0)
+            values = cert.lyapunov.evaluate_many(trajectory.states)
+            inside = np.flatnonzero(values <= cert.gamma)
+            if len(inside) == 0:
+                assert record.first_entry_time is None
+                continue
+            entry = inside[0]
+            assert record.first_entry_time == trajectory.times[entry]
+            entered_later.add(entry > 0)
+            # the excess counts from the entry step on, but not at time 0
+            after = values[max(entry, 1):]
+            assert abs(record.post_entry_max - (after.max() - cert.gamma)) \
+                <= 1e-12 * cert.gamma
+        # some rows start inside the set and some enter it later
+        assert entered_later == {False, True}
+
+    def test_first_divergence_names_lowest_row(self):
+        # both subsystems are x' = 2x, so rows 0 (signal 0, stepped in the
+        # second block) and 2 (signal 1, first block) pass the guard at the
+        # same step; the lower row names the signal
+        growth = np.array([[2.0, 0.0], [0.0, 2.0]])
+        system = SwitchedSystem.from_matrices([growth, growth])
+        cert = _certificate(system, "x1^2 + x2^2", 1.0)
+        starts = np.array([[3.0, 0.0], [1e-3, 0.0]])
+        signals = [SwitchingSignal.constant(2, 20.0),
+                   SwitchingSignal.constant(1, 20.0)]
+        with pytest.raises(CertificateContradictionError) as caught:
+            check_absorption(system, cert, starts, signals, h=1e-2)
+        found = re.search(r"signal (\d+), t=([0-9.]+)\)", str(caught.value))
+        assert found is not None
+        assert int(found.group(1)) == 0
+        first = integrate(system, signals[0], starts[0], 1e-2, 20.0)
+        assert first.diverged
+        assert float(found.group(2)) == first.diverged_at
