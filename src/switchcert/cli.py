@@ -347,7 +347,21 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _positive_flags(*flags) -> bool:
+    """False, after a usage error, at the first (flag, value) that is not
+    finite and positive."""
+    for flag, value in flags:
+        if not (np.isfinite(value) and value > 0):
+            print(f"error: {flag} must be finite and positive",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_verify(args) -> int:
+    if not _positive_flags(("--samples", args.samples),
+                           ("--residual-tol", args.residual_tol)):
+        return EXIT_USAGE
     try:
         system = load_system(args.system, _parse_param_flags(args.param))
         cert = load_certificate(args.certificate)
@@ -388,6 +402,9 @@ def _write_trajectory_csv(path: Path, trajectory) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if not _positive_flags(("--step", args.step), ("--horizon", args.horizon),
+                           ("--mean-dwell", args.mean_dwell)):
+        return EXIT_USAGE
     try:
         system = load_system(args.system, _parse_param_flags(args.param))
         cert = load_certificate(args.certificate) if args.certificate else None

@@ -27,10 +27,6 @@ ZERO_THRESHOLD = 1e-14
 Monomial = tuple
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -204,9 +200,9 @@ class Polynomial:
         cached = self._arrays
         if cached is None:
             monos = sorted(self.terms, key=grlex_key)
-            exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.dimension)
+            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.dimension)
             coefs = np.array([self.terms[m] for m in monos], dtype=float)
-            cached = (exps, coefs)
+            cached = (MonomialKernel(exps), coefs)
             object.__setattr__(self, "_arrays", cached)
         return cached
 
@@ -225,8 +221,8 @@ class Polynomial:
                 f"points have shape {pts.shape}, expected (k, {self.dimension})")
         if not self.terms:
             return np.zeros(pts.shape[0])
-        exps, coefs = self._get_arrays()
-        return evaluate_exponent_form(pts, exps, coefs)
+        monomials, coefs = self._get_arrays()
+        return evaluate_exponent_form(pts, monomials, coefs)
 
     __call__ = evaluate
 
@@ -279,38 +275,55 @@ class PolynomialVectorField:
                 A[row, col] = coef
         return A
 
-    def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        return self.evaluate_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at points (k, n) giving field values (k, n)."""
-        return np.stack(
-            [c.evaluate_many(points) for c in self.components], axis=1)
-
 
 # -- calculus and evaluation ---------------------------------------------------
 
 
-def evaluate_exponent_form(pts: np.ndarray, exps: np.ndarray,
-                           coefs: np.ndarray) -> np.ndarray:
-    """Evaluate sum_t coefs[t] * prod_j pts[:, j] ** exps[t, j].
+class MonomialKernel:
+    """Values of a fixed list of monomials on blocks of points.
 
-    Integer powers are built from cumulative products per variable, which is
-    considerably faster than floating-point pow in tight simulation loops.
+    The exponents are a (T, n) array, one row per monomial, listed in the
+    order in which the caller sums the values: the order and the form of
+    that sum fix the rounding of every result.  Points are an (n, k) block,
+    one row per variable.  The power table holds the powers 0..top of all
+    variables, one contiguous (n, k) level per power, each level the
+    previous one times the points; each monomial is the product of one
+    table row per variable that occurs, in variable order.
     """
-    k, n = pts.shape
-    powers = np.ones((k, len(exps)))
-    for j in range(n):
-        top = int(exps[:, j].max()) if len(exps) else 0
-        if top == 0:
-            continue
-        table = np.empty((k, top + 1))
-        table[:, 0] = 1.0
-        col = pts[:, j]
-        for e in range(1, top + 1):
-            table[:, e] = table[:, e - 1] * col
-        powers *= table[:, exps[:, j]]
-    return powers @ coefs
+
+    def __init__(self, exps: np.ndarray):
+        n = exps.shape[1]
+        self.top = int(exps.max()) if len(exps) else 0
+        # row of x_j^e in the table flattened to ((top + 1) n, k)
+        rows = exps * n + np.arange(n)
+        self.columns = [rows[:, j] for j in range(n)
+                        if exps[:, j].any()] or [rows[:, 0]]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Monomial values (T, k) at the points x (n, k)."""
+        n, k = x.shape
+        table = np.empty((self.top + 1, n, k))
+        table[0] = 1.0
+        if self.top:
+            table[1] = x
+        for e in range(2, self.top + 1):
+            np.multiply(table[e - 1], x, out=table[e])
+        table = table.reshape((self.top + 1) * n, k)
+        monomials = table[self.columns[0]]
+        for column in self.columns[1:]:
+            monomials *= table[column]
+        return monomials
+
+
+def evaluate_exponent_form(pts: np.ndarray, monomials: MonomialKernel,
+                           coefs: np.ndarray) -> np.ndarray:
+    """Evaluate sum_t coefs[t] * monomial_t at the points pts (k, n).
+
+    The sum is one product of a C-contiguous (points x monomials) array
+    with the coefficient vector; a strided view or the transposed product
+    rounds differently.
+    """
+    return np.ascontiguousarray(monomials(pts.T).T) @ coefs
 
 
 def gradient(p: Polynomial) -> tuple:
@@ -344,10 +357,6 @@ def even_power_norm(dimension: int, ell: int) -> Polynomial:
         exp[k] = 2 * ell
         terms[tuple(exp)] = 1.0
     return Polynomial(dimension, terms)
-
-
-def evaluate(p: Polynomial, point: Sequence[float]) -> float:
-    return p.evaluate(point)
 
 
 def degree_info(p: Polynomial) -> tuple:

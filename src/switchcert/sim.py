@@ -11,10 +11,11 @@ proof, and never accepts a certificate.
 ``integrate``, ``adversarial_switching`` and ``check_absorption`` run on one
 batched engine: states are contiguous (n, k) blocks, one column per start,
 and each subsystem gets one RK4 stepper per call, a one-step matrix for a
-linear field and the four stages on a shared power table for a polynomial
-one.  A batch is stepped in switch segments: between two steps where some
-signal changes its index, the rows of each subsystem form one block.  A
-single start is a batch of one.
+linear field and the four stages for a polynomial one, all components
+evaluated from one table of monomial values (``poly.MonomialKernel``).  A
+batch is stepped in switch segments: between two steps where some signal
+changes its index, the rows of each subsystem form one block.  A single
+start is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import AbsorbingSetCertificate, SwitchedSystem
-from .poly import Polynomial, lie_derivative
+from .poly import MonomialKernel, Polynomial, lie_derivative
 
 DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
@@ -116,13 +117,16 @@ class AbsorptionReport:
         return max((r.post_entry_max for r in self.records), default=-np.inf)
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
+
+
 def _grid(horizon: float, h: float):
     """Step sizes and grid times: full h-steps plus one exact remainder step
     so the grid ends at the horizon."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_positive(step=h, horizon=horizon)
     full = int(np.floor(horizon / h + 1e-9))
     remainder = horizon - full * h
     steps = [h] * full
@@ -158,43 +162,17 @@ def _check_indices(system: SwitchedSystem, signals) -> None:
         raise ValueError("signal index exceeds subsystem count")
 
 
-class _PowerKernel:
-    """Several polynomials evaluated on a point block from one power table.
-
-    Points are a contiguous (n, k) block, one row per variable.  The table
-    holds the powers 0..top of all variables, one contiguous (n, k) level
-    per power, each level the previous one times the points; each monomial
-    is the product of one table row per variable, and the outputs are one
-    product with the coefficient matrix, summed over the monomials in
-    ascending (degree, exponent tuple) order.
-    """
-
-    def __init__(self, polys: Sequence[Polynomial], dimension: int):
-        monos = sorted({m for p in polys for m in p.terms},
-                       key=lambda m: (sum(m), m))
-        exps = np.array(monos, dtype=np.intp).reshape(len(monos), dimension)
-        self.coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
-                               for p in polys]).reshape(len(polys), len(monos))
-        self.top = int(exps.max()) if len(monos) else 0
-        # row of x_j^e in the table flattened to ((top + 1) n, k)
-        rows = exps * dimension + np.arange(dimension)
-        self.columns = [rows[:, j] for j in range(dimension)
-                        if exps[:, j].any()] or [rows[:, 0]]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Values (n_polys, k) at the points x (n, k)."""
-        n, k = x.shape
-        table = np.empty((self.top + 1, n, k))
-        table[0] = 1.0
-        if self.top:
-            table[1] = x
-        for e in range(2, self.top + 1):
-            np.multiply(table[e - 1], x, out=table[e])
-        table = table.reshape(-1, k)
-        monomials = table[self.columns[0]]
-        for column in self.columns[1:]:
-            monomials *= table[column]
-        return self.coefs @ monomials
+def _evaluator(polys: Sequence[Polynomial], dimension: int):
+    """Values (n_polys, k) of several polynomials at the points x (n, k):
+    one product of the coefficient matrix with the values of all their
+    monomials, summed in ascending (degree, exponent tuple) order."""
+    monos = sorted({m for p in polys for m in p.terms},
+                   key=lambda m: (sum(m), m))
+    monomials = MonomialKernel(
+        np.array(monos, dtype=np.intp).reshape(len(monos), dimension))
+    coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
+                      for p in polys]).reshape(len(polys), len(monos))
+    return lambda x: coefs @ monomials(x)
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
@@ -214,7 +192,7 @@ def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
 def _steppers(system: SwitchedSystem, dts: np.ndarray):
     """One RK4 step per subsystem, x (n, k) -> x (n, k), for the step sizes
     of the grid: a one-step matrix per step size for linear fields, the
-    four stages on a shared power table for polynomial ones."""
+    four stages on one table of monomial values for polynomial ones."""
     steppers = []
     for f in system.fields:
         if f.is_linear():
@@ -223,7 +201,7 @@ def _steppers(system: SwitchedSystem, dts: np.ndarray):
             steppers.append(lambda x, dt, D=increments: x + D[dt] @ x)
         else:
             steppers.append(functools.partial(
-                _rk4_stages, _PowerKernel(f.components, f.dimension)))
+                _rk4_stages, _evaluator(f.components, f.dimension)))
     return steppers
 
 
@@ -270,8 +248,7 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
 def random_switching(n_subsystems: int, horizon: float, mean_dwell: float,
                      seed: int) -> SwitchingSignal:
     """Exponential inter-switch gaps, uniform indices, deterministic per seed."""
-    if mean_dwell <= 0:
-        raise ValueError("mean dwell must be positive")
+    _check_positive(horizon=horizon, mean_dwell=mean_dwell)
     rng = np.random.default_rng(seed)
     switches = [(0.0, int(rng.integers(1, n_subsystems + 1)))]
     t = float(rng.exponential(mean_dwell))
@@ -296,7 +273,7 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     if V is None:
         V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
                            for j in range(n)})
-    rates = _PowerKernel([lie_derivative(V, f) for f in system.fields], n)
+    rates = _evaluator([lie_derivative(V, f) for f in system.fields], n)
     dts, times = _grid(horizon, h)
     steppers = _steppers(system, dts)
 
@@ -327,13 +304,15 @@ def check_absorption(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     """
     if cert.gamma is None:
         raise ValueError("certificate has no gamma level")
+    if cert.dimension != system.dimension:
+        raise ValueError("certificate does not match system dimension")
     X0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     if X0.shape[1] != system.dimension:
         raise ValueError("initial states have wrong dimension")
     if not signals:
         raise ValueError("no switching signals given")
     _check_indices(system, signals)
-    V = _PowerKernel([cert.lyapunov], system.dimension)
+    V = _evaluator([cert.lyapunov], system.dimension)
     gamma = cert.gamma
     n_starts = len(X0)
     n_signals = len(signals)

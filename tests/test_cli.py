@@ -145,6 +145,18 @@ class TestCmdVerify:
                      str(affine_cert)])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-5"), ("--residual-tol", "nan"),
+        ("--residual-tol", "0")])
+    def test_bad_check_flag_is_usage_error(self, affine_cert, capsys, flag,
+                                           value):
+        # with a NaN tolerance every residual comparison is false, so a
+        # certificate with invalid SOS identities would pass
+        code = main(["verify", str(SYSTEMS / "affine_pair.sys"),
+                     str(affine_cert), f"{flag}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+
     def test_published_certificate_typed_in(self, tmp_path, conftest=None):
         from conftest import V_AFFINE_PAIR
         cert_text = (
@@ -167,6 +179,18 @@ class TestCmdSimulate:
         grid = (out / "x0_grid.csv").read_text().strip().splitlines()
         assert len(grid) == 1 + 9
         assert not list(out.glob("trajectory_*.csv"))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "0"), ("--horizon", "0"), ("--horizon", "nan"),
+        ("--mean-dwell", "0")])
+    def test_bad_grid_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                          value):
+        code = main(["simulate", str(SYSTEMS / "affine_pair.sys"),
+                     "--signals", "1", "--x0-grid", "1:1:1,0:0:1",
+                     "--horizon", "1", f"{flag}={value}",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
 
     def test_csv_determinism_across_runs(self, tmp_path):
         outs = []

@@ -1,12 +1,15 @@
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from conftest import linear_pair_matrices
+from conftest import SYSTEMS, linear_pair_matrices
+from switchcert import sim
 from switchcert.certify import (AbsorbingSetCertificate, CertificationQuery,
                                 SwitchedSystem, escalate)
-from switchcert.poly import PolynomialVectorField, parse_expression
+from switchcert.cli import load_system
+from switchcert.poly import Polynomial, PolynomialVectorField, parse_expression
 from switchcert.sim import (CertificateContradictionError, SwitchingSignal,
                             adversarial_switching, check_absorption,
                             integrate, random_switching)
@@ -124,6 +127,15 @@ class TestIntegrate:
         scale = np.max(np.linalg.norm(reference, axis=1))
         assert np.max(np.abs(trajectory.states - reference)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("h, horizon", [
+        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (1e-2, 0.0), (1e-2, np.nan), (1e-2, np.inf), (1e-2, -1.0)])
+    def test_step_and_horizon_must_be_finite_and_positive(self, decay_1d, h,
+                                                          horizon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            integrate(decay_1d, SwitchingSignal.constant(1, 1.0), [1.0], h,
+                      horizon)
+
     def test_divergence_flag(self):
         system = SwitchedSystem.from_matrices([np.array([[2.0]])])
         trajectory = integrate(system, SwitchingSignal.constant(1, 40.0),
@@ -151,6 +163,25 @@ class TestRandomSwitching:
         counts = [random_switching(2, 20.0, 0.5, seed).n_switches
                   for seed in range(100)]
         assert 40 * 0.7 <= np.mean(counts) <= 40 * 1.3
+
+
+    @pytest.mark.parametrize("horizon, mean_dwell", [
+        (np.inf, 0.5), (np.nan, 0.5), (0.0, 0.5), (5.0, 0.0), (5.0, np.nan),
+        (5.0, np.inf), (5.0, -1.0)])
+    def test_horizon_and_dwell_must_be_finite_and_positive(self, horizon,
+                                                           mean_dwell):
+        # an infinite horizon used to loop forever: stop it after one second
+        def stop(signum, frame):
+            raise TimeoutError("random_switching did not return")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(1)
+        try:
+            with pytest.raises(ValueError, match="finite and positive"):
+                random_switching(2, horizon, mean_dwell, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestAdversarialSwitching:
@@ -268,6 +299,15 @@ class TestCheckAbsorption:
         with pytest.raises(ValueError, match="no switching signals"):
             check_absorption(decay_1d, cert, np.array([[0.5]]), [], h=1e-2)
 
+    def test_certificate_dimension_must_match_system(self, decay_1d):
+        cert = AbsorbingSetCertificate(
+            dimension=3, n_subsystems=1,
+            lyapunov=parse_expression("x1^2 + x2^2 + x3^2", 3),
+            beta=1.0, delta=1.0, ell=1, gamma=1.0)
+        with pytest.raises(ValueError, match="does not match system dimension"):
+            check_absorption(decay_1d, cert, np.array([[0.5]]),
+                             [SwitchingSignal.constant(1, 1.0)], h=1e-2)
+
     @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple"])
     def test_rows_match_integrate(self, case, request):
         # signals that switch every 0.2 s on average move rows between the
@@ -322,3 +362,45 @@ class TestCheckAbsorption:
         first = integrate(system, signals[0], starts[0], 1e-2, 20.0)
         assert first.diverged
         assert float(found.group(2)) == first.diverged_at
+
+
+def _dense_poly(rng, n, degree):
+    """Every monomial of total degree at most ``degree``, random coefficients."""
+    monos = [m for m in np.ndindex(*(degree + 1,) * n) if sum(m) <= degree]
+    return Polynomial(n, {m: float(rng.normal()) for m in monos})
+
+
+def _assert_callers_agree(p, points):
+    """evaluate_many and the simulation's evaluator sum the same monomial
+    values in two orders; they agree to 1e-15 of the sum of |terms|."""
+    by_poly = p.evaluate_many(points)
+    by_sim = sim._evaluator([p], p.dimension)(points.T.copy())
+    assert by_sim.shape == (1, len(points))
+    absolute = Polynomial(p.dimension, {m: abs(c) for m, c in p.terms.items()})
+    scale = absolute.evaluate_many(np.abs(points))
+    assert np.all(np.abs(by_sim[0] - by_poly) <= 1e-15 * scale)
+
+
+class TestEvaluationCallersAgree:
+    @pytest.mark.parametrize("name", sorted(p.name for p in SYSTEMS.glob("*.sys")))
+    def test_bundled_system_fields_and_v(self, name):
+        system = load_system(str(SYSTEMS / name))
+        rng = np.random.default_rng(17)
+        points = rng.normal(scale=3.0, size=(500, system.dimension))
+        _assert_callers_agree(_dense_poly(rng, system.dimension, 6), points)
+        for field in system.fields:
+            for component in field.components:
+                _assert_callers_agree(component, points)
+
+    @pytest.mark.parametrize("p", [
+        Polynomial.constant(2, 3.5),
+        parse_expression("x1^2*x3 - 2*x3^3 + x1 + 0.5", 3)],
+        ids=["constant", "x2_absent"])
+    def test_edge_polynomials(self, p):
+        rng = np.random.default_rng(5)
+        _assert_callers_agree(p, rng.normal(size=(40, p.dimension)))
+
+    def test_zero_points(self):
+        p = parse_expression("x1^3 - x1*x2 + 2", 2)
+        assert p.evaluate_many(np.empty((0, 2))).shape == (0,)
+        assert sim._evaluator([p], 2)(np.empty((2, 0))).shape == (1, 0)
