@@ -642,10 +642,16 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     scaled eigenvalue slack; (c) the worst subsystem derivative of V is
     negative on sampled shells outside the beta ball; (d) sampled points of
     the beta ball stay inside {V <= gamma}.  Any failure raises
-    CertificateRejectedError naming the failed checks.
+    CertificateRejectedError naming the failed checks; tolerances that are
+    not finite and positive, or no samples, raise ValueError.
     """
     if cert.dimension != system.dimension:
         raise ValueError("certificate dimension does not match system")
+    for name, tol in (("residual_tol", residual_tol), ("eig_tol", eig_tol)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"{name} must be finite and positive")
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     solver = solver or SolverConfig()
     failures = []
     identity_residuals = {}

@@ -257,6 +257,19 @@ def _parse_window(text: str, expected: int) -> list:
     return axes
 
 
+def _grid(axes) -> np.ndarray:
+    """Points of the grid over (lo, hi, count) axes, one row each; a count
+    of 1 takes the midpoint of its axis."""
+    lines = []
+    for lo, hi, count in axes:
+        if count < 1:
+            raise FileFormatError(f"grid count must be at least 1, got {count}")
+        lines.append(np.linspace(lo, hi, count) if count > 1
+                     else np.array([(lo + hi) / 2.0]))
+    mesh = np.meshgrid(*lines, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _parse_grid(text: str, expected: int) -> np.ndarray:
     axes = []
     for chunk in text.split(","):
@@ -264,15 +277,10 @@ def _parse_grid(text: str, expected: int) -> np.ndarray:
         if len(parts) != 3:
             raise FileFormatError(
                 f"bad grid chunk {chunk!r}; use lo:hi:count")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise FileFormatError("grid count must be at least 1")
-        axes.append(np.linspace(lo, hi, count) if count > 1
-                    else np.array([(lo + hi) / 2.0]))
+        axes.append((float(parts[0]), float(parts[1]), int(parts[2])))
     if len(axes) != expected:
         raise FileFormatError(f"grid has {len(axes)} axes, expected {expected}")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _grid(axes)
 
 
 def _fmt(value: float) -> str:
@@ -505,20 +513,13 @@ def cmd_levelset(args) -> int:
         return EXIT_USAGE
     try:
         window = _parse_window(window_text, len(free_axes))
+        grid = _grid([(lo, hi, args.resolution) for lo, hi in window])
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    res = args.resolution
-    axes = []
-    for lo, hi in window:
-        axes.append(np.linspace(lo, hi, res) if res > 1
-                    else np.array([(lo + hi) / 2.0]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    points = np.zeros((flat[0].size, n))
-    for axis, values in zip(free_axes, flat):
-        points[:, axis - 1] = values
+    points = np.zeros((len(grid), n))
+    points[:, [axis - 1 for axis in free_axes]] = grid
     values = cert.lyapunov.evaluate_many(points)
 
     header = ",".join(f"x{k}" for k in range(1, n + 1)) + ",V"

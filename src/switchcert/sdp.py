@@ -11,7 +11,16 @@ Mehrotra-style predictor-corrector interior-point iteration with dense block
 linear algebra.  Free scalars are kept natively in the KKT system.  Proven
 primal infeasibility is reported through a Farkas ray extracted from the
 embedding; an ambiguous tau/kappa limit is reported as numerical failure,
-never silently misclassified.  Runs are deterministic for a fixed config.
+never silently misclassified.  Runs are deterministic for a fixed config and
+BLAS thread count.
+
+Each iteration runs four phases, one function each: ``_cone_factors``
+(Cholesky factors of X and S, and S^-1), ``_newton_system`` (the Schur
+complement and its objective borders from ``_schur``, the KKT matrix, its LU
+factors and the direction-independent KKT solve), ``_search_direction``
+(predictor and corrector, one ``_direction`` each) and ``_step_length``.
+The residuals and mu of an iterate are computed once, after the step that
+produced it.
 
 Constraints are normalised to unit Frobenius norm internally; reported
 residuals refer to the original data, scaled by 1/(1 + max |rhs|).
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +60,7 @@ STEP_SCALE = 0.98                     # fraction of the step to the cone edge
 REGULARIZATIONS = (0.0, 1e-10, 1e-8)  # KKT diagonal shifts, tried in order
 TOLERANCE_FLOOR = 1e-6                # feas_tol, gap_tol of the relaxed level
 _MU_FLOOR = "tolerances unreachable in double precision"
+_SINGULAR = "singular Newton system"
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,6 @@ class SolverConfig:
     feas_tol: float = 1e-7
     psd_tol: float = 1e-8
     gap_tol: float = 1e-7
-    audit: bool = False    # verify Newton equations each iteration (tests)
 
     def __post_init__(self):
         if min(self.feas_tol, self.psd_tol, self.gap_tol) <= 0:
@@ -259,8 +269,7 @@ def _sym(M):
 class _Embedding:
     """Homogeneous self-dual iteration state on the scaled problem data."""
 
-    def __init__(self, problem: SdpProblem, config: SolverConfig):
-        self.cfg = config
+    def __init__(self, problem: SdpProblem):
         self.sizes = problem.block_sizes
         self.nblocks = len(self.sizes)
         self.m = problem.m
@@ -269,15 +278,8 @@ class _Embedding:
 
         # constraint scaling to unit Frobenius norm
         self.A = []  # per block: (m, s, s) dense tensors, scaled
-        scale = np.zeros(problem.m)
-        for j in range(problem.m):
-            fro2 = 0.0
-            for ent in problem.entries[j]:
-                off = ent.rows != ent.cols
-                fro2 += float(np.sum(ent.vals ** 2 * np.where(off, 2.0, 1.0)))
-            idx, vals = problem.free_rows[j]
-            fro2 += float(np.sum(vals ** 2))
-            scale[j] = 1.0 / max(np.sqrt(fro2), 1e-12)
+        scale = np.array([1.0 / max(problem.constraint_norm(j), 1e-12)
+                          for j in range(problem.m)])
         self.con_scale = scale
 
         for b, s in enumerate(self.sizes):
@@ -310,6 +312,11 @@ class _Embedding:
                 np.zeros((s, s)) if C is None else C * self.obj_scale)
         self.g = problem.obj_free * self.obj_scale
 
+        # largest data entries, the scales of the convergence measures
+        self.max_abs_b = float(np.max(np.abs(self.b))) if self.m else 0.0
+        self.max_abs_C = max(float(np.max(np.abs(C))) for C in self.C)
+        self.max_abs_g = float(np.max(np.abs(self.g))) if self.f else 0.0
+
         # start at the identity point
         self.X = [np.eye(s) for s in self.sizes]
         self.S = [np.eye(s) for s in self.sizes]
@@ -337,9 +344,10 @@ class _Embedding:
     def residuals(self):
         E1 = self.opA(self.X) + (self.D @ self.u if self.f else 0.0) \
             - self.b * self.tau
-        E2 = [self.opAt(self.y)[b] + self.S[b] - self.C[b] * self.tau
+        At_y = self.opAt(self.y)
+        E2 = [At_y[b] + self.S[b] - self.C[b] * self.tau
               for b in range(self.nblocks)]
-        E3 = (self.D.T @ self.y - self.g * self.tau) if self.f else np.zeros(0)
+        E3 = self.D.T @ self.y - self.g * self.tau
         E4 = self.inner_C(self.X) + float(self.g @ self.u) \
             - float(self.b @ self.y) + self.kappa
         return E1, E2, E3, E4
@@ -349,9 +357,177 @@ class _Embedding:
                    for b in range(self.nblocks))
         return (dots + self.tau * self.kappa) / (self.nu + 1)
 
+    def advance(self, alpha: float, d) -> float:
+        """Take the step; returns the factor the iterate was rescaled by."""
+        for b in range(self.nblocks):
+            self.X[b] = _sym(self.X[b] + alpha * d.dX[b])
+            self.S[b] = _sym(self.S[b] + alpha * d.dS[b])
+        self.y += alpha * d.dy
+        self.u += alpha * d.du
+        self.tau += alpha * d.dtau
+        self.kappa += alpha * d.dkappa
 
-def _max_step_psd(M, L, dM) -> float:
-    """Largest alpha with M + alpha*dM PSD, via L^-1 dM L^-T eigenvalues."""
+        # the embedding is positively homogeneous: renormalise the iterate
+        # when magnitudes threaten double-precision range
+        peak = max(self.tau, self.kappa,
+                   max(float(np.max(np.abs(X))) for X in self.X),
+                   max(float(np.max(np.abs(S))) for S in self.S),
+                   float(np.max(np.abs(self.y))) if self.m else 0.0,
+                   float(np.max(np.abs(self.u))) if self.f else 0.0)
+        if not peak > 1e8:
+            return 1.0
+        inv = 1.0 / peak
+        for b in range(self.nblocks):
+            self.X[b] *= inv
+            self.S[b] *= inv
+        self.y *= inv
+        self.u *= inv
+        self.tau *= inv
+        self.kappa *= inv
+        return inv
+
+
+class _Breakdown(Exception):
+    """A phase of the iteration broke down; the text is the solve's message."""
+
+
+# One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
+# regularisation, with the Schur complement B and its objective borders v, w.
+# q = K^-1 (b + v, g) does not depend on the direction, so predictor and
+# corrector share it.
+_NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu v w q")
+_Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
+
+
+def _cone_factors(emb):
+    """Cholesky factors Lx, Ls of X and S, and S^-1, per block."""
+    try:
+        Lx = [np.linalg.cholesky(X) for X in emb.X]
+        Ls = [np.linalg.cholesky(S) for S in emb.S]
+    except np.linalg.LinAlgError:
+        raise _Breakdown("cone factorisation failed") from None
+    Sinv = [sla.cho_solve((L, True), np.eye(len(L))) for L in Ls]
+    return Lx, Ls, Sinv
+
+
+def _schur(emb, Lx, Ls):
+    """Schur complement B[j,k] = tr(A_j X A_k S^-1) and its borders v, w.
+
+    B = U U^T with U_j = Ls^-1 A_j Lx; v = U c and w = c . c with
+    c = Ls^-1 C Lx."""
+    m = emb.m
+    B = np.zeros((m, m))
+    v = np.zeros(m)
+    w = 0.0
+    for b in range(emb.nblocks):
+        s = emb.sizes[b]
+        T = np.einsum("kij,jl->kil", emb.A[b], Lx[b])
+        U = sla.solve_triangular(
+            Ls[b], T.transpose(1, 0, 2).reshape(s, m * s), lower=True)
+        U = U.reshape(s, m, s).transpose(1, 0, 2).reshape(m, s * s)
+        UC = sla.solve_triangular(Ls[b], emb.C[b] @ Lx[b], lower=True).ravel()
+        B += U @ U.T
+        v += U @ UC
+        w += float(UC @ UC)
+    return _sym(B), v, w
+
+
+def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
+    """Build and LU-factor the KKT matrix, and solve for q."""
+    m, f = emb.m, emb.f
+    B, v, w = _schur(emb, Lx, Ls)
+    K = np.zeros((m + f, m + f))
+    K[:m, :m] = B
+    K[:m, m:] = emb.D
+    K[m:, :m] = emb.D.T
+    if regularization > 0.0:
+        K[:m, :m] += regularization * np.eye(m)
+        K[m:, m:] -= regularization * np.eye(f)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lu = sla.lu_factor(K)
+    except (np.linalg.LinAlgError, ValueError):
+        raise _Breakdown("KKT factorisation failed") from None
+    q = _kkt_solve(K, lu, np.concatenate([emb.b + v, emb.g]))
+    return _NewtonSystem(Lx, Ls, Sinv, K, lu, v, w, q)
+
+
+def _kkt_solve(K, lu, rhs):
+    """LU solve with one pass of iterative refinement."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = sla.lu_solve(lu, rhs)
+        sol += sla.lu_solve(lu, rhs - K @ sol)
+    if not np.all(np.isfinite(sol)):
+        raise _Breakdown(_SINGULAR)
+    return sol
+
+
+def _direction(emb, E, newton, eta, tc, corrM, corr_tk) -> _Direction:
+    """Solve the Newton equations of the embedding for one right-hand side.
+
+    The residuals E are scaled by eta; tc is the centring target and
+    corrM, corr_tk are the second-order corrections (None and 0 in the
+    predictor)."""
+    E1, E2, E3, E4 = E
+    m, f = emb.m, emb.f
+    Sinv = newton.Sinv
+    G = []
+    for b in range(emb.nblocks):
+        Gb = tc * Sinv[b] - emb.X[b] + eta * _sym(emb.X[b] @ E2[b] @ Sinv[b])
+        if corrM is not None:
+            Gb = Gb - corrM[b]
+        G.append(Gb)
+    e0 = (tc - emb.tau * emb.kappa - corr_tk) / emb.tau
+    h1 = -eta * E1 - emb.opA(G)
+    h3 = -eta * E4 - emb.inner_C(G) - e0
+
+    p = _kkt_solve(newton.K, newton.lu, np.concatenate([h1, -eta * E3]))
+    q = newton.q
+    vb = newton.v - emb.b
+    den = float(vb @ q[:m]) + float(emb.g @ q[m:]) - newton.w \
+        - emb.kappa / emb.tau
+    num = h3 - float(vb @ p[:m]) - float(emb.g @ p[m:])
+    if abs(den) < 1e-300:
+        raise _Breakdown(_SINGULAR)
+    dtau = num / den
+    dy = p[:m] + dtau * q[:m]
+    du = p[m:] + dtau * q[m:]
+    At_dy = emb.opAt(dy)
+    dS = [-eta * E2[b] + emb.C[b] * dtau - At_dy[b]
+          for b in range(emb.nblocks)]
+    dX = []
+    for b in range(emb.nblocks):
+        M = tc * Sinv[b] - emb.X[b] - _sym(emb.X[b] @ dS[b] @ Sinv[b])
+        if corrM is not None:
+            M = M - corrM[b]
+        dX.append(_sym(M))
+    dkappa = e0 - (emb.kappa / emb.tau) * dtau
+    return _Direction(dX, du, dy, dS, dtau, dkappa)
+
+
+def _search_direction(emb, E, mu, newton) -> _Direction:
+    """Mehrotra predictor-corrector: the affine direction sets the
+    centring sigma, the corrector adds its second-order terms."""
+    pred = _direction(emb, E, newton, 1.0, 0.0, None, 0.0)
+    alpha = min(1.0, _max_step(emb, newton, pred))
+    dot = sum(
+        float(np.sum((emb.X[b] + alpha * pred.dX[b])
+                     * (emb.S[b] + alpha * pred.dS[b])))
+        for b in range(emb.nblocks))
+    mu_aff = (dot + (emb.tau + alpha * pred.dtau)
+              * (emb.kappa + alpha * pred.dkappa)) / (emb.nu + 1)
+    sigma = min(max((mu_aff / mu) ** 3, 1e-10), 0.99999)
+    corrM = [_sym(pred.dX[b] @ pred.dS[b] @ newton.Sinv[b])
+             for b in range(emb.nblocks)]
+    return _direction(emb, E, newton, 1.0 - sigma, sigma * mu, corrM,
+                      pred.dtau * pred.dkappa)
+
+
+def _max_step_psd(L, dM) -> float:
+    """Largest alpha with M + alpha*dM PSD for M = L L^T, via L^-1 dM L^-T
+    eigenvalues."""
     W = sla.solve_triangular(L, dM, lower=True)
     W = sla.solve_triangular(L, W.T, lower=True).T
     lam = float(np.linalg.eigvalsh(_sym(W))[0])
@@ -360,273 +536,127 @@ def _max_step_psd(M, L, dM) -> float:
     return -1.0 / lam
 
 
+def _max_step(emb, newton, d) -> float:
+    """Largest step along d that keeps X, S, tau and kappa in their cones."""
+    alpha = np.inf
+    for b in range(emb.nblocks):
+        alpha = min(alpha, _max_step_psd(newton.Lx[b], d.dX[b]))
+        alpha = min(alpha, _max_step_psd(newton.Ls[b], d.dS[b]))
+    if d.dtau < 0:
+        alpha = min(alpha, -emb.tau / d.dtau)
+    if d.dkappa < 0:
+        alpha = min(alpha, -emb.kappa / d.dkappa)
+    return alpha
+
+
+def _step_length(emb, newton, d) -> float:
+    alpha = min(1.0, STEP_SCALE * _max_step(emb, newton, d))
+    if not np.isfinite(alpha) or alpha <= 1e-10:
+        raise _Breakdown("step size collapsed")
+    return alpha
+
+
+def _converged(problem, emb, E, config) -> bool:
+    """Residuals and gap within tolerance on the scaled data, and the
+    primal residual too on the original data."""
+    E1, E2, E3, _ = E
+    tau = emb.tau
+    pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
+    dres = max(float(np.max(np.abs(E2[b]))) for b in range(emb.nblocks)) \
+        / tau / (1.0 + emb.max_abs_C)
+    gres = (float(np.max(np.abs(E3))) / tau / (1.0 + emb.max_abs_g)) \
+        if emb.f else 0.0
+    pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
+    dobj = float(emb.b @ emb.y) / tau
+    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    if not (pres <= config.feas_tol and dres <= config.feas_tol
+            and gres <= config.feas_tol and gap <= config.gap_tol):
+        return False
+    blocks = [X / tau for X in emb.X]
+    free = emb.u / tau
+    return problem.primal_residual(blocks, free) <= config.feas_tol
+
+
+def _ray_verdict(emb, config):
+    """(status, message, certificate) once tau has collapsed against kappa
+    on a ray or ambiguously, else None.
+
+    The ray quality bar is fixed rather than tied to feas_tol so that a
+    loosened solve cannot misclassify a feasible problem; a marginal
+    instance degrades to numerical-failure instead."""
+    ray_tol = min(config.feas_tol, 1e-8)
+    by = float(emb.b @ emb.y)
+    if by > 0:
+        At_y = emb.opAt(emb.y)
+        ray_res = max(float(np.max(np.abs(At_y[b] + emb.S[b])))
+                      for b in range(emb.nblocks))
+        ray_res = max(ray_res,
+                      float(np.max(np.abs(emb.D.T @ emb.y))) if emb.f else 0.0)
+        if ray_res <= ray_tol * by:
+            certificate = {
+                "ray_y": emb.y / by * emb.con_scale,
+                "ray_objective": 1.0,
+                "ray_residual": ray_res / by,
+            }
+            return (STATUS_INFEASIBLE,
+                    "Farkas ray found (dual improving direction)", certificate)
+    neg_obj = -(emb.inner_C(emb.X) + float(emb.g @ emb.u))
+    if neg_obj > 0:
+        ray_res = float(np.max(np.abs(
+            emb.opA(emb.X) + (emb.D @ emb.u if emb.f else 0.0))))
+        if ray_res <= ray_tol * neg_obj:
+            return (STATUS_FAILURE,
+                    "primal appears unbounded (dual infeasibility ray detected)",
+                    None)
+    if emb.tau < 1e-12 * emb.kappa:
+        return STATUS_FAILURE, "tau/kappa limit ambiguous", None
+    return None
+
+
 def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
-    emb = _Embedding(problem, config)
-    m, f = emb.m, emb.f
-    max_abs_b = float(np.max(np.abs(emb.b))) if m else 0.0
-    max_abs_C = max(
-        (float(np.max(np.abs(C))) if C.size else 0.0 for C in emb.C),
-        default=0.0)
-    max_abs_g = float(np.max(np.abs(emb.g))) if f else 0.0
+    emb = _Embedding(problem)
+    message, certificate = "", None
+    iterations = stall = 0
+    E = emb.residuals()
+    mu = last_mu = emb.mu()
 
-    mu0 = emb.mu()
-    stall = 0
-    last_mu = mu0
-    status = None
-    message = ""
-    certificate = None
-    iterations = 0
-
-    feasibility_only = max_abs_C == 0.0 and max_abs_g == 0.0
-
-    for it in range(1, MAX_ITERATIONS + 1):
-        iterations = it
-        # factor the cone variables; retreat to failure on breakdown
+    for iterations in range(1, MAX_ITERATIONS + 1):
         try:
-            Lx = [np.linalg.cholesky(emb.X[b]) for b in range(emb.nblocks)]
-            Ls = [np.linalg.cholesky(emb.S[b]) for b in range(emb.nblocks)]
-        except np.linalg.LinAlgError:
-            status, message = STATUS_FAILURE, "cone factorisation failed"
+            Lx, Ls, Sinv = _cone_factors(emb)
+            newton = _newton_system(emb, Lx, Ls, Sinv, regularization)
+            d = _search_direction(emb, E, mu, newton)
+            alpha = _step_length(emb, newton, d)
+        except _Breakdown as exc:
+            status, message = STATUS_FAILURE, str(exc)
             break
-        Sinv = [sla.cho_solve((Ls[b], True), np.eye(emb.sizes[b]))
-                for b in range(emb.nblocks)]
+        scale = emb.advance(alpha, d)
+        last_mu *= scale * scale  # mu is degree-2 homogeneous in the iterate
 
-        E1, E2, E3, E4 = emb.residuals()
-        mu_hat = emb.mu()
-
-        # Schur complement B[j,k] = tr(A_j X A_k S^-1) via B = U U^T with
-        # U_j = Ls^-1 A_j Lx, plus objective borders v, w.
-        B = np.zeros((m, m))
-        v = np.zeros(m)
-        w = 0.0
-        Uflat = []
-        for b in range(emb.nblocks):
-            s = emb.sizes[b]
-            T = np.einsum("kij,jl->kil", emb.A[b], Lx[b])
-            U = sla.solve_triangular(
-                Ls[b], T.transpose(1, 0, 2).reshape(s, m * s), lower=True)
-            U = U.reshape(s, m, s).transpose(1, 0, 2).reshape(m, s * s)
-            Uflat.append(U)
-            UC = sla.solve_triangular(Ls[b], emb.C[b] @ Lx[b], lower=True).ravel()
-            B += U @ U.T
-            v += U @ UC
-            w += float(UC @ UC)
-        B = _sym(B)
-
-        nk = m + f
-        K = np.zeros((nk, nk))
-        K[:m, :m] = B
-        if f:
-            K[:m, m:] = emb.D
-            K[m:, :m] = emb.D.T
-        if regularization > 0.0:
-            K[:m, :m] += regularization * np.eye(m)
-            if f:
-                K[m:, m:] -= regularization * np.eye(f)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu = sla.lu_factor(K)
-        except (np.linalg.LinAlgError, ValueError):
-            status, message = STATUS_FAILURE, "KKT factorisation failed"
+        # residuals and mu of the new iterate serve the checks below and
+        # the next iteration
+        E = emb.residuals()
+        mu = emb.mu()
+        if _converged(problem, emb, E, config):
+            status = STATUS_OPTIMAL
             break
-
-        def kkt_solve(rhs):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sol = sla.lu_solve(lu, rhs)
-                # one iterative refinement pass
-                sol += sla.lu_solve(lu, rhs - K @ sol)
-            if not np.all(np.isfinite(sol)):
-                raise FloatingPointError("singular KKT system")
-            return sol
-
-        def direction(eta, tc, corrM, corr_tk):
-            G = []
-            for b in range(emb.nblocks):
-                Gb = tc * Sinv[b] - emb.X[b] \
-                    + eta * _sym(emb.X[b] @ E2[b] @ Sinv[b])
-                if corrM is not None:
-                    Gb = Gb - corrM[b]
-                G.append(Gb)
-            AG = np.zeros(m)
-            for b in range(emb.nblocks):
-                AG += np.einsum("kij,ij->k", emb.A[b], G[b])
-            e0 = (tc - emb.tau * emb.kappa - corr_tk) / emb.tau
-            h1 = -eta * E1 - AG
-            h2 = -eta * E3 if f else np.zeros(0)
-            h3 = -eta * E4 - emb.inner_C(G) - e0
-
-            rhs_p = np.concatenate([h1, h2])
-            rhs_q = np.concatenate([emb.b + v, emb.g])
-            p = kkt_solve(rhs_p)
-            q = kkt_solve(rhs_q)
-            vb = v - emb.b
-            den = float(vb @ q[:m]) + (float(emb.g @ q[m:]) if f else 0.0) \
-                - w - emb.kappa / emb.tau
-            num = h3 - float(vb @ p[:m]) - (float(emb.g @ p[m:]) if f else 0.0)
-            if abs(den) < 1e-300:
-                raise FloatingPointError("singular tau pivot")
-            dtau = num / den
-            dy = p[:m] + dtau * q[:m]
-            du = p[m:] + dtau * q[m:] if f else np.zeros(0)
-            At_dy = emb.opAt(dy)
-            dS = [-eta * E2[b] + emb.C[b] * dtau - At_dy[b]
-                  for b in range(emb.nblocks)]
-            dX = []
-            for b in range(emb.nblocks):
-                M = tc * Sinv[b] - emb.X[b] - _sym(emb.X[b] @ dS[b] @ Sinv[b])
-                if corrM is not None:
-                    M = M - corrM[b]
-                dX.append(_sym(M))
-            dkappa = e0 - (emb.kappa / emb.tau) * dtau
-            return dX, du, dy, dS, dtau, dkappa
-
-        def max_step(dX, dS, dtau, dkappa):
-            alpha = np.inf
-            for b in range(emb.nblocks):
-                alpha = min(alpha, _max_step_psd(emb.X[b], Lx[b], dX[b]))
-                alpha = min(alpha, _max_step_psd(emb.S[b], Ls[b], dS[b]))
-            if dtau < 0:
-                alpha = min(alpha, -emb.tau / dtau)
-            if dkappa < 0:
-                alpha = min(alpha, -emb.kappa / dkappa)
-            return alpha
-
-        try:
-            # predictor
-            dXa, dua, dya, dSa, dta, dka = direction(1.0, 0.0, None, 0.0)
-            alpha_a = min(1.0, max_step(dXa, dSa, dta, dka))
-            dot = sum(
-                float(np.sum((emb.X[b] + alpha_a * dXa[b])
-                             * (emb.S[b] + alpha_a * dSa[b])))
-                for b in range(emb.nblocks))
-            mu_aff = (dot + (emb.tau + alpha_a * dta)
-                      * (emb.kappa + alpha_a * dka)) / (emb.nu + 1)
-            sigma = min(max((mu_aff / mu_hat) ** 3, 1e-10), 0.99999)
-
-            # corrector
-            corrM = [_sym(dXa[b] @ dSa[b] @ Sinv[b]) for b in range(emb.nblocks)]
-            corr_tk = dta * dka
-            dX, du, dy, dS, dtau, dkappa = direction(
-                1.0 - sigma, sigma * mu_hat, corrM, corr_tk)
-        except FloatingPointError:
-            status, message = STATUS_FAILURE, "singular Newton system"
-            break
-
-        if config.audit:
-            _audit_direction(emb, E1, E2, E3, E4, Sinv,
-                             1.0 - sigma, sigma * mu_hat, corrM, corr_tk,
-                             dX, du, dy, dS, dtau, dkappa)
-
-        alpha = min(1.0, STEP_SCALE * max_step(dX, dS, dtau, dkappa))
-        if not np.isfinite(alpha) or alpha <= 1e-10:
-            status, message = STATUS_FAILURE, "step size collapsed"
-            break
-
-        for b in range(emb.nblocks):
-            emb.X[b] = _sym(emb.X[b] + alpha * dX[b])
-            emb.S[b] = _sym(emb.S[b] + alpha * dS[b])
-        emb.y += alpha * dy
-        if f:
-            emb.u += alpha * du
-        emb.tau += alpha * dtau
-        emb.kappa += alpha * dkappa
-
-        # the embedding is positively homogeneous: renormalise the iterate
-        # when magnitudes threaten double-precision range
-        peak = max(emb.tau, emb.kappa,
-                   max(float(np.max(np.abs(emb.X[b]))) for b in range(emb.nblocks)),
-                   max(float(np.max(np.abs(emb.S[b]))) for b in range(emb.nblocks)),
-                   float(np.max(np.abs(emb.y))) if m else 0.0,
-                   float(np.max(np.abs(emb.u))) if f else 0.0)
-        if peak > 1e8:
-            inv = 1.0 / peak
-            for b in range(emb.nblocks):
-                emb.X[b] *= inv
-                emb.S[b] *= inv
-            emb.y *= inv
-            if f:
-                emb.u *= inv
-            emb.tau *= inv
-            emb.kappa *= inv
-            last_mu *= inv * inv  # mu is degree-2 homogeneous in the iterate
-
-        # convergence checks on the scaled data
-        E1, E2, E3, E4 = emb.residuals()
-        tau = emb.tau
-        pres = float(np.max(np.abs(E1))) / tau / (1.0 + max_abs_b)
-        dres = max(float(np.max(np.abs(E2[b]))) for b in range(emb.nblocks)) \
-            / tau / (1.0 + max_abs_C)
-        gres = (float(np.max(np.abs(E3))) / tau / (1.0 + max_abs_g)) if f else 0.0
-        pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
-        dobj = float(emb.b @ emb.y) / tau
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-
-        if pres <= config.feas_tol and dres <= config.feas_tol \
-                and gres <= config.feas_tol and gap <= config.gap_tol:
-            # also require the original-scale residual before declaring victory
-            cand_blocks = [X / tau for X in emb.X]
-            cand_free = emb.u / tau if f else np.zeros(0)
-            if problem.primal_residual(cand_blocks, cand_free) <= config.feas_tol:
-                status = STATUS_OPTIMAL
+        # infeasibility rays become visible as tau collapses against kappa
+        if emb.tau < 1e-3 * emb.kappa:
+            verdict = _ray_verdict(emb, config)
+            if verdict is not None:
+                status, message, certificate = verdict
                 break
 
-        # infeasibility rays become visible as tau collapses against kappa.
-        # The ray quality bar is fixed rather than tied to feas_tol so that a
-        # loosened solve cannot misclassify a feasible problem; a marginal
-        # instance degrades to numerical-failure instead.
-        ray_tol = min(config.feas_tol, 1e-8)
-        if tau < 1e-3 * emb.kappa:
-            by = float(emb.b @ emb.y)
-            if by > 0:
-                ray_res = max(
-                    float(np.max(np.abs(emb.opAt(emb.y)[b] + emb.S[b])))
-                    for b in range(emb.nblocks))
-                ray_res = max(ray_res,
-                              float(np.max(np.abs(emb.D.T @ emb.y))) if f else 0.0)
-                if ray_res <= ray_tol * by:
-                    status = STATUS_INFEASIBLE
-                    certificate = {
-                        "ray_y": emb.y / by * emb.con_scale,
-                        "ray_objective": 1.0,
-                        "ray_residual": ray_res / by,
-                    }
-                    message = "Farkas ray found (dual improving direction)"
-                    break
-            neg_obj = -(emb.inner_C(emb.X) + float(emb.g @ emb.u))
-            if neg_obj > 0:
-                ray_res = float(np.max(np.abs(
-                    emb.opA(emb.X) + (emb.D @ emb.u if f else 0.0))))
-                if ray_res <= ray_tol * neg_obj:
-                    status = STATUS_FAILURE
-                    message = ("primal appears unbounded "
-                               "(dual infeasibility ray detected)")
-                    break
-            if tau < 1e-12 * emb.kappa:
-                status = STATUS_FAILURE
-                message = "tau/kappa limit ambiguous"
-                break
-
-        mu_hat = emb.mu()
-        if mu_hat > 0.9999 * last_mu:
-            stall += 1
-        else:
-            stall = 0
-        last_mu = mu_hat
+        stall = stall + 1 if mu > 0.9999 * last_mu else 0
+        last_mu = mu
         if stall >= 30:
             status, message = STATUS_FAILURE, "iteration stalled"
             break
-        if mu_hat < 1e-6 * min(config.feas_tol, config.gap_tol) ** 2:
+        if mu < 1e-6 * min(config.feas_tol, config.gap_tol) ** 2:
             # complementarity is exhausted; nothing further can improve
             status, message = STATUS_FAILURE, _MU_FLOOR
             break
     else:
         status, message = STATUS_FAILURE, "iteration limit reached"
-
-    if status is None:
-        status = STATUS_FAILURE
-        message = message or "iteration ended unexpectedly"
 
     # assemble the reported solution in original scale
     blocks = free = y_out = None
@@ -635,7 +665,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
     primal_res = np.inf
     if status != STATUS_INFEASIBLE and emb.tau > 0:
         blocks = [X / emb.tau for X in emb.X]
-        free = emb.u / emb.tau if f else np.zeros(0)
+        free = emb.u / emb.tau
         y_out = emb.y / emb.tau * emb.con_scale / emb.obj_scale
         objective = problem.objective_value(blocks, free)
         dual_objective = float(problem.rhs @ y_out)
@@ -643,13 +673,13 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         gap_out = abs(objective - dual_objective) / denom
         min_eigs = [min_eigenvalue(X) for X in blocks]
         primal_res = problem.primal_residual(blocks, free)
+        feasibility_only = emb.max_abs_C == 0.0 and emb.max_abs_g == 0.0
 
         if status == STATUS_FAILURE:
             # salvage: the point may still certify plain feasibility
             if primal_res <= config.feas_tol \
                     and min(min_eigs) >= -config.psd_tol \
-                    and (feasibility_only or
-                         (gap_out is not None and gap_out <= 1e-4)):
+                    and (feasibility_only or gap_out <= 1e-4):
                 status = STATUS_FEASIBLE
                 message = f"feasible point accepted ({message})"
         elif status == STATUS_OPTIMAL and primal_res > config.feas_tol:
@@ -657,46 +687,10 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
             message = "objective converged but original-scale residual is loose"
 
     return SdpSolution(
-        status=status,
-        blocks=blocks,
-        free=free,
-        y=y_out,
-        objective=objective,
-        dual_objective=dual_objective,
-        primal_residual=primal_res,
-        min_eigenvalues=min_eigs,
-        gap=gap_out,
-        iterations=iterations,
-        message=message,
-        certificate=certificate,
-    )
-
-
-def _audit_direction(emb, E1, E2, E3, E4, Sinv, eta, tc, corrM, corr_tk,
-                     dX, du, dy, dS, dtau, dkappa):
-    """Assert the Newton equations hold; used by tests via config.audit."""
-    tol = 1e-6 * (1 + emb.m)
-    AdX = np.zeros(emb.m)
-    for b in range(emb.nblocks):
-        AdX += np.einsum("kij,ij->k", emb.A[b], dX[b])
-    lhs1 = AdX + (emb.D @ du if emb.f else 0.0) - emb.b * dtau
-    assert np.max(np.abs(lhs1 + eta * E1)) < tol, "primal Newton row failed"
-    At_dy = emb.opAt(dy)
-    for b in range(emb.nblocks):
-        lhs2 = At_dy[b] + dS[b] - emb.C[b] * dtau
-        assert np.max(np.abs(lhs2 + eta * E2[b])) < tol, "dual Newton row failed"
-    if emb.f:
-        lhs3 = emb.D.T @ dy - emb.g * dtau
-        assert np.max(np.abs(lhs3 + eta * E3)) < tol, "free Newton row failed"
-    lhs4 = emb.inner_C(dX) + float(emb.g @ du) - float(emb.b @ dy) + dkappa
-    assert abs(lhs4 + eta * E4) < tol, "gap Newton row failed"
-    for b in range(emb.nblocks):
-        lhs5 = dX[b] + _sym(emb.X[b] @ dS[b] @ Sinv[b]) \
-            - (tc * Sinv[b] - emb.X[b] - (corrM[b] if corrM else 0.0))
-        assert np.max(np.abs(lhs5)) < tol, "complementarity Newton row failed"
-    lhs6 = emb.tau * dkappa + emb.kappa * dtau \
-        - (tc - emb.tau * emb.kappa - corr_tk)
-    assert abs(lhs6) < tol, "tau-kappa Newton row failed"
+        status=status, blocks=blocks, free=free, y=y_out, objective=objective,
+        dual_objective=dual_objective, primal_residual=primal_res,
+        min_eigenvalues=min_eigs, gap=gap_out, iterations=iterations,
+        message=message, certificate=certificate)
 
 
 def _tolerance_levels(config: SolverConfig) -> list:

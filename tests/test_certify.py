@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import linear_pair_matrices
+from switchcert import certify
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, CertificationQuery,
                                 EquilibriumError, GammaInfeasibleError,
@@ -210,6 +211,23 @@ class TestVerifyCertificate:
             beta=1.0, delta=1.0, ell=1, gamma=1.0)
         with pytest.raises(ValueError):
             verify_certificate(affine_pair, cert)
+
+
+    @pytest.mark.parametrize("bad", [
+        {"residual_tol": float("nan")}, {"residual_tol": 0.0},
+        {"eig_tol": float("inf")}, {"eig_tol": -1e-7}, {"sample_count": 0}])
+    def test_bad_settings_rejected_before_any_solve(
+            self, affine_pair, published_v_affine_pair, monkeypatch, bad):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called")
+
+        monkeypatch.setattr(certify, "solve", no_solve)
+        cert = AbsorbingSetCertificate(
+            dimension=2, n_subsystems=2, lyapunov=published_v_affine_pair,
+            beta=3.3, delta=1.0, ell=2, gamma=8725.0)
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            verify_certificate(affine_pair, cert, **bad)
 
 
 class TestClassify:

@@ -260,6 +260,16 @@ class TestCmdLevelset:
         x1, x2, _ = (float(tok) for tok in rows[1].split(","))
         assert (x1, x2) == (2.0, 4.0)
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_resolution_below_one_is_usage_error(self, affine_cert, tmp_path,
+                                                 capsys, resolution):
+        out = tmp_path / "none.csv"
+        code = main(["levelset", str(affine_cert),
+                     f"--resolution={resolution}", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_default_window_matches_reported_frame(self, affine_cert,
                                                    tmp_path):
         out = tmp_path / "default.csv"

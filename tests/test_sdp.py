@@ -25,40 +25,90 @@ def planted_feasible(rng, size, m):
     return builder.build()
 
 
+def assert_newton_rows(emb, E, newton, eta, tc, corrM, corr_tk, d):
+    """The six Newton equations of the embedding hold for direction d."""
+    E1, E2, E3, E4 = E
+    Sinv = newton.Sinv
+    tol = 1e-6 * (1 + emb.m)
+    lhs1 = emb.opA(d.dX) + (emb.D @ d.du if emb.f else 0.0) - emb.b * d.dtau
+    assert np.max(np.abs(lhs1 + eta * E1)) < tol, "primal Newton row failed"
+    At_dy = emb.opAt(d.dy)
+    for b in range(emb.nblocks):
+        lhs2 = At_dy[b] + d.dS[b] - emb.C[b] * d.dtau
+        assert np.max(np.abs(lhs2 + eta * E2[b])) < tol, "dual Newton row failed"
+    if emb.f:
+        lhs3 = emb.D.T @ d.dy - emb.g * d.dtau
+        assert np.max(np.abs(lhs3 + eta * E3)) < tol, "free Newton row failed"
+    lhs4 = emb.inner_C(d.dX) + float(emb.g @ d.du) - float(emb.b @ d.dy) \
+        + d.dkappa
+    assert abs(lhs4 + eta * E4) < tol, "gap Newton row failed"
+    for b in range(emb.nblocks):
+        lhs5 = d.dX[b] + sdp._sym(emb.X[b] @ d.dS[b] @ Sinv[b]) \
+            - (tc * Sinv[b] - emb.X[b] - (corrM[b] if corrM else 0.0))
+        assert np.max(np.abs(lhs5)) < tol, "complementarity Newton row failed"
+    lhs6 = emb.tau * d.dkappa + emb.kappa * d.dtau \
+        - (tc - emb.tau * emb.kappa - corr_tk)
+    assert abs(lhs6) < tol, "tau-kappa Newton row failed"
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Checks the Newton rows of every predictor and corrector direction;
+    the returned list holds the free-scalar count of each checked call."""
+    calls = []
+    inner = sdp._direction
+
+    def checked(emb, E, newton, eta, tc, corrM, corr_tk):
+        d = inner(emb, E, newton, eta, tc, corrM, corr_tk)
+        assert_newton_rows(emb, E, newton, eta, tc, corrM, corr_tk, d)
+        calls.append(emb.f)
+        return d
+
+    monkeypatch.setattr(sdp, "_direction", checked)
+    return calls
+
+
 class TestSolveAnalytic:
-    def test_min_trace_with_pinned_corner(self):
+    def test_min_trace_with_pinned_corner(self, audited):
         builder = SdpProblemBuilder([2])
         builder.set_objective_block(0, np.eye(2))
         builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
-        solution = solve(builder.build(), SolverConfig(audit=True))
+        solution = solve(builder.build())
+        assert audited
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(solution.blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
 
-    def test_trace_one_offdiag_infeasible(self):
+    def test_trace_one_offdiag_infeasible(self, audited):
         # R >= 0 with tr R = 1 and R12 = 0.6: det = a(1-a) - 0.36 < 0 always,
         # since max a(1-a) = 0.25; the analytic oracle says infeasible
         builder = SdpProblemBuilder([2])
         builder.add_constraint(1.0, {0: [(0, 0, 1.0), (1, 1, 1.0)]})
         builder.add_constraint(0.6, {0: [(0, 1, 0.5)]})
-        assert solve(builder.build()).status == "infeasible"
+        solution = solve(builder.build())
+        assert solution.status == "infeasible"
+        # predictor and corrector of every iteration up to the Farkas ray
+        assert len(audited) == 2 * solution.iterations
 
-    def test_trace_one_offdiag_feasible(self):
+    def test_trace_one_offdiag_feasible(self, audited):
         # R12 = 0.3 fits inside the PSD disc: a(1-a) >= 0.09 has solutions
         builder = SdpProblemBuilder([2])
         builder.add_constraint(1.0, {0: [(0, 0, 1.0), (1, 1, 1.0)]})
         builder.add_constraint(0.3, {0: [(0, 1, 0.5)]})
-        solution = solve(builder.build(), SolverConfig(audit=True))
+        solution = solve(builder.build())
+        assert audited
         assert solution.feasible
         assert solution.primal_residual <= 1e-7
         assert min(solution.min_eigenvalues) >= -1e-8
 
-    def test_free_variable_objective(self):
+    def test_free_variable_objective(self, audited):
         builder = SdpProblemBuilder([2], n_free=1)
         builder.set_objective_free([1.0])
         builder.add_constraint(2.0, {0: [(0, 0, 1.0)]}, {0: 1.0})
         builder.add_constraint(0.0, {0: [(1, 1, 1.0)]}, {0: -1.0})
-        solution = solve(builder.build(), SolverConfig(audit=True))
+        solution = solve(builder.build())
+        # every direction checked the free-scalar row as well
+        assert audited and set(audited) == {1}
         assert solution.status == "optimal"
         assert solution.free[0] == pytest.approx(0.0, abs=1e-6)
 
