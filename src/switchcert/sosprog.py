@@ -100,7 +100,6 @@ class SosUnknown:
 
     name: str
     basis: GramBasis
-    role: str = "multiplier"  # "lyapunov" | "multiplier"
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,6 @@ def coefficient_matching(identity: SosIdentity,
 class DecodedSos:
     polynomials: dict
     scalars: dict
-    gram_matrices: dict      # unknown name -> matrix
     identity_grams: dict     # identity name -> matrix
 
 
@@ -318,19 +316,16 @@ def decode(encoding: SdpEncoding, solution: SdpSolution) -> DecodedSos:
     if not solution.feasible:
         raise ValueError(
             f"cannot decode a solution with status {solution.status!r}")
-    polys = {}
-    grams = {}
-    for name, block in encoding.unknown_blocks.items():
-        R = solution.blocks[block]
-        grams[name] = R
-        polys[name] = gram_expand(encoding.unknown_bases[name], R)
+    polys = {
+        name: gram_expand(encoding.unknown_bases[name], solution.blocks[block])
+        for name, block in encoding.unknown_blocks.items()}
     identity_grams = {
         name: solution.blocks[block]
         for name, block in encoding.identity_blocks.items()}
     scalars = {
         name: float(solution.free[k])
         for name, k in encoding.scalar_index.items()}
-    return DecodedSos(polys, scalars, grams, identity_grams)
+    return DecodedSos(polys, scalars, identity_grams)
 
 
 def identity_residual(identity: SosIdentity, decoded: DecodedSos,

@@ -1,11 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import SYSTEMS
+from switchcert import cli
 from switchcert.cli import (certificate_to_text, load_certificate, main,
                             parse_certificate_text, parse_system_text)
-from switchcert.certify import AbsorbingSetCertificate
+from switchcert.certify import (AbsorbingSetCertificate,
+                                CertificateRejectedError, EquilibriumError,
+                                GammaInfeasibleError, NumericalFailureError)
 from switchcert.poly import parse_expression
 
 
@@ -283,3 +287,117 @@ class TestCmdLevelset:
 
     def test_missing_certificate_exit_code(self, tmp_path):
         assert main(["levelset", str(tmp_path / "nope.cert")]) == 1
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process run; argparse's own
+    exits arrive as SystemExit, any other escaping exception fails the
+    test as a traceback would."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_NO_GAMMA_CERT = ("dim 2\nsubsystems 2\nell 2\ndelta 1\nbeta 3.3\n"
+                  "V = x1^4 + x2^4\n")
+
+
+class TestExitCodes:
+    AFFINE = str(SYSTEMS / "affine_pair.sys")
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", AFFINE, "--ell", "abc"],
+        [],
+        ["nosuch"],
+        ["certify"],
+    ], ids=["bad-int", "no-subcommand", "unknown-subcommand",
+            "missing-positional"])
+    def test_argparse_usage_error_is_code_1(self, capsys, argv):
+        code, _, err = _run(argv, capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        assert "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = _run(["certify", "--help"], capsys)
+        assert code == 0
+        assert "usage:" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", AFFINE, "--ell", "0"],
+         "error: ell must be a positive integer"),
+        (["certify", AFFINE, "--degree", "3", "--delta", "1"],
+         "error: degree must be even and at least 2*ell"),
+        (["certify", AFFINE, "--beta", "-1"],
+         "error: beta must be non-negative"),
+        (["certify", AFFINE, "--delta", "0"], "error: delta must be positive"),
+        (["certify", AFFINE, "--seed", "-1"],
+         "error: --seed must be a non-negative integer"),
+        (["verify", AFFINE, "{cert}", "--seed", "-2"],
+         "error: --seed must be a non-negative integer"),
+        (["simulate", AFFINE, "--signals", "1", "--seed", "-3",
+          "--x0-grid", "1:1:1,0:0:1", "--horizon", "1",
+          "--out", "{tmp}/sim"],
+         "error: --seed must be a non-negative integer"),
+        (["simulate", AFFINE, "--signals", "1", "--x0-grid", "1:1:1,0:0:1",
+          "--horizon", "1", "--certificate", "{tmp}/nogamma.cert",
+          "--out", "{tmp}/sim"],
+         "error: certificate has no gamma level"),
+        (["simulate", str(SYSTEMS / "affine_triple.sys"), "--signals", "1",
+          "--x0-grid", "1:1:1,0:0:1", "--horizon", "1",
+          "--certificate", "{cert}", "--out", "{tmp}/sim"],
+         "error: certificate does not match system dimensions"),
+        (["certify", AFFINE, "--ell", "2", "--beta", "3.3", "--degree", "4",
+          "--out", "{tmp}/missing/x.cert"],
+         "error: [Errno 2] No such file or directory"),
+        (["levelset", "{cert}", "--resolution", "2",
+          "--out", "{tmp}/missing/l.csv"],
+         "error: [Errno 2] No such file or directory"),
+        (["simulate", AFFINE, "--signals", "1", "--x0-grid", "1:1:1,0:0:1",
+          "--horizon", "1", "--out", "{tmp}/afile/sim"],
+         "error: [Errno 20] Not a directory"),
+    ], ids=["ell-0", "odd-degree", "negative-beta", "zero-delta",
+            "certify-seed", "verify-seed", "simulate-seed",
+            "simulate-no-gamma", "simulate-mismatch", "certify-out",
+            "levelset-out", "simulate-out"])
+    def test_failure_is_one_error_line_and_code_1(self, affine_cert,
+                                                  tmp_path, capsys, argv,
+                                                  message):
+        (tmp_path / "nogamma.cert").write_text(_NO_GAMMA_CERT)
+        (tmp_path / "afile").write_text("")
+        argv = [arg.format(cert=affine_cert, tmp=tmp_path) for arg in argv]
+        code, _, err = _run(argv, capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (NumericalFailureError("stall"), 3, "numerical failure: stall"),
+        (GammaInfeasibleError("q"), 3, "numerical failure: q"),
+        (np.linalg.LinAlgError("singular"), 3, "numerical failure: singular"),
+        (EquilibriumError("origin"), 1, "error: origin"),
+    ])
+    def test_exit_policy_table(self, monkeypatch, capsys, exc, code, prefix):
+        def fail(system, query):
+            raise exc
+        monkeypatch.setattr(cli, "escalate", fail)
+        assert _run(["certify", self.AFFINE], capsys) == (code, "",
+                                                           prefix + "\n")
+
+    def test_certify_rejection_prints_report(self, monkeypatch, capsys):
+        class Report:
+            failures = ("containment",)
+
+            def summary_lines(self):
+                return ["containment: FAIL"]
+
+        def reject(system, query):
+            raise CertificateRejectedError(Report())
+        monkeypatch.setattr(cli, "escalate", reject)
+        assert _run(["certify", self.AFFINE], capsys) == (
+            4, "containment: FAIL\n",
+            "verification failed: certificate rejected: containment\n")
