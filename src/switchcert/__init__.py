@@ -8,7 +8,7 @@ verification and trajectory simulation.
 """
 
 from .poly import (Polynomial, PolynomialVectorField, ParseError,
-                   even_power_norm, degree_info, gradient,
+                   even_power_norm, gradient,
                    lie_derivative, parse_expression, poly_to_text)
 from .sdp import (SdpProblem, SdpProblemBuilder, SdpSolution, SolverConfig,
                   min_eigenvalue, read_sdpa, solve, strict_feasibility_margin,

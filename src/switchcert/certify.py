@@ -18,6 +18,12 @@ deterministic sampling before any verdict is issued.  For linear switched
 systems with Hurwitz subsystem matrices an absorbing set implies global
 asymptotic stability under arbitrary switching, and excludes periodic
 switched solutions.
+
+Each program has one builder, which the search and the reconstruction of
+witnesses a certificate omits share: _decay_program (V unknown or given)
+and _sublevel_program (gamma minimised or given).  One rule, _probe,
+labels every bisection step.  Verification re-derives its membership
+polynomials on its own, so a faulty builder cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .poly import (Polynomial, PolynomialVectorField, even_power_norm,
                    lie_derivative)
 from . import sdp
 from .sdp import SolverConfig, SdpSolution, solve, strict_feasibility_margin
-from .sosprog import (DecodedSos, ScalarTerm, SdpEncoding, SosIdentity,
+from .sosprog import (ScalarTerm, SdpEncoding, SosIdentity,
                       SosProgram, SosUnknown, UnknownLieTerm, UnknownTerm,
                       decode, encode, gram_expand, monomial_basis,
                       _identity_basis as _sos_identity_basis)
@@ -262,42 +268,67 @@ def _default_deg_q(V: Polynomial) -> int:
     return max(0, _even_floor(V.degree() - 2))
 
 
-def _sum_of_squares_norm(n: int) -> Polynomial:
-    return even_power_norm(n, 1)
+def _decay_program(system: SwitchedSystem, ell: int, delta: float,
+                   degree: int, beta: float, homogeneous: bool,
+                   lyapunov: Polynomial | None = None) -> tuple:
+    """decay{i}: -f_i . grad V - p_i*(||x||_2^2 - beta) - delta*nrm is SOS
+    for each subsystem i, with nrm = ||x||_{2l}^{2l}.  Without lyapunov,
+    V = S + delta*nrm with S unknown over the monomials of degree
+    1..degree/2 (only degree/2 when homogeneous); with it, V is that
+    polynomial and only the multipliers p_i are unknown.  Returns
+    (program, nrm)."""
+    n = system.dimension
+    nrm = even_power_norm(n, ell)
+    in_ball = Polynomial.constant(n, beta) - even_power_norm(n, 1)
+    unknowns = []
+    if lyapunov is None:
+        low = degree // 2 if homogeneous else 1
+        unknowns.append(SosUnknown("S", monomial_basis(n, low, degree // 2)))
+    identities = []
+    for i, f in enumerate(system.fields, start=1):
+        unknowns.append(SosUnknown(
+            f"p{i}", _multiplier_basis(f, degree, beta, homogeneous)))
+        terms = (UnknownTerm(f"p{i}", in_ball),)
+        if lyapunov is None:
+            known = (-delta) * lie_derivative(nrm, f)
+            terms = (UnknownLieTerm("S", f, scale=-1.0),) + terms
+        else:
+            known = (-1.0) * lie_derivative(lyapunov, f)
+        identities.append(SosIdentity(
+            name=f"decay{i}", dimension=n, known=known - delta * nrm,
+            terms=terms))
+    program = SosProgram(identities=tuple(identities), unknowns=tuple(unknowns))
+    return program, nrm
+
+
+def _sublevel_program(V: Polynomial, beta: float, deg_q: int,
+                      gamma: float | None = None) -> SosProgram:
+    """sublevel: gamma - V + q*(||x||_2^2 - beta) is SOS, with q unknown of
+    degree deg_q, and gamma a free scalar that the objective minimises or,
+    when given, a fixed level."""
+    n = V.dimension
+    terms = (UnknownTerm(
+        "q", even_power_norm(n, 1) - Polynomial.constant(n, beta)),)
+    if gamma is None:
+        known, scalars, objective = -V, ("gamma",), {"gamma": 1.0}
+        terms = (ScalarTerm("gamma", Polynomial.constant(n, 1.0)),) + terms
+    else:
+        known, scalars, objective = Polynomial.constant(n, gamma) - V, (), None
+    return SosProgram(
+        identities=(SosIdentity("sublevel", n, known, terms),),
+        unknowns=(SosUnknown("q", monomial_basis(n, 0, deg_q // 2)),),
+        scalars=scalars, objective=objective)
 
 
 def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
                             degree: int, beta: float,
                             homogeneous: bool | None = None) -> tuple:
     """SOS program for the decay identities; returns (program, norm poly)."""
-    n = system.dimension
     if homogeneous is None:
         homogeneous = degree == 2 * ell
     if homogeneous and degree != 2 * ell:
         raise ValueError("homogeneous V requires degree == 2*ell")
-    nrm = even_power_norm(n, ell)
-    sumsq = _sum_of_squares_norm(n)
-
-    if homogeneous:
-        s_basis = monomial_basis(n, degree // 2, degree // 2)
-    else:
-        s_basis = monomial_basis(n, 1, degree // 2)
-    unknowns = [SosUnknown("S", s_basis)]
-    identities = []
-    for i, f in enumerate(system.fields, start=1):
-        unknowns.append(SosUnknown(
-            f"p{i}", _multiplier_basis(f, degree, beta, homogeneous)))
-        known = (-delta) * lie_derivative(nrm, f) - delta * nrm
-        identities.append(SosIdentity(
-            name=f"decay{i}",
-            dimension=n,
-            known=known,
-            terms=(
-                UnknownLieTerm("S", f, scale=-1.0),
-                UnknownTerm(f"p{i}", Polynomial.constant(n, beta) - sumsq),
-            )))
-    program = SosProgram(identities=tuple(identities), unknowns=tuple(unknowns))
-    return program, nrm
+    return _decay_program(system, ell, delta, degree, beta, homogeneous)
 
 
 def find_absorbing_lyapunov(system: SwitchedSystem,
@@ -373,9 +404,6 @@ def find_common_lyapunov(system: SwitchedSystem, query: CertificationQuery,
 class GammaOutcome:
     gamma: float
     radius_multiplier: Polynomial
-    decoded: DecodedSos
-    encoding: SdpEncoding
-    solution: SdpSolution
 
 
 def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
@@ -386,28 +414,12 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
 
     gamma enters the SDP objective linearly, so no bisection is needed.
     """
-    n = system.dimension
-    if V.dimension != n:
+    if V.dimension != system.dimension:
         raise ValueError("Lyapunov dimension mismatch")
     solver = solver or SolverConfig()
     if deg_q is None:
         deg_q = _default_deg_q(V)
-    sumsq = _sum_of_squares_norm(n)
-    q_basis = monomial_basis(n, 0, deg_q // 2)
-    identity = SosIdentity(
-        name="sublevel",
-        dimension=n,
-        known=-V,
-        terms=(
-            ScalarTerm("gamma", Polynomial.constant(n, 1.0)),
-            UnknownTerm("q", sumsq - Polynomial.constant(n, beta)),
-        ))
-    program = SosProgram(
-        identities=(identity,),
-        unknowns=(SosUnknown("q", q_basis),),
-        scalars=("gamma",),
-        objective={"gamma": 1.0})
-    encoding = encode(program)
+    encoding = encode(_sublevel_program(V, beta, deg_q))
     solution = solve(encoding.problem, solver)
     if logs is not None:
         logs.append(SolveLog(
@@ -421,9 +433,24 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
     if not solution.feasible:
         raise NumericalFailureError(f"sublevel program: {solution.message}")
     decoded = decode(encoding, solution)
-    gamma = max(decoded.scalars["gamma"], 0.0)
-    return GammaOutcome(gamma, decoded.polynomials["q"], decoded, encoding,
-                        solution)
+    return GammaOutcome(max(decoded.scalars["gamma"], 0.0),
+                        decoded.polynomials["q"])
+
+
+def _probe(search, system: SwitchedSystem, query: CertificationQuery,
+           logs: list | None) -> tuple:
+    """(label, result) of one bisection step: "certified" when the search
+    is feasible, "infeasible" only when infeasibility is proven, and
+    "inconclusive" otherwise, for a marginal Gram or a numerical failure
+    (whose result is None)."""
+    try:
+        result = search(system, query, logs)
+    except NumericalFailureError:
+        return "inconclusive", None
+    if result.feasible:
+        return "certified", result
+    return ("infeasible" if result.proven_infeasible else "inconclusive",
+            result)
 
 
 @dataclass
@@ -445,45 +472,35 @@ def tighten_beta(system: SwitchedSystem, query: CertificationQuery,
         raise ValueError("query.beta_max must be set")
     probes = []
 
-    def probe(beta):
+    def certified(beta):
+        """The search result at beta if it is certified, else None."""
         sub = dataclasses.replace(query, beta=beta, beta_max=None)
-        try:
-            result = find_absorbing_lyapunov(system, sub, logs)
-        except NumericalFailureError:
-            probes.append((beta, "inconclusive"))
-            return None
-        if result.feasible:
-            probes.append((beta, "certified"))
-        elif result.proven_infeasible:
-            probes.append((beta, "infeasible"))
-        else:
-            probes.append((beta, "inconclusive"))
-        return result
+        label, result = _probe(find_absorbing_lyapunov, system, sub, logs)
+        probes.append((beta, label))
+        return result if label == "certified" else None
 
-    best = probe(query.beta_max)
-    if best is None or not best.feasible:
+    best = certified(query.beta_max)
+    if best is None:
         raise ValueError(
             f"beta_max={query.beta_max:g} is not certifiably feasible")
     hi = query.beta_max
-
-    zero = probe(0.0)
-    if zero is not None and zero.feasible:
+    lo = 0.0
+    zero = certified(0.0)
+    if zero is not None:
         best, hi = zero, 0.0
-        lo = 0.0
     else:
-        lo = 0.0
         while hi - lo > query.beta_tol:
             mid = 0.5 * (lo + hi)
-            result = probe(mid)
-            if result is not None and result.feasible:
+            result = certified(mid)
+            if result is not None:
                 best, hi = result, mid
             else:
                 lo = mid
 
-    certified = [b for b, s in probes if s == "certified"]
-    infeasible = [b for b, s in probes if s == "infeasible"]
+    certified_at = [b for b, s in probes if s == "certified"]
+    infeasible_at = [b for b, s in probes if s == "infeasible"]
     violations = tuple(
-        (bc, bi) for bc in certified for bi in infeasible if bi > bc)
+        (bc, bi) for bc in certified_at for bi in infeasible_at if bi > bc)
     return TightenOutcome(hi, best, tuple(probes), violations)
 
 
@@ -511,13 +528,9 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
         system = SwitchedSystem.from_matrices(matrices_of_b(b))
         query = CertificationQuery(ell=1, delta=1.0, degree=2, beta=0.0,
                                    solver=solver)
-        try:
-            result = find_common_lyapunov(system, query)
-        except NumericalFailureError:
-            probes.append((b, "inconclusive"))
-            return False
-        probes.append((b, "certified" if result.feasible else "infeasible"))
-        return result.feasible
+        label, _ = _probe(find_common_lyapunov, system, query, None)
+        probes.append((b, label))
+        return label == "certified"
 
     if not feasible(lo):
         raise ValueError(f"no common quadratic Lyapunov function at b={lo:g}")
@@ -551,8 +564,7 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float,
     # scaling and the tolerances below are the scaled ones
     norm_scale = 1.0 + poly.max_abs_coefficient()
     poly = poly * (1.0 / norm_scale)
-    probe = SosIdentity(name="membership", dimension=n, known=poly, terms=())
-    basis = _sos_identity_basis(probe, set(poly.terms), n)
+    basis = _sos_identity_basis(set(poly.terms), n)
     envelope = gram_expand(basis, np.eye(len(basis)))
     identity = SosIdentity(
         name="membership", dimension=n, known=poly,
@@ -587,47 +599,22 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float,
     return residual, margin
 
 
-def _solve_for_multipliers(system, cert, solver):
-    """Reconstruct missing SOS witnesses with the certificate's V fixed."""
-    n = system.dimension
-    sumsq = _sum_of_squares_norm(n)
-    nrm = even_power_norm(n, cert.ell)
-    identities = []
-    unknowns = []
-    for i, f in enumerate(system.fields, start=1):
-        unknowns.append(SosUnknown(f"p{i}", _multiplier_basis(
-            f, cert.lyapunov.degree(), cert.beta,
-            cert.lyapunov.is_homogeneous())))
-        known = (-1.0) * lie_derivative(cert.lyapunov, f) - cert.delta * nrm
-        identities.append(SosIdentity(
-            name=f"decay{i}", dimension=n, known=known,
-            terms=(UnknownTerm(f"p{i}",
-                               Polynomial.constant(n, cert.beta) - sumsq),)))
-    program = SosProgram(identities=tuple(identities), unknowns=tuple(unknowns))
-    encoding = encode(program)
-    solution = solve(encoding.problem, solver)
-    if not solution.feasible:
-        return None, f"decay witnesses not found ({solution.status})"
-    decoded = decode(encoding, solution)
-    return tuple(decoded.polynomials[f"p{i}"]
-                 for i in range(1, system.n_subsystems + 1)), None
+def check_positive(*named) -> None:
+    """Raise at the first (name, value) pair that is not finite and positive."""
+    for name, value in named:
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
 
 
-def _solve_for_radius_multiplier(system, cert, solver):
-    n = system.dimension
-    sumsq = _sum_of_squares_norm(n)
-    deg_q = _default_deg_q(cert.lyapunov)
-    identity = SosIdentity(
-        name="sublevel", dimension=n,
-        known=Polynomial.constant(n, cert.gamma) - cert.lyapunov,
-        terms=(UnknownTerm("q", sumsq - Polynomial.constant(n, cert.beta)),))
-    program = SosProgram(identities=(identity,),
-                         unknowns=(SosUnknown("q", monomial_basis(n, 0, deg_q // 2)),))
-    encoding = encode(program)
-    solution = solve(encoding.problem, solver)
-    if not solution.feasible:
-        return None, f"sublevel witness not found ({solution.status})"
-    return decode(encoding, solution).polynomials["q"], None
+def check_matches(cert: AbsorbingSetCertificate,
+                  system: SwitchedSystem) -> None:
+    """Raise unless the certificate has the system's dimension and number of
+    subsystems, and one decay multiplier per subsystem if it has any."""
+    if cert.dimension != system.dimension \
+            or cert.n_subsystems != system.n_subsystems \
+            or (cert.multipliers is not None
+                and len(cert.multipliers) != system.n_subsystems):
+        raise ValueError("certificate does not match system dimensions")
 
 
 def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
@@ -641,14 +628,12 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     scaled eigenvalue slack; (c) the worst subsystem derivative of V is
     negative on sampled shells outside the beta ball; (d) sampled points of
     the beta ball stay inside {V <= gamma}.  Any failure raises
-    CertificateRejectedError naming the failed checks; tolerances that are
-    not finite and positive, or no samples, raise ValueError.
+    CertificateRejectedError naming the failed checks; a certificate that
+    does not match the system, tolerances that are not finite and positive,
+    or no samples, raise ValueError.
     """
-    if cert.dimension != system.dimension:
-        raise ValueError("certificate dimension does not match system")
-    for name, tol in (("residual_tol", residual_tol), ("eig_tol", eig_tol)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise ValueError(f"{name} must be finite and positive")
+    check_matches(cert, system)
+    check_positive(("residual_tol", residual_tol), ("eig_tol", eig_tol))
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     solver = solver or SolverConfig()
@@ -657,19 +642,35 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     gram_margins = {}
     n = system.dimension
     nrm = even_power_norm(n, cert.ell)
-    sumsq = _sum_of_squares_norm(n)
+    sumsq = even_power_norm(n, 1)
 
+    def witnesses(program, name, missing):
+        """Solve the search program of a witness the certificate omits."""
+        encoding = encode(program)
+        solution = solve(encoding.problem, solver)
+        if not solution.feasible:
+            failures.append(
+                f"identity-{name} ({missing} not found ({solution.status}))")
+            return None
+        return decode(encoding, solution).polynomials
+
+    V = cert.lyapunov
     multipliers = cert.multipliers
     if multipliers is None:
-        multipliers, err = _solve_for_multipliers(system, cert, solver)
-        if err:
-            failures.append(f"identity-decay ({err})")
+        program, _ = _decay_program(
+            system, cert.ell, cert.delta, V.degree(), cert.beta,
+            V.is_homogeneous(), lyapunov=V)
+        found = witnesses(program, "decay", "decay witnesses")
+        if found is not None:
+            multipliers = tuple(found[f"p{i}"]
+                                for i in range(1, system.n_subsystems + 1))
     radius_multiplier = cert.radius_multiplier
     if radius_multiplier is None and cert.gamma is not None:
-        radius_multiplier, err = _solve_for_radius_multiplier(
-            system, cert, solver)
-        if err:
-            failures.append(f"identity-sublevel ({err})")
+        found = witnesses(
+            _sublevel_program(V, cert.beta, _default_deg_q(V), cert.gamma),
+            "sublevel", "sublevel witness")
+        if found is not None:
+            radius_multiplier = found["q"]
 
     def membership(name, poly):
         outcome = _check_sos_membership(poly, residual_tol, eig_tol, solver)
@@ -698,7 +699,8 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     lies = [lie_derivative(cert.lyapunov, f) for f in system.fields]
     lo, hi = (cert.beta, 4.0 * cert.beta) if cert.beta > 0 else (1.0, 4.0)
 
-    def shell_points(count):
+    def shell_points(count, lo=lo, hi=hi):
+        """Uniform directions at squared radii uniform in [lo, hi]."""
         dirs = rng.normal(size=(count, n))
         norms = np.linalg.norm(dirs, axis=1)
         norms[norms == 0] = 1.0
@@ -734,15 +736,8 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     containment_ok = None
     containment_slack = None
     if cert.gamma is not None:
-        if cert.beta > 0:
-            dirs = rng.normal(size=(sample_count, n))
-            norms = np.linalg.norm(dirs, axis=1)
-            norms[norms == 0] = 1.0
-            dirs /= norms[:, None]
-            radii = np.sqrt(cert.beta * rng.uniform(0.0, 1.0, size=sample_count))
-            ball = dirs * radii[:, None]
-        else:
-            ball = np.zeros((1, n))
+        ball = shell_points(sample_count, 0.0, cert.beta) if cert.beta > 0 \
+            else np.zeros((1, n))
         v_ball = cert.lyapunov.evaluate_many(ball)
         containment_ok = bool(np.all(v_ball <= cert.gamma))
         if not containment_ok:

@@ -30,7 +30,9 @@ published certificates can be typed in and verified independently.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -42,10 +44,12 @@ from . import sim
 from .certify import (AbsorbingSetCertificate, CertificateRejectedError,
                       CertificationQuery, GammaInfeasibleError,
                       InfeasibleAtCapError, NumericalFailureError,
-                      SwitchedSystem, escalate, verify_certificate)
+                      SwitchedSystem, check_matches, check_positive, escalate,
+                      verify_certificate)
 from .poly import (ParseError, PolynomialVectorField,
                    parse_expression, poly_to_text)
 from .sdp import write_sdpa
+from .sosprog import encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -289,23 +293,18 @@ def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
-def _check_positive(*flags) -> None:
-    """Raise at the first (flag, value) that is not finite and positive."""
-    for flag, value in flags:
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and positive")
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError("--seed must be a non-negative integer")
 
 
-def _check_matches(cert: AbsorbingSetCertificate,
-                   system: SwitchedSystem) -> None:
-    if cert.dimension != system.dimension \
-            or cert.n_subsystems != system.n_subsystems:
-        raise ValueError("certificate does not match system dimensions")
+def _check_parent_dir(path: str) -> None:
+    """Raise the error that writing to path would raise when its directory
+    is missing, before any work is spent on what goes there."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
 
 
 def _parse_slice(text: str, n: int) -> list:
@@ -338,6 +337,9 @@ def cmd_certify(args) -> None:
         degree_cap=args.degree_cap, deg_q=args.q_degree, seed=args.seed)
     if args.beta is None and args.beta_max is None:
         query.beta = 0.0
+    out_path = args.out or str(Path(args.system).with_suffix(".cert"))
+    for path in filter(None, (out_path, args.dump_sdp)):
+        _check_parent_dir(path)
     outcome = escalate(system, query)
 
     for log in outcome.logs:
@@ -352,7 +354,6 @@ def cmd_certify(args) -> None:
     print(f"degree {outcome.degree}  beta {_fmt(outcome.certificate.beta)}  "
           f"gamma {_fmt(outcome.certificate.gamma)}")
 
-    out_path = args.out or (str(Path(args.system).with_suffix(".cert")))
     size_comments = [log.line() for log in outcome.logs] + [SIZE_NOTE]
     Path(out_path).write_text(
         certificate_to_text(outcome.certificate, size_comments))
@@ -362,18 +363,17 @@ def cmd_certify(args) -> None:
         program, _ = cert_mod.build_absorbing_program(
             system, query.ell, delta, outcome.degree,
             outcome.certificate.beta, query.homogeneous)
-        from .sosprog import encode as sos_encode
-        write_sdpa(sos_encode(program).problem, args.dump_sdp)
+        write_sdpa(encode(program).problem, args.dump_sdp)
         print(f"SDPA dump written to {args.dump_sdp}")
 
 
 def cmd_verify(args) -> None:
-    _check_positive(("--samples", args.samples),
-                    ("--residual-tol", args.residual_tol))
+    check_positive(("--samples", args.samples),
+                   ("--residual-tol", args.residual_tol))
     _check_seed(args.seed)
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate)
-    _check_matches(cert, system)
+    check_matches(cert, system)
     report = verify_certificate(
         system, cert, sample_count=args.samples, seed=args.seed,
         residual_tol=args.residual_tol)
@@ -393,14 +393,14 @@ def _write_trajectory_csv(path: Path, trajectory) -> None:
 
 
 def cmd_simulate(args) -> None:
-    _check_positive(("--step", args.step), ("--horizon", args.horizon),
-                    ("--mean-dwell", args.mean_dwell))
+    check_positive(("--step", args.step), ("--horizon", args.horizon),
+                   ("--mean-dwell", args.mean_dwell))
     _check_seed(args.seed)
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate) if args.certificate else None
     x0 = _parse_grid(args.x0_grid, system.dimension)
     if cert is not None:
-        _check_matches(cert, system)
+        check_matches(cert, system)
         if cert.gamma is None:
             raise ValueError("certificate has no gamma level")
 

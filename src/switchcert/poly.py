@@ -359,11 +359,6 @@ def even_power_norm(dimension: int, ell: int) -> Polynomial:
     return Polynomial(dimension, terms)
 
 
-def degree_info(p: Polynomial) -> tuple:
-    """(total degree, is_homogeneous); the zero polynomial is (0, True)."""
-    return (p.degree(), p.is_homogeneous())
-
-
 # -- text form ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

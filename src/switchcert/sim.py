@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import AbsorbingSetCertificate, SwitchedSystem
+from .certify import (AbsorbingSetCertificate, SwitchedSystem, check_matches,
+                      check_positive)
 from .poly import MonomialKernel, Polynomial, lie_derivative
 
 DIVERGENCE_GUARD = 1e12
@@ -117,16 +118,10 @@ class AbsorptionReport:
         return max((r.post_entry_max for r in self.records), default=-np.inf)
 
 
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive")
-
-
 def _grid(horizon: float, h: float):
     """Step sizes and grid times: full h-steps plus one exact remainder step
     so the grid ends at the horizon."""
-    _check_positive(step=h, horizon=horizon)
+    check_positive(("step", h), ("horizon", horizon))
     full = int(np.floor(horizon / h + 1e-9))
     remainder = horizon - full * h
     steps = [h] * full
@@ -248,7 +243,7 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
 def random_switching(n_subsystems: int, horizon: float, mean_dwell: float,
                      seed: int) -> SwitchingSignal:
     """Exponential inter-switch gaps, uniform indices, deterministic per seed."""
-    _check_positive(horizon=horizon, mean_dwell=mean_dwell)
+    check_positive(("horizon", horizon), ("mean_dwell", mean_dwell))
     rng = np.random.default_rng(seed)
     switches = [(0.0, int(rng.integers(1, n_subsystems + 1)))]
     t = float(rng.exponential(mean_dwell))
@@ -304,8 +299,7 @@ def check_absorption(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     """
     if cert.gamma is None:
         raise ValueError("certificate has no gamma level")
-    if cert.dimension != system.dimension:
-        raise ValueError("certificate does not match system dimension")
+    check_matches(cert, system)
     X0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
     if X0.shape[1] != system.dimension:
         raise ValueError("initial states have wrong dimension")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -191,7 +191,7 @@ def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUn
     return coeffs
 
 
-def _identity_basis(identity: SosIdentity, support: Iterable, n: int) -> GramBasis:
+def _identity_basis(support: Iterable, n: int) -> GramBasis:
     """Graded window basis from the achievable support of the identity."""
     degrees = [sum(m) for m in support]
     if not degrees:
@@ -233,7 +233,7 @@ def encode(program: SosProgram) -> SdpEncoding:
         for term in ident.terms:
             if isinstance(term, ScalarTerm):
                 support.update(term.weight.terms)
-        basis = _identity_basis(ident, support, n)
+        basis = _identity_basis(support, n)
         for _, _, mono in basis.pairs():
             support.add(mono)
 
@@ -293,15 +293,6 @@ def encode(program: SosProgram) -> SdpEncoding:
         scalar_index=scalar_index,
         unknown_bases={u.name: u.basis for u in program.unknowns},
     )
-
-
-def coefficient_matching(identity: SosIdentity,
-                         unknowns: Sequence[SosUnknown] = (),
-                         scalars: Sequence[str] = ()) -> SdpEncoding:
-    """Encode a single identity; exposed for inspection and tests."""
-    program = SosProgram(identities=(identity,), unknowns=tuple(unknowns),
-                         scalars=tuple(scalars))
-    return encode(program)
 
 
 @dataclass

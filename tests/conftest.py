@@ -51,6 +51,22 @@ def affine_triple():
 
 
 @pytest.fixture(scope="session")
+def affine_pair_plus_third(affine_pair):
+    """The affine pair and a third subsystem x2, -0.1*x1 - 2*x2 + 1."""
+    third = SwitchedSystem.from_affine(linear_pair_matrices(0.1)[:1],
+                                       [np.array([0.0, 1.0])])
+    return SwitchedSystem(2, affine_pair.fields + third.fields)
+
+
+@pytest.fixture(scope="session")
+def affine_pair_certificate(affine_pair):
+    """The certificate of escalate on the affine pair at beta = 3.3."""
+    from switchcert.certify import CertificationQuery, escalate
+    return escalate(affine_pair, CertificationQuery(
+        ell=2, delta=1.0, degree=4, beta=3.3)).certificate
+
+
+@pytest.fixture(scope="session")
 def cubic_3d_pair():
     from switchcert.cli import load_system
     return load_system(str(SYSTEMS / "cubic_3d_pair.sys"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,25 @@ class TestCqlfBisection:
         with pytest.raises(ValueError):
             cqlf_bisection(linear_pair_matrices, (20.0, 30.0))
 
+    def test_marginal_probe_is_inconclusive(self, monkeypatch):
+        # a Gram just outside the PSD bar proves nothing either way: the
+        # bisection moves past it, but may not record it as infeasible
+        real = certify.find_common_lyapunov
+        calls = []
+
+        def marginal_at_right_end(system, query, logs=None):
+            calls.append(system)
+            if len(calls) == 2:
+                return certify.AbsorbingSearchResult(feasible=False,
+                                                     marginal=True)
+            return real(system, query, logs)
+
+        monkeypatch.setattr(certify, "find_common_lyapunov",
+                            marginal_at_right_end)
+        out = cqlf_bisection(linear_pair_matrices, (0.5, 20.0), tol=0.01)
+        assert out.probes[1] == (20.0, "inconclusive")
+        assert out.b_max == pytest.approx(5.36, abs=0.05)
+
 
 class TestVerifyCertificate:
     def test_published_pair_all_checks(self, affine_pair,
@@ -212,6 +233,21 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError):
             verify_certificate(affine_pair, cert)
 
+    def test_subsystem_count_mismatch(self, affine_pair_plus_third,
+                                      affine_pair_certificate):
+        # pairing the two multipliers with the three fields would leave the
+        # third decay identity unchecked
+        with pytest.raises(ValueError,
+                           match="certificate does not match system dimensions"):
+            verify_certificate(affine_pair_plus_third,
+                               affine_pair_certificate)
+
+    def test_multiplier_count_mismatch(self, affine_pair_plus_third,
+                                       affine_pair_certificate):
+        cert = dataclasses.replace(affine_pair_certificate, n_subsystems=3)
+        with pytest.raises(ValueError,
+                           match="certificate does not match system dimensions"):
+            verify_certificate(affine_pair_plus_third, cert)
 
     @pytest.mark.parametrize("bad", [
         {"residual_tol": float("nan")}, {"residual_tol": 0.0},

@@ -388,6 +388,25 @@ class TestExitCodes:
         assert _run(["certify", self.AFFINE], capsys) == (code, "",
                                                            prefix + "\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--out", "{tmp}/missing/x.cert"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/x.cert'"),
+        (["--out", "{tmp}/afile/x.cert"],
+         "[Errno 20] Not a directory: '{tmp}/afile/x.cert'"),
+        (["--out", "{tmp}/x.cert", "--dump-sdp", "{tmp}/missing/p.dat-s"],
+         "[Errno 2] No such file or directory: '{tmp}/missing/p.dat-s'"),
+    ], ids=["out", "out-not-a-directory", "dump-sdp"])
+    def test_output_paths_checked_before_search(self, monkeypatch, tmp_path,
+                                                capsys, argv, message):
+        def no_search(system, query):
+            raise AssertionError("escalate called")
+        monkeypatch.setattr(cli, "escalate", no_search)
+        (tmp_path / "afile").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert _run(["certify", self.AFFINE] + argv, capsys) == (
+            1, "", f"error: {message.format(tmp=tmp_path)}\n")
+        assert not (tmp_path / "x.cert").exists()
+
     def test_certify_rejection_prints_report(self, monkeypatch, capsys):
         class Report:
             failures = ("containment",)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from switchcert.poly import (ParseError, Polynomial, PolynomialVectorField,
-                             degree_info, even_power_norm, gradient,
+                             even_power_norm, gradient,
                              lie_derivative, parse_expression, poly_to_text)
 
 
@@ -179,13 +179,16 @@ class TestEvaluate:
 
 class TestDegreeInfo:
     def test_homogeneous_degree_twelve(self, published_v_linear_pair):
-        assert degree_info(published_v_linear_pair) == (12, True)
+        p = published_v_linear_pair
+        assert (p.degree(), p.is_homogeneous()) == (12, True)
 
     def test_inhomogeneous(self):
-        assert degree_info(parse_expression("x1^2 + x1", 2)) == (2, False)
+        p = parse_expression("x1^2 + x1", 2)
+        assert (p.degree(), p.is_homogeneous()) == (2, False)
 
     def test_zero_polynomial_convention(self):
-        assert degree_info(Polynomial.zero(2)) == (0, True)
+        p = Polynomial.zero(2)
+        assert (p.degree(), p.is_homogeneous()) == (0, True)
 
 
 class TestAlgebra:

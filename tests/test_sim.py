@@ -308,6 +308,15 @@ class TestCheckAbsorption:
             check_absorption(decay_1d, cert, np.array([[0.5]]),
                              [SwitchingSignal.constant(1, 1.0)], h=1e-2)
 
+    def test_certificate_must_cover_every_subsystem(
+            self, affine_pair_plus_third, affine_pair_certificate):
+        # the pair's certificate says nothing about the third subsystem
+        with pytest.raises(ValueError,
+                           match="certificate does not match system dimensions"):
+            check_absorption(affine_pair_plus_third, affine_pair_certificate,
+                             np.array([[0.5, 0.5]]),
+                             [SwitchingSignal.constant(3, 1.0)], h=1e-2)
+
     @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple"])
     def test_rows_match_integrate(self, case, request):
         # signals that switch every 0.2 s on average move rows between the

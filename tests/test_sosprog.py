@@ -8,7 +8,7 @@ from switchcert.sdp import SolverConfig, solve
 from switchcert.sosprog import (GramBasis, IllFormedIdentityError, ScalarTerm,
                                 SosIdentity, SosProgram, SosUnknown,
                                 UnknownLieTerm, UnknownTerm, basis_size,
-                                coefficient_matching, decode, encode,
+                                decode, encode,
                                 gram_expand, identity_residual, monomial_basis)
 
 
@@ -73,9 +73,9 @@ class TestCoefficientMatching:
             "lvl", 2, known=-published_v_affine_pair,
             terms=(ScalarTerm("gamma", Polynomial.constant(2, 1.0)),
                    UnknownTerm("q", sumsq - Polynomial.constant(2, 3.3))))
-        enc = coefficient_matching(
-            identity, unknowns=(SosUnknown("q", monomial_basis(2, 0, 1)),),
-            scalars=("gamma",))
+        enc = encode(SosProgram(
+            (identity,), (SosUnknown("q", monomial_basis(2, 0, 1)),),
+            scalars=("gamma",)))
         # one equality per distinct monomial of degree <= 4
         assert enc.n_equalities == math.comb(6, 2) == 15
 
@@ -83,8 +83,8 @@ class TestCoefficientMatching:
         identity = SosIdentity(
             "z", 2, known=Polynomial.zero(2),
             terms=(UnknownTerm("s", Polynomial.constant(2, 1.0)),))
-        enc = coefficient_matching(
-            identity, unknowns=(SosUnknown("s", monomial_basis(2, 0, 1)),))
+        enc = encode(SosProgram(
+            (identity,), (SosUnknown("s", monomial_basis(2, 0, 1)),)))
         assert np.all(enc.problem.rhs == 0.0)
 
     def test_unmatchable_known_coefficient_raises(self):
