@@ -25,6 +25,7 @@ from .certify import (AbsorbingSetCertificate, CertificationQuery,
                       minimize_gamma, tighten_beta, verify_certificate)
 from .sim import (AbsorptionReport, CertificateContradictionError,
                   SwitchingSignal, Trajectory, adversarial_switching,
-                  check_absorption, integrate, random_switching)
+                  check_absorption, integrate, integrate_batch,
+                  random_switching)
 
 __version__ = "0.1.0"

@@ -157,6 +157,7 @@ class CertificationQuery:
             raise ValueError("beta must be non-negative")
         if self.beta_max is not None and self.beta_max < 0:
             raise ValueError("beta_max must be non-negative")
+        check_positive(("beta_tol", self.beta_tol))
 
 
 @dataclass
@@ -453,6 +454,23 @@ def _probe(search, system: SwitchedSystem, query: CertificationQuery,
             result)
 
 
+def _bisect(passes: Callable[[float], bool], good: float, bad: float,
+            tol: float) -> float:
+    """Narrow the interval between a passing and a failing endpoint (in
+    either order) by probing midpoints, until it is at most tol wide or the
+    midpoint no longer lies strictly between the endpoints; returns the
+    passing endpoint."""
+    while abs(bad - good) > tol:
+        mid = 0.5 * (good + bad)
+        if not min(good, bad) < mid < max(good, bad):
+            break
+        if passes(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 @dataclass
 class TightenOutcome:
     beta_star: float
@@ -471,37 +489,28 @@ def tighten_beta(system: SwitchedSystem, query: CertificationQuery,
     if query.beta_max is None:
         raise ValueError("query.beta_max must be set")
     probes = []
+    results = {}
 
-    def certified(beta):
-        """The search result at beta if it is certified, else None."""
+    def certified(beta) -> bool:
         sub = dataclasses.replace(query, beta=beta, beta_max=None)
         label, result = _probe(find_absorbing_lyapunov, system, sub, logs)
         probes.append((beta, label))
-        return result if label == "certified" else None
+        if label == "certified":
+            results[beta] = result
+        return label == "certified"
 
-    best = certified(query.beta_max)
-    if best is None:
+    if not certified(query.beta_max):
         raise ValueError(
             f"beta_max={query.beta_max:g} is not certifiably feasible")
-    hi = query.beta_max
-    lo = 0.0
-    zero = certified(0.0)
-    if zero is not None:
-        best, hi = zero, 0.0
-    else:
-        while hi - lo > query.beta_tol:
-            mid = 0.5 * (lo + hi)
-            result = certified(mid)
-            if result is not None:
-                best, hi = result, mid
-            else:
-                lo = mid
+    beta_star = 0.0 if certified(0.0) else _bisect(
+        certified, query.beta_max, 0.0, query.beta_tol)
 
     certified_at = [b for b, s in probes if s == "certified"]
     infeasible_at = [b for b, s in probes if s == "infeasible"]
     violations = tuple(
         (bc, bi) for bc in certified_at for bi in infeasible_at if bi > bc)
-    return TightenOutcome(hi, best, tuple(probes), violations)
+    return TightenOutcome(beta_star, results[beta_star], tuple(probes),
+                          violations)
 
 
 @dataclass
@@ -521,6 +530,7 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("need a non-empty interval")
+    check_positive(("tol", tol))
     solver = solver or SolverConfig()
     probes = []
 
@@ -536,13 +546,7 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
         raise ValueError(f"no common quadratic Lyapunov function at b={lo:g}")
     if feasible(hi):
         return CqlfOutcome(hi, tuple(probes))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CqlfOutcome(lo, tuple(probes))
+    return CqlfOutcome(_bisect(feasible, lo, hi, tol), tuple(probes))
 
 
 # -- verification ---------------------------------------------------------------

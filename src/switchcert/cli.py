@@ -293,9 +293,9 @@ def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError("--seed must be a non-negative integer")
+def _check_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{flag} must be a non-negative integer")
 
 
 def _check_parent_dir(path: str) -> None:
@@ -327,7 +327,7 @@ def cmd_certify(args) -> None:
     if args.degree is not None and args.degree > 4 and args.delta is None:
         raise ValueError("--degree above 4 requires an explicit --delta "
                          "(conditioning)")
-    _check_seed(args.seed)
+    _check_count("--seed", args.seed)
     delta = args.delta if args.delta is not None else 1.0
 
     query = CertificationQuery(
@@ -370,7 +370,7 @@ def cmd_certify(args) -> None:
 def cmd_verify(args) -> None:
     check_positive(("--samples", args.samples),
                    ("--residual-tol", args.residual_tol))
-    _check_seed(args.seed)
+    _check_count("--seed", args.seed)
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate)
     check_matches(cert, system)
@@ -395,7 +395,8 @@ def _write_trajectory_csv(path: Path, trajectory) -> None:
 def cmd_simulate(args) -> None:
     check_positive(("--step", args.step), ("--horizon", args.horizon),
                    ("--mean-dwell", args.mean_dwell))
-    _check_seed(args.seed)
+    _check_count("--seed", args.seed)
+    _check_count("--signals", args.signals)
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate) if args.certificate else None
     x0 = _parse_grid(args.x0_grid, system.dimension)
@@ -422,21 +423,14 @@ def cmd_simulate(args) -> None:
         print(f"{len(x0)} initial conditions echoed; no signals requested")
         return
 
-    diverged = 0
-    written = 0
-    for s_idx, signal in enumerate(signals):
-        for t_idx, start in enumerate(x0):
-            trajectory = sim.integrate(system, signal, start, args.step,
-                                       args.horizon)
-            if trajectory.diverged:
-                diverged += 1
-                if cert is not None:
-                    raise sim.CertificateContradictionError(
-                        "trajectory diverged under a verified certificate")
-            _write_trajectory_csv(
-                out_dir / f"trajectory_{s_idx:03d}_{t_idx:03d}.csv",
-                trajectory)
-            written += 1
+    trajectories, report = sim.integrate_batch(
+        system, signals, x0, args.step, args.horizon, cert)
+    for row, trajectory in enumerate(trajectories):
+        s_idx, t_idx = divmod(row, len(x0))
+        _write_trajectory_csv(
+            out_dir / f"trajectory_{s_idx:03d}_{t_idx:03d}.csv", trajectory)
+    written = len(trajectories)
+    diverged = sum(t.diverged for t in trajectories)
 
     summary = {
         "trajectories": written,
@@ -444,9 +438,7 @@ def cmd_simulate(args) -> None:
         "diverged": diverged,
         "seed": args.seed,
     }
-    if cert is not None:
-        report = sim.check_absorption(system, cert, x0, signals,
-                                      h=args.step, horizon=args.horizon)
+    if report is not None:
         summary["violations"] = report.violations
         summary["not_entered"] = report.not_entered
         summary["max_post_entry_excess"] = (

@@ -8,14 +8,17 @@ The adversarial signal greedily maximises the worst-case derivative of a
 given function V at each grid point; it is evidence of instability, never
 proof, and never accepts a certificate.
 
-``integrate``, ``adversarial_switching`` and ``check_absorption`` run on one
-batched engine: states are contiguous (n, k) blocks, one column per start,
-and each subsystem gets one RK4 stepper per call, a one-step matrix for a
+One march (``_March``) is the only loop that steps states under given
+signals.  ``integrate`` records a batch of one row, ``check_absorption``
+tracks V over a batch, and ``integrate_batch`` does both in one march.
+States are contiguous (n, k) blocks, one column per (signal, start) row,
+and each subsystem gets one RK4 stepper per march, a one-step matrix for a
 linear field and the four stages for a polynomial one, all components
 evaluated from one table of monomial values (``poly.MonomialKernel``).  A
 batch is stepped in switch segments: between two steps where some signal
-changes its index, the rows of each subsystem form one block.  A single
-start is a batch of one.
+changes its index, the rows of each subsystem form one block.
+``adversarial_switching`` picks the index while it steps, so it drives the
+same steppers from its own loop.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .poly import MonomialKernel, Polynomial, lie_derivative
 
 DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
+_BLOCK_GUARD = 0.5 * DIVERGENCE_GUARD ** 2
 
 
 class CertificateContradictionError(RuntimeError):
@@ -213,6 +217,162 @@ def _within_guard(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=0) <= DIVERGENCE_GUARD ** 2
 
 
+class _March:
+    """The one loop that steps states under given signals.
+
+    Rows are (signal, start) pairs in signal-major order: row r follows
+    signal r // n_starts from start r % n_starts.  ``run`` steps every row
+    to the horizon and hands each observer, after each step, the grid point
+    reached, the stepped (rows, states) blocks and the rows that left the
+    divergence guard at that step.  Between two steps where some signal
+    switches, the rows of each subsystem form one block.  A row that leaves
+    the guard is handed over once with its failing state and then dropped;
+    the march ends once no row is left.
+    """
+
+    def __init__(self, system: SwitchedSystem, signals, starts: np.ndarray,
+                 h: float, horizon: float):
+        _check_indices(system, signals)
+        self.dts, self.times = _grid(horizon, h)
+        self.active = np.stack([_active_steps(s, len(self.times), h)
+                                for s in signals])
+        self.signal_of_row = np.repeat(np.arange(len(signals)), len(starts))
+        self.x0 = np.tile(starts, (len(signals), 1)).T.copy()
+        # grid point at which each row left the guard, -1 while it has not
+        self.left_at = np.full(self.x0.shape[1], -1)
+        self.steppers = _steppers(system, self.dts)
+
+    def run(self, *observers) -> None:
+        x = self.x0.copy()
+        live = np.ones(x.shape[1], dtype=bool)
+        for start, stop in _segments(self.active, len(self.dts)):
+            index_of_row = self.active[self.signal_of_row, start]
+            indices = np.unique(index_of_row[live])
+            blocks = [np.flatnonzero(live & (index_of_row == idx))
+                      for idx in indices]
+            steps = [self.steppers[idx - 1] for idx in indices]
+            states = [x[:, rows] for rows in blocks]
+            for k in range(start, stop):
+                stepped, left = [], []
+                for b, step in enumerate(steps):
+                    states[b] = step(states[b], self.dts[k])
+                    stepped.append((blocks[b], states[b]))
+                    # the sum of squares over a block bounds each column's,
+                    # so only a block within a factor 2 of the guard (or
+                    # not finite) needs the column check
+                    if (states[b] * states[b]).sum() <= _BLOCK_GUARD:
+                        continue
+                    ok = _within_guard(states[b])
+                    if not ok.all():
+                        left.extend(blocks[b][~ok].tolist())
+                        blocks[b], states[b] = blocks[b][ok], states[b][:, ok]
+                if left:
+                    self.left_at[left] = k + 1
+                    live[left] = False
+                    kept = [b for b, rows in enumerate(blocks) if len(rows)]
+                    blocks, steps, states = ([seq[b] for b in kept]
+                                             for seq in (blocks, steps, states))
+                for observe in observers:
+                    observe(k + 1, stepped, left)
+                if not blocks:
+                    return
+            for rows, xb in zip(blocks, states):
+                x[:, rows] = xb
+
+
+class _Recorder:
+    """Per-step work of a recording run: the states of every row at every
+    grid point, (points, n, rows), 8 * n bytes per row and grid point."""
+
+    def __init__(self, march: _March):
+        self.march = march
+        self.states = np.empty((len(march.times), *march.x0.shape))
+        self.states[0] = march.x0
+
+    def __call__(self, point, blocks, left) -> None:
+        if len(blocks) == 1 and blocks[0][1].shape == self.states.shape[1:]:
+            self.states[point] = blocks[0][1]     # one block of every row
+            return
+        for rows, xb in blocks:
+            self.states[point][:, rows] = xb
+
+    def trajectories(self) -> list:
+        """One Trajectory per row, truncated at the grid point where the
+        row left the guard."""
+        march = self.march
+        out = []
+        for row, left in enumerate(march.left_at.tolist()):
+            end = left + 1 if left >= 0 else len(march.times)
+            out.append(Trajectory(
+                march.times[:end], self.states[:end, :, row],
+                march.active[march.signal_of_row[row], :end],
+                diverged=left >= 0,
+                diverged_at=float(march.times[left]) if left >= 0 else None))
+        return out
+
+
+class _Absorption:
+    """Per-step work of the absorption check: V on every stepped block, the
+    first entry time into {V <= gamma} and the excess of V over gamma from
+    the entry on.  A row that leaves the guard contradicts the
+    certificate."""
+
+    def __init__(self, cert: AbsorbingSetCertificate, march: _March):
+        self.V = _evaluator([cert.lyapunov], cert.dimension)
+        self.gamma = cert.gamma
+        self.march = march
+        self.v = self.V(march.x0)[0]
+        self.entered = self.v <= self.gamma
+        self.entry_time = np.where(self.entered, 0.0, np.nan)
+        self.post_max = np.full(len(self.v), -np.inf)
+
+    def __call__(self, point, blocks, left) -> None:
+        if left:
+            raise CertificateContradictionError(
+                f"trajectory diverged under a certified system "
+                f"(signal {self.march.signal_of_row[min(left)]}, "
+                f"t={self.march.times[point]})")
+        for rows, xb in blocks:
+            self.v[rows] = self.V(xb)[0]
+        newly = (~self.entered) & (self.v <= self.gamma)
+        self.entry_time[newly] = self.march.times[point]
+        self.entered |= newly
+        self.post_max = np.where(
+            self.entered, np.maximum(self.post_max, self.v - self.gamma),
+            self.post_max)
+
+    def report(self, starts: np.ndarray) -> AbsorptionReport:
+        records = []
+        for row, s_idx in enumerate(self.march.signal_of_row.tolist()):
+            start = starts[row % len(starts)]
+            if not self.entered[row]:
+                records.append(
+                    AbsorptionRecord(start, s_idx, None, -np.inf, False))
+            else:
+                excess = float(self.post_max[row])
+                records.append(AbsorptionRecord(
+                    start, s_idx, float(self.entry_time[row]), excess,
+                    excess > self.gamma * RE_EXIT_TOLERANCE))
+        not_entered = int(np.count_nonzero(~self.entered))
+        return AbsorptionReport(self.gamma, RE_EXIT_TOLERANCE, records,
+                                not_entered)
+
+
+def _batch_starts(system, cert, initial_states, signals) -> np.ndarray:
+    """The starts as rows (k, n), after the checks shared by the batch
+    entry points."""
+    if cert is not None:
+        if cert.gamma is None:
+            raise ValueError("certificate has no gamma level")
+        check_matches(cert, system)
+    starts = np.atleast_2d(np.asarray(initial_states, dtype=float))
+    if starts.shape[1] != system.dimension:
+        raise ValueError("initial states have wrong dimension")
+    if not signals:
+        raise ValueError("no switching signals given")
+    return starts
+
+
 def integrate(system: SwitchedSystem, signal: SwitchingSignal,
               x0: Sequence[float], h: float, horizon: float) -> Trajectory:
     """RK4 on each constant-index segment of the snapped signal.
@@ -223,21 +383,33 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dimension,):
         raise ValueError("initial state has wrong dimension")
-    _check_indices(system, [signal])
-    dts, times = _grid(horizon, h)
-    active = _active_steps(signal, len(times), h)
-    steppers = _steppers(system, dts)
+    march = _March(system, [signal], x0[None, :], h, horizon)
+    recorder = _Recorder(march)
+    march.run(recorder)
+    return recorder.trajectories()[0]
 
-    states = np.empty((len(times), system.dimension))
-    states[0] = x0
-    x = x0[:, None].copy()
-    for k, dt in enumerate(dts):
-        x = steppers[active[k] - 1](x, dt)
-        states[k + 1] = x[:, 0]
-        if not _within_guard(x)[0]:
-            return Trajectory(times[:k + 2], states[:k + 2], active[:k + 2],
-                              diverged=True, diverged_at=float(times[k + 1]))
-    return Trajectory(times, states, active)
+
+def integrate_batch(system: SwitchedSystem,
+                    signals: Sequence[SwitchingSignal],
+                    initial_states: np.ndarray, h: float, horizon: float,
+                    cert: AbsorbingSetCertificate | None = None) -> tuple:
+    """Every (signal, start) pair integrated once, in one batch.
+
+    Returns the trajectories in signal-major order (row r follows signal
+    r // len(initial_states)) and, when a certificate is given, the
+    ``check_absorption`` report of the same batch, else None.  A trajectory
+    that passes the guard is truncated there; under a certificate that
+    raises CertificateContradictionError instead.
+    """
+    starts = _batch_starts(system, cert, initial_states, signals)
+    march = _March(system, signals, starts, h, horizon)
+    recorder = _Recorder(march)
+    if cert is None:
+        march.run(recorder)
+        return recorder.trajectories(), None
+    absorption = _Absorption(cert, march)
+    march.run(recorder, absorption)
+    return recorder.trajectories(), absorption.report(starts)
 
 
 def random_switching(n_subsystems: int, horizon: float, mean_dwell: float,
@@ -297,72 +469,9 @@ def check_absorption(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     re-exit beyond gamma*(1 + tolerance) is a violation.  Divergence under
     a verified certificate is a hard contradiction.
     """
-    if cert.gamma is None:
-        raise ValueError("certificate has no gamma level")
-    check_matches(cert, system)
-    X0 = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    if X0.shape[1] != system.dimension:
-        raise ValueError("initial states have wrong dimension")
-    if not signals:
-        raise ValueError("no switching signals given")
-    _check_indices(system, signals)
-    V = _evaluator([cert.lyapunov], system.dimension)
-    gamma = cert.gamma
-    n_starts = len(X0)
-    n_signals = len(signals)
-
-    # one batch across all (signal, start) pairs; between the steps where
-    # some signal switches, the rows of each subsystem are stepped together
+    starts = _batch_starts(system, cert, initial_states, signals)
     T = horizon if horizon is not None else max(s.horizon for s in signals)
-    dts, times = _grid(T, h)
-    active = np.stack([_active_steps(s, len(times), h) for s in signals])
-    signal_of_row = np.repeat(np.arange(n_signals), n_starts)
-    steppers = _steppers(system, dts)
-
-    x = np.tile(X0, (n_signals, 1)).T.copy()
-    v = V(x)[0]
-    entered = v <= gamma
-    entry_time = np.where(entered, 0.0, np.nan)
-    post_max = np.full(len(v), -np.inf)
-
-    for start, stop in _segments(active, len(dts)):
-        index_of_row = active[signal_of_row, start]
-        blocks = [(steppers[idx - 1], np.flatnonzero(index_of_row == idx))
-                  for idx in np.unique(index_of_row)]
-        states = [x[:, rows] for _, rows in blocks]
-        for k in range(start, stop):
-            for b, (step, _) in enumerate(blocks):
-                states[b] = step(states[b], dts[k])
-            bad = []
-            for (_, rows), xb in zip(blocks, states):
-                ok = _within_guard(xb)
-                if not ok.all():
-                    bad.append(rows[np.argmin(ok)])
-            if bad:
-                raise CertificateContradictionError(
-                    f"trajectory diverged under a certified system "
-                    f"(signal {signal_of_row[min(bad)]}, t={times[k + 1]})")
-            for (_, rows), xb in zip(blocks, states):
-                v[rows] = V(xb)[0]
-            newly = (~entered) & (v <= gamma)
-            entry_time[newly] = times[k + 1]
-            entered |= newly
-            post_max = np.where(entered, np.maximum(post_max, v - gamma),
-                                post_max)
-        for (_, rows), xb in zip(blocks, states):
-            x[:, rows] = xb
-
-    records = []
-    not_entered = 0
-    for row in range(len(v)):
-        s_idx = int(signal_of_row[row])
-        start = X0[row % n_starts]
-        if not entered[row]:
-            not_entered += 1
-            records.append(AbsorptionRecord(start, s_idx, None, -np.inf, False))
-        else:
-            excess = float(post_max[row])
-            records.append(AbsorptionRecord(
-                start, s_idx, float(entry_time[row]), excess,
-                excess > gamma * RE_EXIT_TOLERANCE))
-    return AbsorptionReport(gamma, RE_EXIT_TOLERANCE, records, not_entered)
+    march = _March(system, signals, starts, h, T)
+    absorption = _Absorption(cert, march)
+    march.run(absorption)
+    return absorption.report(starts)

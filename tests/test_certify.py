@@ -111,6 +111,37 @@ class TestTightenBeta:
         with pytest.raises(ValueError):
             tighten_beta(affine_pair, query)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError,
+                           match="beta_tol must be finite and positive"):
+            CertificationQuery(ell=1, delta=1.0, degree=2, beta_max=6.0,
+                               beta_tol=tol)
+
+    @pytest.mark.parametrize("tol, probes", [(0.05, 9), (1e-20, 57)])
+    def test_bisection_stops_below_float_spacing(self, monkeypatch, tol,
+                                                 probes):
+        # a stub search feasible iff beta >= 1: a tolerance below the float
+        # spacing at 1 ends when the midpoint stops moving
+        seen = []
+
+        def stub(system, query, logs=None):
+            seen.append(query.beta)
+            assert len(seen) <= 100, "bisection does not terminate"
+            return certify.AbsorbingSearchResult(
+                feasible=query.beta >= 1.0,
+                proven_infeasible=query.beta < 1.0)
+
+        monkeypatch.setattr(certify, "find_absorbing_lyapunov", stub)
+        system = SwitchedSystem.from_matrices([np.array([[-1.0]])])
+        out = tighten_beta(system, CertificationQuery(
+            ell=1, delta=1.0, degree=2, beta_max=6.0, beta_tol=tol))
+        assert len(seen) == probes
+        assert seen[:2] == [6.0, 0.0]
+        assert 1.0 <= out.beta_star <= 1.0 + max(tol, 1e-15)
+        assert out.result.feasible
+        assert not out.monotonicity_violations
+
     def test_van_der_pol_tightens_to_fourteen_or_less(self, vdp_pair):
         query = CertificationQuery(ell=1, delta=1e-4, degree=6,
                                    beta_max=14.0, beta_tol=1.0)
@@ -161,6 +192,32 @@ class TestCqlfBisection:
     def test_infeasible_left_end(self):
         with pytest.raises(ValueError):
             cqlf_bisection(linear_pair_matrices, (20.0, 30.0))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tol):
+        def no_search(system, query, logs=None):
+            raise AssertionError("search called")
+        monkeypatch.setattr(certify, "find_common_lyapunov", no_search)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            cqlf_bisection(linear_pair_matrices, (0.5, 20.0), tol=tol)
+
+    def test_bisection_stops_below_float_spacing(self, monkeypatch):
+        # a stub search feasible iff b <= 5, read off the system's matrix
+        seen = []
+
+        def stub(system, query, logs=None):
+            b = -system.fields[0].linear_matrix()[0, 0]
+            seen.append(b)
+            assert len(seen) <= 100, "bisection does not terminate"
+            return certify.AbsorbingSearchResult(feasible=b <= 5.0,
+                                                 proven_infeasible=b > 5.0)
+
+        monkeypatch.setattr(certify, "find_common_lyapunov", stub)
+        out = cqlf_bisection(lambda b: [np.array([[-b]])], (0.5, 20.0),
+                             tol=1e-20)
+        assert seen[:2] == [0.5, 20.0]
+        assert len(seen) < 100
+        assert 5.0 - 1e-14 <= out.b_max <= 5.0
 
     def test_marginal_probe_is_inconclusive(self, monkeypatch):
         # a Gram just outside the PSD bar proves nothing either way: the

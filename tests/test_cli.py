@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import SYSTEMS
-from switchcert import cli
-from switchcert.cli import (certificate_to_text, load_certificate, main,
-                            parse_certificate_text, parse_system_text)
+from switchcert import cli, sim
+from switchcert.cli import (certificate_to_text, load_certificate, load_system,
+                            main, parse_certificate_text, parse_system_text)
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, EquilibriumError,
                                 GammaInfeasibleError, NumericalFailureError)
@@ -232,6 +232,114 @@ class TestCmdSimulate:
             (tmp_path / "diverge" / "summary.json").read_text())
         assert summary["diverged"] == 1
 
+    def test_mixed_divergence_truncates_only_the_diverging_row(self,
+                                                              tmp_path):
+        system = tmp_path / "unstable.sys"
+        system.write_text("dim 1\nsubsystems 1\nsubsystem 1\n2*x1\n")
+        out = tmp_path / "mixed"
+        code = main(["simulate", str(system), "--signals", "1",
+                     "--x0-grid", "0:3:2", "--horizon", "40",
+                     "--step", "0.01", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["trajectories"], summary["diverged"]) == (2, 1)
+        at_rest = np.loadtxt(out / "trajectory_000_000.csv", delimiter=",",
+                             skiprows=1)
+        assert len(at_rest) == 4001
+        assert at_rest[-1, 0] == 40.0
+        assert np.all(at_rest[:, 2] == 0.0)
+        growing = np.loadtxt(out / "trajectory_000_001.csv", delimiter=",",
+                             skiprows=1)
+        alone = sim.integrate(load_system(str(system)),
+                              sim.SwitchingSignal.constant(1, 40.0), [3.0],
+                              0.01, 40.0)
+        assert alone.diverged
+        assert len(growing) == len(alone.times) < 4001
+        assert growing[-1, 0] == alone.diverged_at
+        assert abs(growing[-1, 2]) > sim.DIVERGENCE_GUARD
+
+    def test_divergence_with_certificate_writes_no_trajectory(self,
+                                                              tmp_path):
+        # the start at 0 never diverges; the one at 3 does, so no row of
+        # the batch is written
+        system = tmp_path / "unstable.sys"
+        system.write_text("dim 1\nsubsystems 1\nsubsystem 1\n2*x1\n")
+        cert = tmp_path / "bogus.cert"
+        cert.write_text("dim 1\nsubsystems 1\nell 1\ndelta 1\nbeta 1\n"
+                        "gamma 1\nV = x1^2\n")
+        out = tmp_path / "boom"
+        code = main(["simulate", str(system), "--signals", "1",
+                     "--x0-grid", "0:3:2", "--horizon", "40",
+                     "--step", "0.01", "--certificate", str(cert),
+                     "--out", str(out)])
+        assert code == 5
+        assert not list(out.glob("trajectory_*.csv"))
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_one_march_per_invocation(self, affine_cert, tmp_path,
+                                      monkeypatch, certified):
+        # every march builds its steppers once; without --adversarial the
+        # march of the batch is the only one
+        built = []
+        real = sim._steppers
+
+        def counting(system, dts):
+            built.append(len(dts))
+            return real(system, dts)
+
+        monkeypatch.setattr(sim, "_steppers", counting)
+        argv = ["simulate", str(SYSTEMS / "affine_pair.sys"),
+                "--signals", "3", "--seed", "2", "--x0-grid=-2:2:2,-2:2:2",
+                "--horizon", "1", "--step", "0.01",
+                "--out", str(tmp_path / "once")]
+        if certified:
+            argv += ["--certificate", str(affine_cert)]
+        assert main(argv) == 0
+        assert built == [100]
+        summary = json.loads((tmp_path / "once" / "summary.json").read_text())
+        assert summary["trajectories"] == 12
+        assert ("violations" in summary) == certified
+
+    def test_rows_match_integrate_and_summary_matches_check_absorption(
+            self, affine_cert, tmp_path):
+        out = tmp_path / "rows"
+        h, horizon, grid = 0.005, 3.0, "-3:3:2,-4:4:2"
+        code = main(["simulate", str(SYSTEMS / "affine_pair.sys"),
+                     "--signals", "2", "--seed", "5", "--mean-dwell", "0.3",
+                     f"--x0-grid={grid}", "--horizon", str(horizon),
+                     "--step", str(h), "--certificate", str(affine_cert),
+                     "--adversarial", "--out", str(out)])
+        assert code == 0
+        system = load_system(str(SYSTEMS / "affine_pair.sys"))
+        cert = load_certificate(str(affine_cert))
+        starts = cli._parse_grid(grid, 2)
+        signals = [sim.random_switching(2, horizon, 0.3, 5 + k)
+                   for k in range(2)]
+        signals.append(sim.adversarial_switching(system, cert.lyapunov,
+                                                 starts[0], h, horizon))
+        for s_idx, signal in enumerate(signals):
+            for t_idx, start in enumerate(starts):
+                alone = sim.integrate(system, signal, start, h, horizon)
+                rows = np.loadtxt(out / f"trajectory_{s_idx:03d}_{t_idx:03d}"
+                                  ".csv", delimiter=",", skiprows=1)
+                assert np.array_equal(rows[:, 0], alone.times)
+                assert np.array_equal(rows[:, 1], alone.active)
+                # the batch rounds its products apart from a single
+                # column: agreement is relative to the state's norm
+                scale = np.linalg.norm(alone.states, axis=1)[:, None]
+                assert np.all(np.abs(rows[:, 2:] - alone.states)
+                              <= 1e-13 * scale)
+
+        report = sim.check_absorption(system, cert, starts, signals, h=h,
+                                      horizon=horizon)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {
+            "trajectories": 12, "signals": 3, "diverged": 0, "seed": 5,
+            "violations": report.violations,
+            "not_entered": report.not_entered,
+            "max_post_entry_excess": report.max_post_entry}
+
     def test_absorption_summary_with_certificate(self, affine_cert, tmp_path):
         out = tmp_path / "absorb"
         code = main(["simulate", str(SYSTEMS / "affine_pair.sys"),
@@ -359,10 +467,13 @@ class TestExitCodes:
         (["simulate", AFFINE, "--signals", "1", "--x0-grid", "1:1:1,0:0:1",
           "--horizon", "1", "--out", "{tmp}/afile/sim"],
          "error: [Errno 20] Not a directory"),
+        (["simulate", AFFINE, "--signals", "-2", "--x0-grid", "1:1:1,0:0:1",
+          "--horizon", "1", "--out", "{tmp}/sim"],
+         "error: --signals must be a non-negative integer"),
     ], ids=["ell-0", "odd-degree", "negative-beta", "zero-delta",
             "certify-seed", "verify-seed", "simulate-seed",
             "simulate-no-gamma", "simulate-mismatch", "certify-out",
-            "levelset-out", "simulate-out"])
+            "levelset-out", "simulate-out", "simulate-signals"])
     def test_failure_is_one_error_line_and_code_1(self, affine_cert,
                                                   tmp_path, capsys, argv,
                                                   message):

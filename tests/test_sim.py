@@ -12,7 +12,7 @@ from switchcert.cli import load_system
 from switchcert.poly import Polynomial, PolynomialVectorField, parse_expression
 from switchcert.sim import (CertificateContradictionError, SwitchingSignal,
                             adversarial_switching, check_absorption,
-                            integrate, random_switching)
+                            integrate, integrate_batch, random_switching)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +371,84 @@ class TestCheckAbsorption:
         first = integrate(system, signals[0], starts[0], 1e-2, 20.0)
         assert first.diverged
         assert float(found.group(2)) == first.diverged_at
+
+
+class TestIntegrateBatch:
+    STARTS = np.array([[0.5, 0.5], [2.5, -1.0], [-2.0, 1.5], [1.0, 2.5]])
+
+    @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple"])
+    def test_rows_match_integrate_and_check_absorption(self, case, request):
+        system = request.getfixturevalue(case)
+        cert = _certificate(system, "x1^2 + 0.25*x1*x2 + 0.5*x2^2 + 0.01*x1^4",
+                            1.5)
+        signals = [random_switching(system.n_subsystems, 2.0, 0.2, seed)
+                   for seed in range(3)]
+        trajectories, report = integrate_batch(system, signals, self.STARTS,
+                                               2e-3, 2.0, cert)
+        assert len(trajectories) == len(signals) * len(self.STARTS)
+        for row, trajectory in enumerate(trajectories):
+            signal, start = divmod(row, len(self.STARTS))
+            alone = integrate(system, signals[signal], self.STARTS[start],
+                              2e-3, 2.0)
+            assert np.array_equal(trajectory.times, alone.times)
+            assert np.array_equal(trajectory.active, alone.active)
+            assert not trajectory.diverged
+            # a batch rounds its products apart from a single column
+            scale = np.linalg.norm(alone.states, axis=1)[:, None]
+            assert np.all(np.abs(trajectory.states - alone.states)
+                          <= 1e-13 * scale)
+        # the absorption work of the batch is the same as on its own
+        alone = check_absorption(system, cert, self.STARTS, signals, h=2e-3,
+                                 horizon=2.0)
+        assert report.not_entered == alone.not_entered
+        for ours, theirs in zip(report.records, alone.records):
+            assert np.array_equal(ours.x0, theirs.x0)
+            assert (ours.signal_index, ours.first_entry_time,
+                    ours.post_entry_max, ours.violated) == (
+                theirs.signal_index, theirs.first_entry_time,
+                theirs.post_entry_max, theirs.violated)
+
+    def test_diverging_rows_truncated_others_run_on(self):
+        # subsystem 1 grows, subsystem 2 decays: the rows of signal 0 leave
+        # the guard at their own steps, the rows of signal 1 reach the
+        # horizon
+        system = SwitchedSystem.from_matrices([np.array([[2.0, 0.0],
+                                                         [0.0, 2.0]]),
+                                               -np.eye(2)])
+        starts = np.array([[3.0, 0.0], [1e-3, 0.0]])
+        signals = [SwitchingSignal.constant(1, 20.0),
+                   SwitchingSignal(20.0, ((0.0, 2), (14.0, 1)))]
+        trajectories, _ = integrate_batch(system, signals, starts, 1e-2, 20.0)
+        ends = []
+        for row, trajectory in enumerate(trajectories):
+            signal, start = divmod(row, len(starts))
+            alone = integrate(system, signals[signal], starts[start], 1e-2,
+                              20.0)
+            assert (trajectory.diverged, trajectory.diverged_at) == (
+                alone.diverged, alone.diverged_at)
+            assert np.array_equal(trajectory.times, alone.times)
+            ends.append(trajectory.times[-1])
+        assert [t.diverged for t in trajectories] == [True, True, False, False]
+        assert ends[0] < ends[1] < 20.0 == ends[2] == ends[3]
+
+        cert = _certificate(system, "x1^2 + x2^2", 1.0)
+        with pytest.raises(CertificateContradictionError):
+            integrate_batch(system, signals, starts, 1e-2, 20.0, cert)
+
+    def test_march_ends_once_every_row_has_left(self, monkeypatch):
+        calls = []
+        real = sim._steppers
+
+        def counting(system, dts):
+            return [lambda x, dt, step=step: calls.append(dt) or step(x, dt)
+                    for step in real(system, dts)]
+
+        monkeypatch.setattr(sim, "_steppers", counting)
+        system = SwitchedSystem.from_matrices([np.array([[2.0]])])
+        trajectory = integrate(system, SwitchingSignal.constant(1, 1000.0),
+                               [1.0], 1e-2, 1000.0)
+        assert trajectory.diverged
+        assert len(calls) == len(trajectory.times) - 1 < 1500
 
 
 def _dense_poly(rng, n, degree):
