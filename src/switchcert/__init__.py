@@ -10,9 +10,8 @@ verification and trajectory simulation.
 from .poly import (Polynomial, PolynomialVectorField, ParseError,
                    even_power_norm, gradient,
                    lie_derivative, parse_expression, poly_to_text)
-from .sdp import (SdpProblem, SdpProblemBuilder, SdpSolution, SolverConfig,
-                  min_eigenvalue, read_sdpa, solve, strict_feasibility_margin,
-                  write_sdpa)
+from .sdp import (SdpProblem, SdpProblemBuilder, SdpSolution,
+                  min_eigenvalue, read_sdpa, solve, write_sdpa)
 from .sosprog import (GramBasis, SosIdentity, SosProgram, SosUnknown,
                       ScalarTerm, UnknownLieTerm, UnknownTerm, decode, encode,
                       gram_expand, monomial_basis)

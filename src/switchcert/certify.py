@@ -29,7 +29,7 @@ polynomials on its own, so a faulty builder cannot pass its own check.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from .poly import (Polynomial, PolynomialVectorField, even_power_norm,
                    lie_derivative)
 from . import sdp
-from .sdp import SolverConfig, SdpSolution, solve, strict_feasibility_margin
+from .sdp import SdpSolution, solve
 from .sosprog import (ScalarTerm, SdpEncoding, SosIdentity,
                       SosProgram, SosUnknown, UnknownLieTerm, UnknownTerm,
                       decode, encode, gram_expand, monomial_basis,
@@ -137,13 +137,11 @@ class CertificationQuery:
     degree: int | None = None
     beta: float | None = None
     beta_max: float | None = None
-    homogeneous: bool | None = None
     degree_cap: int = 12
     deg_q: int | None = None
     beta_tol: float = 0.05
     verify_samples: int = 2000
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.ell < 1:
@@ -173,7 +171,6 @@ class VerificationReport:
     seed: int
     failures: tuple
     residual_tol: float
-    eig_tol: float
 
     @property
     def passed(self) -> bool:
@@ -181,8 +178,7 @@ class VerificationReport:
 
     def summary_lines(self) -> list:
         worst_res = max(self.identity_residuals.values(), default=0.0)
-        worst_eig = min(
-            (m for m, _ in self.gram_margins.values()), default=0.0)
+        worst_eig = min(self.gram_margins.values(), default=0.0)
         lines = [
             f"residual_max {worst_res:.3e} (tol {self.residual_tol:g})",
             f"gram_min_eig {worst_eig:.3e}",
@@ -270,14 +266,16 @@ def _default_deg_q(V: Polynomial) -> int:
 
 
 def _decay_program(system: SwitchedSystem, ell: int, delta: float,
-                   degree: int, beta: float, homogeneous: bool,
+                   degree: int, beta: float,
                    lyapunov: Polynomial | None = None) -> tuple:
     """decay{i}: -f_i . grad V - p_i*(||x||_2^2 - beta) - delta*nrm is SOS
     for each subsystem i, with nrm = ||x||_{2l}^{2l}.  Without lyapunov,
     V = S + delta*nrm with S unknown over the monomials of degree
-    1..degree/2 (only degree/2 when homogeneous); with it, V is that
-    polynomial and only the multipliers p_i are unknown.  Returns
-    (program, nrm)."""
+    1..degree/2, and homogeneous (only degree/2) when degree == 2*ell;
+    with it, V is that polynomial and only the multipliers p_i are
+    unknown.  Returns (program, nrm)."""
+    homogeneous = degree == 2 * ell if lyapunov is None \
+        else lyapunov.is_homogeneous()
     n = system.dimension
     nrm = even_power_norm(n, ell)
     in_ball = Polynomial.constant(n, beta) - even_power_norm(n, 1)
@@ -322,14 +320,10 @@ def _sublevel_program(V: Polynomial, beta: float, deg_q: int,
 
 
 def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
-                            degree: int, beta: float,
-                            homogeneous: bool | None = None) -> tuple:
-    """SOS program for the decay identities; returns (program, norm poly)."""
-    if homogeneous is None:
-        homogeneous = degree == 2 * ell
-    if homogeneous and degree != 2 * ell:
-        raise ValueError("homogeneous V requires degree == 2*ell")
-    return _decay_program(system, ell, delta, degree, beta, homogeneous)
+                            degree: int, beta: float) -> tuple:
+    """SOS program for the decay identities with V unknown, homogeneous
+    exactly when degree == 2*ell; returns (program, norm poly)."""
+    return _decay_program(system, ell, delta, degree, beta)
 
 
 def find_absorbing_lyapunov(system: SwitchedSystem,
@@ -338,21 +332,21 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     """Solve the decay identities at fixed beta and degree.
 
     Feasibility is declared only when every Gram block is PSD within
-    psd_tol; a feasible solve that misses the bar is reported as marginal.
-    Proven infeasibility and numerical failure are kept distinct, and the
-    strict margin is recorded in the solve log.
+    sdp.PSD_TOL; a feasible solve that misses the bar is reported as
+    marginal.  Proven infeasibility and numerical failure are kept
+    distinct, and the strict margin (smallest Gram eigenvalue minus
+    sdp.PSD_TOL) is recorded in the solve log.
     """
     if query.beta is None:
         raise ValueError("query.beta must be a fixed scalar here")
     degree = query.degree if query.degree is not None else 2 * query.ell
     program, nrm = build_absorbing_program(
-        system, query.ell, query.delta, degree, query.beta, query.homogeneous)
+        system, query.ell, query.delta, degree, query.beta)
     encoding = encode(program)
-    solution = solve(encoding.problem, query.solver)
+    solution = solve(encoding.problem)
     margin = None
     if solution.feasible:
-        margin = strict_feasibility_margin(
-            encoding.problem, solution, query.solver)
+        margin = min(solution.min_eigenvalues) - sdp.PSD_TOL
 
     if logs is not None:
         logs.append(SolveLog(
@@ -369,10 +363,10 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
         raise NumericalFailureError(
             f"decay program at beta={query.beta:g}, degree={degree}: "
             f"{solution.message}")
-    # acceptance bar: PSD up to psd_tol.  Structurally rank-deficient Gram
+    # acceptance bar: PSD up to sdp.PSD_TOL.  Structurally rank-deficient Gram
     # faces are unavoidable for vector fields whose top-degree part vanishes
     # on a subspace, so a strictly positive margin cannot be required.
-    if min(solution.min_eigenvalues) < -query.solver.psd_tol:
+    if min(solution.min_eigenvalues) < -sdp.PSD_TOL:
         return AbsorbingSearchResult(
             feasible=False, marginal=True, solution=solution,
             encoding=encoding, margin=margin, degree=degree)
@@ -409,7 +403,6 @@ class GammaOutcome:
 
 def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
                    deg_q: int | None = None,
-                   solver: SolverConfig | None = None,
                    logs: list | None = None) -> GammaOutcome:
     """Smallest gamma with -(V - gamma) + q*(||x||^2 - beta) SOS.
 
@@ -417,11 +410,10 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
     """
     if V.dimension != system.dimension:
         raise ValueError("Lyapunov dimension mismatch")
-    solver = solver or SolverConfig()
     if deg_q is None:
         deg_q = _default_deg_q(V)
     encoding = encode(_sublevel_program(V, beta, deg_q))
-    solution = solve(encoding.problem, solver)
+    solution = solve(encoding.problem)
     if logs is not None:
         logs.append(SolveLog(
             purpose="sublevel", degree=V.degree(), beta=beta,
@@ -480,26 +472,33 @@ class TightenOutcome:
 
 
 def tighten_beta(system: SwitchedSystem, query: CertificationQuery,
-                 logs: list | None = None) -> TightenOutcome:
+                 logs: list | None = None, *,
+                 _at_beta_max: AbsorbingSearchResult | None = None
+                 ) -> TightenOutcome:
     """Bisect beta down from a feasible beta_max to absolute tolerance.
 
     Feasibility is assumed monotone in beta; the probe record is checked for
     violations of that assumption and any are reported, not hidden.
+    escalate passes the search it has already certified at beta_max as
+    _at_beta_max, which stands for that probe instead of a second solve.
     """
     if query.beta_max is None:
         raise ValueError("query.beta_max must be set")
     probes = []
     results = {}
 
-    def certified(beta) -> bool:
-        sub = dataclasses.replace(query, beta=beta, beta_max=None)
-        label, result = _probe(find_absorbing_lyapunov, system, sub, logs)
+    def certified(beta, known=None) -> bool:
+        if known is None:
+            sub = dataclasses.replace(query, beta=beta, beta_max=None)
+            label, result = _probe(find_absorbing_lyapunov, system, sub, logs)
+        else:
+            label, result = "certified", known
         probes.append((beta, label))
         if label == "certified":
             results[beta] = result
         return label == "certified"
 
-    if not certified(query.beta_max):
+    if not certified(query.beta_max, _at_beta_max):
         raise ValueError(
             f"beta_max={query.beta_max:g} is not certifiably feasible")
     beta_star = 0.0 if certified(0.0) else _bisect(
@@ -520,8 +519,7 @@ class CqlfOutcome:
 
 
 def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
-                   interval: tuple, tol: float = 0.01,
-                   solver: SolverConfig | None = None) -> CqlfOutcome:
+                   interval: tuple, tol: float = 0.01) -> CqlfOutcome:
     """Largest parameter with a common quadratic Lyapunov function.
 
     Uses the degree-2 SOS encoding of the strict LMI pair P > 0,
@@ -531,13 +529,11 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
     if not lo < hi:
         raise ValueError("need a non-empty interval")
     check_positive(("tol", tol))
-    solver = solver or SolverConfig()
     probes = []
 
     def feasible(b: float) -> bool:
         system = SwitchedSystem.from_matrices(matrices_of_b(b))
-        query = CertificationQuery(ell=1, delta=1.0, degree=2, beta=0.0,
-                                   solver=solver)
+        query = CertificationQuery(ell=1, delta=1.0, degree=2, beta=0.0)
         label, _ = _probe(find_common_lyapunov, system, query, None)
         probes.append((b, label))
         return label == "certified"
@@ -552,8 +548,12 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
 # -- verification ---------------------------------------------------------------
 
 
-def _check_sos_membership(poly: Polynomial, residual_tol: float,
-                          eig_tol: float, solver: SolverConfig):
+# scaled eigenvalue slack of a membership Gram matrix: its smallest
+# eigenvalue may sit at -GRAM_EIG_SLACK * (1 + trace)
+GRAM_EIG_SLACK = 1e-7
+
+
+def _check_sos_membership(poly: Polynomial, residual_tol: float):
     """Robust SOS membership: minimise t with poly + t * sum(chi_i^2) SOS.
 
     Always feasible (t >= ||M||_2 works for any Gram representation M), so a
@@ -579,7 +579,7 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float,
             objective={"slack": 1.0}))
     except ValueError as exc:
         return f"not representable: {exc}"
-    solution = solve(encoding.problem, solver)
+    solution = solve(encoding.problem)
     if not solution.feasible:
         return f"membership solve failed ({solution.status})"
     scale = 1.0 + poly.max_abs_coefficient()
@@ -595,7 +595,7 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float,
     residual_poly = poly - gram_expand(encoding.identity_bases["membership"], R)
     residual = residual_poly.max_abs_coefficient() / scale
     margin = sdp.min_eigenvalue(R)
-    threshold = -eig_tol * (1.0 + float(np.trace(R)))
+    threshold = -GRAM_EIG_SLACK * (1.0 + float(np.trace(R)))
     if residual > residual_tol:
         return f"Gram residual {residual:.3e} exceeds {residual_tol:g}"
     if margin < threshold:
@@ -623,24 +623,22 @@ def check_matches(cert: AbsorbingSetCertificate,
 
 def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
                        sample_count: int = 2000, residual_tol: float = 1e-6,
-                       eig_tol: float = 1e-7, seed: int = 0,
-                       solver: SolverConfig | None = None) -> VerificationReport:
+                       seed: int = 0) -> VerificationReport:
     """Independent numerical verification of a certificate.
 
     (a) every SOS identity re-expands against a freshly derived Gram matrix
-    with a small scaled residual; (b) all Gram matrices are PSD up to a
-    scaled eigenvalue slack; (c) the worst subsystem derivative of V is
-    negative on sampled shells outside the beta ball; (d) sampled points of
-    the beta ball stay inside {V <= gamma}.  Any failure raises
-    CertificateRejectedError naming the failed checks; a certificate that
-    does not match the system, tolerances that are not finite and positive,
-    or no samples, raise ValueError.
+    with a small scaled residual; (b) all Gram matrices are PSD up to the
+    scaled eigenvalue slack GRAM_EIG_SLACK; (c) the worst subsystem
+    derivative of V is negative on sampled shells outside the beta ball;
+    (d) sampled points of the beta ball stay inside {V <= gamma}.  Any
+    failure raises CertificateRejectedError naming the failed checks; a
+    certificate that does not match the system, a residual_tol that is not
+    finite and positive, or no samples, raise ValueError.
     """
     check_matches(cert, system)
-    check_positive(("residual_tol", residual_tol), ("eig_tol", eig_tol))
+    check_positive(("residual_tol", residual_tol))
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    solver = solver or SolverConfig()
     failures = []
     identity_residuals = {}
     gram_margins = {}
@@ -651,7 +649,7 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     def witnesses(program, name, missing):
         """Solve the search program of a witness the certificate omits."""
         encoding = encode(program)
-        solution = solve(encoding.problem, solver)
+        solution = solve(encoding.problem)
         if not solution.feasible:
             failures.append(
                 f"identity-{name} ({missing} not found ({solution.status}))")
@@ -662,8 +660,7 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     multipliers = cert.multipliers
     if multipliers is None:
         program, _ = _decay_program(
-            system, cert.ell, cert.delta, V.degree(), cert.beta,
-            V.is_homogeneous(), lyapunov=V)
+            system, cert.ell, cert.delta, V.degree(), cert.beta, lyapunov=V)
         found = witnesses(program, "decay", "decay witnesses")
         if found is not None:
             multipliers = tuple(found[f"p{i}"]
@@ -677,12 +674,11 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
             radius_multiplier = found["q"]
 
     def membership(name, poly):
-        outcome = _check_sos_membership(poly, residual_tol, eig_tol, solver)
+        outcome = _check_sos_membership(poly, residual_tol)
         if isinstance(outcome, str):
             failures.append(f"{name} ({outcome})")
         else:
-            identity_residuals[name], margin = outcome
-            gram_margins[name] = (margin, eig_tol)
+            identity_residuals[name], gram_margins[name] = outcome
 
     membership("lyapunov-lower-bound", cert.lyapunov - cert.delta * nrm)
     if multipliers is not None:
@@ -764,8 +760,7 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
         sample_count=sample_count,
         seed=seed,
         failures=tuple(failures),
-        residual_tol=residual_tol,
-        eig_tol=eig_tol)
+        residual_tol=residual_tol)
     if failures:
         raise CertificateRejectedError(report)
     return report
@@ -836,8 +831,6 @@ def escalate(system: SwitchedSystem,
 
     if query.degree is not None:
         degrees = [query.degree]
-    elif query.homogeneous:
-        degrees = [2 * query.ell]  # homogeneous V pins the degree
     else:
         degrees = list(range(2 * query.ell, query.degree_cap + 1, 2))
     if not degrees:
@@ -859,13 +852,13 @@ def escalate(system: SwitchedSystem,
     beta_star = probe_beta
     if query.beta_max is not None:
         sub = dataclasses.replace(query, degree=result.degree)
-        tighten = tighten_beta(system, sub, logs)
+        known = result if probe_beta == query.beta_max else None
+        tighten = tighten_beta(system, sub, logs, _at_beta_max=known)
         result = tighten.result
         beta_star = tighten.beta_star
 
     gamma_out = minimize_gamma(
-        system, result.lyapunov, beta_star, deg_q=query.deg_q,
-        solver=query.solver, logs=logs)
+        system, result.lyapunov, beta_star, deg_q=query.deg_q, logs=logs)
 
     cert = AbsorbingSetCertificate(
         dimension=system.dimension,
@@ -878,8 +871,7 @@ def escalate(system: SwitchedSystem,
         multipliers=result.multipliers,
         radius_multiplier=gamma_out.radius_multiplier)
     cert.report = verify_certificate(
-        system, cert, sample_count=query.verify_samples, seed=query.seed,
-        solver=query.solver)
+        system, cert, sample_count=query.verify_samples, seed=query.seed)
     verdict = classify(system, cert)
     cert.verdict = verdict.kind
     return CertificationOutcome(cert, verdict, result.degree, logs, tighten)

@@ -293,6 +293,16 @@ def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
+def _write_csv(path, header: str, block: np.ndarray, int_columns=()) -> None:
+    """Write the header line and one comma-separated line per row of the
+    2-D block: each cell with '%.17g', the text of _fmt, or with '%d' in
+    int_columns.  One printf template formats the whole block at once."""
+    row = ",".join("%d" if k in int_columns else "%.17g"
+                   for k in range(block.shape[1]))
+    body = "".join([row + "\n"] * len(block)) % tuple(block.ravel().tolist())
+    Path(path).write_text(header + "\n" + body)
+
+
 def _check_count(flag: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{flag} must be a non-negative integer")
@@ -332,9 +342,8 @@ def cmd_certify(args) -> None:
 
     query = CertificationQuery(
         ell=args.ell, delta=delta, degree=args.degree,
-        beta=args.beta, beta_max=args.beta_max,
-        homogeneous=True if args.homogeneous else None,
-        degree_cap=args.degree_cap, deg_q=args.q_degree, seed=args.seed)
+        beta=args.beta, beta_max=args.beta_max, degree_cap=args.degree_cap,
+        deg_q=args.q_degree, seed=args.seed)
     if args.beta is None and args.beta_max is None:
         query.beta = 0.0
     out_path = args.out or str(Path(args.system).with_suffix(".cert"))
@@ -361,8 +370,7 @@ def cmd_certify(args) -> None:
 
     if args.dump_sdp:
         program, _ = cert_mod.build_absorbing_program(
-            system, query.ell, delta, outcome.degree,
-            outcome.certificate.beta, query.homogeneous)
+            system, query.ell, delta, outcome.degree, outcome.certificate.beta)
         write_sdpa(encode(program).problem, args.dump_sdp)
         print(f"SDPA dump written to {args.dump_sdp}")
 
@@ -379,17 +387,6 @@ def cmd_verify(args) -> None:
         residual_tol=args.residual_tol)
     for entry in report.summary_lines():
         print(entry)
-
-
-def _write_trajectory_csv(path: Path, trajectory) -> None:
-    n = trajectory.states.shape[1]
-    header = "t,i," + ",".join(f"x{k}" for k in range(1, n + 1))
-    rows = [header]
-    for t, idx, state in zip(trajectory.times, trajectory.active,
-                             trajectory.states):
-        cells = [_fmt(t), str(int(idx))] + [_fmt(v) for v in state]
-        rows.append(",".join(cells))
-    path.write_text("\n".join(rows) + "\n")
 
 
 def cmd_simulate(args) -> None:
@@ -409,8 +406,7 @@ def cmd_simulate(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     header = ",".join(f"x{k}" for k in range(1, system.dimension + 1))
-    grid_rows = [header] + [",".join(_fmt(v) for v in row) for row in x0]
-    (out_dir / "x0_grid.csv").write_text("\n".join(grid_rows) + "\n")
+    _write_csv(out_dir / "x0_grid.csv", header, x0)
 
     signals = [sim.random_switching(system.n_subsystems, args.horizon,
                                     args.mean_dwell, args.seed + k)
@@ -427,8 +423,11 @@ def cmd_simulate(args) -> None:
         system, signals, x0, args.step, args.horizon, cert)
     for row, trajectory in enumerate(trajectories):
         s_idx, t_idx = divmod(row, len(x0))
-        _write_trajectory_csv(
-            out_dir / f"trajectory_{s_idx:03d}_{t_idx:03d}.csv", trajectory)
+        _write_csv(out_dir / f"trajectory_{s_idx:03d}_{t_idx:03d}.csv",
+                   "t,i," + header,
+                   np.column_stack([trajectory.times, trajectory.active,
+                                    trajectory.states]),
+                   int_columns=(1,))
     written = len(trajectories)
     diverged = sum(t.diverged for t in trajectories)
 
@@ -473,10 +472,7 @@ def cmd_levelset(args) -> None:
     values = cert.lyapunov.evaluate_many(points)
 
     header = ",".join(f"x{k}" for k in range(1, n + 1)) + ",V"
-    rows = [header]
-    for point, v in zip(points, values):
-        rows.append(",".join([_fmt(c) for c in point] + [_fmt(v)]))
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    _write_csv(args.out, header, np.column_stack([points, values]))
     print(f"{len(points)} grid rows written to {args.out}")
 
 
@@ -507,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_cert.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float, default=None)
     group.add_argument("--beta-max", dest="beta_max", type=float, default=None)
-    p_cert.add_argument("--homogeneous", action="store_true")
     p_cert.add_argument("--degree-cap", dest="degree_cap", type=int, default=12)
     p_cert.add_argument("--q-degree", dest="q_degree", type=int, default=None)
     p_cert.add_argument("--param", action="append", default=[])

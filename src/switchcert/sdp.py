@@ -11,7 +11,7 @@ Mehrotra-style predictor-corrector interior-point iteration with dense block
 linear algebra.  Free scalars are kept natively in the KKT system.  Proven
 primal infeasibility is reported through a Farkas ray extracted from the
 embedding; an ambiguous tau/kappa limit is reported as numerical failure,
-never silently misclassified.  Runs are deterministic for a fixed config and
+never silently misclassified.  Runs are deterministic for fixed inputs and
 BLAS thread count.
 
 Each iteration runs four phases, one function each: ``_cone_factors``
@@ -25,23 +25,23 @@ produced it.
 Constraints are normalised to unit Frobenius norm internally; reported
 residuals refer to the original data, scaled by 1/(1 + max |rhs|).
 
-``solve`` is the only place that retries.  It walks one attempt list, the
-tolerance levels times the KKT regularisations ``(0, 1e-10, 1e-8)``, and
-returns the first result that is not numerical failure.  The levels are the
-config's tolerances, then the relaxed floor max(tol, 1e-6) when the config
-is tighter than that floor.  Ill-conditioned SOS programs (large
-certificate scales at feasibility edges) can sit below the double-precision
-residual floor of the default tolerances.  Relaxing is safe because the
-Farkas-ray bar does not loosen with feas_tol, so a relaxed attempt cannot
+``solve`` is the only place that retries.  It walks one fixed attempt list,
+the tolerance levels ``LEVELS`` times the KKT regularisations
+``REGULARIZATIONS``, and returns the first result that is not numerical
+failure.  The first level asks for residuals and gap of 1e-7, the second
+relaxes both to 1e-6: ill-conditioned SOS programs (large certificate
+scales at feasibility edges) can sit below the double-precision residual
+floor of the first.  Relaxing is safe because the Farkas-ray bar
+``RAY_TOL`` does not loosen with the level, so a relaxed attempt cannot
 misclassify a feasible problem as infeasible, and every certificate is
 re-verified independently of the search.  An attempt that exhausts
 complementarity ("tolerances unreachable") skips the remaining
-regularisations, which do not lower that floor.
+regularisations, which do not lower that floor.  A Gram block counts as
+PSD when its smallest eigenvalue is at least ``-PSD_TOL``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -58,20 +58,11 @@ STATUS_FAILURE = "numerical-failure"
 MAX_ITERATIONS = 20000
 STEP_SCALE = 0.98                     # fraction of the step to the cone edge
 REGULARIZATIONS = (0.0, 1e-10, 1e-8)  # KKT diagonal shifts, tried in order
-TOLERANCE_FLOOR = 1e-6                # feas_tol, gap_tol of the relaxed level
+LEVELS = ((1e-7, 1e-7), (1e-6, 1e-6))  # (feas_tol, gap_tol) per attempt level
+PSD_TOL = 1e-8                        # smallest eigenvalue accepted as PSD
+RAY_TOL = 1e-8                        # relative residual of a Farkas ray
 _MU_FLOOR = "tolerances unreachable in double precision"
 _SINGULAR = "singular Newton system"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    feas_tol: float = 1e-7
-    psd_tol: float = 1e-8
-    gap_tol: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.feas_tol, self.psd_tol, self.gap_tol) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,6 @@ class SdpSolution:
     dual_objective: float | None
     primal_residual: float
     min_eigenvalues: list | None
-    gap: float | None
     iterations: int
     message: str = ""
     certificate: dict | None = None
@@ -248,15 +238,6 @@ def min_eigenvalue(M: np.ndarray) -> float:
     if np.max(np.abs(M - M.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-
-
-def strict_feasibility_margin(problem: SdpProblem, solution: SdpSolution,
-                              config: SolverConfig | None = None) -> float:
-    """min over blocks of (smallest eigenvalue) minus psd_tol."""
-    config = config or SolverConfig()
-    if not solution.feasible or solution.blocks is None:
-        raise ValueError("margin is defined for feasible/optimal solutions only")
-    return min(min_eigenvalue(X) for X in solution.blocks) - config.psd_tol
 
 
 # -- interior-point core -------------------------------------------------------
@@ -556,7 +537,7 @@ def _step_length(emb, newton, d) -> float:
     return alpha
 
 
-def _converged_residual(problem, emb, E, config) -> float:
+def _converged_residual(problem, emb, E, feas_tol, gap_tol) -> float:
     """The primal residual on the original data once the residuals and gap
     are within tolerance on the scaled data, else inf; the iterate has
     converged when it is within feas_tol too."""
@@ -570,22 +551,21 @@ def _converged_residual(problem, emb, E, config) -> float:
     pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
     dobj = float(emb.b @ emb.y) / tau
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    if not (pres <= config.feas_tol and dres <= config.feas_tol
-            and gres <= config.feas_tol and gap <= config.gap_tol):
+    if not (pres <= feas_tol and dres <= feas_tol and gres <= feas_tol
+            and gap <= gap_tol):
         return np.inf
     blocks = [X / tau for X in emb.X]
     free = emb.u / tau
     return problem.primal_residual(blocks, free)
 
 
-def _ray_verdict(emb, config):
+def _ray_verdict(emb):
     """(status, message, certificate) once tau has collapsed against kappa
     on a ray or ambiguously, else None.
 
-    The ray quality bar is fixed rather than tied to feas_tol so that a
-    loosened solve cannot misclassify a feasible problem; a marginal
+    The ray quality bar RAY_TOL is fixed rather than tied to the level so
+    that a loosened solve cannot misclassify a feasible problem; a marginal
     instance degrades to numerical-failure instead."""
-    ray_tol = min(config.feas_tol, 1e-8)
     by = float(emb.b @ emb.y)
     if by > 0:
         At_y = emb.opAt(emb.y)
@@ -593,7 +573,7 @@ def _ray_verdict(emb, config):
                       for b in range(emb.nblocks))
         ray_res = max(ray_res,
                       float(np.max(np.abs(emb.D.T @ emb.y))) if emb.f else 0.0)
-        if ray_res <= ray_tol * by:
+        if ray_res <= RAY_TOL * by:
             certificate = {
                 "ray_y": emb.y / by * emb.con_scale,
                 "ray_objective": 1.0,
@@ -605,7 +585,7 @@ def _ray_verdict(emb, config):
     if neg_obj > 0:
         ray_res = float(np.max(np.abs(
             emb.opA(emb.X) + (emb.D @ emb.u if emb.f else 0.0))))
-        if ray_res <= ray_tol * neg_obj:
+        if ray_res <= RAY_TOL * neg_obj:
             return (STATUS_FAILURE,
                     "primal appears unbounded (dual infeasibility ray detected)",
                     None)
@@ -614,7 +594,8 @@ def _ray_verdict(emb, config):
     return None
 
 
-def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
+def _solve(problem: SdpProblem, level: tuple, regularization: float):
+    feas_tol, gap_tol = level
     emb = _Embedding(problem)
     message, certificate = "", None
     iterations = stall = 0
@@ -637,13 +618,13 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         # the next iteration
         E = emb.residuals()
         mu = emb.mu()
-        converged_res = _converged_residual(problem, emb, E, config)
-        if converged_res <= config.feas_tol:
+        converged_res = _converged_residual(problem, emb, E, feas_tol, gap_tol)
+        if converged_res <= feas_tol:
             status = STATUS_OPTIMAL
             break
         # infeasibility rays become visible as tau collapses against kappa
         if emb.tau < 1e-3 * emb.kappa:
-            verdict = _ray_verdict(emb, config)
+            verdict = _ray_verdict(emb)
             if verdict is not None:
                 status, message, certificate = verdict
                 break
@@ -653,7 +634,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
         if stall >= 30:
             status, message = STATUS_FAILURE, "iteration stalled"
             break
-        if mu < 1e-6 * min(config.feas_tol, config.gap_tol) ** 2:
+        if mu < 1e-6 * min(feas_tol, gap_tol) ** 2:
             # complementarity is exhausted; nothing further can improve
             status, message = STATUS_FAILURE, _MU_FLOOR
             break
@@ -681,8 +662,7 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
 
         if status == STATUS_FAILURE:
             # salvage: the point may still certify plain feasibility
-            if primal_res <= config.feas_tol \
-                    and min(min_eigs) >= -config.psd_tol \
+            if primal_res <= feas_tol and min(min_eigs) >= -PSD_TOL \
                     and (feasibility_only or gap_out <= 1e-4):
                 status = STATUS_FEASIBLE
                 message = f"feasible point accepted ({message})"
@@ -690,34 +670,23 @@ def _solve(problem: SdpProblem, config: SolverConfig, regularization: float):
     return SdpSolution(
         status=status, blocks=blocks, free=free, y=y_out, objective=objective,
         dual_objective=dual_objective, primal_residual=primal_res,
-        min_eigenvalues=min_eigs, gap=gap_out, iterations=iterations,
+        min_eigenvalues=min_eigs, iterations=iterations,
         message=message, certificate=certificate)
 
 
-def _tolerance_levels(config: SolverConfig) -> list:
-    """The config, then the relaxed floor when the config is tighter."""
-    if min(config.feas_tol, config.gap_tol) >= TOLERANCE_FLOOR:
-        return [config]
-    return [config, dataclasses.replace(
-        config, feas_tol=max(config.feas_tol, TOLERANCE_FLOOR),
-        gap_tol=max(config.gap_tol, TOLERANCE_FLOOR))]
-
-
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the SDP, walking the attempt list of the module docstring.
 
-    For each tolerance level (the config's, then max(tol, 1e-6) when the
-    config is tighter) try the regularisations 0, 1e-10 and 1e-8, and
-    return the first result that is not numerical failure, or the last
-    failure.  An attempt stopped by the double-precision floor of mu goes
-    straight to the next level.  The relaxed level is safe: the Farkas-ray
-    bar stays fixed, and certify.verify_certificate re-checks every
-    certificate independently.
+    For each level of LEVELS try each of REGULARIZATIONS, and return the
+    first result that is not numerical failure, or the last failure.  An
+    attempt stopped by the double-precision floor of mu goes straight to
+    the next level.  The relaxed level is safe: the Farkas-ray bar stays
+    fixed, and certify.verify_certificate re-checks every certificate
+    independently.
     """
-    config = config or SolverConfig()
     if problem.m == 0:
         raise ValueError("problem has no constraints")
-    for level in _tolerance_levels(config):
+    for level in LEVELS:
         for reg in REGULARIZATIONS:
             try:
                 solution = _solve(problem, level, reg)
@@ -726,8 +695,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 solution = SdpSolution(
                     status=STATUS_FAILURE, blocks=None, free=None, y=None,
                     objective=None, dual_objective=None,
-                    primal_residual=np.inf, min_eigenvalues=None, gap=None,
-                    iterations=0, message=f"linear algebra failure: {exc}")
+                    primal_residual=np.inf, min_eigenvalues=None, iterations=0,
+                    message=f"linear algebra failure: {exc}")
             if solution.status != STATUS_FAILURE:
                 return solution
             if solution.message == _MU_FLOOR:

@@ -307,8 +307,9 @@ class TestVerifyCertificate:
             verify_certificate(affine_pair_plus_third, cert)
 
     @pytest.mark.parametrize("bad", [
-        {"residual_tol": float("nan")}, {"residual_tol": 0.0},
-        {"eig_tol": float("inf")}, {"eig_tol": -1e-7}, {"sample_count": 0}])
+        pytest.param({"residual_tol": float("nan")}, id="bad0"),
+        pytest.param({"residual_tol": 0.0}, id="bad1"),
+        pytest.param({"sample_count": 0}, id="bad4")])
     def test_bad_settings_rejected_before_any_solve(
             self, affine_pair, published_v_affine_pair, monkeypatch, bad):
         def no_solve(*args, **kwargs):
@@ -328,7 +329,7 @@ class TestClassify:
         report = VerificationReport(
             identity_residuals={}, gram_margins={}, negativity_margin=1.0,
             containment_ok=True, containment_slack=0.0, sample_count=1,
-            seed=0, failures=(), residual_tol=1e-6, eig_tol=1e-7)
+            seed=0, failures=(), residual_tol=1e-6)
         return AbsorbingSetCertificate(report=report, **kwargs)
 
     def test_linear_hurwitz_pair_is_gas(self):
@@ -400,6 +401,24 @@ class TestEscalate:
         system = SwitchedSystem.from_matrices(linear_pair_matrices(5.0))
         out = escalate(system, CertificationQuery(ell=1, degree=2, beta=0.0))
         assert out.certificate.gamma <= 1e-3
+
+    def test_beta_max_decay_program_solved_once(self, affine_pair):
+        # tighten_beta reuses the search escalate certified at beta_max;
+        # called directly, it probes beta_max itself and gives the same
+        # outcome, so nothing but the repeated solve goes
+        query = CertificationQuery(ell=2, delta=1.0, degree=4, beta_max=6.0)
+        out = escalate(affine_pair, query)
+        decay_at_max = [log for log in out.logs
+                        if log.purpose == "decay" and log.beta == 6.0]
+        assert len(decay_at_max) == 1
+
+        direct = tighten_beta(affine_pair, query)
+        gamma = minimize_gamma(affine_pair, direct.result.lyapunov,
+                               direct.beta_star)
+        assert out.tighten.probes == direct.probes
+        assert out.certificate.beta == direct.beta_star
+        assert out.certificate.lyapunov.terms == direct.result.lyapunov.terms
+        assert out.certificate.gamma == gamma.gamma
 
     def test_containment_samples(self, affine_pair):
         out = escalate(affine_pair, CertificationQuery(

@@ -83,7 +83,7 @@ class TestCmdCertify:
         out = tmp_path / "linear.cert"
         code = main(["certify", str(SYSTEMS / "linear_pair.sys"),
                      "--param", "b=12", "--ell", "6", "--delta", "0.001",
-                     "--beta", "0", "--homogeneous", "--out", str(out)])
+                     "--beta", "0", "--degree", "12", "--out", str(out)])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "GLOBALLY_ASYMPTOTICALLY_STABLE" in stdout
@@ -171,6 +171,30 @@ class TestCmdVerify:
         code = main(["verify", str(SYSTEMS / "affine_pair.sys"), str(path),
                      "--residual-tol", "1e-5"])
         assert code == 0
+
+
+class TestCsvWriter:
+    def test_text_matches_per_cell_format(self, tmp_path):
+        # a trajectory-shaped block of 10001 rows: time, active index and
+        # states spanning magnitudes, with signed zeros, infinities, nan,
+        # the smallest subnormal and a value near the top of the range
+        rng = np.random.default_rng(3)
+        rows = 10001
+        states = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(
+            -300, 300, size=(rows, 2))
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308,
+                    -1e308, 0.1, 1.0 / 3.0]
+        states[:len(specials), 0] = specials
+        states[:len(specials), 1] = specials[::-1]
+        block = np.column_stack([np.linspace(0.0, 10.0, rows),
+                                 rng.integers(0, 3, size=rows), states])
+        path = tmp_path / "block.csv"
+        cli._write_csv(path, "t,i,x1,x2", block, int_columns=(1,))
+        expected = ["t,i,x1,x2"] + [
+            ",".join([format(t, ".17g"), str(int(i))]
+                     + [format(v, ".17g") for v in state])
+            for t, i, *state in block.tolist()]
+        assert path.read_text() == "\n".join(expected) + "\n"
 
 
 class TestCmdSimulate:
@@ -421,8 +445,9 @@ class TestExitCodes:
         [],
         ["nosuch"],
         ["certify"],
+        ["certify", AFFINE, "--homogeneous"],
     ], ids=["bad-int", "no-subcommand", "unknown-subcommand",
-            "missing-positional"])
+            "missing-positional", "removed-flag"])
     def test_argparse_usage_error_is_code_1(self, capsys, argv):
         code, _, err = _run(argv, capsys)
         assert code == 1

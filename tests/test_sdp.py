@@ -4,9 +4,8 @@ import pytest
 from switchcert import sdp
 from switchcert.certify import build_absorbing_program
 from switchcert.cli import load_system
-from switchcert.sdp import (SdpProblemBuilder, SolverConfig, min_eigenvalue,
-                            read_sdpa, solve, strict_feasibility_margin,
-                            write_sdpa)
+from switchcert.sdp import (SdpProblemBuilder, min_eigenvalue, read_sdpa,
+                            solve, write_sdpa)
 from switchcert.sosprog import encode
 
 
@@ -189,7 +188,7 @@ class TestAttemptList:
     def gas_b12(self, systems_dir):
         system = load_system(str(systems_dir / "linear_pair.sys"), {"b": 12.0})
         program, _ = build_absorbing_program(
-            system, ell=6, delta=1e-3, degree=12, beta=0.0, homogeneous=True)
+            system, ell=6, delta=1e-3, degree=12, beta=0.0)
         return encode(program).problem
 
     def test_relaxed_level_reaches_optimal(self, gas_b12):
@@ -199,22 +198,13 @@ class TestAttemptList:
         attempts = []
         inner = sdp._solve
 
-        def recording(problem, config, regularization):
-            attempts.append((config.feas_tol, config.gap_tol, regularization))
-            return inner(problem, config, regularization)
+        def recording(problem, level, regularization):
+            attempts.append((*level, regularization))
+            return inner(problem, level, regularization)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         solve(gas_b12)
         assert attempts == [(1e-7, 1e-7, 0.0), (1e-6, 1e-6, 0.0)]
-
-    def test_relaxed_level_only_below_the_floor(self):
-        loose = SolverConfig(feas_tol=1e-6, gap_tol=1e-5)
-        assert sdp._tolerance_levels(loose) == [loose]
-        tight = SolverConfig(feas_tol=1e-9, psd_tol=1e-9, gap_tol=1e-5)
-        first, relaxed = sdp._tolerance_levels(tight)
-        assert first == tight
-        assert (relaxed.feas_tol, relaxed.psd_tol, relaxed.gap_tol) == \
-            (1e-6, 1e-9, 1e-5)
 
 
 class TestMinEigenvalue:
@@ -236,30 +226,26 @@ class TestMargins:
         builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
         builder.add_constraint(1.0, {0: [(1, 1, 1.0)]})
         builder.add_constraint(0.0, {0: [(0, 1, 0.5)]})
-        problem = builder.build()
-        solution = solve(problem)
-        config = SolverConfig()
-        margin = strict_feasibility_margin(problem, solution, config)
-        assert margin == pytest.approx(1.0 - config.psd_tol, abs=1e-5)
+        solution = solve(builder.build())
+        margin = min(solution.min_eigenvalues) - sdp.PSD_TOL
+        assert margin == pytest.approx(1.0 - sdp.PSD_TOL, abs=1e-5)
 
     def test_rank_deficient_margin(self):
-        # unique solution diag(1, 0): margin sits at about -psd_tol
+        # unique solution diag(1, 0): margin sits at about -PSD_TOL
         builder = SdpProblemBuilder([2])
         builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
         builder.add_constraint(0.0, {0: [(1, 1, 1.0)]})
         builder.add_constraint(0.0, {0: [(0, 1, 0.5)]})
-        problem = builder.build()
-        solution = solve(problem)
-        config = SolverConfig()
-        margin = strict_feasibility_margin(problem, solution, config)
-        assert margin == pytest.approx(-config.psd_tol, abs=1e-6)
+        solution = solve(builder.build())
+        margin = min(solution.min_eigenvalues) - sdp.PSD_TOL
+        assert margin == pytest.approx(-sdp.PSD_TOL, abs=1e-6)
 
     def test_margin_requires_feasible(self):
         builder = SdpProblemBuilder([2])
         builder.add_constraint(-1.0, {0: [(0, 0, 1.0), (1, 1, 1.0)]})
         solution = solve(builder.build())
-        with pytest.raises(ValueError):
-            strict_feasibility_margin(builder.build(), solution)
+        assert solution.status == "infeasible"
+        assert solution.min_eigenvalues is None
 
 
 class TestSdpaFormat:
