@@ -19,11 +19,16 @@ systems with Hurwitz subsystem matrices an absorbing set implies global
 asymptotic stability under arbitrary switching, and excludes periodic
 switched solutions.
 
-Each program has one builder, which the search and the reconstruction of
-witnesses a certificate omits share: _decay_program (V unknown or given)
-and _sublevel_program (gamma minimised or given).  One rule, _probe,
-labels every bisection step.  Verification re-derives its membership
-polynomials on its own, so a faulty builder cannot pass its own check.
+Each program has one builder, which the search, the reconstruction of
+witnesses a certificate omits and --dump-sdp share:
+build_absorbing_program (V unknown or given) and _sublevel_program (gamma
+minimised or given).  A multiplier (each p_i, and q unless deg_q is given)
+has the degree _multiplier_degree gives: the largest even number at most
+the degree of its identity minus 2, where the decay identity of f_i has
+degree deg f_i + deg V - 1 and the sublevel identity deg V.  Every Gram
+basis comes from sosprog.gram_basis.  One rule, _probe, labels every
+bisection step.  Verification re-derives its membership polynomials on its
+own, so a faulty builder cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -40,8 +45,7 @@ from . import sdp
 from .sdp import SdpSolution, solve
 from .sosprog import (ScalarTerm, SdpEncoding, SosIdentity,
                       SosProgram, SosUnknown, UnknownLieTerm, UnknownTerm,
-                      decode, encode, gram_expand, monomial_basis,
-                      _identity_basis as _sos_identity_basis)
+                      decode, encode, gram_basis, gram_expand)
 
 GAS = "GLOBALLY_ASYMPTOTICALLY_STABLE"
 ULTIMATELY_BOUNDED = "ULTIMATELY_BOUNDED"
@@ -144,17 +148,13 @@ class CertificationQuery:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("ell must be a positive integer")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        _check_constants(self.ell, self.delta, beta=self.beta,
+                         beta_max=self.beta_max)
         if self.degree is not None:
             if self.degree % 2 or self.degree < 2 * self.ell:
                 raise ValueError("degree must be even and at least 2*ell")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.beta_max is not None and self.beta_max < 0:
-            raise ValueError("beta_max must be non-negative")
+        if self.deg_q is not None and self.deg_q < 0:
+            raise ValueError("deg_q must be a non-negative integer")
         check_positive(("beta_tol", self.beta_tol))
 
 
@@ -209,6 +209,11 @@ class AbsorbingSetCertificate:
     verdict: str | None = None
     report: VerificationReport | None = None
 
+    def __post_init__(self):
+        _check_constants(self.ell, self.delta, beta=self.beta)
+        if self.gamma is not None and not np.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
+
 
 @dataclass
 class SolveLog:
@@ -235,45 +240,27 @@ class SolveLog:
 class AbsorbingSearchResult:
     feasible: bool
     proven_infeasible: bool = False
-    marginal: bool = False
     lyapunov: Polynomial | None = None
     multipliers: tuple | None = None
     encoding: SdpEncoding | None = None
     solution: SdpSolution | None = None
-    margin: float | None = None
     degree: int = 0
 
 
-def _even_floor(k: int) -> int:
-    return k - (k % 2)
+def _multiplier_degree(D: int) -> int:
+    """Degree of an SOS multiplier in an identity of degree D: the largest
+    even number <= D - 2, and at least 0."""
+    return max(0, D - 2 - D % 2)
 
 
-def _multiplier_basis(f: PolynomialVectorField, v_degree: int, beta: float,
-                      homogeneous_v: bool):
-    """Gram basis of the decay multiplier p_i for subsystem f and deg V.
-
-    p_i has the largest even degree <= deg f + deg V - 3, and is
-    homogeneous when V is, beta = 0 and f is linear (the decay identity is
-    then homogeneous)."""
-    top = max(0, _even_floor(f.degree() + v_degree - 3)) // 2
-    low = top if homogeneous_v and beta == 0.0 and f.is_linear() else 0
-    return monomial_basis(f.dimension, low, top)
-
-
-def _default_deg_q(V: Polynomial) -> int:
-    """Degree of the sublevel multiplier q: the largest even <= deg V - 2."""
-    return max(0, _even_floor(V.degree() - 2))
-
-
-def _decay_program(system: SwitchedSystem, ell: int, delta: float,
-                   degree: int, beta: float,
-                   lyapunov: Polynomial | None = None) -> tuple:
+def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
+                            degree: int, beta: float,
+                            lyapunov: Polynomial | None = None) -> tuple:
     """decay{i}: -f_i . grad V - p_i*(||x||_2^2 - beta) - delta*nrm is SOS
     for each subsystem i, with nrm = ||x||_{2l}^{2l}.  Without lyapunov,
-    V = S + delta*nrm with S unknown over the monomials of degree
-    1..degree/2, and homogeneous (only degree/2) when degree == 2*ell;
-    with it, V is that polynomial and only the multipliers p_i are
-    unknown.  Returns (program, nrm)."""
+    V = S + delta*nrm with S unknown over degrees 2..degree, and homogeneous
+    (only degree) when degree == 2*ell; with it, V is that polynomial and
+    only the multipliers p_i are unknown.  Returns (program, nrm)."""
     homogeneous = degree == 2 * ell if lyapunov is None \
         else lyapunov.is_homogeneous()
     n = system.dimension
@@ -281,12 +268,14 @@ def _decay_program(system: SwitchedSystem, ell: int, delta: float,
     in_ball = Polynomial.constant(n, beta) - even_power_norm(n, 1)
     unknowns = []
     if lyapunov is None:
-        low = degree // 2 if homogeneous else 1
-        unknowns.append(SosUnknown("S", monomial_basis(n, low, degree // 2)))
+        low = degree if homogeneous else 2
+        unknowns.append(SosUnknown("S", gram_basis(n, low, degree)))
     identities = []
     for i, f in enumerate(system.fields, start=1):
-        unknowns.append(SosUnknown(
-            f"p{i}", _multiplier_basis(f, degree, beta, homogeneous)))
+        # p_i is homogeneous when the decay identity is
+        d = _multiplier_degree(f.degree() + degree - 1)
+        low = d if homogeneous and beta == 0.0 and f.is_linear() else 0
+        unknowns.append(SosUnknown(f"p{i}", gram_basis(n, low, d)))
         terms = (UnknownTerm(f"p{i}", in_ball),)
         if lyapunov is None:
             known = (-delta) * lie_derivative(nrm, f)
@@ -315,15 +304,8 @@ def _sublevel_program(V: Polynomial, beta: float, deg_q: int,
         known, scalars, objective = Polynomial.constant(n, gamma) - V, (), None
     return SosProgram(
         identities=(SosIdentity("sublevel", n, known, terms),),
-        unknowns=(SosUnknown("q", monomial_basis(n, 0, deg_q // 2)),),
+        unknowns=(SosUnknown("q", gram_basis(n, 0, deg_q)),),
         scalars=scalars, objective=objective)
-
-
-def build_absorbing_program(system: SwitchedSystem, ell: int, delta: float,
-                            degree: int, beta: float) -> tuple:
-    """SOS program for the decay identities with V unknown, homogeneous
-    exactly when degree == 2*ell; returns (program, norm poly)."""
-    return _decay_program(system, ell, delta, degree, beta)
 
 
 def find_absorbing_lyapunov(system: SwitchedSystem,
@@ -368,8 +350,8 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     # on a subspace, so a strictly positive margin cannot be required.
     if min(solution.min_eigenvalues) < -sdp.PSD_TOL:
         return AbsorbingSearchResult(
-            feasible=False, marginal=True, solution=solution,
-            encoding=encoding, margin=margin, degree=degree)
+            feasible=False, solution=solution, encoding=encoding,
+            degree=degree)
 
     decoded = decode(encoding, solution)
     V = decoded.polynomials["S"] + query.delta * nrm
@@ -377,7 +359,7 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
                         for i in range(1, system.n_subsystems + 1))
     return AbsorbingSearchResult(
         feasible=True, lyapunov=V, multipliers=multipliers,
-        encoding=encoding, solution=solution, margin=margin, degree=degree)
+        encoding=encoding, solution=solution, degree=degree)
 
 
 def find_common_lyapunov(system: SwitchedSystem, query: CertificationQuery,
@@ -411,7 +393,7 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
     if V.dimension != system.dimension:
         raise ValueError("Lyapunov dimension mismatch")
     if deg_q is None:
-        deg_q = _default_deg_q(V)
+        deg_q = _multiplier_degree(V.degree())
     encoding = encode(_sublevel_program(V, beta, deg_q))
     solution = solve(encoding.problem)
     if logs is not None:
@@ -568,7 +550,8 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float):
     # scaling and the tolerances below are the scaled ones
     norm_scale = 1.0 + poly.max_abs_coefficient()
     poly = poly * (1.0 / norm_scale)
-    basis = _sos_identity_basis(set(poly.terms), n)
+    degrees = [sum(m) for m in poly.terms]
+    basis = gram_basis(n, min(degrees), max(degrees))
     envelope = gram_expand(basis, np.eye(len(basis)))
     identity = SosIdentity(
         name="membership", dimension=n, known=poly,
@@ -608,6 +591,18 @@ def check_positive(*named) -> None:
     for name, value in named:
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive")
+
+
+def _check_constants(ell: int, delta: float, **levels) -> None:
+    """Raise unless ell >= 1, delta is finite and positive, and each named
+    level that is given (beta, beta_max) is finite and non-negative."""
+    if ell < 1:
+        raise ValueError("ell must be a positive integer")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
+    for name, value in levels.items():
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be non-negative and finite")
 
 
 def check_matches(cert: AbsorbingSetCertificate,
@@ -659,7 +654,7 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     V = cert.lyapunov
     multipliers = cert.multipliers
     if multipliers is None:
-        program, _ = _decay_program(
+        program, _ = build_absorbing_program(
             system, cert.ell, cert.delta, V.degree(), cert.beta, lyapunov=V)
         found = witnesses(program, "decay", "decay witnesses")
         if found is not None:
@@ -668,7 +663,8 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     radius_multiplier = cert.radius_multiplier
     if radius_multiplier is None and cert.gamma is not None:
         found = witnesses(
-            _sublevel_program(V, cert.beta, _default_deg_q(V), cert.gamma),
+            _sublevel_program(V, cert.beta, _multiplier_degree(V.degree()),
+                              cert.gamma),
             "sublevel", "sublevel witness")
         if found is not None:
             radius_multiplier = found["q"]

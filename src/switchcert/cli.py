@@ -5,6 +5,7 @@ prints one "prefix: message" line there, argparse's usage errors below
 their usage):
     0  success
     1  usage errors (argparse's included), file, parse or dimension errors,
+       query or certificate constants that are not finite or out of range,
        and output paths that cannot be written
     2  proven infeasibility at the degree cap
     3  numerical failure in the solver

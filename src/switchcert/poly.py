@@ -1,7 +1,8 @@
 """Sparse multivariate polynomial algebra over float coefficients.
 
 A polynomial in n variables maps exponent tuples (one non-negative integer
-per variable) to real coefficients; the zero polynomial is the empty map.
+per variable) to finite real coefficients (a NaN or infinite coefficient
+raises ValueError); the zero polynomial is the empty map.
 Values are immutable after construction and safe to share across threads;
 every operation returns a new object.
 
@@ -13,6 +14,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -61,6 +63,9 @@ class Polynomial:
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in monomial {mono}")
                 c = float(coef)
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficient {c} of monomial {mono} "
+                                     "is not finite")
                 if abs(c) >= ZERO_THRESHOLD:
                     clean[mono] = c
         object.__setattr__(self, "dimension", dimension)

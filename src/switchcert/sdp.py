@@ -36,8 +36,11 @@ floor of the first.  Relaxing is safe because the Farkas-ray bar
 misclassify a feasible problem as infeasible, and every certificate is
 re-verified independently of the search.  An attempt that exhausts
 complementarity ("tolerances unreachable") skips the remaining
-regularisations, which do not lower that floor.  A Gram block counts as
-PSD when its smallest eigenvalue is at least ``-PSD_TOL``.
+regularisations, which do not lower that floor.  One that finds a
+dual-infeasibility ray ("primal appears unbounded") ends the walk: that
+ray is judged against the fixed ``RAY_TOL``, so no later attempt can
+change the verdict.  A Gram block counts as PSD when its smallest
+eigenvalue is at least ``-PSD_TOL``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ LEVELS = ((1e-7, 1e-7), (1e-6, 1e-6))  # (feas_tol, gap_tol) per attempt level
 PSD_TOL = 1e-8                        # smallest eigenvalue accepted as PSD
 RAY_TOL = 1e-8                        # relative residual of a Farkas ray
 _MU_FLOOR = "tolerances unreachable in double precision"
+_UNBOUNDED = "primal appears unbounded (dual infeasibility ray detected)"
 _SINGULAR = "singular Newton system"
 
 
@@ -215,7 +219,6 @@ class SdpSolution:
     status: str
     blocks: list | None
     free: np.ndarray | None
-    y: np.ndarray | None
     objective: float | None
     dual_objective: float | None
     primal_residual: float
@@ -586,9 +589,7 @@ def _ray_verdict(emb):
         ray_res = float(np.max(np.abs(
             emb.opA(emb.X) + (emb.D @ emb.u if emb.f else 0.0))))
         if ray_res <= RAY_TOL * neg_obj:
-            return (STATUS_FAILURE,
-                    "primal appears unbounded (dual infeasibility ray detected)",
-                    None)
+            return STATUS_FAILURE, _UNBOUNDED, None
     if emb.tau < 1e-12 * emb.kappa:
         return STATUS_FAILURE, "tau/kappa limit ambiguous", None
     return None
@@ -642,7 +643,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         status, message = STATUS_FAILURE, "iteration limit reached"
 
     # assemble the reported solution in original scale
-    blocks = free = y_out = None
+    blocks = free = None
     objective = dual_objective = gap_out = None
     min_eigs = None
     primal_res = np.inf
@@ -668,7 +669,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
                 message = f"feasible point accepted ({message})"
 
     return SdpSolution(
-        status=status, blocks=blocks, free=free, y=y_out, objective=objective,
+        status=status, blocks=blocks, free=free, objective=objective,
         dual_objective=dual_objective, primal_residual=primal_res,
         min_eigenvalues=min_eigs, iterations=iterations,
         message=message, certificate=certificate)
@@ -679,8 +680,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     For each level of LEVELS try each of REGULARIZATIONS, and return the
     first result that is not numerical failure, or the last failure.  An
-    attempt stopped by the double-precision floor of mu goes straight to
-    the next level.  The relaxed level is safe: the Farkas-ray bar stays
+    attempt that finds a dual-infeasibility ray is returned at once, and
+    one stopped by the double-precision floor of mu goes straight to the
+    next level.  The relaxed level is safe: the Farkas-ray bar stays
     fixed, and certify.verify_certificate re-checks every certificate
     independently.
     """
@@ -693,11 +695,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
             except (np.linalg.LinAlgError, ValueError,
                     FloatingPointError) as exc:
                 solution = SdpSolution(
-                    status=STATUS_FAILURE, blocks=None, free=None, y=None,
+                    status=STATUS_FAILURE, blocks=None, free=None,
                     objective=None, dual_objective=None,
                     primal_residual=np.inf, min_eigenvalues=None, iterations=0,
                     message=f"linear algebra failure: {exc}")
-            if solution.status != STATUS_FAILURE:
+            if solution.status != STATUS_FAILURE \
+                    or solution.message == _UNBOUNDED:
                 return solution
             if solution.message == _MU_FLOOR:
                 break

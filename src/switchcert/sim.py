@@ -109,7 +109,6 @@ class AbsorptionRecord:
 @dataclass
 class AbsorptionReport:
     gamma: float
-    re_exit_tolerance: float
     records: list
     not_entered: int
 
@@ -354,8 +353,7 @@ class _Absorption:
                     start, s_idx, float(self.entry_time[row]), excess,
                     excess > self.gamma * RE_EXIT_TOLERANCE))
         not_entered = int(np.count_nonzero(~self.entered))
-        return AbsorptionReport(self.gamma, RE_EXIT_TOLERANCE, records,
-                                not_entered)
+        return AbsorptionReport(self.gamma, records, not_entered)
 
 
 def _batch_starts(system, cert, initial_states, signals) -> np.ndarray:

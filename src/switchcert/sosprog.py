@@ -13,13 +13,18 @@ monomial.  Unknown SOS polynomials are shared across identities.  Decoding
 recovers each unknown polynomial as chi^T R chi from its solved Gram block.
 Encoding is deterministic: monomials are processed in graded-lex order, so
 identical programs produce identical SDP data.
+
+gram_basis is the one rule that turns degrees into a Gram basis: the
+program builders size each unknown with it, encode sizes each identity's
+Gram matrix from the degrees of the identity's achievable support, and the
+membership checks of certify.verify_certificate size theirs from the
+degrees of the polynomial checked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -75,9 +80,10 @@ def monomial_basis(n: int, d_min: int, d_max: int) -> GramBasis:
     return GramBasis(n, tuple(monos))
 
 
-def basis_size(n: int, d: int) -> int:
-    """binom(n + d, d), the full basis length up to degree d."""
-    return math.comb(n + d, d)
+def gram_basis(n: int, d_lo: int, d_hi: int) -> GramBasis:
+    """Gram basis of a polynomial whose terms have degrees in [d_lo, d_hi]:
+    the monomials of degree ceil(d_lo/2) .. floor(d_hi/2)."""
+    return monomial_basis(n, (d_lo + 1) // 2, d_hi // 2)
 
 
 def gram_expand(basis: GramBasis, R: np.ndarray) -> Polynomial:
@@ -191,15 +197,6 @@ def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUn
     return coeffs
 
 
-def _identity_basis(support: Iterable, n: int) -> GramBasis:
-    """Graded window basis from the achievable support of the identity."""
-    degrees = [sum(m) for m in support]
-    if not degrees:
-        return monomial_basis(n, 0, 0)
-    d_lo, d_hi = min(degrees), max(degrees)
-    return monomial_basis(n, (d_lo + 1) // 2, d_hi // 2)
-
-
 def encode(program: SosProgram) -> SdpEncoding:
     """Build the block-diagonal SDP for a program of SOS identities."""
     if not program.identities:
@@ -233,7 +230,8 @@ def encode(program: SosProgram) -> SdpEncoding:
         for term in ident.terms:
             if isinstance(term, ScalarTerm):
                 support.update(term.weight.terms)
-        basis = _identity_basis(support, n)
+        degrees = [sum(m) for m in support] or [0]
+        basis = gram_basis(n, min(degrees), max(degrees))
         for _, _, mono in basis.pairs():
             support.add(mono)
 

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import linear_pair_matrices
+from conftest import (BETA_AFFINE_PAIR, SYSTEMS, V_AFFINE_PAIR,
+                      V_LINEAR_PAIR_DEG12, linear_pair_matrices)
 from switchcert import certify
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, CertificationQuery,
@@ -13,7 +14,9 @@ from switchcert.certify import (AbsorbingSetCertificate,
                                 find_absorbing_lyapunov, find_common_lyapunov,
                                 minimize_gamma, tighten_beta,
                                 verify_certificate)
+from switchcert.cli import load_system
 from switchcert.poly import parse_expression
+from switchcert.sosprog import encode
 
 
 def status_of(result):
@@ -228,8 +231,7 @@ class TestCqlfBisection:
         def marginal_at_right_end(system, query, logs=None):
             calls.append(system)
             if len(calls) == 2:
-                return certify.AbsorbingSearchResult(feasible=False,
-                                                     marginal=True)
+                return certify.AbsorbingSearchResult(feasible=False)
             return real(system, query, logs)
 
         monkeypatch.setattr(certify, "find_common_lyapunov",
@@ -322,6 +324,78 @@ class TestVerifyCertificate:
         name = next(iter(bad))
         with pytest.raises(ValueError, match=name):
             verify_certificate(affine_pair, cert, **bad)
+
+
+class TestCertificateConstants:
+    @pytest.mark.parametrize("bad, message", [
+        ({"ell": 0}, "ell must be a positive integer"),
+        ({"delta": 0.0}, "delta must be positive and finite"),
+        ({"delta": float("nan")}, "delta must be positive and finite"),
+        ({"beta": -1.0}, "beta must be non-negative and finite"),
+        ({"beta": float("inf")}, "beta must be non-negative and finite"),
+        ({"gamma": float("nan")}, "gamma must be finite"),
+        ({"gamma": float("-inf")}, "gamma must be finite")])
+    def test_built_in_code_rejected(self, published_v_affine_pair, bad,
+                                    message):
+        constants = dict(beta=3.3, delta=1.0, ell=2, gamma=8725.0)
+        with pytest.raises(ValueError, match=message):
+            AbsorbingSetCertificate(
+                dimension=2, n_subsystems=2,
+                lyapunov=published_v_affine_pair, **{**constants, **bad})
+
+
+class TestProgramSizes:
+    """Rows m and Gram block sizes of each bundled program, encoded without
+    a solve.  They follow from the basis rule alone: a change to the rule
+    that shrinks them on purpose updates this table and says why."""
+
+    @pytest.mark.parametrize(
+        "name, params, ell, delta, degree, beta, m, blocks", [
+            ("affine_pair", {}, 2, 1.0, 4, 3.3, 30, (3, 3, 3, 6, 6)),
+            ("affine_triple", {}, 2, 1.0, 4, 2.0, 45,
+             (3, 3, 3, 3, 6, 6, 6)),
+            ("cubic_3d_pair", {}, 2, 1.0, 4, 5.0, 119, (6, 10, 4, 20, 10)),
+            ("cubic_3d_pair", {}, 2, 1.0, 6, 0.0, 241,
+             (19, 20, 10, 34, 19)),
+            ("cubic_3d_pair", {}, 2, 1.0, 8, 0.0, 443,
+             (34, 35, 20, 55, 34)),
+            ("vdp_relay_pair", {}, 1, 1e-4, 6, 14.0, 73, (9, 10, 6, 15, 10)),
+            ("vdp_relay_pair", {}, 1, 1e-4, 8, 14.0, 111,
+             (14, 15, 10, 21, 15)),
+            ("linear_pair", {"b": 12.0}, 6, 1e-3, 12, 0.0, 26,
+             (7, 6, 6, 7, 7)),
+            ("linear_pair", {"b": 5.0}, 1, 1.0, 2, 0.0, 6, (2, 1, 1, 2, 2)),
+        ])
+    def test_decay_program(self, name, params, ell, delta, degree, beta, m,
+                           blocks):
+        system = load_system(str(SYSTEMS / f"{name}.sys"), params)
+        program, _ = certify.build_absorbing_program(
+            system, ell, delta, degree, beta)
+        problem = encode(program).problem
+        assert (problem.m, tuple(problem.block_sizes), problem.n_free) == \
+            (m, blocks, 0)
+
+    @pytest.mark.parametrize("v_text, beta, m, blocks", [
+        (V_AFFINE_PAIR, BETA_AFFINE_PAIR, 15, (3, 6)),
+        (V_LINEAR_PAIR_DEG12, 0.0, 91, (21, 28))],
+        ids=["affine_pair", "linear_pair_b12"])
+    def test_sublevel_program_of_published_v(self, v_text, beta, m, blocks):
+        V = parse_expression(v_text, 2)
+        problem = encode(certify._sublevel_program(
+            V, beta, certify._multiplier_degree(V.degree()))).problem
+        assert (problem.m, tuple(problem.block_sizes), problem.n_free) == \
+            (m, blocks, 1)
+
+    def test_multiplier_degree(self):
+        # D = deg f + deg V - 1 gives deg p_i, and D = deg V the default
+        # deg q, which for a linear field equals deg p_i
+        for deg_v, linear, cubic in ((2, 0, 2), (4, 2, 4), (6, 4, 6),
+                                     (12, 10, 12)):
+            assert certify._multiplier_degree(1 + deg_v - 1) == linear
+            assert certify._multiplier_degree(3 + deg_v - 1) == cubic
+            assert certify._multiplier_degree(deg_v) == linear
+        assert [certify._multiplier_degree(D) for D in (0, 1, 3, 5)] == \
+            [0, 0, 0, 2]
 
 
 class TestClassify:

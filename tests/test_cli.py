@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SYSTEMS
-from switchcert import cli, sim
+from switchcert import certify as cert_mod, cli, sim
 from switchcert.cli import (certificate_to_text, load_certificate, load_system,
                             main, parse_certificate_text, parse_system_text)
 from switchcert.certify import (AbsorbingSetCertificate,
@@ -510,6 +510,52 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(message)
         assert not (tmp_path / "sim").exists()
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def fail(problem):
+            raise AssertionError("solve called")
+        monkeypatch.setattr(cert_mod, "solve", fail)
+
+    @pytest.mark.usefixtures("no_solve")
+    @pytest.mark.parametrize("flags, message", [
+        (["--beta", "3.3", "--delta", "nan"],
+         "delta must be positive and finite"),
+        (["--beta", "3.3", "--delta", "inf"],
+         "delta must be positive and finite"),
+        (["--beta", "nan"], "beta must be non-negative and finite"),
+        (["--beta", "inf"], "beta must be non-negative and finite"),
+        (["--beta-max", "nan"], "beta_max must be non-negative and finite"),
+        (["--beta", "3.3", "--q-degree", "-2"],
+         "deg_q must be a non-negative integer"),
+    ], ids=["delta-nan", "delta-inf", "beta-nan", "beta-inf", "beta-max-nan",
+            "negative-q-degree"])
+    def test_bad_query_number_fails_before_any_solve(self, capsys, flags,
+                                                     message):
+        argv = ["certify", self.AFFINE, "--ell", "2", "--degree", "4"]
+        assert _run(argv + flags, capsys) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.usefixtures("no_solve")
+    @pytest.mark.parametrize("edit, message", [
+        ("delta 0", "delta must be positive and finite"),
+        ("delta -1", "delta must be positive and finite"),
+        ("delta nan", "delta must be positive and finite"),
+        ("gamma inf", "gamma must be finite"),
+        ("gamma nan", "gamma must be finite"),
+        ("beta nan", "beta must be non-negative and finite"),
+        ("beta -1", "beta must be non-negative and finite"),
+    ])
+    def test_meaningless_certificate_constant_is_usage_error(
+            self, affine_cert, tmp_path, capsys, edit, message):
+        # these once passed verification (a NaN delta dropped the delta
+        # term from every identity) or failed it with code 4
+        key = edit.split()[0]
+        lines = [edit if line.startswith(key + " ") else line
+                 for line in affine_cert.read_text().splitlines()]
+        edited = tmp_path / "edited.cert"
+        edited.write_text("\n".join(lines) + "\n")
+        assert _run(["verify", self.AFFINE, str(edited)], capsys) == (
+            1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("exc, code, prefix", [
         (NumericalFailureError("stall"), 3, "numerical failure: stall"),

@@ -201,6 +201,15 @@ class TestAlgebra:
         p = Polynomial(2, {(1, 0): 1e-15})
         assert p.is_zero()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, value):
+        # a NaN fails the magnitude test too, so it used to be dropped
+        # like a tiny coefficient: nan * ||x||^4 became the zero polynomial
+        with pytest.raises(ValueError, match="not finite"):
+            Polynomial(2, {(1, 0): value})
+        with pytest.raises(ValueError, match="not finite"):
+            value * parse_expression("x1^4 + x2^4", 2)
+
     def test_commutativity_and_associativity(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

@@ -207,6 +207,27 @@ class TestAttemptList:
         assert attempts == [(1e-7, 1e-7, 0.0), (1e-6, 1e-6, 0.0)]
 
 
+class TestUnboundedPrimal:
+    def test_dual_infeasibility_ray_ends_the_walk(self, monkeypatch):
+        # minimise -X[1,1] with only X[0,0] fixed: the ray is judged
+        # against the fixed RAY_TOL, so retrying cannot change the verdict
+        builder = SdpProblemBuilder([2])
+        builder.set_objective_block(0, np.diag([0.0, -1.0]))
+        builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
+        attempts = []
+        inner = sdp._solve
+
+        def recording(problem, level, regularization):
+            attempts.append((*level, regularization))
+            return inner(problem, level, regularization)
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        solution = solve(builder.build())
+        assert solution.status == "numerical-failure"
+        assert solution.message.startswith("primal appears unbounded")
+        assert attempts == [(1e-7, 1e-7, 0.0)]
+
+
 class TestMinEigenvalue:
     def test_diagonal(self):
         assert min_eigenvalue(np.diag([3.0, 1.0, 2.0])) == pytest.approx(1.0)
