@@ -155,6 +155,8 @@ class CertificationQuery:
                 raise ValueError("degree must be even and at least 2*ell")
         if self.deg_q is not None and self.deg_q < 0:
             raise ValueError("deg_q must be a non-negative integer")
+        if self.deg_q is not None and self.deg_q % 2:
+            raise ValueError("deg_q must be even")
         check_positive(("beta_tol", self.beta_tol))
 
 

@@ -7,12 +7,12 @@ Standard form:
                 X_b >= 0 (PSD),   u free
 
 The solver embeds the problem in a homogeneous self-dual model and runs a
-Mehrotra-style predictor-corrector interior-point iteration with dense block
-linear algebra.  Free scalars are kept natively in the KKT system.  Proven
-primal infeasibility is reported through a Farkas ray extracted from the
-embedding; an ambiguous tau/kappa limit is reported as numerical failure,
-never silently misclassified.  Runs are deterministic for fixed inputs and
-BLAS thread count.
+Mehrotra-style predictor-corrector interior-point iteration.  Free scalars
+are kept natively in the KKT system.  Proven primal infeasibility is
+reported through a Farkas ray extracted from the embedding; an ambiguous
+tau/kappa limit is reported as numerical failure, never silently
+misclassified.  Runs are deterministic for fixed inputs and BLAS thread
+count.
 
 Each iteration runs four phases, one function each: ``_cone_factors``
 (Cholesky factors of X and S, and S^-1), ``_newton_system`` (the Schur
@@ -21,6 +21,17 @@ factors and the direction-independent KKT solve), ``_search_direction``
 (predictor and corrector, one ``_direction`` each) and ``_step_length``.
 The residuals and mu of an iterate are computed once, after the step that
 produced it.
+
+The constraint data stays sparse: each block holds the A_j that touch it
+as one CSR operator on vec(X), built from ``SdpProblem.entries`` when an
+attempt starts, so storage scales with the nonzeros, not with m s^2.  ``_schur`` builds the Schur
+complement B[j,k] = <A_j, X A_k S^-1> one block at a time over only the
+constraints that touch the block (Fujisawa, Kojima & Nakata, "Exploiting
+sparsity in primal-dual interior-point methods for semidefinite
+programming", Math. Prog. 1997): one sparse product gives every A_k S^-1,
+one gemm every X A_k S^-1, and one sparse product their inner products
+with the A_j.  The dense work per block is O(s^3 m_b) for its m_b touching
+constraints, against O(s^2 m^2) for a dense B = U U^T.
 
 Constraints are normalised to unit Frobenius norm internally; reported
 residuals refer to the original data, scaled by 1/(1 + max |rhs|).
@@ -39,8 +50,12 @@ complementarity ("tolerances unreachable") skips the remaining
 regularisations, which do not lower that floor.  One that finds a
 dual-infeasibility ray ("primal appears unbounded") ends the walk: that
 ray is judged against the fixed ``RAY_TOL``, so no later attempt can
-change the verdict.  A Gram block counts as PSD when its smallest
-eigenvalue is at least ``-PSD_TOL``.
+change the verdict.  A program whose constraints are linearly dependent
+has a singular KKT matrix at regularisation 0, so that attempt ends before
+its first iteration and the walk goes on at the first positive
+regularisation; left to rounding, the attempt could end at the
+complementarity floor and skip the regularised ones.  A Gram block counts
+as PSD when its smallest eigenvalue is at least ``-PSD_TOL``.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
@@ -67,6 +83,7 @@ RAY_TOL = 1e-8                        # relative residual of a Farkas ray
 _MU_FLOOR = "tolerances unreachable in double precision"
 _UNBOUNDED = "primal appears unbounded (dual infeasibility ray detected)"
 _SINGULAR = "singular Newton system"
+_DEPENDENT = "linearly dependent constraints (singular KKT matrix)"
 
 
 @dataclass(frozen=True)
@@ -250,6 +267,65 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+def _csr(rows, cols, vals, shape):
+    """The CSR matrix of the given entries, each row in the given order."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+
+
+def _scaled_constraints(problem):
+    """The constraints scaled to unit Frobenius norm, as
+    (scale, D, rows, A, At, stack): the scale of each constraint, the dense
+    (m, n_free) free-scalar coefficients, and per block b
+    - rows[b], the m_b constraints that touch the block;
+    - A[b], their A_j as the rows of an (m_b, s^2) CSR operator on vec(X_b),
+      and At[b], its transpose;
+    - stack[b], the same A_j as an (s m_b, s) CSR whose row (i, k) is row i
+      of the k-th, so that stack[b] @ M lays the A_j M side by side as an
+      (s, m_b s) array."""
+    m = problem.m
+    ents = [(j, ent) for j, per_con in enumerate(problem.entries)
+            for ent in per_con]
+    counts = [len(ent.vals) for _, ent in ents]
+    no_index = [np.zeros(0, dtype=np.intp)]  # np.concatenate needs one array
+    con = np.repeat(np.array([j for j, _ in ents], dtype=np.intp), counts)
+    block = np.repeat(np.array([ent.block for _, ent in ents], dtype=np.intp),
+                      counts)
+    row = np.concatenate(no_index + [ent.rows for _, ent in ents])
+    col = np.concatenate(no_index + [ent.cols for _, ent in ents])
+    val = np.concatenate([np.zeros(0)] + [ent.vals for _, ent in ents])
+    fcon = np.repeat(np.arange(m), [len(idx) for idx, _ in problem.free_rows])
+    fidx = np.concatenate(no_index + [idx for idx, _ in problem.free_rows])
+    fval = np.concatenate([np.zeros(0)]
+                          + [vals for _, vals in problem.free_rows])
+
+    # an off-diagonal entry stands for itself and its mirror image
+    fro2 = np.bincount(con, weights=np.where(row != col, 2.0, 1.0) * val ** 2,
+                       minlength=m)
+    fro2 += np.bincount(fcon, weights=fval ** 2, minlength=m)
+    scale = 1.0 / np.maximum(np.sqrt(fro2), 1e-12)
+    val = val * scale[con]
+    D = np.zeros((m, problem.n_free))
+    D[fcon, fidx] = fval * scale[fcon]
+
+    rows, A, At, stack = [], [], [], []
+    for b, s in enumerate(problem.block_sizes):
+        sel = block == b
+        off = sel & (row != col)
+        j = np.concatenate([con[sel], con[off]])
+        vec = np.concatenate([row[sel] * s + col[sel], col[off] * s + row[off]])
+        v = np.concatenate([val[sel], val[off]])
+        touched, k = np.unique(j, return_inverse=True)
+        mb = len(touched)
+        rows.append(touched)
+        A.append(_csr(k, vec, v, (mb, s * s)))
+        At.append(_csr(vec, k, v, (s * s, mb)))
+        stack.append(_csr((vec // s) * mb + k, vec % s, v, (s * mb, s)))
+    return scale, D, rows, A, At, stack
+
+
 class _Embedding:
     """Homogeneous self-dual iteration state on the scaled problem data."""
 
@@ -260,29 +336,9 @@ class _Embedding:
         self.f = problem.n_free
         self.nu = sum(self.sizes)
 
-        # constraint scaling to unit Frobenius norm
-        self.A = []  # per block: (m, s, s) dense tensors, scaled
-        scale = np.array([1.0 / max(problem.constraint_norm(j), 1e-12)
-                          for j in range(problem.m)])
-        self.con_scale = scale
-
-        for b, s in enumerate(self.sizes):
-            tens = np.zeros((problem.m, s, s))
-            for j in range(problem.m):
-                for ent in problem.entries[j]:
-                    if ent.block == b:
-                        tens[j][ent.rows, ent.cols] = ent.vals
-                        tens[j][ent.cols, ent.rows] = ent.vals
-                tens[j] *= scale[j]
-            self.A.append(tens)
-
-        self.D = np.zeros((problem.m, self.f))
-        for j in range(problem.m):
-            idx, vals = problem.free_rows[j]
-            if len(idx):
-                self.D[j, idx] = vals * scale[j]
-
-        self.b = problem.rhs * scale
+        self.con_scale, self.D, self.rows, self.A, self.At, self.stack = \
+            _scaled_constraints(problem)
+        self.b = problem.rhs * self.con_scale
 
         obj_fro2 = float(np.sum(problem.obj_free ** 2))
         for C in problem.obj_blocks:
@@ -313,12 +369,13 @@ class _Embedding:
 
     def opA(self, Xs) -> np.ndarray:
         out = np.zeros(self.m)
-        for b in range(self.nblocks):
-            out += np.einsum("kij,ij->k", self.A[b], Xs[b])
+        for rows, A, X in zip(self.rows, self.A, Xs):
+            out[rows] += A @ X.ravel()
         return out
 
     def opAt(self, y) -> list:
-        return [np.einsum("k,kij->ij", y, self.A[b]) for b in range(self.nblocks)]
+        return [(At @ y[rows]).reshape(s, s)
+                for rows, At, s in zip(self.rows, self.At, self.sizes)]
 
     def inner_C(self, Xs) -> float:
         return sum(float(np.sum(self.C[b] * Xs[b])) for b in range(self.nblocks))
@@ -371,6 +428,23 @@ class _Embedding:
         return inv
 
 
+def _independent_constraints(emb) -> bool:
+    """Whether the scaled constraint rows (A_j, d_j) are linearly
+    independent, judged by the Cholesky factor of their Gram matrix
+    sum_b A_b A_b^T + D D^T.  Its diagonal is one, so dependent rows leave
+    a pivot at rounding level, or none at all when the factorisation
+    fails; with dependent rows the KKT matrix is singular at
+    regularisation 0."""
+    gram = emb.D @ emb.D.T
+    for rows, A, At in zip(emb.rows, emb.A, emb.At):
+        gram[np.ix_(rows, rows)] += (A @ At).toarray()
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return float(np.min(np.diag(L))) ** 2 > emb.m * np.finfo(float).eps
+
+
 class _Breakdown(Exception):
     """A phase of the iteration broke down; the text is the solve's message."""
 
@@ -394,32 +468,34 @@ def _cone_factors(emb):
     return Lx, Ls, Sinv
 
 
-def _schur(emb, Lx, Ls):
-    """Schur complement B[j,k] = tr(A_j X A_k S^-1) and its borders v, w.
+def _schur(emb, Sinv):
+    """Schur complement B[j,k] = <A_j, X A_k S^-1> and its borders
+    v_j = <A_j, X C S^-1> and w = <C, X C S^-1>.
 
-    B = U U^T with U_j = Ls^-1 A_j Lx; v = U c and w = c . c with
-    c = Ls^-1 C Lx."""
-    m = emb.m
-    B = np.zeros((m, m))
-    v = np.zeros(m)
+    Each block adds only to the rows and columns of the constraints that
+    touch it: one sparse product gives every A_k S^-1, one gemm every
+    X A_k S^-1, and one sparse product their inner products with the A_j."""
+    B = np.zeros((emb.m, emb.m))
+    v = np.zeros(emb.m)
     w = 0.0
-    for b in range(emb.nblocks):
-        s = emb.sizes[b]
-        T = np.einsum("kij,jl->kil", emb.A[b], Lx[b])
-        U = sla.solve_triangular(
-            Ls[b], T.transpose(1, 0, 2).reshape(s, m * s), lower=True)
-        U = U.reshape(s, m, s).transpose(1, 0, 2).reshape(m, s * s)
-        UC = sla.solve_triangular(Ls[b], emb.C[b] @ Lx[b], lower=True).ravel()
-        B += U @ U.T
-        v += U @ UC
-        w += float(UC @ UC)
+    for b, (s, rows, X, Si) in enumerate(zip(emb.sizes, emb.rows, emb.X,
+                                             Sinv)):
+        XCS = X @ emb.C[b] @ Si
+        w += float(np.sum(emb.C[b] * XCS))
+        mb = len(rows)
+        if not mb:
+            continue
+        v[rows] += emb.A[b] @ XCS.ravel()
+        F = X @ (emb.stack[b] @ Si).reshape(s, mb * s)
+        F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
+        B[np.ix_(rows, rows)] += emb.A[b] @ F
     return _sym(B), v, w
 
 
 def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
     """Build and LU-factor the KKT matrix, and solve for q."""
     m, f = emb.m, emb.f
-    B, v, w = _schur(emb, Lx, Ls)
+    B, v, w = _schur(emb, Sinv)
     K = np.zeros((m + f, m + f))
     K[:m, :m] = B
     K[:m, m:] = emb.D
@@ -438,11 +514,13 @@ def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
 
 
 def _kkt_solve(K, lu, rhs):
-    """LU solve with one pass of iterative refinement."""
+    """LU solve with one pass of iterative refinement; a singular K is a
+    breakdown, found before the refinement can fail on its input."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = sla.lu_solve(lu, rhs)
-        sol += sla.lu_solve(lu, rhs - K @ sol)
+        sol = sla.lu_solve(lu, rhs, check_finite=False)
+        if np.all(np.isfinite(sol)):
+            sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
     if not np.all(np.isfinite(sol)):
         raise _Breakdown(_SINGULAR)
     return sol
@@ -595,9 +673,19 @@ def _ray_verdict(emb):
     return None
 
 
+def _failure(message: str) -> SdpSolution:
+    """Numerical failure with no iterate to report."""
+    return SdpSolution(
+        status=STATUS_FAILURE, blocks=None, free=None, objective=None,
+        dual_objective=None, primal_residual=np.inf, min_eigenvalues=None,
+        iterations=0, message=message)
+
+
 def _solve(problem: SdpProblem, level: tuple, regularization: float):
     feas_tol, gap_tol = level
     emb = _Embedding(problem)
+    if regularization == 0.0 and not _independent_constraints(emb):
+        return _failure(_DEPENDENT)
     message, certificate = "", None
     iterations = stall = 0
     E = emb.residuals()
@@ -694,11 +782,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 solution = _solve(problem, level, reg)
             except (np.linalg.LinAlgError, ValueError,
                     FloatingPointError) as exc:
-                solution = SdpSolution(
-                    status=STATUS_FAILURE, blocks=None, free=None,
-                    objective=None, dual_objective=None,
-                    primal_residual=np.inf, min_eigenvalues=None, iterations=0,
-                    message=f"linear algebra failure: {exc}")
+                solution = _failure(f"linear algebra failure: {exc}")
             if solution.status != STATUS_FAILURE \
                     or solution.message == _UNBOUNDED:
                 return solution

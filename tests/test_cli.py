@@ -528,8 +528,9 @@ class TestExitCodes:
         (["--beta-max", "nan"], "beta_max must be non-negative and finite"),
         (["--beta", "3.3", "--q-degree", "-2"],
          "deg_q must be a non-negative integer"),
+        (["--beta", "3.3", "--q-degree", "3"], "deg_q must be even"),
     ], ids=["delta-nan", "delta-inf", "beta-nan", "beta-inf", "beta-max-nan",
-            "negative-q-degree"])
+            "negative-q-degree", "odd-q-degree"])
     def test_bad_query_number_fails_before_any_solve(self, capsys, flags,
                                                      message):
         argv = ["certify", self.AFFINE, "--ell", "2", "--degree", "4"]

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from switchcert import sdp
 from switchcert.certify import build_absorbing_program
@@ -22,6 +25,23 @@ def planted_feasible(rng, size, m):
                                          for i in range(size)
                                          for j in range(i, size)]})
     return builder.build()
+
+
+def random_pd(rng, size):
+    G = rng.normal(size=(size, size))
+    return G @ G.T + np.eye(size)
+
+
+def dense_constraints(problem, scale):
+    """Per block, the scaled constraint matrices A_j as an (m, s, s) array,
+    built entry by entry from SdpProblem.entries."""
+    dense = [np.zeros((problem.m, s, s)) for s in problem.block_sizes]
+    for j, ents in enumerate(problem.entries):
+        for ent in ents:
+            for i, k, v in zip(ent.rows, ent.cols, ent.vals):
+                dense[ent.block][j, i, k] = dense[ent.block][j, k, i] = \
+                    v * scale[j]
+    return dense
 
 
 def assert_newton_rows(emb, E, newton, eta, tc, corrM, corr_tk, d):
@@ -177,6 +197,124 @@ class TestPlantedSuites:
         assert a.iterations == b.iterations
         for Xa, Xb in zip(a.blocks, b.blocks):
             assert np.array_equal(Xa, Xb)
+
+
+class TestSparseOperators:
+    """opA, opAt and the Schur complement against dense references."""
+
+    SIZES = (3, 2, 4)
+
+    def problem(self, rng):
+        # block 1 is touched by no constraint, the last constraint touches
+        # only the free scalars, and each block entry list repeats a pair
+        # (i, j), once in reverse order
+        builder = SdpProblemBuilder(self.SIZES, n_free=2)
+        for b in (0, 2):
+            C = rng.normal(size=(self.SIZES[b],) * 2)
+            builder.set_objective_block(b, 0.5 * (C + C.T))
+        for j in range(7):
+            entries = {}
+            for b in (0, 2):
+                s = self.SIZES[b]
+                triplets = [(int(rng.integers(s)), int(rng.integers(s)),
+                             float(rng.normal())) for _ in range(4)]
+                i, k, _ = triplets[0]
+                triplets += [(k, i, float(rng.normal())),
+                             (i, k, float(rng.normal()))]
+                entries[b] = triplets
+            builder.add_constraint(float(rng.normal()), entries,
+                                   {j % 2: float(rng.normal())})
+        builder.add_constraint(1.0, None, {0: 1.0, 1: -2.0})
+        return builder.build()
+
+    @pytest.mark.parametrize("seed", [47, 48, 49])
+    def test_against_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        problem = self.problem(rng)
+        emb = sdp._Embedding(problem)
+        A = dense_constraints(problem, emb.con_scale)
+        assert len(emb.rows[1]) == 0
+        # storage is one value per nonzero of the symmetric A_j
+        assert [op.nnz for op in emb.A] == \
+            [int(np.count_nonzero(A_b)) for A_b in A]
+        assert [len(rows) for rows in emb.rows] == \
+            [int(np.count_nonzero(np.any(A_b, axis=(1, 2)))) for A_b in A]
+
+        X = [random_pd(rng, s) for s in self.SIZES]
+        Sinv = [np.linalg.inv(random_pd(rng, s)) for s in self.SIZES]
+        y = rng.normal(size=problem.m)
+        opA = sum(np.einsum("kij,ij->k", A_b, X_b) for A_b, X_b in zip(A, X))
+        assert np.allclose(emb.opA(X), opA, rtol=1e-13, atol=1e-13)
+        for got, A_b in zip(emb.opAt(y), A):
+            assert np.allclose(got, np.einsum("k,kij->ij", y, A_b),
+                               rtol=1e-13, atol=1e-13)
+
+        emb.X = X
+        B, v, w = sdp._schur(emb, Sinv)
+        B_ref = sum(np.einsum("jab,bc,kcd,da->jk", A_b, X_b, A_b, Si)
+                    for A_b, X_b, Si in zip(A, X, Sinv))
+        v_ref = sum(np.einsum("jab,bc,cd,da->j", A_b, X_b, C, Si)
+                    for A_b, X_b, C, Si in zip(A, X, emb.C, Sinv))
+        w_ref = sum(np.trace(C @ X_b @ C @ Si)
+                    for X_b, C, Si in zip(X, emb.C, Sinv))
+        assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(B, B.T)
+        assert np.allclose(v, v_ref, rtol=1e-12, atol=1e-12)
+        assert w == pytest.approx(w_ref, rel=1e-12)
+
+    def test_degree8_cubic_repeat_is_bit_identical(self, systems_dir):
+        system = load_system(str(systems_dir / "cubic_3d_pair.sys"), {})
+        program, _ = build_absorbing_program(
+            system, ell=2, delta=1.0, degree=8, beta=0.0)
+        problem = encode(program).problem
+        a = solve(problem)
+        b = solve(problem)
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        assert abs(a.iterations - 15) <= 1
+        assert a.objective == b.objective
+        for Xa, Xb in zip(a.blocks, b.blocks):
+            assert np.array_equal(Xa, Xb)
+
+
+class TestDependentConstraints:
+    """Linearly dependent constraints make the KKT matrix singular at
+    regularisation 0."""
+
+    def test_singular_kkt_is_a_breakdown(self):
+        K = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu = sla.lu_factor(K)
+        with pytest.raises(sdp._Breakdown, match=sdp._SINGULAR):
+            sdp._kkt_solve(K, lu, np.array([1.0, 0.0]))
+
+    def test_unregularised_attempt_ends_at_once(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        R_star = random_pd(rng, 3)
+        rows = [rng.normal(size=(3, 3)) for _ in range(3)]
+        rows = [0.5 * (A + A.T) for A in rows]
+        rows.append(rows[0] + 2.0 * rows[1])
+        builder = SdpProblemBuilder([3])
+        for A in rows:
+            builder.add_constraint(
+                float(np.sum(A * R_star)),
+                {0: [(i, j, A[i, j]) for i in range(3) for j in range(i, 3)]})
+        attempts = []
+        inner = sdp._solve
+
+        def recording(problem, level, regularization):
+            outcome = inner(problem, level, regularization)
+            attempts.append((regularization, outcome.message,
+                             outcome.iterations))
+            return outcome
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        solution = solve(builder.build())
+        assert solution.status == "optimal"
+        assert "linear algebra failure" not in solution.message
+        assert attempts[0] == (0.0, sdp._DEPENDENT, 0)
+        assert attempts[1][0] == sdp.REGULARIZATIONS[1]
 
 
 class TestAttemptList:
