@@ -15,7 +15,8 @@ their usage):
 System files:
     dim 2
     subsystems 2
-    param b=5            # optional named parameters, substituted textually
+    param b=5            # optional named parameters, substituted textually;
+                         # --param b=12 overrides a declared one
     subsystem 1
     x2
     -0.1*x1 - 2*x2
@@ -116,6 +117,11 @@ def parse_system_text(text: str, overrides: dict | None = None) -> SwitchedSyste
         pos += 1
     if dim is None or n_sub is None:
         raise FileFormatError("system file needs 'dim' and 'subsystems' lines")
+    undeclared = sorted(set(overrides or {}) - set(params))
+    if undeclared:
+        raise FileFormatError(
+            f"undeclared parameter {', '.join(undeclared)} (declared: "
+            f"{', '.join(sorted(params)) or 'none'})")
     params.update(overrides or {})
 
     fields = []

@@ -33,8 +33,10 @@ one gemm every X A_k S^-1, and one sparse product their inner products
 with the A_j.  The dense work per block is O(s^3 m_b) for its m_b touching
 constraints, against O(s^2 m^2) for a dense B = U U^T.
 
-Constraints are normalised to unit Frobenius norm internally; reported
-residuals refer to the original data, scaled by 1/(1 + max |rhs|).
+Constraints are normalised to unit Frobenius norm internally.  The
+reported primal residual refers to the original data, each row normalised
+by 1 + max(|b_j|, ||A_j||_F); it is read off the residual of the scaled
+data that every iteration computes, so no pass over the rows repeats it.
 
 ``solve`` is the only place that retries.  It walks one fixed attempt list,
 the tolerance levels ``LEVELS`` times the KKT regularisations
@@ -109,49 +111,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return len(self.rhs)
-
-    def constraint_value(self, j: int, blocks, free) -> float:
-        """<A_j, X> + d_j . u for given primal values."""
-        total = 0.0
-        for ent in self.entries[j]:
-            X = blocks[ent.block]
-            off = ent.rows != ent.cols
-            contrib = ent.vals * X[ent.rows, ent.cols]
-            total += float(np.sum(contrib * np.where(off, 2.0, 1.0)))
-        idx, vals = self.free_rows[j]
-        if len(idx) and free is not None:
-            total += float(vals @ np.asarray(free)[idx])
-        return total
-
-    def constraint_norm(self, j: int) -> float:
-        """Frobenius norm of (A_j, d_j)."""
-        fro2 = 0.0
-        for ent in self.entries[j]:
-            off = ent.rows != ent.cols
-            fro2 += float(np.sum(ent.vals ** 2 * np.where(off, 2.0, 1.0)))
-        idx, vals = self.free_rows[j]
-        fro2 += float(np.sum(vals ** 2))
-        return float(np.sqrt(fro2))
-
-    def primal_residual(self, blocks, free) -> float:
-        """max_j |<A_j,X> + d_j.u - b_j| / (1 + max(|b_j|, ||A_j||_F)).
-
-        Row-normalised so the value is meaningful for badly scaled rows."""
-        worst = 0.0
-        for j in range(self.m):
-            violation = abs(self.constraint_value(j, blocks, free) - self.rhs[j])
-            scale = 1.0 + max(abs(self.rhs[j]), self.constraint_norm(j))
-            worst = max(worst, violation / scale)
-        return worst
-
-    def objective_value(self, blocks, free) -> float:
-        total = 0.0
-        for b, C in enumerate(self.obj_blocks):
-            if C is not None:
-                total += float(np.sum(C * blocks[b]))
-        if self.n_free:
-            total += float(self.obj_free @ free)
-        return total
 
 
 class SdpProblemBuilder:
@@ -277,8 +236,9 @@ def _csr(rows, cols, vals, shape):
 
 def _scaled_constraints(problem):
     """The constraints scaled to unit Frobenius norm, as
-    (scale, D, rows, A, At, stack): the scale of each constraint, the dense
-    (m, n_free) free-scalar coefficients, and per block b
+    (norm, scale, D, rows, A, At, stack): the Frobenius norm of each
+    constraint (A_j, d_j) and its scale, the dense (m, n_free) free-scalar
+    coefficients, and per block b
     - rows[b], the m_b constraints that touch the block;
     - A[b], their A_j as the rows of an (m_b, s^2) CSR operator on vec(X_b),
       and At[b], its transpose;
@@ -305,7 +265,8 @@ def _scaled_constraints(problem):
     fro2 = np.bincount(con, weights=np.where(row != col, 2.0, 1.0) * val ** 2,
                        minlength=m)
     fro2 += np.bincount(fcon, weights=fval ** 2, minlength=m)
-    scale = 1.0 / np.maximum(np.sqrt(fro2), 1e-12)
+    norm = np.sqrt(fro2)
+    scale = 1.0 / np.maximum(norm, 1e-12)
     val = val * scale[con]
     D = np.zeros((m, problem.n_free))
     D[fcon, fidx] = fval * scale[fcon]
@@ -323,7 +284,7 @@ def _scaled_constraints(problem):
         A.append(_csr(k, vec, v, (mb, s * s)))
         At.append(_csr(vec, k, v, (s * s, mb)))
         stack.append(_csr((vec // s) * mb + k, vec % s, v, (s * mb, s)))
-    return scale, D, rows, A, At, stack
+    return norm, scale, D, rows, A, At, stack
 
 
 class _Embedding:
@@ -336,9 +297,11 @@ class _Embedding:
         self.f = problem.n_free
         self.nu = sum(self.sizes)
 
-        self.con_scale, self.D, self.rows, self.A, self.At, self.stack = \
-            _scaled_constraints(problem)
+        con_norm, self.con_scale, self.D, self.rows, self.A, self.At, \
+            self.stack = _scaled_constraints(problem)
         self.b = problem.rhs * self.con_scale
+        # the normaliser 1 + max(|b_j|, ||A_j||_F) of the reported residual
+        self.res_norm = 1.0 + np.maximum(np.abs(problem.rhs), con_norm)
 
         obj_fro2 = float(np.sum(problem.obj_free ** 2))
         for C in problem.obj_blocks:
@@ -618,10 +581,19 @@ def _step_length(emb, newton, d) -> float:
     return alpha
 
 
-def _converged_residual(problem, emb, E, feas_tol, gap_tol) -> float:
-    """The primal residual on the original data once the residuals and gap
-    are within tolerance on the scaled data, else inf; the iterate has
-    converged when it is within feas_tol too."""
+def _primal_residual(emb, E1) -> float:
+    """max_j |<A_j,X> + d_j.u - b_j| / (1 + max(|b_j|, ||A_j||_F)) at the
+    original-scale point (X, u) / tau, read off the residual E1 of the
+    scaled data, whose row j is the original row times con_scale[j].
+
+    Row-normalised so the value is meaningful for badly scaled rows."""
+    return float(np.max(np.abs(E1) / (emb.tau * emb.con_scale)
+                        / emb.res_norm))
+
+
+def _converged(emb, E, feas_tol, gap_tol) -> bool:
+    """Whether the residuals and gap are within tolerance on the scaled
+    data, and the primal residual on the original data within feas_tol."""
     E1, E2, E3, _ = E
     tau = emb.tau
     pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
@@ -632,12 +604,8 @@ def _converged_residual(problem, emb, E, feas_tol, gap_tol) -> float:
     pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
     dobj = float(emb.b @ emb.y) / tau
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    if not (pres <= feas_tol and dres <= feas_tol and gres <= feas_tol
-            and gap <= gap_tol):
-        return np.inf
-    blocks = [X / tau for X in emb.X]
-    free = emb.u / tau
-    return problem.primal_residual(blocks, free)
+    return (pres <= feas_tol and dres <= feas_tol and gres <= feas_tol
+            and gap <= gap_tol and _primal_residual(emb, E1) <= feas_tol)
 
 
 def _ray_verdict(emb):
@@ -655,11 +623,7 @@ def _ray_verdict(emb):
         ray_res = max(ray_res,
                       float(np.max(np.abs(emb.D.T @ emb.y))) if emb.f else 0.0)
         if ray_res <= RAY_TOL * by:
-            certificate = {
-                "ray_y": emb.y / by * emb.con_scale,
-                "ray_objective": 1.0,
-                "ray_residual": ray_res / by,
-            }
+            certificate = {"ray_y": emb.y / by * emb.con_scale}
             return (STATUS_INFEASIBLE,
                     "Farkas ray found (dual improving direction)", certificate)
     neg_obj = -(emb.inner_C(emb.X) + float(emb.g @ emb.u))
@@ -707,8 +671,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         # the next iteration
         E = emb.residuals()
         mu = emb.mu()
-        converged_res = _converged_residual(problem, emb, E, feas_tol, gap_tol)
-        if converged_res <= feas_tol:
+        if _converged(emb, E, feas_tol, gap_tol):
             status = STATUS_OPTIMAL
             break
         # infeasibility rays become visible as tau collapses against kappa
@@ -739,14 +702,13 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         blocks = [X / emb.tau for X in emb.X]
         free = emb.u / emb.tau
         y_out = emb.y / emb.tau * emb.con_scale / emb.obj_scale
-        objective = problem.objective_value(blocks, free)
+        objective = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) \
+            / (emb.tau * emb.obj_scale)
         dual_objective = float(problem.rhs @ y_out)
         denom = 1.0 + abs(objective) + abs(dual_objective)
         gap_out = abs(objective - dual_objective) / denom
         min_eigs = [min_eigenvalue(X) for X in blocks]
-        # an optimal iterate's residual is the one that passed the check
-        primal_res = converged_res if status == STATUS_OPTIMAL \
-            else problem.primal_residual(blocks, free)
+        primal_res = _primal_residual(emb, E[0])
         feasibility_only = emb.max_abs_C == 0.0 and emb.max_abs_g == 0.0
 
         if status == STATUS_FAILURE:

@@ -175,20 +175,23 @@ class SdpEncoding:
 def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUnknown]):
     """Per Gram entry (i<=j) of each unknown, the known polynomial that
     multiplies R[i,j] in the identity (with the off-diagonal doubling kept
-    implicit, matching the trace convention of the SDP layer)."""
-    n = identity.dimension
+    implicit, matching the trace convention of the SDP layer).  Within a
+    term the polynomial depends only on the product monomial
+    chi_i chi_j, so each product is expanded once."""
     coeffs: dict = {}
     for term in identity.terms:
         if isinstance(term, ScalarTerm):
             continue
-        unk = unknowns[term.unknown]
-        basis = unk.basis
-        for i, j, mono in basis.pairs():
-            if isinstance(term, UnknownTerm):
-                gij = term.weight * Polynomial.monomial(mono)
-            else:
-                gij = term.scale * lie_derivative(Polynomial.monomial(mono),
-                                                  term.field)
+        by_product: dict = {}
+        for i, j, mono in unknowns[term.unknown].basis.pairs():
+            gij = by_product.get(mono)
+            if gij is None:
+                if isinstance(term, UnknownTerm):
+                    gij = term.weight * Polynomial.monomial(mono)
+                else:
+                    gij = term.scale * lie_derivative(
+                        Polynomial.monomial(mono), term.field)
+                by_product[mono] = gij
             if gij.is_zero():
                 continue
             key = (term.unknown, i, j)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SYSTEMS
+from conftest import REPO, SYSTEMS
 from switchcert import certify as cert_mod, cli, sim
-from switchcert.cli import (certificate_to_text, load_certificate, load_system,
-                            main, parse_certificate_text, parse_system_text)
+from switchcert.cli import (FileFormatError, certificate_to_text,
+                            load_certificate, load_system, main,
+                            parse_certificate_text, parse_system_text)
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, EquilibriumError,
                                 GammaInfeasibleError, NumericalFailureError)
@@ -38,6 +39,18 @@ class TestSystemFiles:
         assert default.fields[1].components[1].coefficient((1, 0)) == -5.0
         overridden = parse_system_text(text, {"b": 7.5})
         assert overridden.fields[1].components[1].coefficient((1, 0)) == -7.5
+
+    @pytest.mark.parametrize("name, overrides, message", [
+        ("linear_pair", {"B": 12.0}, "B (declared: b)"),
+        ("linear_pair", {"x2": 0.0}, "x2 (declared: b)"),
+        ("linear_pair", {"b": 12.0, "c": 1.0}, "c (declared: b)"),
+        ("affine_pair", {"b": 1.0}, "b (declared: none)")])
+    def test_override_must_name_a_declared_parameter(self, name, overrides,
+                                                     message):
+        text = SYSTEMS.joinpath(f"{name}.sys").read_text()
+        with pytest.raises(FileFormatError) as caught:
+            parse_system_text(text, overrides)
+        assert str(caught.value) == f"undeclared parameter {message}"
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
@@ -439,6 +452,7 @@ _NO_GAMMA_CERT = ("dim 2\nsubsystems 2\nell 2\ndelta 1\nbeta 3.3\n"
 
 class TestExitCodes:
     AFFINE = str(SYSTEMS / "affine_pair.sys")
+    LINEAR = str(SYSTEMS / "linear_pair.sys")
 
     @pytest.mark.parametrize("argv", [
         ["certify", AFFINE, "--ell", "abc"],
@@ -535,6 +549,26 @@ class TestExitCodes:
                                                      message):
         argv = ["certify", self.AFFINE, "--ell", "2", "--degree", "4"]
         assert _run(argv + flags, capsys) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.usefixtures("no_solve")
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", LINEAR, "--param", "B=12", "--ell", "1", "--degree", "2",
+          "--beta", "0", "--out", "{tmp}/c.cert"],
+         "undeclared parameter B (declared: b)"),
+        (["certify", LINEAR, "--param", "x2=0", "--ell", "1", "--degree",
+          "2", "--beta", "0", "--out", "{tmp}/c.cert"],
+         "undeclared parameter x2 (declared: b)"),
+        (["verify", LINEAR, "{published}", "--param", "B=12"],
+         "undeclared parameter B (declared: b)"),
+    ], ids=["certify-typo", "certify-state-variable", "verify-typo"])
+    def test_undeclared_param_fails_before_any_solve(self, tmp_path, capsys,
+                                                     argv, message):
+        # a typo once certified the file's default b = 5, and x2=0
+        # substituted 0 for a state variable
+        published = REPO / "bench" / "inputs" / "published_linear_pair_b12.cert"
+        argv = [arg.format(tmp=tmp_path, published=published) for arg in argv]
+        assert _run(argv, capsys) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "c.cert").exists()
 
     @pytest.mark.usefixtures("no_solve")
     @pytest.mark.parametrize("edit, message", [

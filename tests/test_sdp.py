@@ -1,12 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import BETA_AFFINE_PAIR, V_AFFINE_PAIR
 from switchcert import sdp
-from switchcert.certify import build_absorbing_program
+from switchcert.certify import (_multiplier_degree, _sublevel_program,
+                                build_absorbing_program)
 from switchcert.cli import load_system
+from switchcert.poly import parse_expression
 from switchcert.sdp import (SdpProblemBuilder, min_eigenvalue, read_sdpa,
                             solve, write_sdpa)
 from switchcert.sosprog import encode
@@ -275,6 +279,73 @@ class TestSparseOperators:
         assert a.objective == b.objective
         for Xa, Xb in zip(a.blocks, b.blocks):
             assert np.array_equal(Xa, Xb)
+
+
+def _program(systems_dir, name):
+    if name == "sublevel_affine_pair":
+        V = parse_expression(V_AFFINE_PAIR, 2)
+        program = _sublevel_program(V, BETA_AFFINE_PAIR,
+                                    _multiplier_degree(V.degree()))
+    elif name == "cubic_decay_degree8":
+        system = load_system(str(systems_dir / "cubic_3d_pair.sys"))
+        program, _ = build_absorbing_program(
+            system, ell=2, delta=1.0, degree=8, beta=0.0)
+    else:
+        system = load_system(str(systems_dir / "linear_pair.sys"),
+                             {"b": 12.0})
+        program, _ = build_absorbing_program(
+            system, ell=6, delta=1e-3, degree=12, beta=0.0)
+    return encode(program).problem
+
+
+class TestReportedOnOriginalData:
+    """The primal residual and objective of a solution, read off the scaled
+    iterate, against a dense evaluation of the original problem data."""
+
+    @staticmethod
+    def reference(problem, blocks, free):
+        A = dense_constraints(problem, np.ones(problem.m))
+        D = np.zeros((problem.m, problem.n_free))
+        for j, (idx, vals) in enumerate(problem.free_rows):
+            D[j, idx] = vals
+        value = sum(np.einsum("kij,ij->k", A_b, X)
+                    for A_b, X in zip(A, blocks)) + D @ free
+        norm = np.sqrt(sum(np.sum(A_b ** 2, axis=(1, 2)) for A_b in A)
+                       + np.sum(D ** 2, axis=1))
+        residual = np.max(np.abs(value - problem.rhs)
+                          / (1.0 + np.maximum(np.abs(problem.rhs), norm)))
+        objective = sum(np.sum(C * X) for C, X in
+                        zip(problem.obj_blocks, blocks) if C is not None)
+        return residual, objective + problem.obj_free @ free
+
+    @pytest.mark.parametrize("case", [
+        "planted_46", "planted_47", "planted_objective",
+        "sublevel_affine_pair", "cubic_decay_degree8", "gas_b12_mu_floor"])
+    def test_against_dense_reference(self, systems_dir, case):
+        if case.startswith("planted_"):
+            rng = np.random.default_rng(46 if case == "planted_46" else 47)
+            problem = planted_feasible(rng, 6, 12)
+            if case == "planted_objective":
+                C = rng.normal(size=(6, 6))
+                problem = dataclasses.replace(
+                    problem, obj_blocks=(0.5 * (C + C.T),))
+        else:
+            problem = _program(systems_dir, case)
+        if case == "gas_b12_mu_floor":
+            # the first attempt stops at the mu floor and keeps its iterate
+            solution = sdp._solve(problem, sdp.LEVELS[0], 0.0)
+            assert solution.message == sdp._MU_FLOOR
+        else:
+            solution = solve(problem)
+            assert solution.status == "optimal"
+        assert solution.blocks is not None
+        residual, objective = self.reference(problem, solution.blocks,
+                                             solution.free)
+        assert isinstance(solution.objective, float)
+        assert abs(solution.primal_residual - residual) <= \
+            1e-12 + 1e-5 * residual
+        assert abs(solution.objective - objective) <= \
+            1e-12 + 1e-5 * abs(objective)
 
 
 class TestDependentConstraints:
