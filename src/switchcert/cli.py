@@ -109,6 +109,9 @@ def parse_system_text(text: str, overrides: dict | None = None) -> SwitchedSyste
             name, value = (part.strip() for part in body.split("=", 1))
             if not _PARAM_NAME_RE.match(name) or re.match(r"^x\d+$", name):
                 raise FileFormatError(f"invalid parameter name {name!r}")
+            if not np.isfinite(float(value)):
+                raise FileFormatError(
+                    f"parameter {name} is not finite in {lines[pos]!r}")
             params[name] = float(value)
         elif tokens[0] == "subsystem":
             break
@@ -253,6 +256,8 @@ def _parse_param_flags(values) -> dict:
         if "=" not in item:
             raise FileFormatError(f"--param expects name=value, got {item!r}")
         name, value = item.split("=", 1)
+        if not np.isfinite(float(value)):
+            raise FileFormatError(f"--param {item} is not finite")
         params[name.strip()] = float(value)
     return params
 

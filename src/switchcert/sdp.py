@@ -11,8 +11,8 @@ Mehrotra-style predictor-corrector interior-point iteration.  Free scalars
 are kept natively in the KKT system.  Proven primal infeasibility is
 reported through a Farkas ray extracted from the embedding; an ambiguous
 tau/kappa limit is reported as numerical failure, never silently
-misclassified.  Runs are deterministic for fixed inputs and BLAS thread
-count.
+misclassified.  Runs are deterministic for fixed inputs, whatever the BLAS
+thread count the caller set.
 
 Each iteration runs four phases, one function each: ``_cone_factors``
 (Cholesky factors of X and S, and S^-1), ``_newton_system`` (the Schur
@@ -58,10 +58,25 @@ its first iteration and the walk goes on at the first positive
 regularisation; left to rounding, the attempt could end at the
 complementarity floor and skip the regularised ones.  A Gram block counts
 as PSD when its smallest eigenvalue is at least ``-PSD_TOL``.
+
+``solve`` runs the whole walk with every loaded OpenBLAS on one thread and
+restores the caller's thread counts when it returns or raises.  numpy and
+scipy each bundle their own OpenBLAS, and one iteration alternates between
+them (numpy's gemms, Cholesky and eigvalsh, scipy's LU and triangular
+solves); each library's idle workers spin and take the CPUs the other
+needs, so on a 2-CPU machine two threads per library made the solve about
+twice as slow as one.  One thread also fixes the order of the solver's
+BLAS reductions, so its solutions, and with them the certificate texts of
+the bundled systems, do not depend on the caller's thread count.
+Where no OpenBLAS is found (another BLAS, or no ``/proc/self/maps``) the
+thread counts are left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -725,6 +740,77 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         message=message, certificate=certificate)
 
 
+# thread-count controls exported by OpenBLAS builds: scipy's bundled
+# libraries, with and without 64-bit integers, then plain OpenBLAS
+_OPENBLAS_CONTROLS = ("scipy_openblas_{}_num_threads64_",
+                      "scipy_openblas_{}_num_threads",
+                      "openblas_{}_num_threads64_",
+                      "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS mapped into
+    this process, found once: numpy and scipy each bundle their own.
+    Empty where the process map cannot be read (not Linux) or no OpenBLAS
+    is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({fields[5].strip() for fields in
+                            (line.split(maxsplit=5) for line in maps)
+                            if len(fields) == 6
+                            and "openblas" in fields[5].rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_CONTROLS:
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+class _OneBlasThread:
+    """Context manager that holds every loaded OpenBLAS at one thread.
+
+    Solves that overlap, from several threads, share one pin: the first
+    to enter saves the caller's thread counts and the last to leave
+    restores them."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = tuple((put, get())
+                                    for get, put in _openblas_controls())
+                for put, _ in self._saved:
+                    put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for put, count in self._saved:
+                    put(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the SDP, walking the attempt list of the module docstring.
 
@@ -734,22 +820,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
     one stopped by the double-precision floor of mu goes straight to the
     next level.  The relaxed level is safe: the Farkas-ray bar stays
     fixed, and certify.verify_certificate re-checks every certificate
-    independently.
+    independently.  The walk runs with every loaded OpenBLAS on one
+    thread, and the caller's thread counts are restored when it ends.
     """
     if problem.m == 0:
         raise ValueError("problem has no constraints")
-    for level in LEVELS:
-        for reg in REGULARIZATIONS:
-            try:
-                solution = _solve(problem, level, reg)
-            except (np.linalg.LinAlgError, ValueError,
-                    FloatingPointError) as exc:
-                solution = _failure(f"linear algebra failure: {exc}")
-            if solution.status != STATUS_FAILURE \
-                    or solution.message == _UNBOUNDED:
-                return solution
-            if solution.message == _MU_FLOOR:
-                break
+    with _ONE_BLAS_THREAD:
+        for level in LEVELS:
+            for reg in REGULARIZATIONS:
+                try:
+                    solution = _solve(problem, level, reg)
+                except (np.linalg.LinAlgError, ValueError,
+                        FloatingPointError) as exc:
+                    solution = _failure(f"linear algebra failure: {exc}")
+                if solution.status != STATUS_FAILURE \
+                        or solution.message == _UNBOUNDED:
+                    return solution
+                if solution.message == _MU_FLOOR:
+                    break
     return solution
 
 

@@ -571,6 +571,29 @@ class TestExitCodes:
         assert not (tmp_path / "c.cert").exists()
 
     @pytest.mark.usefixtures("no_solve")
+    @pytest.mark.parametrize("flags, line, message", [
+        (["--param", "b=nan"], "param b=5", "--param b=nan is not finite"),
+        (["--param", "b=1e400"], "param b=5",
+         "--param b=1e400 is not finite"),
+        (["--param", "b=-inf"], "param b=5", "--param b=-inf is not finite"),
+        ([], "param b = nan", "parameter b is not finite in 'param b = nan'"),
+        ([], "param b=1e400",
+         "parameter b is not finite in 'param b=1e400'"),
+    ], ids=["flag-nan", "flag-overflow", "flag-inf", "line-nan",
+            "line-overflow"])
+    def test_non_finite_param_fails_before_any_solve(self, tmp_path, capsys,
+                                                     flags, line, message):
+        # the formatted value once reached the expression parser, which
+        # blamed the file: "subsystem 2: unexpected character 'n'"
+        system = tmp_path / "linear_pair.sys"
+        system.write_text((SYSTEMS / "linear_pair.sys").read_text().replace(
+            "param b=5", line))
+        argv = ["certify", str(system), *flags, "--ell", "1", "--degree",
+                "2", "--beta", "0", "--out", str(tmp_path / "c.cert")]
+        assert _run(argv, capsys) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "c.cert").exists()
+
+    @pytest.mark.usefixtures("no_solve")
     @pytest.mark.parametrize("edit, message", [
         ("delta 0", "delta must be positive and finite"),
         ("delta -1", "delta must be positive and finite"),

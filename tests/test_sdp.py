@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -435,6 +437,88 @@ class TestUnboundedPrimal:
         assert solution.status == "numerical-failure"
         assert solution.message.startswith("primal appears unbounded")
         assert attempts == [(1e-7, 1e-7, 0.0)]
+
+
+class TestOneBlasThread:
+    """solve runs every attempt with each loaded OpenBLAS on one thread:
+    numpy's and scipy's pools spin against each other otherwise.  The
+    caller's thread counts come back when solve returns or raises."""
+
+    @pytest.fixture
+    def controls(self):
+        controls = sdp._openblas_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control found")
+        saved = [get() for get, _ in controls]
+        for _, put in controls:
+            put(2)
+        yield controls
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+    @staticmethod
+    def counts(controls):
+        return [get() for get, _ in controls]
+
+    def test_attempts_run_on_one_thread(self, controls, monkeypatch):
+        seen = []
+        inner = sdp._solve
+
+        def recording(problem, level, regularization):
+            seen.append(self.counts(controls))
+            return inner(problem, level, regularization)
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        problem = planted_feasible(np.random.default_rng(0), 3, 4)
+        assert solve(problem).status == "optimal"
+        assert seen and all(c == [1] * len(controls) for c in seen)
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_counts_restored_when_solve_raises(self, controls, monkeypatch):
+        def failing(problem, level, regularization):
+            raise RuntimeError("attempt aborted")
+
+        monkeypatch.setattr(sdp, "_solve", failing)
+        problem = planted_feasible(np.random.default_rng(0), 3, 4)
+        with pytest.raises(RuntimeError, match="attempt aborted"):
+            solve(problem)
+        assert self.counts(controls) == [2] * len(controls)
+
+    def test_overlapping_solves_share_one_pin(self, controls, monkeypatch):
+        # the first solve to leave must not restore the counts under one
+        # still running, and the last must restore the caller's
+        seen = []
+        inner = sdp._solve
+
+        def recording(problem, level, regularization):
+            seen.append(self.counts(controls))
+            return inner(problem, level, regularization)
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        problems = [planted_feasible(np.random.default_rng(k), 3, 4)
+                    for k in range(6)]
+        statuses = []
+
+        def worker(problem):
+            for _ in range(3):
+                statuses.append(solve(problem).status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(problem,))
+                       for problem in problems]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == ["optimal"] * 18
+        assert len(seen) >= 18
+        assert all(c == [1] * len(controls) for c in seen)
+        assert self.counts(controls) == [2] * len(controls)
 
 
 class TestMinEigenvalue:
