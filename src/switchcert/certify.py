@@ -219,20 +219,27 @@ class AbsorbingSetCertificate:
 
 @dataclass
 class SolveLog:
-    """One SDP solve with its native encoding size."""
+    """One SDP solve with its native encoding size.
+
+    equalities and decision_variables describe the program as posed: one
+    equality per monomial of each identity's support, and every Gram
+    upper-triangle entry and free scalar.  rows counts the SDP rows
+    actually solved, which leave out the equalities that the program's
+    sign symmetries make vacuous (sosprog.encode)."""
 
     purpose: str
     degree: int
     beta: float
     equalities: int
     decision_variables: int
+    rows: int
     status: str
     margin: float | None = None
 
     def line(self) -> str:
         text = (f"solve {self.purpose} deg={self.degree} beta={self.beta:g}: "
                 f"status={self.status} equalities={self.equalities} "
-                f"decision_vars={self.decision_variables}")
+                f"decision_vars={self.decision_variables} rows={self.rows}")
         if self.margin is not None:
             text += f" margin={self.margin:.3e}"
         return text
@@ -337,6 +344,7 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
             purpose="decay", degree=degree, beta=query.beta,
             equalities=encoding.n_equalities,
             decision_variables=encoding.n_decision_variables,
+            rows=encoding.problem.m,
             status=solution.status, margin=margin))
 
     if solution.status == sdp.STATUS_INFEASIBLE:
@@ -403,6 +411,7 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
             purpose="sublevel", degree=V.degree(), beta=beta,
             equalities=encoding.n_equalities,
             decision_variables=encoding.n_decision_variables,
+            rows=encoding.problem.m,
             status=solution.status))
     if solution.status == sdp.STATUS_INFEASIBLE:
         raise GammaInfeasibleError(
@@ -575,7 +584,7 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float):
     # envelope = gram_expand(I), so shifting the Gram by -min(t*, 0) * I
     # absorbs any negative slack exactly and restores a PSD witness for
     # the polynomial itself
-    R = solution.blocks[encoding.identity_blocks["membership"]]
+    R = decode(encoding, solution).identity_grams["membership"]
     R = R - min(slack, 0.0) * np.eye(R.shape[0])
     residual_poly = poly - gram_expand(encoding.identity_bases["membership"], R)
     residual = residual_poly.max_abs_coefficient() / scale

@@ -125,6 +125,9 @@ def parse_system_text(text: str, overrides: dict | None = None) -> SwitchedSyste
         raise FileFormatError(
             f"undeclared parameter {', '.join(undeclared)} (declared: "
             f"{', '.join(sorted(params)) or 'none'})")
+    for name, value in (overrides or {}).items():
+        if not np.isfinite(value):
+            raise ValueError(f"parameter override {name}={value} is not finite")
     params.update(overrides or {})
 
     fields = []

@@ -14,6 +14,27 @@ recovers each unknown polynomial as chi^T R chi from its solved Gram block.
 Encoding is deterministic: monomials are processed in graded-lex order, so
 identical programs produce identical SDP data.
 
+Sign symmetry.  A sign change x -> s*x (s in {-1, 1}^n) that fixes every
+known polynomial and weight of a program, and maps component k of each
+Lie term's field to s_k times itself, maps solutions to solutions, so
+their average over all such changes is a solution whose V, p_i, q and
+identities are invariant: restricting to invariant polynomials loses no
+certificate (Gatermann & Parrilo, J. Pure Appl. Algebra 2004; Lofberg,
+IEEE TAC 2009).  invariant_parities finds, from the program's data alone,
+the monomials every such change fixes: those whose exponent parities lie
+in the GF(2) span of the data's parities.
+- Row rule: encode poses one equality per monomial of each identity's
+  support (SdpEncoding.n_equalities counts them) but emits the rows of
+  invariant monomials only.  Every other row holds only Gram entries
+  (i, j) whose product chi_i chi_j is not invariant, with no known
+  coefficient and no scalar, so it reads 0 = 0 on invariant Gram
+  matrices.  A program without such a change, such as one whose fields
+  have a constant term in every component, keeps every row.
+- Decode average: decode sets those entries to 0.  That is the group
+  average of each solved block, so it keeps every block PSD and makes
+  every row left out hold exactly.  On the bundled programs the solver
+  returns them as exactly 0.0, so there decode changes no bit.
+
 gram_basis is the one rule that turns degrees into a Gram basis: the
 program builders size each unknown with it, encode sizes each identity's
 Gram matrix from the degrees of the identity's achievable support, and the
@@ -154,22 +175,77 @@ class SosProgram:
 
 @dataclass(frozen=True)
 class SdpEncoding:
+    """The SDP of a program and where its unknowns sit in it.  problem holds
+    only the rows of invariant monomials; n_equalities counts every row the
+    program poses, n_decision_variables every Gram entry and scalar."""
+
     problem: SdpProblem
     unknown_blocks: Mapping[str, int]
     identity_blocks: Mapping[str, int]
     identity_bases: Mapping[str, GramBasis]
     scalar_index: Mapping[str, int]
     unknown_bases: Mapping[str, GramBasis]
-
-    @property
-    def n_equalities(self) -> int:
-        return self.problem.m
+    n_equalities: int
+    parity_span: tuple          # from invariant_parities
 
     @property
     def n_decision_variables(self) -> int:
         """Gram upper-triangle entries plus free scalars."""
         tri = sum(s * (s + 1) // 2 for s in self.problem.block_sizes)
         return tri + self.problem.n_free
+
+
+def _parity(mono) -> int:
+    """The exponent parities of a monomial as a bitmask, bit k for x_{k+1}."""
+    mask = 0
+    for k, e in enumerate(mono):
+        if e & 1:
+            mask |= 1 << k
+    return mask
+
+
+def _reduce(mask: int, span: tuple) -> int:
+    """The representative of a parity mask modulo a GF(2) span given as a
+    basis with distinct leading bits, in decreasing order: equal for two
+    masks exactly when their sum lies in the span, and 0 for its members."""
+    for v in span:
+        mask = min(mask, mask ^ v)
+    return mask
+
+
+def invariant_parities(program: SosProgram) -> tuple:
+    """GF(2) basis, with distinct leading bits in decreasing order, of the
+    parities of the monomials that every sign symmetry of the program fixes.
+
+    A sign change x -> s*x (s in {-1, 1}^n) is a symmetry when it fixes
+    every known polynomial and weight and, for each Lie term, maps
+    component k of the field to s_k times itself.  The monomials it fixes
+    for every such s are those whose parity lies in the span of the data's
+    parities: each monomial of a known polynomial or weight, and each
+    monomial of field component k with bit k flipped."""
+    masks = set()
+    for ident in program.identities:
+        masks.update(map(_parity, ident.known.terms))
+        for term in ident.terms:
+            if isinstance(term, UnknownLieTerm):
+                for k, comp in enumerate(term.field.components):
+                    masks.update(_parity(m) ^ (1 << k) for m in comp.terms)
+            else:
+                masks.update(map(_parity, term.weight.terms))
+    span: list = []
+    for mask in sorted(masks):
+        mask = _reduce(mask, span)
+        if mask:
+            span.append(mask)
+            span.sort(reverse=True)
+    return tuple(span)
+
+
+def parity_classes(basis: GramBasis, span: tuple) -> np.ndarray:
+    """The class of each basis monomial modulo the span of
+    invariant_parities: chi_i chi_j is invariant exactly when chi_i and
+    chi_j share a class."""
+    return np.array([_reduce(_parity(m), span) for m in basis.monomials])
 
 
 def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUnknown]):
@@ -201,7 +277,8 @@ def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUn
 
 
 def encode(program: SosProgram) -> SdpEncoding:
-    """Build the block-diagonal SDP for a program of SOS identities."""
+    """Build the block-diagonal SDP for a program of SOS identities, with
+    the rows of invariant monomials only (see the module docstring)."""
     if not program.identities:
         raise ValueError("empty program")
     n = program.identities[0].dimension
@@ -250,19 +327,35 @@ def encode(program: SosProgram) -> SdpEncoding:
             vec[scalar_index[name]] = coef
         builder.set_objective_free(vec)
 
+    span = invariant_parities(program)
+    n_equalities = 0
     for ident in program.identities:
         coeffs, support = identity_tables[ident.name]
         basis = identity_bases[ident.name]
         id_block = identity_blocks[ident.name]
         known_scale = 1.0 + ident.known.max_abs_coefficient()
 
+        # a row of a monomial outside the span reads 0 = 0 once the Gram
+        # matrices are invariant: it is posed but not emitted.  Known and
+        # scalar terms lie in the span by construction of span.
+        kept = {mono for mono in support if _reduce(_parity(mono), span) == 0}
+        n_equalities += len(support) - len(kept)
+        data = set(ident.known.terms).union(*(
+            term.weight.terms for term in ident.terms
+            if isinstance(term, ScalarTerm)))
+        if not kept.issuperset(data):
+            raise RuntimeError(
+                f"identity {ident.name!r}: a known or scalar term lies "
+                "outside the invariant parities")
+
         # invert the per-entry tables into per-monomial rows
-        rows: dict = {mono: ({}, {}) for mono in support}
+        rows: dict = {mono: ({}, {}) for mono in kept}
         for (uname, i, j), gij in coeffs.items():
             block = unknown_blocks[uname]
             for mono, c in gij.terms.items():
-                block_map, _ = rows[mono]
-                block_map.setdefault(block, []).append((i, j, c))
+                row = rows.get(mono)
+                if row is not None:
+                    row[0].setdefault(block, []).append((i, j, c))
         for term in ident.terms:
             if isinstance(term, ScalarTerm):
                 k = scalar_index[term.scalar]
@@ -270,10 +363,11 @@ def encode(program: SosProgram) -> SdpEncoding:
                     _, free_map = rows[mono]
                     free_map[k] = free_map.get(k, 0.0) + c
         for i, j, mono in basis.pairs():
-            block_map, _ = rows[mono]
-            block_map.setdefault(id_block, []).append((i, j, -1.0))
+            row = rows.get(mono)
+            if row is not None:
+                row[0].setdefault(id_block, []).append((i, j, -1.0))
 
-        for mono in sorted(support, key=grlex_key):
+        for mono in sorted(kept, key=grlex_key):
             block_map, free_map = rows[mono]
             rhs = -ident.known.coefficient(mono)
             if not block_map and not free_map:
@@ -282,6 +376,7 @@ def encode(program: SosProgram) -> SdpEncoding:
                         f"identity {ident.name!r}: monomial {mono} has known "
                         f"coefficient {-rhs} but no unknown can produce it")
                 continue
+            n_equalities += 1
             builder.add_constraint(
                 rhs, {b: trips for b, trips in sorted(block_map.items())},
                 free_map)
@@ -293,6 +388,8 @@ def encode(program: SosProgram) -> SdpEncoding:
         identity_bases=identity_bases,
         scalar_index=scalar_index,
         unknown_bases={u.name: u.basis for u in program.unknowns},
+        n_equalities=n_equalities,
+        parity_span=span,
     )
 
 
@@ -304,15 +401,26 @@ class DecodedSos:
 
 
 def decode(encoding: SdpEncoding, solution: SdpSolution) -> DecodedSos:
-    """Recover unknown polynomials and scalars from a solved SDP."""
+    """Recover unknown polynomials and scalars from a solved SDP, each Gram
+    block averaged over the program's sign symmetries."""
     if not solution.feasible:
         raise ValueError(
             f"cannot decode a solution with status {solution.status!r}")
+
+    def invariant_part(basis, block):
+        """The block with every entry whose product chi_i chi_j is not
+        invariant set to 0: its average over the sign symmetries."""
+        R = solution.blocks[block]
+        classes = parity_classes(basis, encoding.parity_span)
+        cross = classes[:, None] != classes[None, :]
+        return np.where(cross, 0.0, R) if cross.any() else R
+
     polys = {
-        name: gram_expand(encoding.unknown_bases[name], solution.blocks[block])
+        name: gram_expand(encoding.unknown_bases[name],
+                          invariant_part(encoding.unknown_bases[name], block))
         for name, block in encoding.unknown_blocks.items()}
     identity_grams = {
-        name: solution.blocks[block]
+        name: invariant_part(encoding.identity_bases[name], block)
         for name, block in encoding.identity_blocks.items()}
     scalars = {
         name: float(solution.free[k])

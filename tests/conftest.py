@@ -26,6 +26,38 @@ GAMMA_AFFINE_TRIPLE = 38.43
 BETA_AFFINE_TRIPLE = 2.0
 
 
+def encode_posed(program):
+    """encode with every monomial taken as invariant: the SDP as posed,
+    one row per monomial of each identity's support."""
+    from switchcert import sosprog
+    n = program.identities[0].dimension
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sosprog, "invariant_parities",
+                      lambda program: tuple(1 << k for k in reversed(range(n))))
+        return sosprog.encode(program)
+
+
+def gram_bases(encoding):
+    """The Gram basis of each block of an encoding, by block index."""
+    bases = {block: encoding.unknown_bases[name]
+             for name, block in encoding.unknown_blocks.items()}
+    bases.update({block: encoding.identity_bases[name]
+                  for name, block in encoding.identity_blocks.items()})
+    return bases
+
+
+def same_row(a, j, b, k):
+    """Row j of SdpProblem a equals row k of SdpProblem b."""
+    if a.rhs[j] != b.rhs[k] or len(a.entries[j]) != len(b.entries[k]) \
+            or not all(np.array_equal(x, y) for x, y in
+                       zip(a.free_rows[j], b.free_rows[k])):
+        return False
+    return all(ea.block == eb.block and np.array_equal(ea.rows, eb.rows)
+               and np.array_equal(ea.cols, eb.cols)
+               and np.array_equal(ea.vals, eb.vals)
+               for ea, eb in zip(a.entries[j], b.entries[k]))
+
+
 def linear_pair_matrices(b):
     return [np.array([[0.0, 1.0], [-0.1, -2.0]]),
             np.array([[0.0, 1.0], [-float(b), -2.0]])]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (BETA_AFFINE_PAIR, SYSTEMS, V_AFFINE_PAIR,
-                      V_LINEAR_PAIR_DEG12, linear_pair_matrices)
+                      V_LINEAR_PAIR_DEG12, encode_posed, gram_bases,
+                      linear_pair_matrices, same_row)
 from switchcert import certify
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, CertificationQuery,
@@ -16,7 +17,28 @@ from switchcert.certify import (AbsorbingSetCertificate,
                                 verify_certificate)
 from switchcert.cli import load_system
 from switchcert.poly import parse_expression
-from switchcert.sosprog import encode
+from switchcert.sdp import solve
+from switchcert.sosprog import decode, encode, parity_classes
+
+
+# the bundled decay programs: (system, parameters, ell, delta, degree, beta,
+# posed rows m, Gram block sizes)
+DECAY_PROGRAMS = [
+    ("affine_pair", {}, 2, 1.0, 4, 3.3, 30, (3, 3, 3, 6, 6)),
+    ("affine_triple", {}, 2, 1.0, 4, 2.0, 45,
+     (3, 3, 3, 3, 6, 6, 6)),
+    ("cubic_3d_pair", {}, 2, 1.0, 4, 5.0, 119, (6, 10, 4, 20, 10)),
+    ("cubic_3d_pair", {}, 2, 1.0, 6, 0.0, 241,
+     (19, 20, 10, 34, 19)),
+    ("cubic_3d_pair", {}, 2, 1.0, 8, 0.0, 443,
+     (34, 35, 20, 55, 34)),
+    ("vdp_relay_pair", {}, 1, 1e-4, 6, 14.0, 73, (9, 10, 6, 15, 10)),
+    ("vdp_relay_pair", {}, 1, 1e-4, 8, 14.0, 111,
+     (14, 15, 10, 21, 15)),
+    ("linear_pair", {"b": 12.0}, 6, 1e-3, 12, 0.0, 26,
+     (7, 6, 6, 7, 7)),
+    ("linear_pair", {"b": 5.0}, 1, 1.0, 2, 0.0, 6, (2, 1, 1, 2, 2)),
+]
 
 
 def status_of(result):
@@ -345,46 +367,47 @@ class TestCertificateConstants:
 
 
 class TestProgramSizes:
-    """Rows m and Gram block sizes of each bundled program, encoded without
-    a solve.  They follow from the basis rule alone: a change to the rule
-    that shrinks them on purpose updates this table and says why."""
+    """Posed rows m, solved rows and Gram block sizes of each bundled
+    program, encoded without a solve.  m and the blocks follow from the
+    basis rule alone.  The solved rows leave out the monomials whose
+    parity the program's sign symmetries do not fix: the odd fields of the
+    cubic and van der Pol pairs, and the even V of the published
+    sublevels, have such symmetries; the affine fields, whose constant
+    terms rule out every sign change, and the homogeneous linear pair,
+    whose rows are all even already, lose none.  A change to either rule that moves them on
+    purpose updates this table and says why."""
+
+    # rows the decay programs below solve, by (system, degree)
+    SOLVED = {("affine_pair", 4): 30, ("affine_triple", 4): 45,
+              ("cubic_3d_pair", 4): 72, ("cubic_3d_pair", 6): 143,
+              ("cubic_3d_pair", 8): 254, ("vdp_relay_pair", 6): 41,
+              ("vdp_relay_pair", 8): 61, ("linear_pair", 12): 26,
+              ("linear_pair", 2): 6}
 
     @pytest.mark.parametrize(
-        "name, params, ell, delta, degree, beta, m, blocks", [
-            ("affine_pair", {}, 2, 1.0, 4, 3.3, 30, (3, 3, 3, 6, 6)),
-            ("affine_triple", {}, 2, 1.0, 4, 2.0, 45,
-             (3, 3, 3, 3, 6, 6, 6)),
-            ("cubic_3d_pair", {}, 2, 1.0, 4, 5.0, 119, (6, 10, 4, 20, 10)),
-            ("cubic_3d_pair", {}, 2, 1.0, 6, 0.0, 241,
-             (19, 20, 10, 34, 19)),
-            ("cubic_3d_pair", {}, 2, 1.0, 8, 0.0, 443,
-             (34, 35, 20, 55, 34)),
-            ("vdp_relay_pair", {}, 1, 1e-4, 6, 14.0, 73, (9, 10, 6, 15, 10)),
-            ("vdp_relay_pair", {}, 1, 1e-4, 8, 14.0, 111,
-             (14, 15, 10, 21, 15)),
-            ("linear_pair", {"b": 12.0}, 6, 1e-3, 12, 0.0, 26,
-             (7, 6, 6, 7, 7)),
-            ("linear_pair", {"b": 5.0}, 1, 1.0, 2, 0.0, 6, (2, 1, 1, 2, 2)),
-        ])
+        "name, params, ell, delta, degree, beta, m, blocks", DECAY_PROGRAMS)
     def test_decay_program(self, name, params, ell, delta, degree, beta, m,
                            blocks):
         system = load_system(str(SYSTEMS / f"{name}.sys"), params)
         program, _ = certify.build_absorbing_program(
             system, ell, delta, degree, beta)
-        problem = encode(program).problem
-        assert (problem.m, tuple(problem.block_sizes), problem.n_free) == \
-            (m, blocks, 0)
+        encoding = encode(program)
+        problem = encoding.problem
+        assert (encoding.n_equalities, problem.m, tuple(problem.block_sizes),
+                problem.n_free) == (m, self.SOLVED[name, degree], blocks, 0)
 
-    @pytest.mark.parametrize("v_text, beta, m, blocks", [
-        (V_AFFINE_PAIR, BETA_AFFINE_PAIR, 15, (3, 6)),
-        (V_LINEAR_PAIR_DEG12, 0.0, 91, (21, 28))],
+    @pytest.mark.parametrize("v_text, beta, m, solved, blocks", [
+        (V_AFFINE_PAIR, BETA_AFFINE_PAIR, 15, 9, (3, 6)),
+        (V_LINEAR_PAIR_DEG12, 0.0, 91, 49, (21, 28))],
         ids=["affine_pair", "linear_pair_b12"])
-    def test_sublevel_program_of_published_v(self, v_text, beta, m, blocks):
+    def test_sublevel_program_of_published_v(self, v_text, beta, m, solved,
+                                             blocks):
         V = parse_expression(v_text, 2)
-        problem = encode(certify._sublevel_program(
-            V, beta, certify._multiplier_degree(V.degree()))).problem
-        assert (problem.m, tuple(problem.block_sizes), problem.n_free) == \
-            (m, blocks, 1)
+        encoding = encode(certify._sublevel_program(
+            V, beta, certify._multiplier_degree(V.degree())))
+        problem = encoding.problem
+        assert (encoding.n_equalities, problem.m, tuple(problem.block_sizes),
+                problem.n_free) == (m, solved, blocks, 1)
 
     def test_multiplier_degree(self):
         # D = deg f + deg V - 1 gives deg p_i, and D = deg V the default
@@ -396,6 +419,62 @@ class TestProgramSizes:
             assert certify._multiplier_degree(deg_v) == linear
         assert [certify._multiplier_degree(D) for D in (0, 1, 3, 5)] == \
             [0, 0, 0, 2]
+
+
+class TestSignSymmetryReduction:
+    """encode leaves out the rows that the sign symmetries of a program
+    make vacuous; encode_posed keeps every row, as the program poses it."""
+
+    @pytest.mark.parametrize(
+        "name, params, ell, delta, degree, beta, m, blocks", DECAY_PROGRAMS)
+    def test_reduced_program_solves_as_posed(self, name, params, ell, delta,
+                                             degree, beta, m, blocks):
+        system = load_system(str(SYSTEMS / f"{name}.sys"), params)
+        program, _ = certify.build_absorbing_program(
+            system, ell, delta, degree, beta)
+        reduced, posed = encode(program), encode_posed(program)
+        solved, full = solve(reduced.problem), solve(posed.problem)
+        assert (solved.status, solved.iterations) == \
+            (full.status, full.iterations)
+        if not solved.feasible:
+            return
+        # the IPM keeps the entries that no solved row touches at 0.0
+        for block, basis in gram_bases(reduced).items():
+            classes = parity_classes(basis, reduced.parity_span)
+            cross = classes[:, None] != classes[None, :]
+            assert np.all(solved.blocks[block][cross] == 0.0)
+        ours, theirs = decode(reduced, solved), decode(posed, full)
+        for name, poly in theirs.polynomials.items():
+            gap = (ours.polynomials[name] - poly).max_abs_coefficient()
+            assert gap <= 1e-9 * poly.max_abs_coefficient()
+
+    def test_farkas_ray_holds_on_posed_rows(self, cubic_3d_pair):
+        # the degree-4 cubic program at beta = 0 has no solution; its ray,
+        # zero on the rows left out, proves that of the posed program
+        program, _ = certify.build_absorbing_program(
+            cubic_3d_pair, 2, 1.0, 4, 0.0)
+        reduced, posed = encode(program), encode_posed(program)
+        solution = solve(reduced.problem)
+        assert solution.status == "infeasible"
+        kept, j = [], 0
+        for k in range(reduced.problem.m):
+            while not same_row(reduced.problem, k, posed.problem, j):
+                j += 1
+            kept.append(j)
+            j += 1
+        assert len(kept) < posed.problem.m
+        y = np.zeros(posed.problem.m)
+        y[kept] = solution.certificate["ray_y"]
+        y /= np.max(np.abs(y))
+        mats = [np.zeros((s, s)) for s in posed.problem.block_sizes]
+        for yj, row in zip(y, posed.problem.entries):
+            for ent in row:
+                mats[ent.block][ent.rows, ent.cols] -= yj * ent.vals
+                off = ent.rows != ent.cols
+                mats[ent.block][ent.cols[off], ent.rows[off]] -= \
+                    yj * ent.vals[off]
+        assert posed.problem.rhs @ y > 0
+        assert min(np.linalg.eigvalsh(M)[0] for M in mats) >= -1e-9
 
 
 class TestClassify:

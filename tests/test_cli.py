@@ -52,6 +52,17 @@ class TestSystemFiles:
             parse_system_text(text, overrides)
         assert str(caught.value) == f"undeclared parameter {message}"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_library_override_is_named(self, value):
+        # the override once reached the expression parser, which blamed the
+        # file: "subsystem 2: unexpected character 'n'"
+        with pytest.raises(ValueError) as info:
+            load_system(str(SYSTEMS / "linear_pair.sys"), {"b": value})
+        assert not isinstance(info.value, FileFormatError)
+        assert str(info.value) == \
+            f"parameter override b={value} is not finite"
+
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             parse_system_text("subsystem 1\nx1\n")

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from switchcert.poly import Polynomial, parse_expression
-from switchcert import sdp
-from switchcert.sdp import solve
+from conftest import encode_posed, gram_bases, same_row
+from switchcert.poly import (Polynomial, PolynomialVectorField, mono_mul,
+                             parse_expression)
+from switchcert import sdp, sosprog
+from switchcert.sdp import SdpSolution, solve
 from switchcert.sosprog import (GramBasis, IllFormedIdentityError, ScalarTerm,
                                 SosIdentity, SosProgram, SosUnknown,
                                 UnknownLieTerm, UnknownTerm,
-                                decode, encode,
-                                gram_expand, identity_residual, monomial_basis)
+                                decode, encode, gram_expand,
+                                identity_residual, invariant_parities,
+                                monomial_basis)
 
 
 def sos_membership(poly):
@@ -67,6 +71,8 @@ class TestCoefficientMatching:
     def test_direct_matching_count(self):
         enc = sos_membership(parse_expression("x1^2 + x2^2", 2))
         assert enc.n_equalities == 3  # R11 = 1, R22 = 1, 2 R12 = 0
+        # 2 R12 = 0 reads 0 = 0 on a Gram matrix invariant under x1 -> -x1
+        assert enc.problem.m == 2
 
     def test_sublevel_identity_equality_count(self, published_v_affine_pair):
         sumsq = parse_expression("x1^2 + x2^2", 2)
@@ -206,3 +212,101 @@ class TestInvariantSuite:
             for R in decoded.identity_grams.values():
                 min_eig = float(np.linalg.eigvalsh(R)[0])
                 assert min_eig >= -1e-7 * (1.0 + np.trace(R))
+
+
+def row_products(encoding):
+    """Per SDP row, the Gram products chi_i chi_j of its entries."""
+    bases = gram_bases(encoding)
+    return [{mono_mul(bases[ent.block].monomials[i],
+                      bases[ent.block].monomials[j])
+             for ent in row for i, j in zip(ent.rows, ent.cols)}
+            for row in encoding.problem.entries]
+
+
+def lie_program(field, known, u_basis):
+    """known - grad(u) . field is SOS, for an unknown SOS u."""
+    identity = SosIdentity("decay", field.dimension, known=known,
+                           terms=(UnknownLieTerm("u", field, scale=-1.0),))
+    return SosProgram((identity,), (SosUnknown("u", u_basis),))
+
+
+class TestSignSymmetry:
+    def test_field_odd_in_x1_only_drops_only_x1_odd_rows(self):
+        # x -> (-x1, x2) maps the field to (-f1, f2); no sign of x2 does
+        field = PolynomialVectorField(2, (parse_expression("x1", 2),
+                                          parse_expression("x2 + x1^2", 2)))
+        program = lie_program(field, parse_expression("x1^2 + x2^4", 2),
+                              monomial_basis(2, 1, 2))
+        assert invariant_parities(program) == (0b10,)
+        reduced, posed = encode(program), encode_posed(program)
+        assert reduced.n_equalities == posed.n_equalities == posed.problem.m
+        parities = [{mono[0] % 2 for mono in products}
+                    for products in row_products(posed)]
+        assert all(len(p) == 1 for p in parities)
+        kept = [j for j, p in enumerate(parities) if p == {0}]
+        assert 0 < len(kept) == reduced.problem.m < posed.problem.m
+        assert all(same_row(reduced.problem, k, posed.problem, j)
+                   for k, j in enumerate(kept))
+        # rows odd in x2 are posed and solved
+        assert any(mono[1] % 2 for products in row_products(reduced)
+                   for mono in products)
+
+    def test_no_symmetry_keeps_every_row(self):
+        # the constant terms of the field fix the sign of each variable
+        field = PolynomialVectorField(2, (parse_expression("x1 - 1", 2),
+                                          parse_expression("x2 + 1", 2)))
+        program = lie_program(field, parse_expression("x1^2 + x2^2", 2),
+                              monomial_basis(2, 1, 1))
+        assert len(invariant_parities(program)) == 2
+        reduced, posed = encode(program), encode_posed(program)
+        assert reduced.problem.m == reduced.n_equalities == posed.problem.m
+        assert all(same_row(reduced.problem, j, posed.problem, j)
+                   for j in range(posed.problem.m))
+
+    @pytest.mark.parametrize("known, weight", [("x1^2 + x1*x2", "1"),
+                                               ("x1^2", "x1*x2")],
+                             ids=["known", "scalar"])
+    def test_dropped_row_with_data_is_an_internal_error(
+            self, monkeypatch, known, weight):
+        # a span that misses a parity of the data would drop a row that
+        # the data needs
+        monkeypatch.setattr(sosprog, "invariant_parities", lambda program: ())
+        identity = SosIdentity(
+            "m", 2, known=parse_expression(known, 2),
+            terms=(ScalarTerm("t", parse_expression(weight, 2)),))
+        with pytest.raises(RuntimeError, match="invariant parities"):
+            encode(SosProgram((identity,), (), scalars=("t",)))
+
+    def test_decode_zeroes_cross_class_entries(self):
+        # x1 and x2 lie in different classes, so R12 is averaged away
+        enc = sos_membership(parse_expression("x1^2 + x2^2", 2))
+        R = np.array([[1.0, 0.5], [0.5, 2.0]])
+        solution = SdpSolution(
+            status=sdp.STATUS_OPTIMAL, blocks=[R], free=np.zeros(0),
+            objective=0.0, dual_objective=0.0, primal_residual=0.0,
+            min_eigenvalues=[0.0], iterations=1)
+        gram = decode(enc, solution).identity_grams["m"]
+        assert np.array_equal(gram, np.diag([1.0, 2.0]))
+        assert np.array_equal(R, [[1.0, 0.5], [0.5, 2.0]])
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(field_coefs=st.lists(st.integers(-2, 2), min_size=12,
+                                max_size=12),
+           poly_coefs=st.lists(st.integers(-2, 2), min_size=8, max_size=8))
+    def test_reduced_and_posed_agree_on_membership(self, field_coefs,
+                                                   poly_coefs):
+        # an odd field and an even polynomial: x -> -x is a symmetry
+        odd = monomial_basis(2, 1, 1).monomials \
+            + monomial_basis(2, 3, 3).monomials
+        even = monomial_basis(2, 2, 2).monomials \
+            + monomial_basis(2, 4, 4).monomials
+        field = PolynomialVectorField(2, tuple(
+            Polynomial(2, dict(zip(odd, field_coefs[k::2])))
+            for k in range(2)))
+        # a positive diagonal makes some of the draws SOS
+        known = Polynomial(2, dict(zip(even, poly_coefs))) \
+            + parse_expression("2*x1^2 + 2*x2^2 + 2*x1^4 + 2*x2^4", 2)
+        program = lie_program(field, known, monomial_basis(2, 1, 1))
+        reduced, posed = encode(program), encode_posed(program)
+        assert reduced.problem.m <= posed.problem.m == reduced.n_equalities
+        assert solve(reduced.problem).status == solve(posed.problem).status
