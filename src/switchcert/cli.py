@@ -6,7 +6,9 @@ their usage):
     0  success
     1  usage errors (argparse's included), file, parse or dimension errors,
        query or certificate constants that are not finite or out of range,
-       and output paths that cannot be written
+       grid or window bounds that are not finite, simulation starts that
+       are not finite or lie beyond the divergence guard, and output paths
+       that cannot be written
     2  proven infeasibility at the degree cap
     3  numerical failure in the solver
     4  certificate verification check failed
@@ -265,16 +267,22 @@ def _parse_param_flags(values) -> dict:
     return params
 
 
-def _parse_window(text: str, expected: int) -> list:
+def _parse_axes(text: str, expected: int, kind: str, usage: str) -> list:
+    """One tuple per comma-separated chunk of a window ("lo:hi") or grid
+    ("lo:hi:count") flag; both bounds must be finite."""
     axes = []
     for chunk in text.split(","):
         parts = chunk.split(":")
-        if len(parts) != 2:
-            raise FileFormatError(f"bad window chunk {chunk!r}; use lo:hi")
-        axes.append((float(parts[0]), float(parts[1])))
+        if len(parts) != usage.count(":") + 1:
+            raise FileFormatError(f"bad {kind} chunk {chunk!r}; use {usage}")
+        bounds = float(parts[0]), float(parts[1])
+        if not np.all(np.isfinite(bounds)):
+            raise FileFormatError(
+                f"non-finite bound in {kind} chunk {chunk!r}")
+        axes.append(bounds + tuple(int(part) for part in parts[2:]))
     if len(axes) != expected:
         raise FileFormatError(
-            f"window has {len(axes)} axes, expected {expected}")
+            f"{kind} has {len(axes)} axes, expected {expected}")
     return axes
 
 
@@ -292,16 +300,7 @@ def _grid(axes) -> np.ndarray:
 
 
 def _parse_grid(text: str, expected: int) -> np.ndarray:
-    axes = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise FileFormatError(
-                f"bad grid chunk {chunk!r}; use lo:hi:count")
-        axes.append((float(parts[0]), float(parts[1]), int(parts[2])))
-    if len(axes) != expected:
-        raise FileFormatError(f"grid has {len(axes)} axes, expected {expected}")
-    return _grid(axes)
+    return _grid(_parse_axes(text, expected, "grid", "lo:hi:count"))
 
 
 def _fmt(value: float) -> str:
@@ -412,6 +411,7 @@ def cmd_simulate(args) -> None:
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate) if args.certificate else None
     x0 = _parse_grid(args.x0_grid, system.dimension)
+    sim.check_starts(system, x0)
     if cert is not None:
         check_matches(cert, system)
         if cert.gamma is None:
@@ -479,7 +479,7 @@ def cmd_levelset(args) -> None:
     window_text = args.window or _DEFAULT_WINDOWS.get(len(free_axes))
     if window_text is None:
         raise ValueError("--window required for this dimension")
-    window = _parse_window(window_text, len(free_axes))
+    window = _parse_axes(window_text, len(free_axes), "window", "lo:hi")
     grid = _grid([(lo, hi, args.resolution) for lo, hi in window])
 
     points = np.zeros((len(grid), n))

@@ -38,26 +38,24 @@ reported primal residual refers to the original data, each row normalised
 by 1 + max(|b_j|, ||A_j||_F); it is read off the residual of the scaled
 data that every iteration computes, so no pass over the rows repeats it.
 
-``solve`` is the only place that retries.  It walks one fixed attempt list,
-the tolerance levels ``LEVELS`` times the KKT regularisations
-``REGULARIZATIONS``, and returns the first result that is not numerical
-failure.  The first level asks for residuals and gap of 1e-7, the second
-relaxes both to 1e-6: ill-conditioned SOS programs (large certificate
-scales at feasibility edges) can sit below the double-precision residual
-floor of the first.  Relaxing is safe because the Farkas-ray bar
-``RAY_TOL`` does not loosen with the level, so a relaxed attempt cannot
-misclassify a feasible problem as infeasible, and every certificate is
-re-verified independently of the search.  An attempt that exhausts
-complementarity ("tolerances unreachable") skips the remaining
-regularisations, which do not lower that floor.  One that finds a
-dual-infeasibility ray ("primal appears unbounded") ends the walk: that
-ray is judged against the fixed ``RAY_TOL``, so no later attempt can
-change the verdict.  A program whose constraints are linearly dependent
-has a singular KKT matrix at regularisation 0, so that attempt ends before
-its first iteration and the walk goes on at the first positive
-regularisation; left to rounding, the attempt could end at the
-complementarity floor and skip the regularised ones.  A Gram block counts
-as PSD when its smallest eigenvalue is at least ``-PSD_TOL``.
+``solve`` is the only place that retries: it walks the KKT
+regularisations ``REGULARIZATIONS`` and returns the first result that is
+not numerical failure.  Each attempt aims at residuals and gap of ``TOL``
+and is judged once, where it stops.  Converged, it is optimal.  Stopped
+short, as ill-conditioned SOS programs at feasibility edges do at the
+double-precision floor of mu, it is feasible when no ray ended it, its
+primal residual on the original data is at most ``RELAXED_TOL``, every
+block is PSD, and its gap is at most ``RELAXED_TOL`` or the program has no
+objective.  The self-dual iterates do not depend on the tolerances, so a
+looser re-solve would only retrace them.  The Farkas-ray bar ``RAY_TOL``
+never loosens, so no feasible problem is called infeasible, and every
+certificate is re-verified apart from the search.  A stop at the mu floor
+or on a dual-infeasibility ray ends the walk, as no regularisation changes
+either.  Linearly dependent constraints make the KKT matrix singular at
+regularisation 0, so that attempt ends before its first iteration, where
+rounding could otherwise stop it at the mu floor, and the walk goes on.
+A Gram block counts as PSD when its smallest eigenvalue is at least
+``-PSD_TOL``.
 
 ``solve`` runs the whole walk with every loaded OpenBLAS on one thread and
 restores the caller's thread counts when it returns or raises.  numpy and
@@ -94,7 +92,8 @@ STATUS_FAILURE = "numerical-failure"
 MAX_ITERATIONS = 20000
 STEP_SCALE = 0.98                     # fraction of the step to the cone edge
 REGULARIZATIONS = (0.0, 1e-10, 1e-8)  # KKT diagonal shifts, tried in order
-LEVELS = ((1e-7, 1e-7), (1e-6, 1e-6))  # (feas_tol, gap_tol) per attempt level
+TOL = 1e-7                            # residuals and gap of convergence
+RELAXED_TOL = 1e-6                    # residual and gap of a stopped point
 PSD_TOL = 1e-8                        # smallest eigenvalue accepted as PSD
 RAY_TOL = 1e-8                        # relative residual of a Farkas ray
 _MU_FLOOR = "tolerances unreachable in double precision"
@@ -606,9 +605,9 @@ def _primal_residual(emb, E1) -> float:
                         / emb.res_norm))
 
 
-def _converged(emb, E, feas_tol, gap_tol) -> bool:
-    """Whether the residuals and gap are within tolerance on the scaled
-    data, and the primal residual on the original data within feas_tol."""
+def _converged(emb, E) -> bool:
+    """Whether the residuals and gap are within TOL on the scaled data, and
+    the primal residual on the original data within TOL."""
     E1, E2, E3, _ = E
     tau = emb.tau
     pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
@@ -619,17 +618,16 @@ def _converged(emb, E, feas_tol, gap_tol) -> bool:
     pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
     dobj = float(emb.b @ emb.y) / tau
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return (pres <= feas_tol and dres <= feas_tol and gres <= feas_tol
-            and gap <= gap_tol and _primal_residual(emb, E1) <= feas_tol)
+    return max(pres, dres, gres, gap, _primal_residual(emb, E1)) <= TOL
 
 
 def _ray_verdict(emb):
     """(status, message, certificate) once tau has collapsed against kappa
     on a ray or ambiguously, else None.
 
-    The ray quality bar RAY_TOL is fixed rather than tied to the level so
-    that a loosened solve cannot misclassify a feasible problem; a marginal
-    instance degrades to numerical-failure instead."""
+    The ray quality bar RAY_TOL is fixed, not loosened with RELAXED_TOL,
+    so that no feasible problem is misclassified; a marginal instance
+    degrades to numerical-failure instead."""
     by = float(emb.b @ emb.y)
     if by > 0:
         At_y = emb.opAt(emb.y)
@@ -660,12 +658,11 @@ def _failure(message: str) -> SdpSolution:
         iterations=0, message=message)
 
 
-def _solve(problem: SdpProblem, level: tuple, regularization: float):
-    feas_tol, gap_tol = level
+def _solve(problem: SdpProblem, regularization: float):
     emb = _Embedding(problem)
     if regularization == 0.0 and not _independent_constraints(emb):
         return _failure(_DEPENDENT)
-    message, certificate = "", None
+    message, certificate, verdict = "", None, None
     iterations = stall = 0
     E = emb.residuals()
     mu = last_mu = emb.mu()
@@ -686,7 +683,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         # the next iteration
         E = emb.residuals()
         mu = emb.mu()
-        if _converged(emb, E, feas_tol, gap_tol):
+        if _converged(emb, E):
             status = STATUS_OPTIMAL
             break
         # infeasibility rays become visible as tau collapses against kappa
@@ -701,7 +698,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         if stall >= 30:
             status, message = STATUS_FAILURE, "iteration stalled"
             break
-        if mu < 1e-6 * min(feas_tol, gap_tol) ** 2:
+        if mu < 1e-6 * TOL ** 2:
             # complementarity is exhausted; nothing further can improve
             status, message = STATUS_FAILURE, _MU_FLOOR
             break
@@ -709,9 +706,7 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
         status, message = STATUS_FAILURE, "iteration limit reached"
 
     # assemble the reported solution in original scale
-    blocks = free = None
-    objective = dual_objective = gap_out = None
-    min_eigs = None
+    blocks = free = objective = dual_objective = min_eigs = None
     primal_res = np.inf
     if status != STATUS_INFEASIBLE and emb.tau > 0:
         blocks = [X / emb.tau for X in emb.X]
@@ -721,17 +716,18 @@ def _solve(problem: SdpProblem, level: tuple, regularization: float):
             / (emb.tau * emb.obj_scale)
         dual_objective = float(problem.rhs @ y_out)
         denom = 1.0 + abs(objective) + abs(dual_objective)
-        gap_out = abs(objective - dual_objective) / denom
+        gap = abs(objective - dual_objective) / denom
         min_eigs = [min_eigenvalue(X) for X in blocks]
         primal_res = _primal_residual(emb, E[0])
-        feasibility_only = emb.max_abs_C == 0.0 and emb.max_abs_g == 0.0
 
-        if status == STATUS_FAILURE:
-            # salvage: the point may still certify plain feasibility
-            if primal_res <= feas_tol and min(min_eigs) >= -PSD_TOL \
-                    and (feasibility_only or gap_out <= 1e-4):
-                status = STATUS_FEASIBLE
-                message = f"feasible point accepted ({message})"
+        # the one bar for a point the attempt stopped at short of TOL; a
+        # program without objective has no gap to meet
+        if status == STATUS_FAILURE and verdict is None \
+                and primal_res <= RELAXED_TOL and min(min_eigs) >= -PSD_TOL \
+                and (gap <= RELAXED_TOL
+                     or emb.max_abs_C == emb.max_abs_g == 0.0):
+            status = STATUS_FEASIBLE
+            message = f"feasible point accepted ({message})"
 
     return SdpSolution(
         status=status, blocks=blocks, free=free, objective=objective,
@@ -812,32 +808,23 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
-    """Solve the SDP, walking the attempt list of the module docstring.
-
-    For each level of LEVELS try each of REGULARIZATIONS, and return the
-    first result that is not numerical failure, or the last failure.  An
-    attempt that finds a dual-infeasibility ray is returned at once, and
-    one stopped by the double-precision floor of mu goes straight to the
-    next level.  The relaxed level is safe: the Farkas-ray bar stays
-    fixed, and certify.verify_certificate re-checks every certificate
-    independently.  The walk runs with every loaded OpenBLAS on one
-    thread, and the caller's thread counts are restored when it ends.
-    """
+    """Solve the SDP: one attempt per regularisation, each judged once at
+    its end by the rule of the module docstring, until one is not
+    numerical failure or stops at the mu floor or on a dual-infeasibility
+    ray.  The walk runs with every loaded OpenBLAS on one thread, and the
+    caller's thread counts are restored when it ends."""
     if problem.m == 0:
         raise ValueError("problem has no constraints")
     with _ONE_BLAS_THREAD:
-        for level in LEVELS:
-            for reg in REGULARIZATIONS:
-                try:
-                    solution = _solve(problem, level, reg)
-                except (np.linalg.LinAlgError, ValueError,
-                        FloatingPointError) as exc:
-                    solution = _failure(f"linear algebra failure: {exc}")
-                if solution.status != STATUS_FAILURE \
-                        or solution.message == _UNBOUNDED:
-                    return solution
-                if solution.message == _MU_FLOOR:
-                    break
+        for reg in REGULARIZATIONS:
+            try:
+                solution = _solve(problem, reg)
+            except (np.linalg.LinAlgError, ValueError,
+                    FloatingPointError) as exc:
+                solution = _failure(f"linear algebra failure: {exc}")
+            if solution.status != STATUS_FAILURE \
+                    or solution.message in (_MU_FLOOR, _UNBOUNDED):
+                return solution
     return solution
 
 
@@ -930,6 +917,9 @@ def read_sdpa(path: str) -> SdpProblem:
         toks = line.replace(",", " ").split()
         matno, blk, i, j, v = (int(toks[0]), int(toks[1]) - 1,
                                int(toks[2]) - 1, int(toks[3]) - 1, float(toks[4]))
+        if not (0 <= matno <= m and 0 <= blk < nblocks
+                and 0 <= min(i, j) <= max(i, j) < abs(declared[blk])):
+            raise ValueError(f"SDPA index out of range in line {line!r}")
         offset, diag = block_map[blk]
         if diag:
             if i != j:

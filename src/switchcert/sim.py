@@ -356,6 +356,22 @@ class _Absorption:
         return AbsorptionReport(self.gamma, records, not_entered)
 
 
+def check_starts(system: SwitchedSystem, initial_states) -> np.ndarray:
+    """The starts as rows (k, n), each of the system's dimension, finite
+    and with norm at most DIVERGENCE_GUARD, else a ValueError: the march
+    could not tell a start beyond the guard from a divergence."""
+    starts = np.atleast_2d(np.asarray(initial_states, dtype=float))
+    if starts.ndim != 2 or starts.shape[1] != system.dimension:
+        raise ValueError("initial states have wrong dimension")
+    with np.errstate(over="ignore"):
+        outside = ~_within_guard(starts.T)
+    if outside.any():
+        raise ValueError(
+            f"initial state {starts[outside.argmax()].tolist()} must be "
+            f"finite with norm at most {DIVERGENCE_GUARD:g}")
+    return starts
+
+
 def _batch_starts(system, cert, initial_states, signals) -> np.ndarray:
     """The starts as rows (k, n), after the checks shared by the batch
     entry points."""
@@ -363,9 +379,7 @@ def _batch_starts(system, cert, initial_states, signals) -> np.ndarray:
         if cert.gamma is None:
             raise ValueError("certificate has no gamma level")
         check_matches(cert, system)
-    starts = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    if starts.shape[1] != system.dimension:
-        raise ValueError("initial states have wrong dimension")
+    starts = check_starts(system, initial_states)
     if not signals:
         raise ValueError("no switching signals given")
     return starts
@@ -378,10 +392,7 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
     Returns a truncated trajectory with the divergence flag set when the
     state norm passes the guard; that is evidence, not a failure.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise ValueError("initial state has wrong dimension")
-    march = _March(system, [signal], x0[None, :], h, horizon)
+    march = _March(system, [signal], check_starts(system, [x0]), h, horizon)
     recorder = _Recorder(march)
     march.run(recorder)
     return recorder.trajectories()[0]
@@ -432,9 +443,7 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     selected, ties broken by the lowest index; V defaults to ||x||_2^2.
     """
     n = system.dimension
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError("initial state has wrong dimension")
+    x = check_starts(system, [x0]).T.copy()
     if V is None:
         V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
                            for j in range(n)})
@@ -442,7 +451,6 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     dts, times = _grid(horizon, h)
     steppers = _steppers(system, dts)
 
-    x = x0[:, None].copy()
     switches = []
     current = None
     for k, dt in enumerate(dts):

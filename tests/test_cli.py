@@ -520,10 +520,16 @@ class TestExitCodes:
         (["simulate", AFFINE, "--signals", "-2", "--x0-grid", "1:1:1,0:0:1",
           "--horizon", "1", "--out", "{tmp}/sim"],
          "error: --signals must be a non-negative integer"),
+        (["simulate", AFFINE, "--signals", "1",
+          "--x0-grid=1e300:1e300:1,0:1:2", "--horizon", "1",
+          "--certificate", "{cert}", "--out", "{tmp}/sim"],
+         "error: initial state [1e+300, 0.0] must be finite with norm at "
+         "most 1e+12"),
     ], ids=["ell-0", "odd-degree", "negative-beta", "zero-delta",
             "certify-seed", "verify-seed", "simulate-seed",
             "simulate-no-gamma", "simulate-mismatch", "certify-out",
-            "levelset-out", "simulate-out", "simulate-signals"])
+            "levelset-out", "simulate-out", "simulate-signals",
+            "simulate-beyond-guard"])
     def test_failure_is_one_error_line_and_code_1(self, affine_cert,
                                                   tmp_path, capsys, argv,
                                                   message):
@@ -535,6 +541,27 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(message)
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["levelset", "simulate"])
+    def test_non_finite_bound_is_usage_error(self, affine_cert, tmp_path,
+                                             capsys, command, bound):
+        # the bad chunk is named; no output is written
+        if command == "levelset":
+            chunk = f"{bound}:1"
+            argv = ["levelset", str(affine_cert), f"--window={chunk},-4:4",
+                    "--out", str(tmp_path / "l.csv")]
+        else:
+            chunk = f"{bound}:1:2"
+            argv = ["simulate", self.AFFINE, "--signals", "1",
+                    f"--x0-grid={chunk},0:1:2", "--horizon", "1",
+                    "--certificate", str(affine_cert),
+                    "--out", str(tmp_path / "sim")]
+        code, _, err = _run(argv, capsys)
+        kind = "window" if command == "levelset" else "grid"
+        assert code == 1
+        assert err == f"error: non-finite bound in {kind} chunk {chunk!r}\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.fixture
     def no_solve(self, monkeypatch):

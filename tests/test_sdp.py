@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -334,9 +335,10 @@ class TestReportedOnOriginalData:
         else:
             problem = _program(systems_dir, case)
         if case == "gas_b12_mu_floor":
-            # the first attempt stops at the mu floor and keeps its iterate
-            solution = sdp._solve(problem, sdp.LEVELS[0], 0.0)
-            assert solution.message == sdp._MU_FLOOR
+            # the attempt stops at the mu floor and keeps its iterate
+            solution = sdp._solve(problem, 0.0)
+            assert solution.message == \
+                f"feasible point accepted ({sdp._MU_FLOOR})"
         else:
             solution = solve(problem)
             assert solution.status == "optimal"
@@ -376,8 +378,8 @@ class TestDependentConstraints:
         attempts = []
         inner = sdp._solve
 
-        def recording(problem, level, regularization):
-            outcome = inner(problem, level, regularization)
+        def recording(problem, regularization):
+            outcome = inner(problem, regularization)
             attempts.append((regularization, outcome.message,
                              outcome.iterations))
             return outcome
@@ -392,8 +394,9 @@ class TestDependentConstraints:
 
 class TestAttemptList:
     """The degree-12 homogeneous GAS decay program of the linear pair at
-    b = 12 exhausts complementarity before reaching the default tolerances
-    of 1e-7; solve reaches it at the relaxed level of 1e-6."""
+    b = 12 exhausts complementarity at a primal residual of about 2.8e-7,
+    short of TOL = 1e-7; the end-of-attempt bar of RELAXED_TOL = 1e-6
+    accepts that point, so one attempt decides the solve."""
 
     @pytest.fixture(scope="class")
     def gas_b12(self, systems_dir):
@@ -402,20 +405,56 @@ class TestAttemptList:
             system, ell=6, delta=1e-3, degree=12, beta=0.0)
         return encode(program).problem
 
-    def test_relaxed_level_reaches_optimal(self, gas_b12):
-        assert solve(gas_b12).status == "optimal"
-
-    def test_mu_floor_skips_regularisations(self, gas_b12, monkeypatch):
+    @staticmethod
+    def recorded(monkeypatch):
         attempts = []
         inner = sdp._solve
 
-        def recording(problem, level, regularization):
-            attempts.append((*level, regularization))
-            return inner(problem, level, regularization)
+        def recording(problem, regularization):
+            attempts.append(regularization)
+            return inner(problem, regularization)
 
         monkeypatch.setattr(sdp, "_solve", recording)
+        return attempts
+
+    def test_mu_floor_point_accepted(self, gas_b12):
+        solution = solve(gas_b12)
+        assert solution.status == "feasible"
+        assert solution.message == f"feasible point accepted ({sdp._MU_FLOOR})"
+        assert abs(solution.iterations - 19) <= 1
+        assert sdp.TOL < solution.primal_residual <= sdp.RELAXED_TOL
+
+    def test_mu_floor_skips_regularisations(self, gas_b12, monkeypatch):
+        attempts = self.recorded(monkeypatch)
         solve(gas_b12)
-        assert attempts == [(1e-7, 1e-7, 0.0), (1e-6, 1e-6, 0.0)]
+        assert attempts == [0.0]
+
+    def test_mu_floor_fails_above_the_bar(self, gas_b12, monkeypatch):
+        # below the point's residual the bar rejects it, and the mu floor
+        # still ends the walk
+        monkeypatch.setattr(sdp, "RELAXED_TOL", 2e-7)
+        attempts = self.recorded(monkeypatch)
+        solution = solve(gas_b12)
+        assert solution.status == "numerical-failure"
+        assert solution.message == sdp._MU_FLOOR
+        assert attempts == [0.0]
+
+    def test_van_der_pol_stopped_point_accepted(self, systems_dir,
+                                                monkeypatch):
+        # the tighten_beta probe at beta = 12.25 (ell = 1, delta = 1e-4,
+        # degree 6, m = 41) stops at the mu floor at a feasible point
+        system = load_system(str(systems_dir / "vdp_relay_pair.sys"))
+        program, _ = build_absorbing_program(
+            system, ell=1, delta=1e-4, degree=6, beta=12.25)
+        problem = encode(program).problem
+        assert problem.m == 41
+        attempts = self.recorded(monkeypatch)
+        solution = solve(problem)
+        assert solution.status == "feasible"
+        assert solution.message == f"feasible point accepted ({sdp._MU_FLOOR})"
+        assert solution.primal_residual <= sdp.RELAXED_TOL
+        assert min(solution.min_eigenvalues) >= -sdp.PSD_TOL
+        assert attempts == [0.0]
 
 
 class TestUnboundedPrimal:
@@ -428,15 +467,15 @@ class TestUnboundedPrimal:
         attempts = []
         inner = sdp._solve
 
-        def recording(problem, level, regularization):
-            attempts.append((*level, regularization))
-            return inner(problem, level, regularization)
+        def recording(problem, regularization):
+            attempts.append(regularization)
+            return inner(problem, regularization)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         solution = solve(builder.build())
         assert solution.status == "numerical-failure"
         assert solution.message.startswith("primal appears unbounded")
-        assert attempts == [(1e-7, 1e-7, 0.0)]
+        assert attempts == [0.0]
 
 
 class TestOneBlasThread:
@@ -464,9 +503,9 @@ class TestOneBlasThread:
         seen = []
         inner = sdp._solve
 
-        def recording(problem, level, regularization):
+        def recording(problem, regularization):
             seen.append(self.counts(controls))
-            return inner(problem, level, regularization)
+            return inner(problem, regularization)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         problem = planted_feasible(np.random.default_rng(0), 3, 4)
@@ -475,7 +514,7 @@ class TestOneBlasThread:
         assert self.counts(controls) == [2] * len(controls)
 
     def test_counts_restored_when_solve_raises(self, controls, monkeypatch):
-        def failing(problem, level, regularization):
+        def failing(problem, regularization):
             raise RuntimeError("attempt aborted")
 
         monkeypatch.setattr(sdp, "_solve", failing)
@@ -490,9 +529,9 @@ class TestOneBlasThread:
         seen = []
         inner = sdp._solve
 
-        def recording(problem, level, regularization):
+        def recording(problem, regularization):
             seen.append(self.counts(controls))
-            return inner(problem, level, regularization)
+            return inner(problem, regularization)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         problems = [planted_feasible(np.random.default_rng(k), 3, 4)
@@ -598,3 +637,15 @@ class TestSdpaFormat:
         b = solve(loaded)
         assert b.feasible
         assert a.objective == pytest.approx(b.objective, abs=1e-5)
+
+    @pytest.mark.parametrize("entry", [
+        "1 0 1 1 1.0", "1 3 1 1 1.0", "2 1 1 1 1.0", "-1 1 1 1 1.0",
+        "1 1 0 1 1.0", "1 1 1 3 1.0", "1 2 2 2 1.0"])
+    def test_index_out_of_range_rejected(self, tmp_path, entry):
+        # one constraint over a 2x2 block and a 1-entry diagonal block;
+        # read as Python indices, block 0 would land in the last block
+        path = tmp_path / "bad.dat-s"
+        path.write_text(f"1\n2\n2 -1\n1.0\n1 1 1 1 1.0\n{entry}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"out of range in line {entry!r}")):
+            read_sdpa(str(path))

@@ -150,6 +150,39 @@ class TestIntegrate:
         assert np.all(np.diff(energy) < 0)
 
 
+class TestStarts:
+    """A start that is not finite, or lies beyond the divergence guard,
+    cannot be told from a divergence: every entry point rejects it."""
+
+    @pytest.mark.parametrize("x0", [
+        [np.nan, 0.0], [0.0, -np.inf], [1e300, 1e300], [2e12, 0.0]])
+    @pytest.mark.parametrize("entry", [
+        "integrate", "integrate_batch", "check_absorption",
+        "adversarial_switching"])
+    def test_rejected(self, rotation, entry, x0):
+        signal = SwitchingSignal.constant(1, 1.0)
+        cert = _certificate(rotation, "x1^2 + x2^2", 1.0)
+        starts = np.array([[0.5, 0.5], x0])
+        calls = {
+            "integrate": lambda: integrate(rotation, signal, x0, 1e-2, 1.0),
+            "integrate_batch": lambda: integrate_batch(
+                rotation, [signal], starts, 1e-2, 1.0, cert),
+            "check_absorption": lambda: check_absorption(
+                rotation, cert, starts, [signal], h=1e-2),
+            "adversarial_switching": lambda: adversarial_switching(
+                rotation, None, x0, 1e-2, 1.0),
+        }
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial state {[float(v) for v in x0]} must be finite "
+                f"with norm at most 1e+12")):
+            calls[entry]()
+
+    def test_start_on_the_guard_accepted(self, rotation):
+        trajectory = integrate(rotation, SwitchingSignal.constant(1, 0.1),
+                               [1e12, 0.0], 1e-2, 0.1)
+        assert trajectory.states[0].tolist() == [1e12, 0.0]
+
+
 class TestRandomSwitching:
     def test_single_subsystem_constant(self):
         signal = random_switching(1, 10.0, 0.5, seed=1)

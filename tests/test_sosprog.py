@@ -152,11 +152,12 @@ class TestEncode:
 
 
 class TestDecode:
-    def test_round_trip_rank_one(self):
+    def test_round_trip_rank_one(self, monkeypatch):
         target = parse_expression("(x1 - x2)^2", 2)
         enc = sos_membership(target)
-        # at the default levels the residual is 3.5e-8; ask for 1e-10
-        solution = sdp._solve(enc.problem, (1e-10, 1e-10), 0.0)
+        # at the default TOL the residual is 3.5e-8; ask for 1e-10
+        monkeypatch.setattr(sdp, "TOL", 1e-10)
+        solution = sdp._solve(enc.problem, 0.0)
         recovered = gram_expand(enc.identity_bases["m"],
                                 solution.blocks[enc.identity_blocks["m"]])
         assert (recovered - target).max_abs_coefficient() <= 1e-8
