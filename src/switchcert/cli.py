@@ -268,8 +268,9 @@ def _parse_param_flags(values) -> dict:
 
 
 def _parse_axes(text: str, expected: int, kind: str, usage: str) -> list:
-    """One tuple per comma-separated chunk of a window ("lo:hi") or grid
-    ("lo:hi:count") flag; both bounds must be finite."""
+    """One tuple (chunk, lo, hi) or (chunk, lo, hi, count) per
+    comma-separated chunk of a window ("lo:hi") or grid ("lo:hi:count")
+    flag; both bounds must be finite."""
     axes = []
     for chunk in text.split(","):
         parts = chunk.split(":")
@@ -279,28 +280,34 @@ def _parse_axes(text: str, expected: int, kind: str, usage: str) -> list:
         if not np.all(np.isfinite(bounds)):
             raise FileFormatError(
                 f"non-finite bound in {kind} chunk {chunk!r}")
-        axes.append(bounds + tuple(int(part) for part in parts[2:]))
+        axes.append((chunk,) + bounds + tuple(int(part) for part in parts[2:]))
     if len(axes) != expected:
         raise FileFormatError(
             f"{kind} has {len(axes)} axes, expected {expected}")
     return axes
 
 
-def _grid(axes) -> np.ndarray:
-    """Points of the grid over (lo, hi, count) axes, one row each; a count
-    of 1 takes the midpoint of its axis."""
+def _grid(kind: str, axes) -> np.ndarray:
+    """Points of the grid over (chunk, lo, hi, count) axes, one row each; a
+    count of 1 takes the midpoint of its axis.  An axis whose width or
+    points overflow the double range is a usage error naming its chunk."""
     lines = []
-    for lo, hi, count in axes:
+    for chunk, lo, hi, count in axes:
         if count < 1:
             raise FileFormatError(f"grid count must be at least 1, got {count}")
-        lines.append(np.linspace(lo, hi, count) if count > 1
-                     else np.array([(lo + hi) / 2.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            line = (np.linspace(lo, hi, count) if count > 1
+                    else np.array([(lo + hi) / 2.0]))
+        if not (np.isfinite(hi - lo) and np.all(np.isfinite(line))):
+            raise FileFormatError(f"{kind} chunk {chunk!r} overflows: its "
+                                  "width or a grid point is not finite")
+        lines.append(line)
     mesh = np.meshgrid(*lines, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def _parse_grid(text: str, expected: int) -> np.ndarray:
-    return _grid(_parse_axes(text, expected, "grid", "lo:hi:count"))
+    return _grid("grid", _parse_axes(text, expected, "grid", "lo:hi:count"))
 
 
 def _fmt(value: float) -> str:
@@ -480,7 +487,7 @@ def cmd_levelset(args) -> None:
     if window_text is None:
         raise ValueError("--window required for this dimension")
     window = _parse_axes(window_text, len(free_axes), "window", "lo:hi")
-    grid = _grid([(lo, hi, args.resolution) for lo, hi in window])
+    grid = _grid("window", [axis + (args.resolution,) for axis in window])
 
     points = np.zeros((len(grid), n))
     points[:, [axis - 1 for axis in free_axes]] = grid

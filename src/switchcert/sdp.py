@@ -57,13 +57,25 @@ rounding could otherwise stop it at the mu floor, and the walk goes on.
 A Gram block counts as PSD when its smallest eigenvalue is at least
 ``-PSD_TOL``.
 
+The iteration calls scipy's LAPACK routines directly: ``dtrtrs`` for the
+two triangular solves of each step-length search, ``dpotrs`` for S^-1,
+``dgetrf`` for the KKT LU and ``dgetrs`` for its solves.  The Gram blocks
+of most SOS programs are 3 to 15 wide, and on blocks that small scipy's
+wrappers (``solve_triangular``, ``cho_solve``, ``lu_factor``,
+``lu_solve``) spend several times longer validating their arguments than
+the routine spends computing.  The direct calls pass the arguments the
+wrappers pass, so the results are the same bits, and keep their checks:
+a non-finite input raises the wrappers' ``ValueError`` and a bad ``info``
+raises as they do.  The raw routines never warn, so the iteration sets
+no warning filter, which would not be thread-safe.
+
 ``solve`` runs the whole walk with every loaded OpenBLAS on one thread and
 restores the caller's thread counts when it returns or raises.  numpy and
 scipy each bundle their own OpenBLAS, and one iteration alternates between
-them (numpy's gemms, Cholesky and eigvalsh, scipy's LU and triangular
-solves); each library's idle workers spin and take the CPUs the other
-needs, so on a 2-CPU machine two threads per library made the solve about
-twice as slow as one.  One thread also fixes the order of the solver's
+them (numpy's gemms, Cholesky and eigvalsh, scipy's LAPACK routines above);
+each library's idle workers spin and take the CPUs the other needs, so on
+a 2-CPU machine two threads per library made the solve about twice as slow
+as one.  One thread also fixes the order of the solver's
 BLAS reductions, so its solutions, and with them the certificate texts of
 the bundled systems, do not depend on the caller's thread count.
 Where no OpenBLAS is found (another BLAS, or no ``/proc/self/maps``) the
@@ -75,14 +87,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
@@ -426,6 +437,20 @@ class _Breakdown(Exception):
     """A phase of the iteration broke down; the text is the solve's message."""
 
 
+def _check_finite(*arrays):
+    """The input check of scipy.linalg's wrappers, with their ValueError,
+    which ``solve`` reports as a linear algebra failure."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_info(name, info):
+    """The wrappers' error for an illegal argument to a LAPACK routine."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+
+
 # One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
 # regularisation, with the Schur complement B and its objective borders v, w.
 # q = K^-1 (b + v, g) does not depend on the direction, so predictor and
@@ -441,7 +466,12 @@ def _cone_factors(emb):
         Ls = [np.linalg.cholesky(S) for S in emb.S]
     except np.linalg.LinAlgError:
         raise _Breakdown("cone factorisation failed") from None
-    Sinv = [sla.cho_solve((L, True), np.eye(len(L))) for L in Ls]
+    Sinv = []
+    for L in Ls:
+        _check_finite(L)
+        Si, info = dpotrs(L, np.eye(len(L)), lower=1)
+        _check_info("dpotrs", info)
+        Sinv.append(Si)
     return Lx, Ls, Sinv
 
 
@@ -481,23 +511,31 @@ def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
         K[:m, :m] += regularization * np.eye(m)
         K[m:, m:] -= regularization * np.eye(f)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lu = sla.lu_factor(K)
-    except (np.linalg.LinAlgError, ValueError):
+        _check_finite(K)
+        # an exactly singular K (info > 0) is found by the solves instead
+        lu, piv, info = dgetrf(K)
+        _check_info("dgetrf", info)
+    except ValueError:
         raise _Breakdown("KKT factorisation failed") from None
-    q = _kkt_solve(K, lu, np.concatenate([emb.b + v, emb.g]))
-    return _NewtonSystem(Lx, Ls, Sinv, K, lu, v, w, q)
+    q = _kkt_solve(K, (lu, piv), np.concatenate([emb.b + v, emb.g]))
+    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), v, w, q)
+
+
+def _lu_solve(lu, rhs):
+    """K^-1 rhs from the factors (lu, piv) of dgetrf, unchecked for
+    non-finite input as the solver's lu_solve calls always were."""
+    x, info = dgetrs(*lu, rhs)
+    _check_info("dgetrs", info)
+    return x
 
 
 def _kkt_solve(K, lu, rhs):
     """LU solve with one pass of iterative refinement; a singular K is a
     breakdown, found before the refinement can fail on its input."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = sla.lu_solve(lu, rhs, check_finite=False)
-        if np.all(np.isfinite(sol)):
-            sol += sla.lu_solve(lu, rhs - K @ sol, check_finite=False)
+    sol = _lu_solve(lu, rhs)
+    if np.all(np.isfinite(sol)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol += _lu_solve(lu, rhs - K @ sol)
     if not np.all(np.isfinite(sol)):
         raise _Breakdown(_SINGULAR)
     return sol
@@ -564,11 +602,25 @@ def _search_direction(emb, E, mu, newton) -> _Direction:
                       pred.dtau * pred.dkappa)
 
 
+def _lower_solve(L, B):
+    """L^-1 B for numpy's C-ordered lower Cholesky factor L.  LAPACK reads
+    L in Fortran order as the upper triangular L^T, so the solve is with
+    its transpose, as in scipy's solve_triangular."""
+    X, info = dtrtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    _check_info("dtrtrs", info)
+    return X
+
+
 def _max_step_psd(L, dM) -> float:
     """Largest alpha with M + alpha*dM PSD for M = L L^T, via L^-1 dM L^-T
     eigenvalues."""
-    W = sla.solve_triangular(L, dM, lower=True)
-    W = sla.solve_triangular(L, W.T, lower=True).T
+    _check_finite(L, dM)
+    W = _lower_solve(L, dM)
+    _check_finite(W)
+    W = _lower_solve(L, W.T).T
     lam = float(np.linalg.eigvalsh(_sym(W))[0])
     if lam >= -1e-16:
         return np.inf

@@ -563,6 +563,32 @@ class TestExitCodes:
         assert err == f"error: non-finite bound in {kind} chunk {chunk!r}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bounds, count", [("-1e308:1e308", 3),
+                                               ("1e308:1.7e308", 1)],
+                             ids=["width", "midpoint"])
+    @pytest.mark.parametrize("command", ["levelset", "simulate"])
+    def test_overflowing_axis_is_usage_error(self, affine_cert, tmp_path,
+                                             capsys, command, bounds, count):
+        # finite bounds whose width or grid points overflow: the chunk is
+        # named, and no NaN or inf rows are written
+        if command == "levelset":
+            chunk = bounds
+            argv = ["levelset", str(affine_cert), f"--window={chunk},-4:4",
+                    "--resolution", str(count),
+                    "--out", str(tmp_path / "l.csv")]
+        else:
+            chunk = f"{bounds}:{count}"
+            argv = ["simulate", self.AFFINE, "--signals", "1",
+                    f"--x0-grid={chunk},0:1:2", "--horizon", "1",
+                    "--certificate", str(affine_cert),
+                    "--out", str(tmp_path / "sim")]
+        code, _, err = _run(argv, capsys)
+        kind = "window" if command == "levelset" else "grid"
+        assert code == 1
+        assert err == (f"error: {kind} chunk {chunk!r} overflows: its width "
+                       "or a grid point is not finite\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.fixture
     def no_solve(self, monkeypatch):
         def fail(problem):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -392,6 +393,134 @@ class TestDependentConstraints:
         assert attempts[1][0] == sdp.REGULARIZATIONS[1]
 
 
+class TestDirectLapack:
+    """The iteration calls dtrtrs, dpotrs, dgetrf and dgetrs directly.  Its
+    results are the bits of scipy.linalg's wrappers around them, and the
+    wrappers' checks on non-finite input and singular factors still hold."""
+
+    SIZES = [1, 2, 3, 7, 15, 35, 70]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_step_search_matches_solve_triangular(self, size):
+        rng = np.random.default_rng(size)
+        L = np.linalg.cholesky(random_pd(rng, size))
+        dM = sdp._sym(rng.normal(size=(size, size))) - 3.0 * np.eye(size)
+        W = sla.solve_triangular(L, dM, lower=True)
+        W = sla.solve_triangular(L, W.T, lower=True).T
+        lam = float(np.linalg.eigvalsh(sdp._sym(W))[0])
+        assert lam < -1e-16
+        assert sdp._max_step_psd(L, dM) == -1.0 / lam
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_cone_inverse_matches_cho_solve(self, size):
+        rng = np.random.default_rng(size)
+        emb = types.SimpleNamespace(X=[random_pd(rng, size)],
+                                    S=[random_pd(rng, size)])
+        _, Ls, Sinv = sdp._cone_factors(emb)
+        expected = sla.cho_solve((Ls[0], True), np.eye(size))
+        assert np.array_equal(Sinv[0], expected)
+        # the layout feeds the Schur gemms, whose bits could depend on it
+        assert Sinv[0].flags.f_contiguous == expected.flags.f_contiguous
+
+    @staticmethod
+    def newton(monkeypatch, B, D):
+        """_newton_system on a stub embedding whose Schur complement is B
+        and whose free-scalar columns are D; returns it with its rhs."""
+        m, f = D.shape
+        rng = np.random.default_rng(m)
+        v = rng.normal(size=m)
+        emb = types.SimpleNamespace(m=m, f=f, D=D, b=rng.normal(size=m),
+                                    g=rng.normal(size=f))
+        monkeypatch.setattr(sdp, "_schur", lambda emb, Sinv: (B, v, 0.0))
+        newton = sdp._newton_system(emb, None, None, None, 0.0)
+        return newton, np.concatenate([emb.b + v, emb.g])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_kkt_factor_and_solve_match_lu_wrappers(self, size, monkeypatch):
+        rng = np.random.default_rng(size)
+        B = random_pd(rng, size)
+        D = rng.normal(size=(size, min(size, 3)))
+        newton, rhs = self.newton(monkeypatch, B, D)
+        K = np.block([[B, D], [D.T, np.zeros((D.shape[1],) * 2)]])
+        assert np.array_equal(newton.K, K)
+        lu = sla.lu_factor(K)
+        assert np.array_equal(newton.lu[0], lu[0])
+        assert np.array_equal(newton.lu[1], lu[1])
+
+        def refined(r):
+            sol = sla.lu_solve(lu, r, check_finite=False)
+            return sol + sla.lu_solve(lu, r - K @ sol, check_finite=False)
+
+        assert np.array_equal(newton.q, refined(rhs))
+        other = rng.normal(size=len(K))
+        assert np.array_equal(sdp._kkt_solve(newton.K, newton.lu, other),
+                              refined(other))
+
+    def test_singular_kkt_is_a_silent_breakdown(self, monkeypatch):
+        B = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sdp._Breakdown, match=sdp._SINGULAR):
+                self.newton(monkeypatch, B, np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kkt_fails_factorisation(self, monkeypatch, bad):
+        B = random_pd(np.random.default_rng(0), 3)
+        B[0, 1] = B[1, 0] = bad
+        with pytest.raises(sdp._Breakdown, match="KKT factorisation failed"):
+            self.newton(monkeypatch, B, np.ones((3, 1)))
+
+    @staticmethod
+    def poisoned_walk(monkeypatch, poisoned):
+        """Solve a planted problem with a NaN put into every direction of
+        the attempts at the regularisations in poisoned; returns the
+        solution, the attempts' regularisations and the failures solve
+        reported."""
+        attempts, failures = [], []
+        inner_solve, inner_direction = sdp._solve, sdp._direction
+        inner_failure = sdp._failure
+
+        def recording(problem, regularization):
+            attempts.append(regularization)
+            return inner_solve(problem, regularization)
+
+        def direction(*args):
+            d = inner_direction(*args)
+            if attempts[-1] in poisoned:
+                d.dX[0][0, 0] = np.nan
+            return d
+
+        def failure(message):
+            failures.append(message)
+            return inner_failure(message)
+
+        monkeypatch.setattr(sdp, "_solve", recording)
+        monkeypatch.setattr(sdp, "_direction", direction)
+        monkeypatch.setattr(sdp, "_failure", failure)
+        problem = planted_feasible(np.random.default_rng(0), 3, 4)
+        return solve(problem), attempts, failures
+
+    NAN_FAILURE = "linear algebra failure: array must not contain infs or NaNs"
+
+    def test_nan_direction_walks_on(self, monkeypatch):
+        # the step search's finite check raises the wrappers' ValueError,
+        # not a _Breakdown, whose stopped point the end-of-attempt bar
+        # could accept as feasible
+        solution, attempts, failures = self.poisoned_walk(monkeypatch, {0.0})
+        assert failures == [self.NAN_FAILURE]
+        assert attempts == list(sdp.REGULARIZATIONS[:2])
+        assert solution.status == "optimal"
+
+    def test_nan_direction_in_every_attempt_fails(self, monkeypatch):
+        solution, attempts, failures = self.poisoned_walk(
+            monkeypatch, set(sdp.REGULARIZATIONS))
+        assert attempts == list(sdp.REGULARIZATIONS)
+        assert failures == [self.NAN_FAILURE] * len(sdp.REGULARIZATIONS)
+        assert solution.status == "numerical-failure"
+        assert solution.message == self.NAN_FAILURE
+        assert solution.blocks is None
+
+
 class TestAttemptList:
     """The degree-12 homogeneous GAS decay program of the linear pair at
     b = 12 exhausts complementarity at a primal residual of about 2.8e-7,
@@ -558,6 +687,36 @@ class TestOneBlasThread:
         assert len(seen) >= 18
         assert all(c == [1] * len(controls) for c in seen)
         assert self.counts(controls) == [2] * len(controls)
+
+
+class TestWarningFilters:
+    def test_overlapping_solves_leave_the_filters_alone(self):
+        # the iteration sets no warning filter: warnings.catch_warnings is
+        # not thread-safe, and overlapping solves once left a global
+        # "ignore every warning" filter behind
+        before = list(warnings.filters)
+        problems = [planted_feasible(np.random.default_rng(k), 6, 12)
+                    for k in range(6)]
+        statuses = []
+
+        def worker(problem):
+            for _ in range(3):
+                statuses.append(solve(problem).status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(problem,))
+                       for problem in problems]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == ["optimal"] * 18
+        assert warnings.filters == before
 
 
 class TestMinEigenvalue:
