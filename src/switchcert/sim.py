@@ -8,17 +8,19 @@ The adversarial signal greedily maximises the worst-case derivative of a
 given function V at each grid point; it is evidence of instability, never
 proof, and never accepts a certificate.
 
-One march (``_March``) is the only loop that steps states under given
-signals.  ``integrate`` records a batch of one row, ``check_absorption``
-tracks V over a batch, and ``integrate_batch`` does both in one march.
-States are contiguous (n, k) blocks, one column per (signal, start) row,
-and each subsystem gets one RK4 stepper per march, a one-step matrix for a
-linear field and the four stages for a polynomial one, all components
-evaluated from one table of monomial values (``poly.MonomialKernel``).  A
-batch is stepped in switch segments: between two steps where some signal
-changes its index, the rows of each subsystem form one block.
-``adversarial_switching`` picks the index while it steps, so it drives the
-same steppers from its own loop.
+Two loops step states, one per kind of caller.  ``_March`` steps batches
+under given signals: ``check_absorption`` tracks V over a batch and
+``integrate_batch`` also records it.  States are contiguous (n, k) blocks,
+one column per (signal, start) row, and each subsystem gets one RK4
+stepper per march, a one-step matrix for a linear field and the four
+stages for a polynomial one, all components evaluated from one table of
+monomial values (``poly.MonomialKernel``).  A batch is stepped in switch
+segments: between two steps where some signal changes its index, the rows
+of each subsystem form one block.  ``_march_one`` steps a single start on
+Python floats, where numpy's per-call cost would exceed the arithmetic:
+the same one-step matrices and the same monomial products and sums, one
+step at a time.  ``integrate`` drives it with the snapped signal and
+``adversarial_switching`` with the greedy choice at each grid point.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ class SwitchingSignal:
     @property
     def n_switches(self) -> int:
         return len(self.switches) - 1
-
-    def index_at(self, t: float) -> int:
-        active = self.switches[0][1]
-        for time, idx in self.switches:
-            if time <= t:
-                active = idx
-            else:
-                break
-        return active
 
     @classmethod
     def constant(cls, index: int, horizon: float) -> "SwitchingSignal":
@@ -160,17 +153,56 @@ def _check_indices(system: SwitchedSystem, signals) -> None:
         raise ValueError("signal index exceeds subsystem count")
 
 
+def _tables(polys: Sequence[Polynomial], dimension: int):
+    """The monomials of several polynomials in ascending (degree, exponent
+    tuple) order, as exponents (T, n), and their coefficients (n_polys, T)."""
+    monos = sorted({m for p in polys for m in p.terms},
+                   key=lambda m: (sum(m), m))
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), dimension)
+    coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
+                      for p in polys]).reshape(len(polys), len(monos))
+    return exps, coefs
+
+
 def _evaluator(polys: Sequence[Polynomial], dimension: int):
     """Values (n_polys, k) of several polynomials at the points x (n, k):
     one product of the coefficient matrix with the values of all their
     monomials, summed in ascending (degree, exponent tuple) order."""
-    monos = sorted({m for p in polys for m in p.terms},
-                   key=lambda m: (sum(m), m))
-    monomials = MonomialKernel(
-        np.array(monos, dtype=np.intp).reshape(len(monos), dimension))
-    coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
-                      for p in polys]).reshape(len(polys), len(monos))
+    exps, coefs = _tables(polys, dimension)
+    monomials = MonomialKernel(exps)
     return lambda x: coefs @ monomials(x)
+
+
+def _scalar_evaluator(polys: Sequence[Polynomial], dimension: int):
+    """Values of several polynomials at one point x, a list of floats, by
+    the arithmetic of ``_evaluator`` on one column: powers by repeated
+    multiplication, each monomial the product of its powers in variable
+    order, each value a sum in ascending (degree, exponent tuple) order."""
+    exps, coefs = _tables(polys, dimension)
+    used = np.flatnonzero(exps.any(axis=0)).tolist()
+    tops = exps.max(axis=0, initial=0).tolist()
+    powers = [(j, tops[j], exps[:, j].tolist()) for j in used]
+    terms = [[(t, c) for t, c in enumerate(row) if c]
+             for row in coefs.tolist()]
+    ones = [1.0] * len(exps)
+
+    def values(x):
+        monomials = ones
+        for j, top, column in powers:
+            v = x[j]
+            table = [1.0, v]
+            for _ in range(top - 1):
+                table.append(table[-1] * v)
+            monomials = [m * table[e] for m, e in zip(monomials, column)]
+        out = []
+        for row in terms:
+            acc = 0.0
+            for t, c in row:
+                acc += c * monomials[t]
+            out.append(acc)
+        return out
+
+    return values
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
@@ -187,6 +219,12 @@ def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
     return D
 
 
+def _increments(field, dts: np.ndarray) -> dict:
+    """The RK4 increment matrix D of a linear field for each step size."""
+    A = field.linear_matrix()
+    return {dt: _rk4_increment(A, dt) for dt in set(dts.tolist())}
+
+
 def _steppers(system: SwitchedSystem, dts: np.ndarray):
     """One RK4 step per subsystem, x (n, k) -> x (n, k), for the step sizes
     of the grid: a one-step matrix per step size for linear fields, the
@@ -194,9 +232,7 @@ def _steppers(system: SwitchedSystem, dts: np.ndarray):
     steppers = []
     for f in system.fields:
         if f.is_linear():
-            A = f.linear_matrix()
-            increments = {dt: _rk4_increment(A, dt) for dt in set(dts.tolist())}
-            steppers.append(lambda x, dt, D=increments: x + D[dt] @ x)
+            steppers.append(lambda x, dt, D=_increments(f, dts): x + D[dt] @ x)
         else:
             steppers.append(functools.partial(
                 _rk4_stages, _evaluator(f.components, f.dimension)))
@@ -211,13 +247,50 @@ def _rk4_stages(field, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _scalar_steppers(system: SwitchedSystem, dts: np.ndarray):
+    """The steps of ``_steppers`` for one state, a list of floats: the same
+    one-step matrices, applied as x_i + sum_j D_ij x_j, for linear fields,
+    the four stages on ``_scalar_evaluator`` for polynomial ones."""
+    steppers = []
+    for f in system.fields:
+        if f.is_linear():
+            steppers.append(functools.partial(_scalar_linear_step, {
+                dt: D.tolist() for dt, D in _increments(f, dts).items()}))
+        else:
+            steppers.append(functools.partial(
+                _scalar_rk4_stages,
+                _scalar_evaluator(f.components, f.dimension)))
+    return steppers
+
+
+def _scalar_linear_step(increments: dict, x: list, dt: float) -> list:
+    out = []
+    for xi, row in zip(x, increments[dt]):
+        acc = 0.0
+        for d, v in zip(row, x):
+            acc += d * v
+        out.append(xi + acc)
+    return out
+
+
+def _scalar_rk4_stages(field, x: list, dt: float) -> list:
+    half = 0.5 * dt
+    k1 = field(x)
+    k2 = field([a + half * b for a, b in zip(x, k1)])
+    k3 = field([a + half * b for a, b in zip(x, k2)])
+    k4 = field([a + dt * b for a, b in zip(x, k3)])
+    sixth = dt / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
 def _within_guard(x: np.ndarray) -> np.ndarray:
     """Per column of x (n, k): finite with norm at most DIVERGENCE_GUARD."""
     return (x * x).sum(axis=0) <= DIVERGENCE_GUARD ** 2
 
 
 class _March:
-    """The one loop that steps states under given signals.
+    """The loop that steps batches of states under given signals.
 
     Rows are (signal, start) pairs in signal-major order: row r follows
     signal r // n_starts from start r % n_starts.  ``run`` steps every row
@@ -277,6 +350,35 @@ class _March:
                     return
             for rows, xb in zip(blocks, states):
                 x[:, rows] = xb
+
+
+def _march_one(system: SwitchedSystem, start: np.ndarray, dts: np.ndarray,
+               index_at) -> tuple:
+    """The loop that steps a single start on Python floats.
+
+    At grid point k, ``index_at(k, x)`` names the subsystem that steps the
+    state x.  Returns the states (points, n), written up to the grid point
+    at which the state left the divergence guard, and that point, or None
+    when the state reached the horizon.
+    """
+    steppers = _scalar_steppers(system, dts)
+    states = np.empty((len(dts) + 1, len(start)))
+    states[0] = start
+    x = start.tolist()
+    guard = DIVERGENCE_GUARD ** 2
+    # memoryviews read and write Python floats without a list of them per
+    # grid point, and cost less than numpy's scalars and row assignment
+    flat, at = memoryview(states.reshape(-1)), len(x)
+    for k, dt in enumerate(memoryview(dts)):
+        x = steppers[index_at(k, x) - 1](x, dt)
+        norm = 0.0
+        for v in x:
+            flat[at] = v
+            at += 1
+            norm += v * v
+        if not norm <= guard:
+            return states, k + 1
+    return states, None
 
 
 class _Recorder:
@@ -392,10 +494,17 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
     Returns a truncated trajectory with the divergence flag set when the
     state norm passes the guard; that is evidence, not a failure.
     """
-    march = _March(system, [signal], check_starts(system, [x0]), h, horizon)
-    recorder = _Recorder(march)
-    march.run(recorder)
-    return recorder.trajectories()[0]
+    start = check_starts(system, [x0])[0]
+    _check_indices(system, [signal])
+    dts, times = _grid(horizon, h)
+    active = _active_steps(signal, len(times), h)
+    indices = memoryview(active)
+    states, left = _march_one(system, start, dts, lambda k, x: indices[k])
+    if left is None:
+        return Trajectory(times, states, active)
+    end = left + 1
+    return Trajectory(times[:end], states[:end], active[:end], diverged=True,
+                      diverged_at=float(times[left]))
 
 
 def integrate_batch(system: SwitchedSystem,
@@ -443,24 +552,22 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     selected, ties broken by the lowest index; V defaults to ||x||_2^2.
     """
     n = system.dimension
-    x = check_starts(system, [x0]).T.copy()
+    start = check_starts(system, [x0])[0]
     if V is None:
         V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
                            for j in range(n)})
-    rates = _evaluator([lie_derivative(V, f) for f in system.fields], n)
+    rates = _scalar_evaluator([lie_derivative(V, f) for f in system.fields], n)
     dts, times = _grid(horizon, h)
-    steppers = _steppers(system, dts)
-
     switches = []
-    current = None
-    for k, dt in enumerate(dts):
-        choice = int(rates(x).argmax()) + 1
-        if choice != current:
+
+    def greediest(k, x):
+        r = rates(x)
+        choice = r.index(max(r)) + 1    # the first of equal rates
+        if not switches or choice != switches[-1][1]:
             switches.append((times[k], choice))
-            current = choice
-        x = steppers[choice - 1](x, dt)
-        if not _within_guard(x)[0]:
-            break
+        return choice
+
+    _march_one(system, start, dts, greediest)
     return SwitchingSignal(horizon, tuple(switches))
 
 

@@ -9,7 +9,8 @@ from switchcert import sim
 from switchcert.certify import (AbsorbingSetCertificate, CertificationQuery,
                                 SwitchedSystem, escalate)
 from switchcert.cli import load_system
-from switchcert.poly import Polynomial, PolynomialVectorField, parse_expression
+from switchcert.poly import (Polynomial, PolynomialVectorField, lie_derivative,
+                             parse_expression)
 from switchcert.sim import (CertificateContradictionError, SwitchingSignal,
                             adversarial_switching, check_absorption,
                             integrate, integrate_batch, random_switching)
@@ -40,11 +41,49 @@ def mixed_triple():
         _field("-x1 + x2 - x1^3", "-x1 - x2^3")))
 
 
+@pytest.fixture(scope="module")
+def linear_pair():
+    """The linear pair at b = 13.26: both subsystems step by one-step
+    matrices."""
+    return SwitchedSystem.from_matrices(linear_pair_matrices(13.26))
+
+
+@pytest.fixture(scope="module")
+def vdp_certificate(vdp_pair):
+    """The degree-6 van der Pol certificate of criterion 6."""
+    return escalate(vdp_pair, CertificationQuery(
+        ell=1, delta=1e-4, degree=6, beta=14.0)).certificate
+
+
 def _certificate(system, text, gamma):
     return AbsorbingSetCertificate(
-        dimension=2, n_subsystems=system.n_subsystems,
-        lyapunov=parse_expression(text, 2),
+        dimension=system.dimension, n_subsystems=system.n_subsystems,
+        lyapunov=parse_expression(text, system.dimension),
         beta=1.0, delta=1.0, ell=1, gamma=gamma)
+
+
+def _numpy_greedy(system, V, x0, h, horizon):
+    """The greedy signal stepped on one numpy column with the batch
+    steppers, as adversarial_switching did before it moved to floats."""
+    n = system.dimension
+    x = sim.check_starts(system, [x0]).T.copy()
+    if V is None:
+        V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
+                           for j in range(n)})
+    rates = sim._evaluator([lie_derivative(V, f) for f in system.fields], n)
+    dts, times = sim._grid(horizon, h)
+    steppers = sim._steppers(system, dts)
+    switches = []
+    current = None
+    for k, dt in enumerate(dts):
+        choice = int(rates(x).argmax()) + 1
+        if choice != current:
+            switches.append((times[k], choice))
+            current = choice
+        x = steppers[choice - 1](x, dt)
+        if not sim._within_guard(x)[0]:
+            break
+    return SwitchingSignal(horizon, tuple(switches))
 
 
 def _rk4_reference(A, x, dt):
@@ -66,9 +105,11 @@ class TestSwitchingSignal:
             SwitchingSignal(1.0, ((0.0, 1), (0.5, 2), (0.5, 1)))
 
     def test_index_lookup(self):
-        signal = SwitchingSignal(2.0, ((0.0, 1), (1.0, 2)))
-        assert signal.index_at(0.5) == 1
-        assert signal.index_at(1.5) == 2
+        # the switch at 0.0024 snaps to the grid point 0.002
+        system = SwitchedSystem.from_matrices([-np.eye(2), -2.0 * np.eye(2)])
+        signal = SwitchingSignal(0.004, ((0.0, 1), (0.0024, 2)))
+        trajectory = integrate(system, signal, [1.0, 0.0], 1e-3, 0.004)
+        assert trajectory.active.tolist() == [1, 1, 2, 2, 2]
 
 
 class TestIntegrate:
@@ -253,6 +294,25 @@ class TestAdversarialSwitching:
         assert len(switches) > 2
         assert signal.switches == tuple(switches)
 
+    @pytest.mark.parametrize("b, x0, h, horizon", [
+        pytest.param(13.26, [1.0, 0.0], 1e-3, 50.0, id="b13.26"),
+        # the greedy state leaves the guard at t = 428.03
+        pytest.param(16.0, [1.0, 0.0], 1e-2, 600.0, id="b16_diverges"),
+        pytest.param(None, [-3.8, -9.5], 1e-3, 15.0, id="vdp")])
+    def test_matches_numpy_greedy(self, b, x0, h, horizon, request):
+        if b is None:
+            system = request.getfixturevalue("vdp_pair")
+            V = request.getfixturevalue("vdp_certificate").lyapunov
+        else:
+            system = SwitchedSystem.from_matrices(linear_pair_matrices(b))
+            V = None
+        signal = adversarial_switching(system, V, x0, h, horizon)
+        assert signal.n_switches > 5
+        assert signal.switches == _numpy_greedy(system, V, x0, h,
+                                                horizon).switches
+        trajectory = integrate(system, signal, x0, h, horizon)
+        assert trajectory.diverged == (b == 16.0)
+
     def test_certificate_v_non_increasing_outside_set(self):
         system = SwitchedSystem.from_matrices(linear_pair_matrices(12.0))
         out = escalate(system, CertificationQuery(
@@ -409,19 +469,24 @@ class TestCheckAbsorption:
 class TestIntegrateBatch:
     STARTS = np.array([[0.5, 0.5], [2.5, -1.0], [-2.0, 1.5], [1.0, 2.5]])
 
-    @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple"])
+    @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple",
+                                      "linear_pair", "cubic_3d_pair"])
     def test_rows_match_integrate_and_check_absorption(self, case, request):
+        # integrate steps one start on floats, the batch on numpy blocks
         system = request.getfixturevalue(case)
-        cert = _certificate(system, "x1^2 + 0.25*x1*x2 + 0.5*x2^2 + 0.01*x1^4",
-                            1.5)
+        starts, V = self.STARTS, "x1^2 + 0.25*x1*x2 + 0.5*x2^2 + 0.01*x1^4"
+        if system.dimension == 3:
+            starts = np.column_stack([starts, [0.3, -1.0, 0.8, -0.5]])
+            V += " + x3^2"
+        cert = _certificate(system, V, 1.5)
         signals = [random_switching(system.n_subsystems, 2.0, 0.2, seed)
                    for seed in range(3)]
-        trajectories, report = integrate_batch(system, signals, self.STARTS,
+        trajectories, report = integrate_batch(system, signals, starts,
                                                2e-3, 2.0, cert)
-        assert len(trajectories) == len(signals) * len(self.STARTS)
+        assert len(trajectories) == len(signals) * len(starts)
         for row, trajectory in enumerate(trajectories):
-            signal, start = divmod(row, len(self.STARTS))
-            alone = integrate(system, signals[signal], self.STARTS[start],
+            signal, start = divmod(row, len(starts))
+            alone = integrate(system, signals[signal], starts[start],
                               2e-3, 2.0)
             assert np.array_equal(trajectory.times, alone.times)
             assert np.array_equal(trajectory.active, alone.active)
@@ -431,7 +496,7 @@ class TestIntegrateBatch:
             assert np.all(np.abs(trajectory.states - alone.states)
                           <= 1e-13 * scale)
         # the absorption work of the batch is the same as on its own
-        alone = check_absorption(system, cert, self.STARTS, signals, h=2e-3,
+        alone = check_absorption(system, cert, starts, signals, h=2e-3,
                                  horizon=2.0)
         assert report.not_entered == alone.not_entered
         for ours, theirs in zip(report.records, alone.records):
@@ -469,19 +534,26 @@ class TestIntegrateBatch:
             integrate_batch(system, signals, starts, 1e-2, 20.0, cert)
 
     def test_march_ends_once_every_row_has_left(self, monkeypatch):
+        # the batch loop and the loop of one start both stop at the step
+        # where the last row leaves the guard
         calls = []
-        real = sim._steppers
+        for name in ("_steppers", "_scalar_steppers"):
+            def counting(system, dts, real=getattr(sim, name)):
+                return [lambda x, dt, step=step:
+                        calls.append(dt) or step(x, dt)
+                        for step in real(system, dts)]
 
-        def counting(system, dts):
-            return [lambda x, dt, step=step: calls.append(dt) or step(x, dt)
-                    for step in real(system, dts)]
-
-        monkeypatch.setattr(sim, "_steppers", counting)
+            monkeypatch.setattr(sim, name, counting)
         system = SwitchedSystem.from_matrices([np.array([[2.0]])])
-        trajectory = integrate(system, SwitchingSignal.constant(1, 1000.0),
-                               [1.0], 1e-2, 1000.0)
+        signal = SwitchingSignal.constant(1, 1000.0)
+        trajectory = integrate(system, signal, [1.0], 1e-2, 1000.0)
         assert trajectory.diverged
         assert len(calls) == len(trajectory.times) - 1 < 1500
+        calls.clear()
+        (batched,), _ = integrate_batch(system, [signal], np.array([[1.0]]),
+                                        1e-2, 1000.0)
+        assert len(calls) == len(trajectory.times) - 1
+        assert np.array_equal(batched.times, trajectory.times)
 
 
 def _dense_poly(rng, n, degree):
