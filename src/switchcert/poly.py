@@ -290,10 +290,20 @@ class MonomialKernel:
     The exponents are a (T, n) array, one row per monomial, listed in the
     order in which the caller sums the values: the order and the form of
     that sum fix the rounding of every result.  Points are an (n, k) block,
-    one row per variable.  The power table holds the powers 0..top of all
-    variables, one contiguous (n, k) level per power, each level the
-    previous one times the points; each monomial is the product of one
-    table row per variable that occurs, in variable order.
+    one row per variable.  Each monomial is the product of the powers of
+    the variables that occur, in variable order, and each power x^e the
+    repeated product ((x x) x)...; two plans compute exactly these
+    products, and the kernel takes the one that makes fewer numpy calls:
+
+    - the power table holds the powers 0..top of all variables, one
+      contiguous (n, k) level per power, each level the previous one times
+      the points, and gathers one table row per variable for every
+      monomial at once (a long V);
+    - direct products write each monomial into its own row of the result,
+      multiplying only its nonzero powers (a field of a few monomials).
+
+    Both give the same bits: the table's factors x^0 are exactly 1.0, and a
+    product with 1.0 or with its operands swapped rounds the same.
     """
 
     def __init__(self, exps: np.ndarray):
@@ -303,9 +313,23 @@ class MonomialKernel:
         rows = exps * n + np.arange(n)
         self.columns = [rows[:, j] for j in range(n)
                         if exps[:, j].any()] or [rows[:, 0]]
+        self.size = len(exps)
+        # numpy calls per evaluation: the table's allocation, levels,
+        # reshape and gathers, against the allocation and one step per
+        # monomial of degree 0 or 1 and degree - 1 steps per other one
+        table_calls = 2 + self.top + 2 * len(self.columns)
+        direct_calls = 1 + int(np.maximum(exps.sum(axis=1) - 1, 1).sum())
+        if direct_calls < table_calls:
+            self.products, self.spare = _direct_products(exps)
+            self._plan = self._direct
+        else:
+            self._plan = self._table
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Monomial values (T, k) at the points x (n, k)."""
+        return self._plan(x)
+
+    def _table(self, x: np.ndarray) -> np.ndarray:
         n, k = x.shape
         table = np.empty((self.top + 1, n, k))
         table[0] = 1.0
@@ -318,6 +342,60 @@ class MonomialKernel:
         for column in self.columns[1:]:
             monomials *= table[column]
         return monomials
+
+    def _direct(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty((self.size + self.spare, x.shape[1]))
+        # operands by index: the variables, then the rows of the result
+        rows = [*x, *out]
+        for a, b, to in self.products:
+            if b is not None:
+                np.multiply(rows[a], rows[b], out=rows[to])
+            elif a is not None:
+                rows[to][...] = rows[a]
+            else:
+                rows[to].fill(1.0)
+        return out[:self.size] if self.spare else out
+
+
+def _direct_products(exps: np.ndarray) -> tuple:
+    """The steps of ``MonomialKernel._direct`` for the exponents (T, n):
+    (a, b, to) writes operand a times operand b to operand to, (a, None,
+    to) copies a and (None, None, to) writes 1.0, where operands 0..n-1
+    are the variables, n + t is row t of the result and n + T a spare row
+    for a power that cannot be formed in place.  Returns the steps and the
+    number of spare rows, 0 or 1."""
+    T, n = exps.shape
+    spare = n + T
+    steps = []
+
+    def power(j, e, to):
+        # x_j^e into operand ``to``, by repeated products
+        steps.append((j, j, to))
+        steps.extend((to, j, to) for _ in range(e - 2))
+
+    for t, row in enumerate(exps.tolist()):
+        to = n + t
+        factors = [(j, e) for j, e in enumerate(row) if e]
+        if not factors:
+            steps.append((None, None, to))
+            continue
+        (j, e), rest = factors[0], factors[1:]
+        if rest and e == 1 and rest[0][1] > 1:
+            # p1 p2 = p2 p1: form the power in place, then times x_j
+            (j, e), rest = rest[0], [(j, e), *rest[1:]]
+        if e > 1:
+            power(j, e, to)
+        elif rest and rest[0][1] == 1:
+            steps.append((j, rest[0][0], to))
+            rest = rest[1:]
+        else:
+            steps.append((j, None, to))
+        for j, e in rest:
+            if e > 1:
+                power(j, e, spare)
+            steps.append((to, spare if e > 1 else j, to))
+    uses_spare = any(spare in step for step in steps)
+    return steps, int(uses_spare)
 
 
 def evaluate_exponent_form(pts: np.ndarray, monomials: MonomialKernel,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from switchcert.poly import (ParseError, Polynomial, PolynomialVectorField,
+from switchcert.poly import (MonomialKernel, ParseError, Polynomial,
+                             PolynomialVectorField, _direct_products,
                              even_power_norm, gradient,
                              lie_derivative, parse_expression, poly_to_text)
 
@@ -244,3 +245,55 @@ class TestVectorField:
         with pytest.raises(ValueError):
             PolynomialVectorField(2, (parse_expression("x1", 1),
                                       parse_expression("x1", 1)))
+
+
+def _random_exponents(rng, n, top, count, constant=False, absent=None):
+    """``count`` distinct exponent rows with entries 0..top, in random
+    order, with or without the constant monomial and variable ``absent``."""
+    rows = {tuple(int(e) for e in rng.integers(0, top + 1, size=n))
+            for _ in range(4 * count)}
+    rows = [r for r in rows if any(r)
+            and (absent is None or r[absent] == 0)][:count]
+    if constant:
+        rows.insert(int(rng.integers(0, len(rows) + 1)), (0,) * n)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), n)
+
+
+class TestMonomialKernel:
+    """The power-table plan and the direct-product plan give the same bits,
+    and the kernel takes the one with fewer numpy calls."""
+
+    @pytest.mark.parametrize("n, top, count, constant, absent", [
+        pytest.param(2, 3, 5, True, None, id="constant_monomial"),
+        pytest.param(3, 3, 6, False, 1, id="absent_variable"),
+        pytest.param(3, 4, 12, True, None, id="3d"),
+        pytest.param(3, 1, 5, False, None, id="exponent_one_only"),
+        pytest.param(2, 6, 10, False, None, id="top_6")])
+    def test_plans_give_the_same_bits(self, n, top, count, constant,
+                                      absent):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            exps = _random_exponents(rng, n, top, count, constant, absent)
+            kernel = MonomialKernel(exps)
+            # the direct plan of any exponents, and the count of its steps
+            # by which the kernel chooses
+            kernel.products, kernel.spare = _direct_products(exps)
+            assert len(kernel.products) == np.maximum(
+                exps.sum(axis=1) - 1, 1).sum()
+            points = rng.normal(scale=2.0, size=(n, 33))
+            # contiguous rows, and the strided rows of evaluate_many
+            for x in (points, np.ascontiguousarray(points.T).T):
+                table, direct = kernel._table(x), kernel._direct(x)
+                assert table.shape == direct.shape == (len(exps), 33)
+                assert table.tobytes() == direct.tobytes()
+
+    def test_plan_choice(self):
+        # the van der Pol field's three monomials are cheaper as direct
+        # products, the 25 monomials of degrees 2..6 of a planar V as one
+        # power table
+        kernel = MonomialKernel(np.array([[0, 1], [1, 0], [2, 1]]))
+        assert kernel._plan == kernel._direct
+        exps = np.array([(a, d - a) for d in range(2, 7)
+                         for a in range(d + 1)])
+        kernel = MonomialKernel(exps)
+        assert len(exps) == 25 and kernel._plan == kernel._table

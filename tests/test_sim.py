@@ -86,6 +86,55 @@ def _numpy_greedy(system, V, x0, h, horizon):
     return SwitchingSignal(horizon, tuple(switches))
 
 
+class _PerStepAbsorption(sim._Absorption):
+    """The absorption bookkeeping of a march taken one grid point at a time,
+    with V on each step's blocks, as check_absorption did before it took
+    chunks of steps."""
+
+    def __init__(self, cert, march):
+        super().__init__(cert, march)
+        self.V = sim._evaluator([cert.lyapunov], cert.dimension)
+        self.v = self.V(march.x0)[0]
+
+    def __call__(self, point, blocks, left):
+        steps = blocks[0][1].shape[1]
+        for j in range(steps):
+            self.step(point + j, [(rows, xb[:, j]) for rows, xb in blocks],
+                      left if j == steps - 1 else [])
+
+    def step(self, point, blocks, left):
+        if left:
+            raise CertificateContradictionError(
+                f"trajectory diverged under a certified system "
+                f"(signal {self.march.signal_of_row[min(left)]}, "
+                f"t={self.march.times[point]})")
+        for rows, xb in blocks:
+            self.v[rows] = self.V(xb)[0]
+        newly = (~self.entered) & (self.v <= self.gamma)
+        self.entry_time[newly] = self.march.times[point]
+        self.entered |= newly
+        self.post_max = np.where(
+            self.entered, np.maximum(self.post_max, self.v - self.gamma),
+            self.post_max)
+
+
+def _per_step_absorption(system, cert, starts, signals, h, horizon):
+    march = sim._March(system, signals, starts, h, horizon)
+    absorption = _PerStepAbsorption(cert, march)
+    march.run(absorption)
+    return absorption.report(starts)
+
+
+def _assert_same_reports(ours, theirs):
+    assert ours.not_entered == theirs.not_entered
+    assert len(ours.records) == len(theirs.records)
+    for a, b in zip(ours.records, theirs.records):
+        assert np.array_equal(a.x0, b.x0)
+        assert (a.signal_index, a.first_entry_time, a.post_entry_max,
+                a.violated) == (b.signal_index, b.first_entry_time,
+                                b.post_entry_max, b.violated)
+
+
 def _rk4_reference(A, x, dt):
     """One classical RK4 step of x' = Ax, stage by stage."""
     k1 = A @ x
@@ -464,6 +513,143 @@ class TestCheckAbsorption:
         first = integrate(system, signals[0], starts[0], 1e-2, 20.0)
         assert first.diverged
         assert float(found.group(2)) == first.diverged_at
+
+
+class TestAbsorptionChunks:
+    """check_absorption takes the march's states in chunks of steps; its
+    records are those of the bookkeeping taken one grid point at a time."""
+
+    STARTS = np.array([[0.5, 0.5], [2.5, -1.0], [-2.0, 1.5], [1.0, 2.5],
+                       [0.2, -0.3]])
+
+    @pytest.mark.parametrize("columns", [64, 1024])
+    @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple",
+                                      "cubic_3d_pair"])
+    def test_records_match_per_step_bookkeeping(self, case, columns,
+                                                monkeypatch, request):
+        monkeypatch.setattr(sim, "CHUNK_COLUMNS", columns)
+        system = request.getfixturevalue(case)
+        starts, V = self.STARTS, "x1^2 + 0.25*x1*x2 + 0.5*x2^2 + 0.01*x1^4"
+        if system.dimension == 3:
+            starts = np.column_stack([starts, [0.3, -1.0, 0.8, -0.5, 0.1]])
+            V += " + x3^2"
+        # every monomial of degree 2 to 4, as in a certificate's V: BLAS
+        # rounds a sum of that many terms by the column's place in the
+        # product
+        n = system.dimension
+        rng = np.random.default_rng(2)
+        V = parse_expression(V, n) + Polynomial(n, {
+            m: 1e-3 * rng.normal() for m in np.ndindex(*(5,) * n)
+            if 2 <= sum(m) <= 4})
+        cert = AbsorbingSetCertificate(
+            dimension=n, n_subsystems=system.n_subsystems, lyapunov=V,
+            beta=1.0, delta=1.0, ell=1, gamma=1.5)
+        signals = [random_switching(system.n_subsystems, 2.0, 0.2, seed)
+                   for seed in range(3)]
+        h = 2e-3
+        march = sim._March(system, signals, starts, h, 2.0)
+        absorption = sim._Absorption(cert, march)
+        V = sim._evaluator([V], n)
+        chunks = []
+
+        def spy(point, blocks, left):
+            # V of a chunk has the bits of V taken step by step
+            chunks.append((point, blocks[0][1].shape[1]))
+            for rows, xb in blocks:
+                by_step = [V(xb[:, j].copy())[0] for j in range(xb.shape[1])]
+                assert (absorption.lyapunov(xb).tobytes()
+                        == np.array(by_step).tobytes())
+
+        march.run(spy, absorption)
+        report = absorption.report(starts)
+        _assert_same_reports(report, _per_step_absorption(
+            system, cert, starts, signals, h, 2.0))
+        _assert_same_reports(check_absorption(system, cert, starts, signals,
+                                              h=h), report)
+
+        # the cases the chunks must cover: chunks that end at a switch
+        # segment's end and at the width cap, rows that start inside the
+        # set and rows that enter within a chunk
+        stops = {stop for _, stop in sim._segments(march.active,
+                                                   len(march.dts))}
+        ends = {point + steps - 1 in stops for point, steps in chunks}
+        assert ends == {True, False}
+        firsts = {point for point, _ in chunks}
+        entries = [round(r.first_entry_time / h) for r in report.records
+                   if r.first_entry_time is not None]
+        assert 0 in entries
+        assert any(p > 0 and p not in firsts for p in entries)
+
+    def test_divergence_within_a_chunk(self):
+        # the rows of signal 0 leave the guard near t = 13.2, at a step in
+        # the middle of a 512-step chunk, and signal 0 is named
+        growth = np.array([[2.0, 0.0], [0.0, 2.0]])
+        system = SwitchedSystem.from_matrices([growth, growth])
+        cert = _certificate(system, "x1^2 + x2^2", 1.0)
+        starts = np.array([[3.0, 0.0], [1e-3, 0.0]])
+        signals = [SwitchingSignal.constant(2, 20.0),
+                   SwitchingSignal.constant(1, 20.0)]
+        march = sim._March(system, signals, starts, 1e-2, 20.0)
+        chunks = []
+        with pytest.raises(CertificateContradictionError) as caught:
+            march.run(lambda point, blocks, left: chunks.append(
+                (point, blocks[0][1].shape[1])), sim._Absorption(cert, march))
+        # blocks of two rows: the divergence cuts the third chunk short
+        point, steps = chunks[-1]
+        assert point == 1025 and 1 < steps < 512
+        with pytest.raises(CertificateContradictionError) as per_step:
+            _per_step_absorption(system, cert, starts, signals, 1e-2, 20.0)
+        assert str(caught.value) == str(per_step.value)
+        assert str(caught.value).endswith(
+            f"(signal 0, t={march.times[point + steps - 1]})")
+
+    @pytest.mark.parametrize("columns", [1, 7])
+    def test_recorded_states_independent_of_chunks(self, columns,
+                                                   monkeypatch):
+        # rows of signal 0 leave the guard at their own steps
+        system = SwitchedSystem.from_matrices([np.array([[2.0, 0.3],
+                                                         [0.0, 2.0]]),
+                                               -np.eye(2)])
+        starts = np.array([[3.0, 0.0], [1e-3, 0.2], [0.5, -0.5]])
+        signals = [SwitchingSignal.constant(1, 20.0),
+                   random_switching(2, 20.0, 0.5, 3)]
+        wide, _ = integrate_batch(system, signals, starts, 1e-2, 20.0)
+        monkeypatch.setattr(sim, "CHUNK_COLUMNS", columns)
+        narrow, _ = integrate_batch(system, signals, starts, 1e-2, 20.0)
+        assert [t.diverged for t in wide][:3] == [True] * 3
+        for a, b in zip(wide, narrow):
+            assert (a.diverged, a.diverged_at) == (b.diverged, b.diverged_at)
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.active, b.active)
+
+
+class TestGrid:
+    @staticmethod
+    def _lists(horizon, h):
+        """The grid built from Python lists, as sim._grid once did."""
+        full = int(np.floor(horizon / h + 1e-9))
+        remainder = horizon - full * h
+        steps = [h] * full
+        times = [k * h for k in range(full + 1)]
+        if remainder > 1e-12 * max(1.0, horizon):
+            steps.append(remainder)
+            times.append(horizon)
+        elif full == 0:
+            steps.append(horizon)
+            times.append(horizon)
+        return np.array(steps), np.array(times)
+
+    @pytest.mark.parametrize("h", [1e-3, 2e-3, 5e-3, 1e-2, 0.025, 0.05, 0.1])
+    def test_bits_match_python_lists(self, h):
+        remainders = 0
+        for horizon in (100.0, 15.0, 1.0005, 2 * np.pi, 0.3 * h):
+            steps, times = sim._grid(horizon, h)
+            ref_steps, ref_times = self._lists(horizon, h)
+            assert steps.tobytes() == ref_steps.tobytes()
+            assert times.tobytes() == ref_times.tobytes()
+            assert times[-1] == horizon and len(times) == len(steps) + 1
+            remainders += steps[-1] != h
+        assert remainders >= 2    # 0.3 h and at least one more
 
 
 class TestIntegrateBatch:
