@@ -29,15 +29,19 @@ few thousand columns they can be mapped and page-faulted afresh on every
 call, and with a cap of 4096 the cubic pair's batch ran about 25% slower.
 
 ``_march_one`` steps a single start on Python floats, where numpy's
-per-call cost would exceed the arithmetic: the same one-step matrices and
-the same monomial products and sums, one step at a time.  ``integrate``
-drives it with the snapped signal and ``adversarial_switching`` with the
-greedy choice at each grid point.
+per-call cost would exceed the arithmetic.  Its steps and the greedy
+signal's rates are Python source generated from the exponent and
+coefficient tables of ``_tables`` and compiled once per call:
+straight-line code with the batch's one-step matrices and monomial
+products, each sum in ascending (degree, exponent) order, so no table is
+walked while stepping.  ``integrate`` drives it with the snapped signal and
+``adversarial_switching`` with the greedy choice at each grid point.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -188,49 +192,103 @@ def _evaluator(polys: Sequence[Polynomial], dimension: int):
     return lambda x: coefs @ monomials(x)
 
 
+# terms per statement of a generated sum: one expression of a few thousand
+# terms nests too deep for the compiler
+_SUM_TERMS = 32
+
+
+def _names(prefix: str, count: int) -> list:
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def _literal(value: float, constants: dict) -> str:
+    """Source text of a float constant: its repr, which round-trips every
+    finite float and the sign of zero, or a name bound to it in
+    ``constants`` for inf and nan, whose reprs are not Python literals."""
+    if math.isfinite(value):
+        return repr(value)
+    name = f"_c{len(constants)}"
+    constants[name] = value
+    return name
+
+
+def _term(c: float, factor: str, constants: dict) -> str:
+    """c * factor, or ``factor`` alone when c is 1.0 and c alone when the
+    factor is empty (a constant monomial): products with 1.0 are exact."""
+    if not factor:
+        return _literal(c, constants)
+    return factor if c == 1.0 else f"{_literal(c, constants)} * {factor}"
+
+
+def _sum_lines(target: str, terms: list) -> list:
+    """Statements that set ``target`` to 0.0 + terms[0] + terms[1] + ...,
+    added in that order."""
+    lines, acc = [], "0.0"
+    for i in range(0, len(terms), _SUM_TERMS):
+        lines.append(f"{target} = "
+                     + " + ".join([acc, *terms[i:i + _SUM_TERMS]]))
+        acc = target
+    return lines or [f"{target} = 0.0"]
+
+
+def _polynomial_lines(exps: np.ndarray, coefs: np.ndarray, inputs: list,
+                      outputs: list, constants: dict) -> list:
+    """Statements that set each name in ``outputs`` to the value of one row
+    of ``_tables``' coefficients at the variables named ``inputs``, by the
+    arithmetic of ``_evaluator`` on one column: powers by repeated
+    products, each monomial the product of its powers in variable order,
+    each value 0.0 plus its terms of nonzero coefficient in ascending
+    (degree, exponent tuple) order."""
+    lines, power = [], {}
+    for j, top in enumerate(exps.max(axis=0, initial=0).tolist()):
+        power[j, 1] = inputs[j]
+        for e in range(2, top + 1):
+            power[j, e] = f"{inputs[j]}_{e}"
+            lines.append(f"{power[j, e]} = {power[j, e - 1]} * {inputs[j]}")
+    monomials = []
+    for row in exps.tolist():
+        factors = [power[j, e] for j, e in enumerate(row) if e]
+        product = " * ".join(factors)
+        monomials.append(f"({product})" if len(factors) > 1 else product)
+    for target, row in zip(outputs, coefs.tolist()):
+        lines += _sum_lines(target, [_term(c, m, constants)
+                                     for c, m in zip(row, monomials) if c])
+    return lines
+
+
+def _compile(signature: str, lines: list, constants: dict):
+    """The function ``f(signature)`` with the statements ``lines``."""
+    source = "\n".join([f"def f({signature}):",
+                        *("    " + line for line in lines)])
+    namespace = dict(constants)
+    exec(compile(source, "<switchcert.sim generated>", "exec"), namespace)
+    return namespace["f"]
+
+
 def _scalar_evaluator(polys: Sequence[Polynomial], dimension: int):
     """Values of several polynomials at one point x, a list of floats, by
-    the arithmetic of ``_evaluator`` on one column: powers by repeated
-    multiplication, each monomial the product of its powers in variable
-    order, each value a sum in ascending (degree, exponent tuple) order."""
+    the arithmetic of ``_evaluator`` on one column, as generated code."""
     exps, coefs = _tables(polys, dimension)
-    used = np.flatnonzero(exps.any(axis=0)).tolist()
-    tops = exps.max(axis=0, initial=0).tolist()
-    powers = [(j, tops[j], exps[:, j].tolist()) for j in used]
-    terms = [[(t, c) for t, c in enumerate(row) if c]
-             for row in coefs.tolist()]
-    ones = [1.0] * len(exps)
-
-    def values(x):
-        monomials = ones
-        for j, top, column in powers:
-            v = x[j]
-            table = [1.0, v]
-            for _ in range(top - 1):
-                table.append(table[-1] * v)
-            monomials = [m * table[e] for m, e in zip(monomials, column)]
-        out = []
-        for row in terms:
-            acc = 0.0
-            for t, c in row:
-                acc += c * monomials[t]
-            out.append(acc)
-        return out
-
-    return values
+    xs, values, constants = _names("x", dimension), _names("v", len(polys)), {}
+    return _compile("x", [
+        f"{', '.join(xs)}, = x",
+        *_polynomial_lines(exps, coefs, xs, values, constants),
+        f"return [{', '.join(values)}]"], constants)
 
 
 def _rk4_increment(A: np.ndarray, dt: float) -> np.ndarray:
     """D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so that one RK4 step of
     x' = Ax is x <- M x with M = I + D.  The step is applied as x + D x:
     as in the four-stage step, only the small increment carries the
-    rounding of the products."""
-    hA = dt * A
-    term = hA
-    D = hA.copy()
-    for j in range(2, 5):
-        term = term @ hA / j
-        D += term
+    rounding of the products.  A D that overflows is the evidence of a
+    divergence at the first step, so its overflow warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hA = dt * A
+        term = hA
+        D = hA.copy()
+        for j in range(2, 5):
+            term = term @ hA / j
+            D += term
     return D
 
 
@@ -263,40 +321,45 @@ def _rk4_stages(field, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _scalar_steppers(system: SwitchedSystem, dts: np.ndarray):
-    """The steps of ``_steppers`` for one state, a list of floats: the same
-    one-step matrices, applied as x_i + sum_j D_ij x_j, for linear fields,
-    the four stages on ``_scalar_evaluator`` for polynomial ones."""
-    steppers = []
-    for f in system.fields:
-        if f.is_linear():
-            steppers.append(functools.partial(_scalar_linear_step, {
-                dt: D.tolist() for dt, D in _increments(f, dts).items()}))
-        else:
-            steppers.append(functools.partial(
-                _scalar_rk4_stages,
-                _scalar_evaluator(f.components, f.dimension)))
-    return steppers
+    """The steps of ``_steppers`` for one state, a list of floats, as
+    generated code with the same arithmetic: x_i + (0.0 + sum_j D_ij x_j)
+    with the one-step matrix of the step size for linear fields, the four
+    stages with the field's values inline for polynomial ones."""
+    return [_generated_linear_step(_increments(f, dts), f.dimension)
+            if f.is_linear() else _generated_rk4_step(f)
+            for f in system.fields]
 
 
-def _scalar_linear_step(increments: dict, x: list, dt: float) -> list:
-    out = []
-    for xi, row in zip(x, increments[dt]):
-        acc = 0.0
-        for d, v in zip(row, x):
-            acc += d * v
-        out.append(xi + acc)
-    return out
+def _generated_linear_step(increments: dict, dimension: int):
+    xs, sums, constants = _names("x", dimension), _names("z", dimension), {}
+    lines = [f"{', '.join(xs)}, = x"]
+    for dt, D in increments.items():
+        branch = [line for target, row in zip(sums, D.tolist())
+                  for line in _sum_lines(target, [
+                      _term(d, x, constants) for d, x in zip(row, xs)])]
+        branch.append("return [" + ", ".join(
+            f"{x} + {z}" for x, z in zip(xs, sums)) + "]")
+        lines += [f"if dt == {_literal(dt, constants)}:",
+                  *("    " + line for line in branch)]
+    lines.append("raise KeyError(dt)")
+    return _compile("x, dt", lines, constants)
 
 
-def _scalar_rk4_stages(field, x: list, dt: float) -> list:
-    half = 0.5 * dt
-    k1 = field(x)
-    k2 = field([a + half * b for a, b in zip(x, k1)])
-    k3 = field([a + half * b for a, b in zip(x, k2)])
-    k4 = field([a + dt * b for a, b in zip(x, k3)])
-    sixth = dt / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+def _generated_rk4_step(field):
+    n, constants = field.dimension, {}
+    exps, coefs = _tables(field.components, n)
+    xs, ys = _names("x", n), _names("y", n)
+    k = [_names(f"k{stage}_", n) for stage in range(1, 5)]
+    lines = [f"{', '.join(xs)}, = x", "half = 0.5 * dt",
+             *_polynomial_lines(exps, coefs, xs, k[0], constants)]
+    for scale, slopes, nxt in zip(("half", "half", "dt"), k, k[1:]):
+        lines += [f"{y} = {x} + {scale} * {s}"
+                  for y, x, s in zip(ys, xs, slopes)]
+        lines += _polynomial_lines(exps, coefs, ys, nxt, constants)
+    lines += ["sixth = dt / 6.0", "return [" + ", ".join(
+        f"{x} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        for x, a, b, c, d in zip(xs, *k)) + "]"]
+    return _compile("x, dt", lines, constants)
 
 
 def _within_guard(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import re
 import signal
 
@@ -740,6 +741,138 @@ class TestIntegrateBatch:
                                         1e-2, 1000.0)
         assert len(calls) == len(trajectory.times) - 1
         assert np.array_equal(batched.times, trajectory.times)
+
+
+def _reference_evaluator(polys, dimension):
+    """The float evaluator before it was generated: it walks the exponent
+    and coefficient tables at every call."""
+    exps, coefs = sim._tables(polys, dimension)
+    used = np.flatnonzero(exps.any(axis=0)).tolist()
+    tops = exps.max(axis=0, initial=0).tolist()
+    powers = [(j, tops[j], exps[:, j].tolist()) for j in used]
+    terms = [[(t, c) for t, c in enumerate(row) if c]
+             for row in coefs.tolist()]
+    ones = [1.0] * len(exps)
+
+    def values(x):
+        monomials = ones
+        for j, top, column in powers:
+            v = x[j]
+            table = [1.0, v]
+            for _ in range(top - 1):
+                table.append(table[-1] * v)
+            monomials = [m * table[e] for m, e in zip(monomials, column)]
+        out = []
+        for row in terms:
+            acc = 0.0
+            for t, c in row:
+                acc += c * monomials[t]
+            out.append(acc)
+        return out
+
+    return values
+
+
+def _reference_linear_step(increments, x, dt):
+    out = []
+    for xi, row in zip(x, increments[dt]):
+        acc = 0.0
+        for d, v in zip(row, x):
+            acc += d * v
+        out.append(xi + acc)
+    return out
+
+
+def _reference_rk4_stages(field, x, dt):
+    half = 0.5 * dt
+    k1 = field(x)
+    k2 = field([a + half * b for a, b in zip(x, k1)])
+    k3 = field([a + half * b for a, b in zip(x, k2)])
+    k4 = field([a + dt * b for a, b in zip(x, k3)])
+    sixth = dt / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def _reference_steppers(system, dts):
+    steppers = []
+    for f in system.fields:
+        if f.is_linear():
+            steppers.append(functools.partial(_reference_linear_step, {
+                dt: D.tolist() for dt, D in sim._increments(f, dts).items()}))
+        else:
+            steppers.append(functools.partial(
+                _reference_rk4_stages,
+                _reference_evaluator(f.components, f.dimension)))
+    return steppers
+
+
+def _assert_same_float_runs(monkeypatch, system, V, x0, h, horizon):
+    """The greedy signal and the trajectory under it, and under a random
+    signal, have the bits of the reference loops."""
+    random = random_switching(system.n_subsystems, horizon, 0.3, 7)
+    runs = []
+    for reference in (False, True):
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(sim, "_scalar_evaluator", _reference_evaluator)
+                patch.setattr(sim, "_scalar_steppers", _reference_steppers)
+            greedy = adversarial_switching(system, V, x0, h, horizon)
+            runs.append((greedy.switches, *(
+                integrate(system, s, x0, h, horizon).states.tobytes()
+                for s in (greedy, random))))
+    assert runs[0] == runs[1]
+
+
+class TestGeneratedFloatLoop:
+    """The float loop runs generated code with the arithmetic of the loops
+    that walked the tables, so its states and switch lists are the same
+    bits."""
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SYSTEMS.glob("*.sys")))
+    @pytest.mark.parametrize("x0, horizon", [
+        pytest.param([0.7, -1.2, 0.4], 3.0, id="on_grid"),
+        pytest.param([0.7, -1.2, 0.4], 2.0005, id="off_grid_remainder"),
+        pytest.param([0.0, -0.0, 0.0], 1.0, id="origin")])
+    def test_bundled_systems(self, monkeypatch, name, x0, horizon):
+        system = load_system(str(SYSTEMS / name))
+        _assert_same_float_runs(monkeypatch, system, None,
+                                x0[:system.dimension], 1e-3, horizon)
+
+    def test_linear_pair_at_b1326(self, monkeypatch, linear_pair):
+        _assert_same_float_runs(monkeypatch, linear_pair, None, [1.0, 0.0],
+                                1e-3, 50.0)
+
+    def test_vdp_with_degree_six_v(self, monkeypatch, vdp_pair,
+                                   vdp_certificate):
+        _assert_same_float_runs(monkeypatch, vdp_pair,
+                                vdp_certificate.lyapunov, [-3.8, -9.5], 1e-3,
+                                15.0)
+
+    @pytest.mark.parametrize("n, terms", [(4, 1820), (5, 6188)])
+    def test_dense_degree_12_polynomial(self, n, terms):
+        # with its terms in one expression, the sum of 6188 terms nests too
+        # deep to compile
+        rng = np.random.default_rng(11)
+        p = _dense_poly(rng, n, 12)
+        assert len(p.terms) == terms
+        generated = sim._scalar_evaluator([p], n)
+        reference = _reference_evaluator([p], n)
+        for x in rng.normal(size=(20, n)).tolist():
+            assert (np.array(generated(x)).tobytes()
+                    == np.array(reference(x)).tobytes())
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_one_step_matrix(self, monkeypatch):
+        # D holds inf and nan; the first step leaves the guard
+        system = SwitchedSystem(2, (_field("1e200*x1 + x2", "-x1"),))
+        trajectory = integrate(system, SwitchingSignal.constant(1, 1.0),
+                               [1.0, 0.0], 1e-3, 1.0)
+        assert trajectory.diverged and trajectory.diverged_at == 0.001
+        signal = adversarial_switching(system, None, [1.0, 0.0], 1e-3, 1.0)
+        assert signal.switches == ((0.0, 1),)
+        _assert_same_float_runs(monkeypatch, system, None, [1.0, 0.0], 1e-3,
+                                1.0)
 
 
 def _dense_poly(rng, n, degree):
