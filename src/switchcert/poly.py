@@ -10,6 +10,15 @@ Text form uses variables x1..xn with operators + - * ^ and parentheses,
 e.g. ``0.2868*x1 - x2^2*x1``.  Printing emits terms in descending
 graded-lex order with 17 significant digits, so print -> parse round-trips
 exactly.
+
+Evaluation has one monomial rule, ``monomial_steps``: powers by repeated
+products, each monomial the product of its powers in variable order.
+``monomial_kernel`` compiles it to straight-line numpy code for blocks of
+points, which ``evaluate_many`` and the simulation's batch use, and the
+simulation emits the same steps as float code for a single point.  Every
+caller lists monomials and coefficients by ``exponent_tables`` and sums
+in that order: ``evaluate_many`` and the batch with one BLAS product, the
+float code term by term.
 """
 
 from __future__ import annotations
@@ -204,10 +213,8 @@ class Polynomial:
     def _get_arrays(self):
         cached = self._arrays
         if cached is None:
-            monos = sorted(self.terms, key=grlex_key)
-            exps = np.array(monos, dtype=np.intp).reshape(len(monos), self.dimension)
-            coefs = np.array([self.terms[m] for m in monos], dtype=float)
-            cached = (MonomialKernel(exps), coefs)
+            exps, coefs = exponent_tables([self], self.dimension)
+            cached = (monomial_kernel(exps), coefs[0])
             object.__setattr__(self, "_arrays", cached)
         return cached
 
@@ -284,123 +291,95 @@ class PolynomialVectorField:
 # -- calculus and evaluation ---------------------------------------------------
 
 
-class MonomialKernel:
-    """Values of a fixed list of monomials on blocks of points.
+def exponent_tables(polys: Sequence[Polynomial], dimension: int):
+    """The monomials of several polynomials in ascending (degree, exponent
+    tuple) order, as exponents (T, n), and their coefficients (n_polys, T).
+    Every evaluator sums in this order, which fixes the rounding of its
+    results."""
+    monos = sorted({m for p in polys for m in p.terms},
+                   key=lambda m: (sum(m), m))
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), dimension)
+    coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
+                      for p in polys]).reshape(len(polys), len(monos))
+    return exps, coefs
 
-    The exponents are a (T, n) array, one row per monomial, listed in the
-    order in which the caller sums the values: the order and the form of
-    that sum fix the rounding of every result.  Points are an (n, k) block,
-    one row per variable.  Each monomial is the product of the powers of
-    the variables that occur, in variable order, and each power x^e the
-    repeated product ((x x) x)...; two plans compute exactly these
-    products, and the kernel takes the one that makes fewer numpy calls:
 
-    - the power table holds the powers 0..top of all variables, one
-      contiguous (n, k) level per power, each level the previous one times
-      the points, and gathers one table row per variable for every
-      monomial at once (a long V);
-    - direct products write each monomial into its own row of the result,
-      multiplying only its nonzero powers (a field of a few monomials).
+def monomial_steps(exps: np.ndarray, inputs: Sequence[str]) -> tuple:
+    """The one rule by which monomials are formed, for generated code over
+    the variables named ``inputs``: the powers x_j^e (e >= 2) up to each
+    variable's top exponent in ``exps`` (T, n), as steps (power, lower
+    power, variable), each power the lower one times the variable; and
+    each monomial's factors, the names of its powers in variable order
+    (none for the constant monomial), multiplied from the left."""
+    steps, power = [], {}
+    for j, top in enumerate(exps.max(axis=0, initial=0).tolist()):
+        power[j, 1] = inputs[j]
+        for e in range(2, top + 1):
+            power[j, e] = f"{inputs[j]}_{e}"
+            steps.append((power[j, e], power[j, e - 1], inputs[j]))
+    factors = [[power[j, e] for j, e in enumerate(row) if e]
+               for row in exps.tolist()]
+    return steps, factors
 
-    Both give the same bits: the table's factors x^0 are exactly 1.0, and a
-    product with 1.0 or with its operands swapped rounds the same.
+
+def compile_function(signature: str, lines: list, constants: dict):
+    """The function ``f(signature)`` with the statements ``lines``, its
+    globals the names bound in ``constants``."""
+    source = "\n".join([f"def f({signature}):",
+                        *("    " + line for line in lines)])
+    namespace = dict(constants)
+    exec(compile(source, "<switchcert generated>", "exec"), namespace)
+    return namespace["f"]
+
+
+def monomial_kernel(exps: np.ndarray):
+    """The values (T, k) of the monomials ``exps`` (T, n) at the points
+    x (n, k), one row per variable, as generated straight-line numpy code.
+
+    Each product of ``monomial_steps`` is one ``np.multiply`` with a row
+    as its out argument: a power that is itself a monomial is formed in
+    that monomial's row of the result, any other power in a spare row below
+    them, and a monomial of several factors in its own row, from the left.
+    So every value is the repeated product of the rule, with the bits of
+    the same product on floats, and each call makes one allocation and one
+    numpy call per product.
     """
-
-    def __init__(self, exps: np.ndarray):
-        n = exps.shape[1]
-        self.top = int(exps.max()) if len(exps) else 0
-        # row of x_j^e in the table flattened to ((top + 1) n, k)
-        rows = exps * n + np.arange(n)
-        self.columns = [rows[:, j] for j in range(n)
-                        if exps[:, j].any()] or [rows[:, 0]]
-        self.size = len(exps)
-        # numpy calls per evaluation: the table's allocation, levels,
-        # reshape and gathers, against the allocation and one step per
-        # monomial of degree 0 or 1 and degree - 1 steps per other one
-        table_calls = 2 + self.top + 2 * len(self.columns)
-        direct_calls = 1 + int(np.maximum(exps.sum(axis=1) - 1, 1).sum())
-        if direct_calls < table_calls:
-            self.products, self.spare = _direct_products(exps)
-            self._plan = self._direct
-        else:
-            self._plan = self._table
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Monomial values (T, k) at the points x (n, k)."""
-        return self._plan(x)
-
-    def _table(self, x: np.ndarray) -> np.ndarray:
-        n, k = x.shape
-        table = np.empty((self.top + 1, n, k))
-        table[0] = 1.0
-        if self.top:
-            table[1] = x
-        for e in range(2, self.top + 1):
-            np.multiply(table[e - 1], x, out=table[e])
-        table = table.reshape((self.top + 1) * n, k)
-        monomials = table[self.columns[0]]
-        for column in self.columns[1:]:
-            monomials *= table[column]
-        return monomials
-
-    def _direct(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty((self.size + self.spare, x.shape[1]))
-        # operands by index: the variables, then the rows of the result
-        rows = [*x, *out]
-        for a, b, to in self.products:
-            if b is not None:
-                np.multiply(rows[a], rows[b], out=rows[to])
-            elif a is not None:
-                rows[to][...] = rows[a]
-            else:
-                rows[to].fill(1.0)
-        return out[:self.size] if self.spare else out
-
-
-def _direct_products(exps: np.ndarray) -> tuple:
-    """The steps of ``MonomialKernel._direct`` for the exponents (T, n):
-    (a, b, to) writes operand a times operand b to operand to, (a, None,
-    to) copies a and (None, None, to) writes 1.0, where operands 0..n-1
-    are the variables, n + t is row t of the result and n + T a spare row
-    for a power that cannot be formed in place.  Returns the steps and the
-    number of spare rows, 0 or 1."""
     T, n = exps.shape
-    spare = n + T
-    steps = []
-
-    def power(j, e, to):
-        # x_j^e into operand ``to``, by repeated products
-        steps.append((j, j, to))
-        steps.extend((to, j, to) for _ in range(e - 2))
-
-    for t, row in enumerate(exps.tolist()):
-        to = n + t
-        factors = [(j, e) for j, e in enumerate(row) if e]
-        if not factors:
-            steps.append((None, None, to))
-            continue
-        (j, e), rest = factors[0], factors[1:]
-        if rest and e == 1 and rest[0][1] > 1:
-            # p1 p2 = p2 p1: form the power in place, then times x_j
-            (j, e), rest = rest[0], [(j, e), *rest[1:]]
-        if e > 1:
-            power(j, e, to)
-        elif rest and rest[0][1] == 1:
-            steps.append((j, rest[0][0], to))
-            rest = rest[1:]
+    xs = [f"x{j}" for j in range(n)]
+    steps, factors = monomial_steps(exps, xs)
+    rows = [f"m{t}" for t in range(T)]
+    place = dict(zip(xs, xs))
+    for row, names in zip(rows, factors):
+        if len(names) == 1 and names[0] not in place:
+            place[names[0]] = row
+    spares = [power for power, _, _ in steps if power not in place]
+    place.update((power, f"s{s}") for s, power in enumerate(spares))
+    lines = [f"{', '.join(xs)}, = x",
+             f"out = empty(({T + len(spares)}, x.shape[1]))"]
+    if T:
+        lines.append(f"{', '.join(rows + [place[p] for p in spares])}, = out")
+    lines += [f"multiply({place[a]}, {place[b]}, {place[power]})"
+              for power, a, b in steps]
+    for row, names in zip(rows, factors):
+        if not names:
+            lines.append(f"{row}.fill(1.0)")
+        elif len(names) == 1:
+            if place[names[0]] != row:
+                lines.append(f"{row}[...] = {names[0]}")
         else:
-            steps.append((j, None, to))
-        for j, e in rest:
-            if e > 1:
-                power(j, e, spare)
-            steps.append((to, spare if e > 1 else j, to))
-    uses_spare = any(spare in step for step in steps)
-    return steps, int(uses_spare)
+            product = place[names[0]]
+            for name in names[1:]:
+                lines.append(f"multiply({product}, {place[name]}, {row})")
+                product = row
+    lines.append(f"return out[:{T}]" if spares else "return out")
+    return compile_function("x", lines, {"empty": np.empty,
+                                         "multiply": np.multiply})
 
 
-def evaluate_exponent_form(pts: np.ndarray, monomials: MonomialKernel,
+def evaluate_exponent_form(pts: np.ndarray, monomials,
                            coefs: np.ndarray) -> np.ndarray:
-    """Evaluate sum_t coefs[t] * monomial_t at the points pts (k, n).
+    """Evaluate sum_t coefs[t] * monomial_t at the points pts (k, n), the
+    monomials a ``monomial_kernel``.
 
     The sum is one product of a C-contiguous (points x monomials) array
     with the coefficient vector; a strided view or the transposed product

@@ -14,7 +14,7 @@ under given signals: ``check_absorption`` tracks V over a batch and
 one column per (signal, start) row, and each subsystem gets one RK4
 stepper per march, a one-step matrix for a linear field and the four
 stages for a polynomial one, all components evaluated from the values of
-their monomials (``poly.MonomialKernel``).  A batch is stepped in switch
+their monomials (``poly.monomial_kernel``).  A batch is stepped in switch
 segments: between two steps where some signal changes its index, the rows
 of each subsystem form one block.
 
@@ -24,18 +24,18 @@ absorption check forms V's monomials and updates its entry times and
 maxima once per chunk, not once per step: on a batch of about a hundred
 rows numpy's per-call cost, not the arithmetic, sets the time.  The sum
 with V's coefficients stays one BLAS product per step, which keeps the
-bits of a step-by-step march.  The cap keeps V's temporaries small: on a
-few thousand columns they can be mapped and page-faulted afresh on every
-call, and with a cap of 4096 the cubic pair's batch ran about 25% slower.
+bits of a step-by-step march.  The cap bounds the arrays of a chunk.
 
 ``_march_one`` steps a single start on Python floats, where numpy's
 per-call cost would exceed the arithmetic.  Its steps and the greedy
-signal's rates are Python source generated from the exponent and
-coefficient tables of ``_tables`` and compiled once per call:
-straight-line code with the batch's one-step matrices and monomial
-products, each sum in ascending (degree, exponent) order, so no table is
-walked while stepping.  ``integrate`` drives it with the snapped signal and
-``adversarial_switching`` with the greedy choice at each grid point.
+signal's rates are Python source generated from the tables of
+``poly.exponent_tables`` and compiled once per call: straight-line code
+with the batch's one-step matrices and the monomials of
+``poly.monomial_steps``, the rule that ``poly.monomial_kernel`` compiles
+for blocks, each sum in ascending (degree, exponent) order, so no table
+is walked while stepping.  ``integrate`` drives it with the snapped
+signal and ``adversarial_switching`` with the greedy choice at each grid
+point.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ import numpy as np
 
 from .certify import (AbsorbingSetCertificate, SwitchedSystem, check_matches,
                       check_positive)
-from .poly import MonomialKernel, Polynomial, lie_derivative
+from .poly import (Polynomial, compile_function, exponent_tables,
+                   lie_derivative, monomial_kernel, monomial_steps)
 
 DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
@@ -66,16 +67,20 @@ class CertificateContradictionError(RuntimeError):
 class SwitchingSignal:
     """Piecewise-constant index schedule on [0, horizon].
 
-    ``switches`` holds (time, index) pairs with strictly increasing times,
-    starting at time 0.0 with the initial index; indices are 1-based.
+    ``switches`` holds (time, index) pairs with finite, strictly increasing
+    times, starting at time 0.0 with the initial index; indices are
+    1-based.  The horizon is finite and positive.
     """
 
     horizon: float
     switches: tuple
 
     def __post_init__(self):
+        check_positive(("horizon", self.horizon))
         sw = tuple((float(t), int(i)) for t, i in self.switches)
         object.__setattr__(self, "switches", sw)
+        if not all(math.isfinite(t) for t, _ in sw):
+            raise ValueError("switches must have finite times")
         if not sw or sw[0][0] != 0.0:
             raise ValueError("signal must start with an index at time 0")
         times = [t for t, _ in sw]
@@ -172,23 +177,12 @@ def _check_indices(system: SwitchedSystem, signals) -> None:
         raise ValueError("signal index exceeds subsystem count")
 
 
-def _tables(polys: Sequence[Polynomial], dimension: int):
-    """The monomials of several polynomials in ascending (degree, exponent
-    tuple) order, as exponents (T, n), and their coefficients (n_polys, T)."""
-    monos = sorted({m for p in polys for m in p.terms},
-                   key=lambda m: (sum(m), m))
-    exps = np.array(monos, dtype=np.intp).reshape(len(monos), dimension)
-    coefs = np.array([[p.terms.get(m, 0.0) for m in monos]
-                      for p in polys]).reshape(len(polys), len(monos))
-    return exps, coefs
-
-
 def _evaluator(polys: Sequence[Polynomial], dimension: int):
     """Values (n_polys, k) of several polynomials at the points x (n, k):
     one product of the coefficient matrix with the values of all their
     monomials, summed in ascending (degree, exponent tuple) order."""
-    exps, coefs = _tables(polys, dimension)
-    monomials = MonomialKernel(exps)
+    exps, coefs = exponent_tables(polys, dimension)
+    monomials = monomial_kernel(exps)
     return lambda x: coefs @ monomials(x)
 
 
@@ -234,43 +228,26 @@ def _sum_lines(target: str, terms: list) -> list:
 def _polynomial_lines(exps: np.ndarray, coefs: np.ndarray, inputs: list,
                       outputs: list, constants: dict) -> list:
     """Statements that set each name in ``outputs`` to the value of one row
-    of ``_tables``' coefficients at the variables named ``inputs``, by the
-    arithmetic of ``_evaluator`` on one column: powers by repeated
-    products, each monomial the product of its powers in variable order,
-    each value 0.0 plus its terms of nonzero coefficient in ascending
-    (degree, exponent tuple) order."""
-    lines, power = [], {}
-    for j, top in enumerate(exps.max(axis=0, initial=0).tolist()):
-        power[j, 1] = inputs[j]
-        for e in range(2, top + 1):
-            power[j, e] = f"{inputs[j]}_{e}"
-            lines.append(f"{power[j, e]} = {power[j, e - 1]} * {inputs[j]}")
-    monomials = []
-    for row in exps.tolist():
-        factors = [power[j, e] for j, e in enumerate(row) if e]
-        product = " * ".join(factors)
-        monomials.append(f"({product})" if len(factors) > 1 else product)
+    of ``exponent_tables``' coefficients at the variables named ``inputs``,
+    by the arithmetic of ``_evaluator`` on one column: the monomials of
+    ``monomial_steps``, each value 0.0 plus its terms of nonzero
+    coefficient in ascending (degree, exponent tuple) order."""
+    steps, factors = monomial_steps(exps, inputs)
+    lines = [f"{power} = {lower} * {x}" for power, lower, x in steps]
+    monomials = [f"({' * '.join(names)})" if len(names) > 1
+                 else "".join(names) for names in factors]
     for target, row in zip(outputs, coefs.tolist()):
         lines += _sum_lines(target, [_term(c, m, constants)
                                      for c, m in zip(row, monomials) if c])
     return lines
 
 
-def _compile(signature: str, lines: list, constants: dict):
-    """The function ``f(signature)`` with the statements ``lines``."""
-    source = "\n".join([f"def f({signature}):",
-                        *("    " + line for line in lines)])
-    namespace = dict(constants)
-    exec(compile(source, "<switchcert.sim generated>", "exec"), namespace)
-    return namespace["f"]
-
-
 def _scalar_evaluator(polys: Sequence[Polynomial], dimension: int):
     """Values of several polynomials at one point x, a list of floats, by
     the arithmetic of ``_evaluator`` on one column, as generated code."""
-    exps, coefs = _tables(polys, dimension)
+    exps, coefs = exponent_tables(polys, dimension)
     xs, values, constants = _names("x", dimension), _names("v", len(polys)), {}
-    return _compile("x", [
+    return compile_function("x", [
         f"{', '.join(xs)}, = x",
         *_polynomial_lines(exps, coefs, xs, values, constants),
         f"return [{', '.join(values)}]"], constants)
@@ -342,12 +319,12 @@ def _generated_linear_step(increments: dict, dimension: int):
         lines += [f"if dt == {_literal(dt, constants)}:",
                   *("    " + line for line in branch)]
     lines.append("raise KeyError(dt)")
-    return _compile("x, dt", lines, constants)
+    return compile_function("x, dt", lines, constants)
 
 
 def _generated_rk4_step(field):
     n, constants = field.dimension, {}
-    exps, coefs = _tables(field.components, n)
+    exps, coefs = exponent_tables(field.components, n)
     xs, ys = _names("x", n), _names("y", n)
     k = [_names(f"k{stage}_", n) for stage in range(1, 5)]
     lines = [f"{', '.join(xs)}, = x", "half = 0.5 * dt",
@@ -359,7 +336,7 @@ def _generated_rk4_step(field):
     lines += ["sixth = dt / 6.0", "return [" + ", ".join(
         f"{x} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
         for x, a, b, c, d in zip(xs, *k)) + "]"]
-    return _compile("x, dt", lines, constants)
+    return compile_function("x, dt", lines, constants)
 
 
 def _within_guard(x: np.ndarray) -> np.ndarray:
@@ -529,8 +506,8 @@ class _Absorption:
     every chunk that goes on holds every row."""
 
     def __init__(self, cert: AbsorbingSetCertificate, march: _March):
-        exps, self.coefs = _tables([cert.lyapunov], cert.dimension)
-        self.monomials = MonomialKernel(exps)
+        exps, self.coefs = exponent_tables([cert.lyapunov], cert.dimension)
+        self.monomials = monomial_kernel(exps)
         self.gamma = cert.gamma
         self.march = march
         self.entered = (self.coefs @ self.monomials(march.x0))[0] <= self.gamma

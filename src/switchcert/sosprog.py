@@ -427,22 +427,3 @@ def decode(encoding: SdpEncoding, solution: SdpSolution) -> DecodedSos:
         for name, k in encoding.scalar_index.items()}
     return DecodedSos(polys, scalars, identity_grams)
 
-
-def identity_residual(identity: SosIdentity, decoded: DecodedSos,
-                      encoding: SdpEncoding) -> Polynomial:
-    """Re-expand the identity with the decoded values minus its Gram form.
-
-    This is an independent arithmetic path from the coefficient matching,
-    so a small residual genuinely cross-checks the encoding.
-    """
-    expr = identity.known
-    for term in identity.terms:
-        if isinstance(term, ScalarTerm):
-            expr = expr + term.weight * decoded.scalars[term.scalar]
-        elif isinstance(term, UnknownTerm):
-            expr = expr + term.weight * decoded.polynomials[term.unknown]
-        else:
-            expr = expr + term.scale * lie_derivative(
-                decoded.polynomials[term.unknown], term.field)
-    basis = encoding.identity_bases[identity.name]
-    return expr - gram_expand(basis, decoded.identity_grams[identity.name])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from switchcert.certify import SwitchedSystem
-from switchcert.poly import parse_expression
+from switchcert.poly import lie_derivative, parse_expression
+from switchcert.sosprog import ScalarTerm, UnknownTerm, gram_expand
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SYSTEMS = REPO / "systems"
@@ -24,6 +25,25 @@ GAMMA_AFFINE_PAIR = 8725.0
 BETA_AFFINE_PAIR = 3.3
 GAMMA_AFFINE_TRIPLE = 38.43
 BETA_AFFINE_TRIPLE = 2.0
+
+
+def identity_residual(identity, decoded, encoding):
+    """Re-expand the identity with the decoded values minus its Gram form.
+
+    This is an independent arithmetic path from the coefficient matching,
+    so a small residual genuinely cross-checks the encoding.
+    """
+    expr = identity.known
+    for term in identity.terms:
+        if isinstance(term, ScalarTerm):
+            expr = expr + term.weight * decoded.scalars[term.scalar]
+        elif isinstance(term, UnknownTerm):
+            expr = expr + term.weight * decoded.polynomials[term.unknown]
+        else:
+            expr = expr + term.scale * lie_derivative(
+                decoded.polynomials[term.unknown], term.field)
+    basis = encoding.identity_bases[identity.name]
+    return expr - gram_expand(basis, decoded.identity_grams[identity.name])
 
 
 def encode_posed(program):

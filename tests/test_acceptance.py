@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import (BETA_AFFINE_PAIR, BETA_AFFINE_TRIPLE, GAMMA_AFFINE_PAIR,
-                      GAMMA_AFFINE_TRIPLE, linear_pair_matrices)
+                      GAMMA_AFFINE_TRIPLE, identity_residual,
+                      linear_pair_matrices)
 from switchcert import sim
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, CertificationQuery,
@@ -23,8 +24,7 @@ from switchcert.certify import (AbsorbingSetCertificate,
 from switchcert.poly import gradient
 from switchcert.sdp import SdpProblemBuilder, solve
 from switchcert.sosprog import (SosIdentity, SosProgram, decode, encode,
-                                gram_expand, identity_residual,
-                                monomial_basis)
+                                gram_expand, monomial_basis)
 
 
 def report(number, name, ok, detail=""):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from switchcert.poly import (MonomialKernel, ParseError, Polynomial,
-                             PolynomialVectorField, _direct_products,
-                             even_power_norm, gradient,
-                             lie_derivative, parse_expression, poly_to_text)
+from switchcert.poly import (ParseError, Polynomial, PolynomialVectorField,
+                             even_power_norm, gradient, lie_derivative,
+                             monomial_kernel, parse_expression, poly_to_text)
 
 
 def random_poly(rng, n, max_degree, n_terms=6):
@@ -259,9 +258,44 @@ def _random_exponents(rng, n, top, count, constant=False, absent=None):
     return np.array(rows, dtype=np.intp).reshape(len(rows), n)
 
 
+def _power_table(exps, x):
+    """Monomial values (T, k) at x (n, k) by the power table that computed
+    them before the kernel was generated, kept as the reference: the powers
+    0..top of all variables as contiguous (n, k) levels, each the previous
+    one times the points, and one gathered table row per variable that
+    occurs, multiplied in variable order."""
+    n, k = x.shape
+    top = int(exps.max()) if len(exps) else 0
+    rows = exps * n + np.arange(n)
+    columns = [rows[:, j] for j in range(n) if exps[:, j].any()] \
+        or [rows[:, 0]]
+    table = np.empty((top + 1, n, k))
+    table[0] = 1.0
+    if top:
+        table[1] = x
+    for e in range(2, top + 1):
+        np.multiply(table[e - 1], x, out=table[e])
+    table = table.reshape((top + 1) * n, k)
+    monomials = table[columns[0]]
+    for column in columns[1:]:
+        monomials *= table[column]
+    return monomials
+
+
+def _assert_kernel_matches_table(exps, points):
+    """The generated kernel has the power table's shape and bits on the
+    points (n, k), as contiguous rows and as the strided rows that
+    evaluate_exponent_form passes (``pts.T``)."""
+    kernel = monomial_kernel(exps)
+    with np.errstate(all="ignore"):
+        for x in (points, np.ascontiguousarray(points.T).T):
+            values, reference = kernel(x), _power_table(exps, x)
+            assert values.shape == reference.shape == (len(exps), x.shape[1])
+            assert values.tobytes() == reference.tobytes()
+
+
 class TestMonomialKernel:
-    """The power-table plan and the direct-product plan give the same bits,
-    and the kernel takes the one with fewer numpy calls."""
+    """The generated kernel gives the bits of the power table."""
 
     @pytest.mark.parametrize("n, top, count, constant, absent", [
         pytest.param(2, 3, 5, True, None, id="constant_monomial"),
@@ -274,26 +308,33 @@ class TestMonomialKernel:
         rng = np.random.default_rng(11)
         for _ in range(20):
             exps = _random_exponents(rng, n, top, count, constant, absent)
-            kernel = MonomialKernel(exps)
-            # the direct plan of any exponents, and the count of its steps
-            # by which the kernel chooses
-            kernel.products, kernel.spare = _direct_products(exps)
-            assert len(kernel.products) == np.maximum(
-                exps.sum(axis=1) - 1, 1).sum()
-            points = rng.normal(scale=2.0, size=(n, 33))
-            # contiguous rows, and the strided rows of evaluate_many
-            for x in (points, np.ascontiguousarray(points.T).T):
-                table, direct = kernel._table(x), kernel._direct(x)
-                assert table.shape == direct.shape == (len(exps), 33)
-                assert table.tobytes() == direct.tobytes()
+            _assert_kernel_matches_table(
+                exps, rng.normal(scale=2.0, size=(n, 33)))
 
-    def test_plan_choice(self):
-        # the van der Pol field's three monomials are cheaper as direct
-        # products, the 25 monomials of degrees 2..6 of a planar V as one
-        # power table
-        kernel = MonomialKernel(np.array([[0, 1], [1, 0], [2, 1]]))
-        assert kernel._plan == kernel._direct
-        exps = np.array([(a, d - a) for d in range(2, 7)
-                         for a in range(d + 1)])
-        kernel = MonomialKernel(exps)
-        assert len(exps) == 25 and kernel._plan == kernel._table
+    @pytest.mark.parametrize("columns", [0, 1])
+    def test_zero_and_one_columns(self, columns):
+        rng = np.random.default_rng(12)
+        for n, top, count in [(1, 4, 3), (2, 6, 10), (3, 4, 12)]:
+            exps = _random_exponents(rng, n, top, count, constant=True)
+            _assert_kernel_matches_table(exps, rng.normal(size=(n, columns)))
+
+    def test_non_finite_and_signed_zero_inputs(self):
+        # diverging RK4 stages hand the kernel inf and nans of either sign
+        # (inf - inf is a negative nan here); a product of two nans is the
+        # first one, so the kernel must keep the table's operand order
+        rng = np.random.default_rng(13)
+        special = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 1e200,
+                   -1e-200]
+        for n, top, count in [(2, 3, 8), (3, 4, 12), (2, 6, 20)]:
+            for _ in range(10):
+                exps = _random_exponents(rng, n, top, count, constant=True)
+                points = rng.choice(special, size=(n, 40))
+                points[:, :len(special)] = special
+                _assert_kernel_matches_table(exps, points)
+
+    @pytest.mark.parametrize("n, count", [(4, 1820), (5, 6188)])
+    def test_dense_degree_12_tables(self, n, count):
+        exps = np.array([m for m in np.ndindex(*(13,) * n) if sum(m) <= 12])
+        assert len(exps) == count
+        rng = np.random.default_rng(14)
+        _assert_kernel_matches_table(exps, rng.normal(size=(n, 9)))

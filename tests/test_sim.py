@@ -10,7 +10,8 @@ from switchcert import sim
 from switchcert.certify import (AbsorbingSetCertificate, CertificationQuery,
                                 SwitchedSystem, escalate)
 from switchcert.cli import load_system
-from switchcert.poly import (Polynomial, PolynomialVectorField, lie_derivative,
+from switchcert.poly import (Polynomial, PolynomialVectorField,
+                             exponent_tables, lie_derivative,
                              parse_expression)
 from switchcert.sim import (CertificateContradictionError, SwitchingSignal,
                             adversarial_switching, check_absorption,
@@ -153,6 +154,23 @@ class TestSwitchingSignal:
     def test_strictly_increasing(self):
         with pytest.raises(ValueError):
             SwitchingSignal(1.0, ((0.0, 1), (0.5, 2), (0.5, 1)))
+
+    @pytest.mark.parametrize("horizon, switches, field", [
+        pytest.param(np.nan, ((0.0, 1),), "horizon", id="nan_horizon"),
+        pytest.param(np.inf, ((0.0, 1),), "horizon", id="inf_horizon"),
+        pytest.param(-1.0, ((0.0, 1),), "horizon", id="negative_horizon"),
+        pytest.param(0.0, ((0.0, 1),), "horizon", id="zero_horizon"),
+        pytest.param(1.0, ((0.0, 1), (np.inf, 2)), "switches",
+                     id="inf_switch_time"),
+        pytest.param(1.0, ((0.0, 1), (np.nan, 2)), "switches",
+                     id="nan_switch_time"),
+        pytest.param(1.0, ((np.nan, 1),), "switches", id="nan_first_time")])
+    def test_non_finite_or_non_positive_rejected(self, horizon, switches,
+                                                 field):
+        # integrate snaps switch times to a grid that ends at the horizon,
+        # so neither may be non-finite
+        with pytest.raises(ValueError, match=field):
+            SwitchingSignal(horizon, switches)
 
     def test_index_lookup(self):
         # the switch at 0.0024 snaps to the grid point 0.002
@@ -746,7 +764,7 @@ class TestIntegrateBatch:
 def _reference_evaluator(polys, dimension):
     """The float evaluator before it was generated: it walks the exponent
     and coefficient tables at every call."""
-    exps, coefs = sim._tables(polys, dimension)
+    exps, coefs = exponent_tables(polys, dimension)
     used = np.flatnonzero(exps.any(axis=0)).tolist()
     tops = exps.max(axis=0, initial=0).tolist()
     powers = [(j, tops[j], exps[:, j].tolist()) for j in used]
@@ -883,7 +901,8 @@ def _dense_poly(rng, n, degree):
 
 def _assert_callers_agree(p, points):
     """evaluate_many and the simulation's evaluator sum the same monomial
-    values in two orders; they agree to 1e-15 of the sum of |terms|."""
+    values in one order by two BLAS products, a matrix-vector and a matrix
+    product; they agree to 1e-15 of the sum of |terms|."""
     by_poly = p.evaluate_many(points)
     by_sim = sim._evaluator([p], p.dimension)(points.T.copy())
     assert by_sim.shape == (1, len(points))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import encode_posed, gram_bases, same_row
+from conftest import encode_posed, gram_bases, identity_residual, same_row
 from switchcert.poly import (Polynomial, PolynomialVectorField, mono_mul,
                              parse_expression)
 from switchcert import sdp, sosprog
@@ -13,8 +13,7 @@ from switchcert.sosprog import (GramBasis, IllFormedIdentityError, ScalarTerm,
                                 SosIdentity, SosProgram, SosUnknown,
                                 UnknownLieTerm, UnknownTerm,
                                 decode, encode, gram_expand,
-                                identity_residual, invariant_parities,
-                                monomial_basis)
+                                invariant_parities, monomial_basis)
 
 
 def sos_membership(poly):
