@@ -2,9 +2,14 @@
 
 Standard form:
 
-    minimise    sum_b <C_b, X_b> + g . u
+    minimise    g . u
     subject to  sum_b <A_jb, X_b> + d_j . u = b_j      j = 1..m
                 X_b >= 0 (PSD),   u free
+
+The objective lives on the free scalars alone.  A block objective
+<C_b, X_b> given to ``SdpProblemBuilder.set_objective_block`` becomes one
+more free scalar t_b with objective coefficient 1 and one more equality
+<C_b, X_b> - t_b = 0; the SOS programs never pose one.
 
 The solver embeds the problem in a homogeneous self-dual model and runs a
 Mehrotra-style predictor-corrector interior-point iteration.  Free scalars
@@ -16,8 +21,8 @@ thread count the caller set.
 
 Each iteration runs four phases, one function each: ``_cone_factors``
 (Cholesky factors of X and S, and S^-1), ``_newton_system`` (the Schur
-complement and its objective borders from ``_schur``, the KKT matrix, its LU
-factors and the direction-independent KKT solve), ``_search_direction``
+complement from ``_schur``, the KKT matrix, its LU factors and the
+direction-independent KKT solve), ``_search_direction``
 (predictor and corrector, one ``_direction`` each) and ``_step_length``.
 The residuals and mu of an iterate are computed once, after the step that
 produced it.
@@ -130,7 +135,6 @@ class SdpProblem:
     rhs: np.ndarray                      # (m,)
     entries: tuple                       # tuple over constraints of tuples of _ConstraintEntries
     free_rows: tuple                     # per constraint: (idx array, val array)
-    obj_blocks: tuple                    # dense symmetric matrix or None per block
     obj_free: np.ndarray                 # (n_free,)
 
     @property
@@ -148,18 +152,24 @@ class SdpProblemBuilder:
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
         self.n_free = int(n_free)
-        self._rhs = []
-        self._entries = []
-        self._free_rows = []
-        self._obj_blocks = [None] * len(self.block_sizes)
+        self._rows = []
+        self._block_objectives = {}
         self._obj_free = np.zeros(self.n_free)
 
+    def _block_size(self, block: int) -> int:
+        if not 0 <= block < len(self.block_sizes):
+            raise ValueError(f"block index {block} out of range "
+                             f"0..{len(self.block_sizes) - 1}")
+        return self.block_sizes[block]
+
     def set_objective_block(self, block: int, M: np.ndarray):
+        """Add <M, X_block> to the objective, as ``build`` poses it: one
+        more free scalar and one more equality."""
         M = np.asarray(M, dtype=float)
-        s = self.block_sizes[block]
+        s = self._block_size(block)
         if M.shape != (s, s) or not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("objective block must be symmetric of block size")
-        self._obj_blocks[block] = 0.5 * (M + M.T)
+        self._block_objectives[block] = 0.5 * (M + M.T)
 
     def set_objective_free(self, vec: Sequence[float]):
         vec = np.asarray(vec, dtype=float)
@@ -170,9 +180,14 @@ class SdpProblemBuilder:
     def add_constraint(self, rhs: float, block_entries=None, free_entries=None):
         """block_entries: {block: [(i, j, value), ...]}, value is the full
         symmetric entry A[i,j] = A[j,i]; free_entries: {index: value}."""
+        self._rows.append(self._row(rhs, block_entries or {},
+                                    free_entries or {}, self.n_free))
+
+    def _row(self, rhs, block_entries, free_entries, n_free):
+        """(rhs, entries, (free indices, values)) over n_free scalars."""
         ents = []
-        for block, triplets in sorted((block_entries or {}).items()):
-            s = self.block_sizes[block]
+        for block, triplets in sorted(block_entries.items()):
+            s = self._block_size(block)
             rows, cols, vals = [], [], []
             agg: dict = {}
             for i, j, v in triplets:
@@ -192,26 +207,34 @@ class SdpProblemBuilder:
                     np.array(cols, dtype=np.intp),
                     np.array(vals, dtype=float)))
         fidx, fval = [], []
-        for idx, v in sorted((free_entries or {}).items()):
-            if not 0 <= idx < self.n_free:
+        for idx, v in sorted(free_entries.items()):
+            if not 0 <= idx < n_free:
                 raise ValueError("free variable index out of range")
             if v != 0.0:
                 fidx.append(idx)
                 fval.append(float(v))
-        self._rhs.append(float(rhs))
-        self._entries.append(tuple(ents))
-        self._free_rows.append(
-            (np.array(fidx, dtype=np.intp), np.array(fval, dtype=float)))
+        return (float(rhs), tuple(ents),
+                (np.array(fidx, dtype=np.intp), np.array(fval, dtype=float)))
 
     def build(self) -> SdpProblem:
+        """The problem, each block objective C_b posed as a free scalar t_b
+        after the caller's, with objective coefficient 1, and the row
+        <C_b, X_b> - t_b = 0 after the caller's rows."""
+        objectives = sorted(self._block_objectives.items())
+        rows, n_free = list(self._rows), self.n_free + len(objectives)
+        for t, (block, C) in enumerate(objectives, self.n_free):
+            i, j = np.triu_indices(len(C))
+            rows.append(self._row(0.0, {block: zip(i, j, C[i, j])},
+                                  {t: -1.0}, n_free))
+        rhs, entries, free_rows = zip(*rows) if rows else ((), (), ())
         return SdpProblem(
             block_sizes=self.block_sizes,
-            n_free=self.n_free,
-            rhs=np.array(self._rhs, dtype=float),
-            entries=tuple(self._entries),
-            free_rows=tuple(self._free_rows),
-            obj_blocks=tuple(self._obj_blocks),
-            obj_free=self._obj_free.copy(),
+            n_free=n_free,
+            rhs=np.array(rhs, dtype=float),
+            entries=entries,
+            free_rows=free_rows,
+            obj_free=np.concatenate(
+                [self._obj_free, np.ones(n_free - self.n_free)]),
         )
 
 
@@ -328,21 +351,12 @@ class _Embedding:
         # the normaliser 1 + max(|b_j|, ||A_j||_F) of the reported residual
         self.res_norm = 1.0 + np.maximum(np.abs(problem.rhs), con_norm)
 
-        obj_fro2 = float(np.sum(problem.obj_free ** 2))
-        for C in problem.obj_blocks:
-            if C is not None:
-                obj_fro2 += float(np.sum(C ** 2))
-        self.obj_scale = 1.0 / max(1.0, np.sqrt(obj_fro2))
-        self.C = []
-        for b, s in enumerate(self.sizes):
-            C = problem.obj_blocks[b]
-            self.C.append(
-                np.zeros((s, s)) if C is None else C * self.obj_scale)
+        self.obj_scale = 1.0 / max(
+            1.0, np.sqrt(float(np.sum(problem.obj_free ** 2))))
         self.g = problem.obj_free * self.obj_scale
 
         # largest data entries, the scales of the convergence measures
         self.max_abs_b = float(np.max(np.abs(self.b))) if self.m else 0.0
-        self.max_abs_C = max(float(np.max(np.abs(C))) for C in self.C)
         self.max_abs_g = float(np.max(np.abs(self.g))) if self.f else 0.0
 
         # start at the identity point
@@ -365,20 +379,15 @@ class _Embedding:
         return [(At @ y[rows]).reshape(s, s)
                 for rows, At, s in zip(self.rows, self.At, self.sizes)]
 
-    def inner_C(self, Xs) -> float:
-        return sum(float(np.sum(self.C[b] * Xs[b])) for b in range(self.nblocks))
-
     # -- residuals of the embedding equations (all should go to zero) --
 
     def residuals(self):
         E1 = self.opA(self.X) + (self.D @ self.u if self.f else 0.0) \
             - self.b * self.tau
         At_y = self.opAt(self.y)
-        E2 = [At_y[b] + self.S[b] - self.C[b] * self.tau
-              for b in range(self.nblocks)]
+        E2 = [At_y[b] + self.S[b] for b in range(self.nblocks)]
         E3 = self.D.T @ self.y - self.g * self.tau
-        E4 = self.inner_C(self.X) + float(self.g @ self.u) \
-            - float(self.b @ self.y) + self.kappa
+        E4 = float(self.g @ self.u) - float(self.b @ self.y) + self.kappa
         return E1, E2, E3, E4
 
     def mu(self) -> float:
@@ -452,10 +461,9 @@ def _check_info(name, info):
 
 
 # One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
-# regularisation, with the Schur complement B and its objective borders v, w.
-# q = K^-1 (b + v, g) does not depend on the direction, so predictor and
-# corrector share it.
-_NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu v w q")
+# regularisation, with the Schur complement B.  q = K^-1 (b, g) does not
+# depend on the direction, so predictor and corrector share it.
+_NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu q")
 _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
 
 
@@ -476,33 +484,27 @@ def _cone_factors(emb):
 
 
 def _schur(emb, Sinv):
-    """Schur complement B[j,k] = <A_j, X A_k S^-1> and its borders
-    v_j = <A_j, X C S^-1> and w = <C, X C S^-1>.
+    """Schur complement B[j,k] = <A_j, X A_k S^-1>.
 
     Each block adds only to the rows and columns of the constraints that
     touch it: one sparse product gives every A_k S^-1, one gemm every
     X A_k S^-1, and one sparse product their inner products with the A_j."""
     B = np.zeros((emb.m, emb.m))
-    v = np.zeros(emb.m)
-    w = 0.0
     for b, (s, rows, X, Si) in enumerate(zip(emb.sizes, emb.rows, emb.X,
                                              Sinv)):
-        XCS = X @ emb.C[b] @ Si
-        w += float(np.sum(emb.C[b] * XCS))
         mb = len(rows)
         if not mb:
             continue
-        v[rows] += emb.A[b] @ XCS.ravel()
         F = X @ (emb.stack[b] @ Si).reshape(s, mb * s)
         F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
         B[np.ix_(rows, rows)] += emb.A[b] @ F
-    return _sym(B), v, w
+    return _sym(B)
 
 
 def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
     """Build and LU-factor the KKT matrix, and solve for q."""
     m, f = emb.m, emb.f
-    B, v, w = _schur(emb, Sinv)
+    B = _schur(emb, Sinv)
     K = np.zeros((m + f, m + f))
     K[:m, :m] = B
     K[:m, m:] = emb.D
@@ -517,8 +519,8 @@ def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
         _check_info("dgetrf", info)
     except ValueError:
         raise _Breakdown("KKT factorisation failed") from None
-    q = _kkt_solve(K, (lu, piv), np.concatenate([emb.b + v, emb.g]))
-    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), v, w, q)
+    q = _kkt_solve(K, (lu, piv), np.concatenate([emb.b, emb.g]))
+    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), q)
 
 
 def _lu_solve(lu, rhs):
@@ -558,22 +560,19 @@ def _direction(emb, E, newton, eta, tc, corrM, corr_tk) -> _Direction:
         G.append(Gb)
     e0 = (tc - emb.tau * emb.kappa - corr_tk) / emb.tau
     h1 = -eta * E1 - emb.opA(G)
-    h3 = -eta * E4 - emb.inner_C(G) - e0
+    h3 = -eta * E4 - e0
 
     p = _kkt_solve(newton.K, newton.lu, np.concatenate([h1, -eta * E3]))
     q = newton.q
-    vb = newton.v - emb.b
-    den = float(vb @ q[:m]) + float(emb.g @ q[m:]) - newton.w \
-        - emb.kappa / emb.tau
-    num = h3 - float(vb @ p[:m]) - float(emb.g @ p[m:])
+    den = float(emb.g @ q[m:]) - float(emb.b @ q[:m]) - emb.kappa / emb.tau
+    num = h3 + float(emb.b @ p[:m]) - float(emb.g @ p[m:])
     if abs(den) < 1e-300:
         raise _Breakdown(_SINGULAR)
     dtau = num / den
     dy = p[:m] + dtau * q[:m]
     du = p[m:] + dtau * q[m:]
     At_dy = emb.opAt(dy)
-    dS = [-eta * E2[b] + emb.C[b] * dtau - At_dy[b]
-          for b in range(emb.nblocks)]
+    dS = [-eta * E2[b] - At_dy[b] for b in range(emb.nblocks)]
     dX = []
     for b in range(emb.nblocks):
         M = tc * Sinv[b] - emb.X[b] - _sym(emb.X[b] @ dS[b] @ Sinv[b])
@@ -663,11 +662,10 @@ def _converged(emb, E) -> bool:
     E1, E2, E3, _ = E
     tau = emb.tau
     pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
-    dres = max(float(np.max(np.abs(E2[b]))) for b in range(emb.nblocks)) \
-        / tau / (1.0 + emb.max_abs_C)
+    dres = max(float(np.max(np.abs(Eb))) for Eb in E2) / tau
     gres = (float(np.max(np.abs(E3))) / tau / (1.0 + emb.max_abs_g)) \
         if emb.f else 0.0
-    pobj = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) / tau
+    pobj = float(emb.g @ emb.u) / tau
     dobj = float(emb.b @ emb.y) / tau
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return max(pres, dres, gres, gap, _primal_residual(emb, E1)) <= TOL
@@ -691,7 +689,7 @@ def _ray_verdict(emb):
             certificate = {"ray_y": emb.y / by * emb.con_scale}
             return (STATUS_INFEASIBLE,
                     "Farkas ray found (dual improving direction)", certificate)
-    neg_obj = -(emb.inner_C(emb.X) + float(emb.g @ emb.u))
+    neg_obj = -float(emb.g @ emb.u)
     if neg_obj > 0:
         ray_res = float(np.max(np.abs(
             emb.opA(emb.X) + (emb.D @ emb.u if emb.f else 0.0))))
@@ -764,8 +762,7 @@ def _solve(problem: SdpProblem, regularization: float):
         blocks = [X / emb.tau for X in emb.X]
         free = emb.u / emb.tau
         y_out = emb.y / emb.tau * emb.con_scale / emb.obj_scale
-        objective = (emb.inner_C(emb.X) + float(emb.g @ emb.u)) \
-            / (emb.tau * emb.obj_scale)
+        objective = float(emb.g @ emb.u) / (emb.tau * emb.obj_scale)
         dual_objective = float(problem.rhs @ y_out)
         denom = 1.0 + abs(objective) + abs(dual_objective)
         gap = abs(objective - dual_objective) / denom
@@ -776,8 +773,7 @@ def _solve(problem: SdpProblem, regularization: float):
         # program without objective has no gap to meet
         if status == STATUS_FAILURE and verdict is None \
                 and primal_res <= RELAXED_TOL and min(min_eigs) >= -PSD_TOL \
-                and (gap <= RELAXED_TOL
-                     or emb.max_abs_C == emb.max_abs_g == 0.0):
+                and (gap <= RELAXED_TOL or emb.max_abs_g == 0.0):
             status = STATUS_FEASIBLE
             message = f"feasible point accepted ({message})"
 
@@ -903,32 +899,21 @@ def write_sdpa(problem: SdpProblem, path: str):
     def emit(matno, block, i, j, v):
         lines.append(f"{matno} {block + 1} {i + 1} {j + 1} {format(v, '.17g')}")
 
-    # objective: SDPA maximises tr(F0 Y); our problem minimises, so F0 = -C
-    for b, C in enumerate(problem.obj_blocks):
-        if C is None:
-            continue
-        s = problem.block_sizes[b]
-        for i in range(s):
-            for j in range(i, s):
-                if C[i, j] != 0.0:
-                    emit(0, b, i, j, -C[i, j])
-    if problem.n_free:
-        fb = len(problem.block_sizes)
-        for k, gk in enumerate(problem.obj_free):
-            if gk != 0.0:
-                emit(0, fb, 2 * k, 2 * k, -gk)
-                emit(0, fb, 2 * k + 1, 2 * k + 1, gk)
+    # objective: SDPA maximises tr(F0 Y); our problem minimises, so F0 = -g
+    fb = len(problem.block_sizes)
+    for k, gk in enumerate(problem.obj_free):
+        if gk != 0.0:
+            emit(0, fb, 2 * k, 2 * k, -gk)
+            emit(0, fb, 2 * k + 1, 2 * k + 1, gk)
 
     for j in range(problem.m):
         for ent in problem.entries[j]:
             for i, jj, v in zip(ent.rows, ent.cols, ent.vals):
                 emit(j + 1, ent.block, int(i), int(jj), float(v))
         idx, vals = problem.free_rows[j]
-        if problem.n_free and len(idx):
-            fb = len(problem.block_sizes)
-            for k, v in zip(idx, vals):
-                emit(j + 1, fb, 2 * int(k), 2 * int(k), float(v))
-                emit(j + 1, fb, 2 * int(k) + 1, 2 * int(k) + 1, -float(v))
+        for k, v in zip(idx, vals):
+            emit(j + 1, fb, 2 * int(k), 2 * int(k), float(v))
+            emit(j + 1, fb, 2 * int(k) + 1, 2 * int(k) + 1, -float(v))
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -68,8 +68,8 @@ class SwitchingSignal:
     """Piecewise-constant index schedule on [0, horizon].
 
     ``switches`` holds (time, index) pairs with finite, strictly increasing
-    times, starting at time 0.0 with the initial index; indices are
-    1-based.  The horizon is finite and positive.
+    times up to the horizon, starting at time 0.0 with the initial index;
+    indices are 1-based.  The horizon is finite and positive.
     """
 
     horizon: float
@@ -81,6 +81,8 @@ class SwitchingSignal:
         object.__setattr__(self, "switches", sw)
         if not all(math.isfinite(t) for t, _ in sw):
             raise ValueError("switches must have finite times")
+        if any(t > self.horizon for t, _ in sw):
+            raise ValueError("switch times must not exceed the horizon")
         if not sw or sw[0][0] != 0.0:
             raise ValueError("signal must start with an index at time 0")
         times = [t for t, _ in sw]
@@ -172,9 +174,15 @@ def _segments(active: np.ndarray, n_steps: int):
     return list(zip(bounds, bounds[1:]))
 
 
-def _check_indices(system: SwitchedSystem, signals) -> None:
+def _check_signals(system: SwitchedSystem, signals, horizon: float) -> None:
+    """Indices within the system's, and the horizon (``_grid`` checked it)
+    within every signal's: a signal says nothing past its own."""
     if any(i > system.n_subsystems for s in signals for _, i in s.switches):
         raise ValueError("signal index exceeds subsystem count")
+    shortest = min((s.horizon for s in signals), default=horizon)
+    if horizon > shortest:
+        raise ValueError(f"horizon {horizon:g} exceeds the horizon "
+                         f"{shortest:g} of a switching signal")
 
 
 def _evaluator(polys: Sequence[Polynomial], dimension: int):
@@ -362,8 +370,8 @@ class _March:
 
     def __init__(self, system: SwitchedSystem, signals, starts: np.ndarray,
                  h: float, horizon: float):
-        _check_indices(system, signals)
         self.dts, self.times = _grid(horizon, h)
+        _check_signals(system, signals, horizon)
         # filled row by row: a stack of per-signal rows doubles the peak
         self.active = np.empty((len(signals), len(self.times)),
                                dtype=np.intp)
@@ -608,8 +616,8 @@ def integrate(system: SwitchedSystem, signal: SwitchingSignal,
     state norm passes the guard; that is evidence, not a failure.
     """
     start = check_starts(system, [x0])[0]
-    _check_indices(system, [signal])
     dts, times = _grid(horizon, h)
+    _check_signals(system, [signal], horizon)
     active = _active_steps(signal, len(times), h)
     indices = memoryview(active)
     states, left = _march_one(system, start, dts, lambda k, x: indices[k])
@@ -693,7 +701,8 @@ def check_absorption(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     For every (x0, signal) pair the first entry time into the sublevel set
     is recorded and the post-entry excess of V over gamma is tracked; a
     re-exit beyond gamma*(1 + tolerance) is a violation.  Divergence under
-    a verified certificate is a hard contradiction.
+    a verified certificate is a hard contradiction.  The horizon defaults
+    to the longest signal's: mixed horizons need one, at most the shortest.
     """
     starts = _batch_starts(system, cert, initial_states, signals)
     T = horizon if horizon is not None else max(s.horizon for s in signals)

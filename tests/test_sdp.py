@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import sys
 import threading
@@ -20,11 +19,14 @@ from switchcert.sdp import (SdpProblemBuilder, min_eigenvalue, read_sdpa,
 from switchcert.sosprog import encode
 
 
-def planted_feasible(rng, size, m):
-    """Constraints consistent with a planted strictly positive definite R."""
+def planted_feasible(rng, size, m, objective=None):
+    """Constraints consistent with a planted strictly positive definite R,
+    with the block objective when one is given."""
     G = rng.normal(size=(size, size))
     R_star = G @ G.T + 0.3 * np.eye(size)
     builder = SdpProblemBuilder([size])
+    if objective is not None:
+        builder.set_objective_block(0, objective)
     for _ in range(m):
         A = rng.normal(size=(size, size))
         A = 0.5 * (A + A.T)
@@ -61,13 +63,12 @@ def assert_newton_rows(emb, E, newton, eta, tc, corrM, corr_tk, d):
     assert np.max(np.abs(lhs1 + eta * E1)) < tol, "primal Newton row failed"
     At_dy = emb.opAt(d.dy)
     for b in range(emb.nblocks):
-        lhs2 = At_dy[b] + d.dS[b] - emb.C[b] * d.dtau
+        lhs2 = At_dy[b] + d.dS[b]
         assert np.max(np.abs(lhs2 + eta * E2[b])) < tol, "dual Newton row failed"
     if emb.f:
         lhs3 = emb.D.T @ d.dy - emb.g * d.dtau
         assert np.max(np.abs(lhs3 + eta * E3)) < tol, "free Newton row failed"
-    lhs4 = emb.inner_C(d.dX) + float(emb.g @ d.du) - float(emb.b @ d.dy) \
-        + d.dkappa
+    lhs4 = float(emb.g @ d.du) - float(emb.b @ d.dy) + d.dkappa
     assert abs(lhs4 + eta * E4) < tol, "gap Newton row failed"
     for b in range(emb.nblocks):
         lhs5 = d.dX[b] + sdp._sym(emb.X[b] @ d.dS[b] @ Sinv[b]) \
@@ -207,15 +208,89 @@ class TestPlantedSuites:
             assert np.array_equal(Xa, Xb)
 
 
+def upper(M):
+    """The upper-triangle entries of M as (i, j, value) triplets."""
+    return [(i, j, M[i, j]) for i in range(len(M)) for j in range(i, len(M))]
+
+
+class TestBlockObjective:
+    """The builder poses a block objective <C, X_b> as one more free scalar
+    t, with objective coefficient 1, and one more row <C, X_b> - t = 0."""
+
+    @staticmethod
+    def constrained(builder, rng):
+        for _ in range(3):
+            A = sdp._sym(rng.normal(size=(3, 3)))
+            builder.add_constraint(float(rng.normal()), {1: upper(A)},
+                                   {0: 1.0})
+        return builder
+
+    @staticmethod
+    def data(problem):
+        return ([[(e.block, e.rows.tolist(), e.cols.tolist(), e.vals.tolist())
+                  for e in row] for row in problem.entries],
+                [(idx.tolist(), vals.tolist())
+                 for idx, vals in problem.free_rows])
+
+    def test_same_problem_as_free_scalar_form(self):
+        C = sdp._sym(np.random.default_rng(0).normal(size=(3, 3)))
+        posed = self.constrained(SdpProblemBuilder([2, 3], n_free=1),
+                                 np.random.default_rng(1))
+        posed.set_objective_free([2.0])
+        posed.set_objective_block(1, C)
+        by_hand = self.constrained(SdpProblemBuilder([2, 3], n_free=2),
+                                   np.random.default_rng(1))
+        by_hand.set_objective_free([2.0, 1.0])
+        by_hand.add_constraint(0.0, {1: upper(C)}, {1: -1.0})
+        a, b = posed.build(), by_hand.build()
+        assert a.n_free == b.n_free == 2
+        assert np.array_equal(a.rhs, b.rhs)
+        assert np.array_equal(a.obj_free, b.obj_free)
+        assert self.data(a) == self.data(b)
+
+    @pytest.mark.parametrize("seed", [50, 51, 52, 53])
+    def test_objective_is_block_inner_product(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(3, 7))
+        C = random_pd(rng, size)
+        solution = solve(planted_feasible(rng, size, size + 2, objective=C))
+        assert solution.status == "optimal"
+        assert len(solution.free) == 1
+        assert solution.free[0] == pytest.approx(solution.objective,
+                                                 rel=1e-12)
+        inner = float(np.sum(C * solution.blocks[0]))
+        assert abs(solution.objective - inner) <= 1e-5 * abs(inner)
+
+
+class TestBuilderIndices:
+    """A block index outside 0..nblocks-1 is a ValueError that names it:
+    read as a Python index, -1 would land in the last block."""
+
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_constraint_block_rejected(self, block):
+        builder = SdpProblemBuilder([2, 2])
+        with pytest.raises(ValueError, match=f"block index {block} "):
+            builder.add_constraint(1.0, {block: [(0, 0, 1.0)]})
+        assert builder.build().m == 0
+
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_objective_block_rejected(self, block):
+        builder = SdpProblemBuilder([2, 2])
+        with pytest.raises(ValueError, match=f"block index {block} "):
+            builder.set_objective_block(block, np.eye(2))
+        assert builder.build().n_free == 0
+
+
 class TestSparseOperators:
     """opA, opAt and the Schur complement against dense references."""
 
     SIZES = (3, 2, 4)
 
     def problem(self, rng):
-        # block 1 is touched by no constraint, the last constraint touches
-        # only the free scalars, and each block entry list repeats a pair
-        # (i, j), once in reverse order
+        # block 1 is touched by no constraint, the last caller's constraint
+        # touches only the free scalars, each block entry list repeats a
+        # pair (i, j), once in reverse order, and the objectives of blocks
+        # 0 and 2 add two free scalars and their rows
         builder = SdpProblemBuilder(self.SIZES, n_free=2)
         for b in (0, 2):
             C = rng.normal(size=(self.SIZES[b],) * 2)
@@ -258,17 +333,11 @@ class TestSparseOperators:
                                rtol=1e-13, atol=1e-13)
 
         emb.X = X
-        B, v, w = sdp._schur(emb, Sinv)
+        B = sdp._schur(emb, Sinv)
         B_ref = sum(np.einsum("jab,bc,kcd,da->jk", A_b, X_b, A_b, Si)
                     for A_b, X_b, Si in zip(A, X, Sinv))
-        v_ref = sum(np.einsum("jab,bc,cd,da->j", A_b, X_b, C, Si)
-                    for A_b, X_b, C, Si in zip(A, X, emb.C, Sinv))
-        w_ref = sum(np.trace(C @ X_b @ C @ Si)
-                    for X_b, C, Si in zip(X, emb.C, Sinv))
         assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
         assert np.array_equal(B, B.T)
-        assert np.allclose(v, v_ref, rtol=1e-12, atol=1e-12)
-        assert w == pytest.approx(w_ref, rel=1e-12)
 
     def test_degree8_cubic_repeat_is_bit_identical(self, systems_dir):
         system = load_system(str(systems_dir / "cubic_3d_pair.sys"), {})
@@ -307,7 +376,9 @@ class TestReportedOnOriginalData:
     iterate, against a dense evaluation of the original problem data."""
 
     @staticmethod
-    def reference(problem, blocks, free):
+    def reference(problem, blocks, free, C=None):
+        """The residual and the objective, <C, X_0> when a block objective
+        C is given, else g . u."""
         A = dense_constraints(problem, np.ones(problem.m))
         D = np.zeros((problem.m, problem.n_free))
         for j, (idx, vals) in enumerate(problem.free_rows):
@@ -318,21 +389,23 @@ class TestReportedOnOriginalData:
                        + np.sum(D ** 2, axis=1))
         residual = np.max(np.abs(value - problem.rhs)
                           / (1.0 + np.maximum(np.abs(problem.rhs), norm)))
-        objective = sum(np.sum(C * X) for C, X in
-                        zip(problem.obj_blocks, blocks) if C is not None)
-        return residual, objective + problem.obj_free @ free
+        if C is not None:
+            return residual, float(np.sum(C * blocks[0]))
+        return residual, problem.obj_free @ free
 
     @pytest.mark.parametrize("case", [
         "planted_46", "planted_47", "planted_objective",
         "sublevel_affine_pair", "cubic_decay_degree8", "gas_b12_mu_floor"])
     def test_against_dense_reference(self, systems_dir, case):
+        C = None
         if case.startswith("planted_"):
             rng = np.random.default_rng(46 if case == "planted_46" else 47)
             problem = planted_feasible(rng, 6, 12)
             if case == "planted_objective":
-                C = rng.normal(size=(6, 6))
-                problem = dataclasses.replace(
-                    problem, obj_blocks=(0.5 * (C + C.T),))
+                # the constraints of planted_47 and a block objective
+                C = sdp._sym(rng.normal(size=(6, 6)))
+                problem = planted_feasible(np.random.default_rng(47), 6, 12,
+                                           objective=C)
         else:
             problem = _program(systems_dir, case)
         if case == "gas_b12_mu_floor":
@@ -345,7 +418,7 @@ class TestReportedOnOriginalData:
             assert solution.status == "optimal"
         assert solution.blocks is not None
         residual, objective = self.reference(problem, solution.blocks,
-                                             solution.free)
+                                             solution.free, C)
         assert isinstance(solution.objective, float)
         assert abs(solution.primal_residual - residual) <= \
             1e-12 + 1e-5 * residual
@@ -428,12 +501,11 @@ class TestDirectLapack:
         and whose free-scalar columns are D; returns it with its rhs."""
         m, f = D.shape
         rng = np.random.default_rng(m)
-        v = rng.normal(size=m)
         emb = types.SimpleNamespace(m=m, f=f, D=D, b=rng.normal(size=m),
                                     g=rng.normal(size=f))
-        monkeypatch.setattr(sdp, "_schur", lambda emb, Sinv: (B, v, 0.0))
+        monkeypatch.setattr(sdp, "_schur", lambda emb, Sinv: B)
         newton = sdp._newton_system(emb, None, None, None, 0.0)
-        return newton, np.concatenate([emb.b + v, emb.g])
+        return newton, np.concatenate([emb.b, emb.g])
 
     @pytest.mark.parametrize("size", SIZES)
     def test_kkt_factor_and_solve_match_lu_wrappers(self, size, monkeypatch):

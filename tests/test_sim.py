@@ -292,6 +292,49 @@ class TestStarts:
         assert trajectory.states[0].tolist() == [1e12, 0.0]
 
 
+class TestSignalHorizon:
+    """A signal says nothing past its own horizon: it holds no switch
+    beyond it, and no entry point integrates past it."""
+
+    def test_switch_beyond_horizon_rejected(self):
+        with pytest.raises(ValueError, match="must not exceed the horizon"):
+            SwitchingSignal(1.0, ((0.0, 1), (1.5, 2)))
+
+    def test_switch_at_horizon_accepted(self):
+        assert SwitchingSignal(1.0, ((0.0, 1), (1.0, 2))).n_switches == 1
+
+    @pytest.mark.parametrize("entry", [
+        "integrate", "integrate_batch", "check_absorption",
+        "check_absorption_default"])
+    def test_integration_beyond_a_signal_rejected(self, rotation, entry):
+        short = SwitchingSignal(1.0, ((0.0, 1), (0.5, 1)))
+        long = SwitchingSignal.constant(1, 2.0)
+        cert = _certificate(rotation, "x1^2 + x2^2", 1.0)
+        starts = np.array([[0.5, 0.5]])
+        calls = {
+            "integrate": lambda: integrate(rotation, short, [0.5, 0.5],
+                                           1e-2, 2.0),
+            "integrate_batch": lambda: integrate_batch(
+                rotation, [long, short], starts, 1e-2, 2.0),
+            "check_absorption": lambda: check_absorption(
+                rotation, cert, starts, [short], h=1e-2, horizon=2.0),
+            # the default is the longest signal's horizon
+            "check_absorption_default": lambda: check_absorption(
+                rotation, cert, starts, [long, short], h=1e-2),
+        }
+        with pytest.raises(ValueError, match=re.escape(
+                "horizon 2 exceeds the horizon 1 of a switching signal")):
+            calls[entry]()
+
+    def test_shorter_horizon_accepted(self, rotation):
+        cert = _certificate(rotation, "x1^2 + x2^2", 1.0)
+        signals = [SwitchingSignal.constant(1, 2.0),
+                   SwitchingSignal(1.0, ((0.0, 1), (0.5, 1)))]
+        report = check_absorption(rotation, cert, np.array([[0.5, 0.5]]),
+                                  signals, h=1e-2, horizon=1.0)
+        assert len(report.records) == 2
+
+
 class TestRandomSwitching:
     def test_single_subsystem_constant(self):
         signal = random_switching(1, 10.0, 0.5, seed=1)

@@ -116,8 +116,9 @@ class TestEncode:
         enc = encode(SosProgram(
             (identity,), (SosUnknown("q", monomial_basis(2, 0, 0)),),
             scalars=("gamma",), objective={"gamma": 1.0}))
+        # no block objective, which would add a free scalar of its own
+        assert enc.problem.n_free == 1
         assert list(enc.problem.obj_free) == [1.0]
-        assert all(C is None for C in enc.problem.obj_blocks)
 
     def test_deterministic_bit_identical(self):
         def build():
