@@ -19,14 +19,15 @@ systems with Hurwitz subsystem matrices an absorbing set implies global
 asymptotic stability under arbitrary switching, and excludes periodic
 switched solutions.
 
-Each program has one builder, which the search, the reconstruction of
-witnesses a certificate omits and --dump-sdp share:
-build_absorbing_program (V unknown or given) and _sublevel_program (gamma
-minimised or given).  A multiplier (each p_i, and q unless deg_q is given)
-has the degree _multiplier_degree gives: the largest even number at most
-the degree of its identity minus 2, where the decay identity of f_i has
-degree deg f_i + deg V - 1 and the sublevel identity deg V.  Every Gram
-basis comes from sosprog.gram_basis.  One rule, _probe, labels every
+Each program has one builder, which the search and the reconstruction of
+witnesses a certificate omits share: build_absorbing_program (V unknown or
+given) and _sublevel_program (gamma minimised or given).  escalate keeps
+the decay search behind its certificate, whose encoding --dump-sdp
+writes.  A multiplier (each p_i, and q unless deg_q is given) has the
+degree _multiplier_degree gives: the largest even number at most the
+degree of its identity minus 2, where the decay identity of f_i has degree
+deg f_i + deg V - 1 and the sublevel identity deg V.  Every Gram basis
+comes from sosprog.gram_basis.  One rule, _probe, labels every
 bisection step.  Verification re-derives its membership polynomials on its
 own, so a faulty builder cannot pass its own check.
 """
@@ -552,10 +553,13 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float):
     Always feasible (t >= ||M||_2 works for any Gram representation M), so a
     certificate exactly on the SOS boundary re-verifies instead of tripping
     over round-off; t* above the scaled residual tolerance is a failure.
-    Returns (scaled residual, Gram min eigenvalue) or an error string.
+    Returns (scaled residual, Gram min eigenvalue) or an error string; a
+    polynomial of odd top degree fails before any basis or solve.
     """
     if poly.is_zero():
         return 0.0, 0.0
+    if poly.degree() % 2:
+        return f"odd top degree {poly.degree()}: not a sum of squares"
     n = poly.dimension
     # normalise the coefficient scale; membership is invariant under positive
     # scaling and the tolerances below are the scaled ones
@@ -819,9 +823,13 @@ def classify(system: SwitchedSystem,
 class CertificationOutcome:
     certificate: AbsorbingSetCertificate
     verdict: StabilityVerdict
-    degree: int
+    search: AbsorbingSearchResult   # the decay search behind the certificate
     logs: list
     tighten: TightenOutcome | None = None
+
+    @property
+    def degree(self) -> int:
+        return self.search.degree
 
 
 def escalate(system: SwitchedSystem,
@@ -881,4 +889,4 @@ def escalate(system: SwitchedSystem,
         system, cert, sample_count=query.verify_samples, seed=query.seed)
     verdict = classify(system, cert)
     cert.verdict = verdict.kind
-    return CertificationOutcome(cert, verdict, result.degree, logs, tighten)
+    return CertificationOutcome(cert, verdict, result, logs, tighten)

@@ -43,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify as cert_mod
 from . import sim
 from .certify import (AbsorbingSetCertificate, CertificateRejectedError,
                       CertificationQuery, GammaInfeasibleError,
@@ -53,7 +52,6 @@ from .certify import (AbsorbingSetCertificate, CertificateRejectedError,
 from .poly import (ParseError, PolynomialVectorField,
                    parse_expression, poly_to_text)
 from .sdp import write_sdpa
-from .sosprog import encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -343,7 +341,8 @@ def _parse_slice(text: str, n: int) -> list:
         axes = [int(tok) for tok in text.split(",")]
     except ValueError:
         axes = []
-    if len(axes) != 2 or not all(1 <= a <= n for a in axes):
+    if len(axes) != 2 or axes[0] == axes[1] \
+            or not all(1 <= a <= n for a in axes):
         raise FileFormatError(f"bad --slice {text!r}")
     return axes
 
@@ -390,9 +389,7 @@ def cmd_certify(args) -> None:
     print(f"certificate written to {out_path}")
 
     if args.dump_sdp:
-        program, _ = cert_mod.build_absorbing_program(
-            system, query.ell, delta, outcome.degree, outcome.certificate.beta)
-        write_sdpa(encode(program).problem, args.dump_sdp)
+        write_sdpa(outcome.search.encoding.problem, args.dump_sdp)
         print(f"SDPA dump written to {args.dump_sdp}")
 
 

@@ -43,24 +43,23 @@ reported primal residual refers to the original data, each row normalised
 by 1 + max(|b_j|, ||A_j||_F); it is read off the residual of the scaled
 data that every iteration computes, so no pass over the rows repeats it.
 
-``solve`` is the only place that retries: it walks the KKT
-regularisations ``REGULARIZATIONS`` and returns the first result that is
-not numerical failure.  Each attempt aims at residuals and gap of ``TOL``
+``solve`` makes one attempt, which aims at residuals and gap of ``TOL``
 and is judged once, where it stops.  Converged, it is optimal.  Stopped
 short, as ill-conditioned SOS programs at feasibility edges do at the
 double-precision floor of mu, it is feasible when no ray ended it, its
 primal residual on the original data is at most ``RELAXED_TOL``, every
 block is PSD, and its gap is at most ``RELAXED_TOL`` or the program has no
 objective.  The self-dual iterates do not depend on the tolerances, so a
-looser re-solve would only retrace them.  The Farkas-ray bar ``RAY_TOL``
-never loosens, so no feasible problem is called infeasible, and every
-certificate is re-verified apart from the search.  A stop at the mu floor
-or on a dual-infeasibility ray ends the walk, as no regularisation changes
-either.  Linearly dependent constraints make the KKT matrix singular at
-regularisation 0, so that attempt ends before its first iteration, where
-rounding could otherwise stop it at the mu floor, and the walk goes on.
-A Gram block counts as PSD when its smallest eigenvalue is at least
-``-PSD_TOL``.
+looser re-solve would only retrace them.  A Gram block counts as PSD when
+its smallest eigenvalue is at least ``-PSD_TOL``.
+
+Linearly dependent constraints make the KKT matrix singular;
+``_independent_constraints`` finds them before the first iteration, and
+only then is the KKT diagonal shifted, by ``DEPENDENT_SHIFT``.  A Farkas
+ray is accepted when its dual residual is at most ``RAY_TOL`` times b.y.
+That bar is relative to b.y, so a feasible problem with a large solution
+can be called infeasible: one 1x1 block with the single constraint
+X = 2e8 is.  Every certificate is re-verified apart from the search.
 
 The iteration calls scipy's LAPACK routines directly: ``dtrtrs`` for the
 two triangular solves of each step-length search, ``dpotrs`` for S^-1,
@@ -74,7 +73,7 @@ a non-finite input raises the wrappers' ``ValueError`` and a bad ``info``
 raises as they do.  The raw routines never warn, so the iteration sets
 no warning filter, which would not be thread-safe.
 
-``solve`` runs the whole walk with every loaded OpenBLAS on one thread and
+``solve`` runs the attempt with every loaded OpenBLAS on one thread and
 restores the caller's thread counts when it returns or raises.  numpy and
 scipy each bundle their own OpenBLAS, and one iteration alternates between
 them (numpy's gemms, Cholesky and eigvalsh, scipy's LAPACK routines above);
@@ -107,15 +106,14 @@ STATUS_FAILURE = "numerical-failure"
 
 MAX_ITERATIONS = 20000
 STEP_SCALE = 0.98                     # fraction of the step to the cone edge
-REGULARIZATIONS = (0.0, 1e-10, 1e-8)  # KKT diagonal shifts, tried in order
 TOL = 1e-7                            # residuals and gap of convergence
 RELAXED_TOL = 1e-6                    # residual and gap of a stopped point
 PSD_TOL = 1e-8                        # smallest eigenvalue accepted as PSD
 RAY_TOL = 1e-8                        # relative residual of a Farkas ray
+DEPENDENT_SHIFT = 1e-8                # KKT diagonal shift, dependent rows only
 _MU_FLOOR = "tolerances unreachable in double precision"
 _UNBOUNDED = "primal appears unbounded (dual infeasibility ray detected)"
 _SINGULAR = "singular Newton system"
-_DEPENDENT = "linearly dependent constraints (singular KKT matrix)"
 
 
 @dataclass(frozen=True)
@@ -430,8 +428,7 @@ def _independent_constraints(emb) -> bool:
     independent, judged by the Cholesky factor of their Gram matrix
     sum_b A_b A_b^T + D D^T.  Its diagonal is one, so dependent rows leave
     a pivot at rounding level, or none at all when the factorisation
-    fails; with dependent rows the KKT matrix is singular at
-    regularisation 0."""
+    fails; with dependent rows the unshifted KKT matrix is singular."""
     gram = emb.D @ emb.D.T
     for rows, A, At in zip(emb.rows, emb.A, emb.At):
         gram[np.ix_(rows, rows)] += (A @ At).toarray()
@@ -461,7 +458,7 @@ def _check_info(name, info):
 
 
 # One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
-# regularisation, with the Schur complement B.  q = K^-1 (b, g) does not
+# diagonal shift, with the Schur complement B.  q = K^-1 (b, g) does not
 # depend on the direction, so predictor and corrector share it.
 _NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu q")
 _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
@@ -501,17 +498,19 @@ def _schur(emb, Sinv):
     return _sym(B)
 
 
-def _newton_system(emb, Lx, Ls, Sinv, regularization) -> _NewtonSystem:
-    """Build and LU-factor the KKT matrix, and solve for q."""
+def _newton_system(emb, Lx, Ls, Sinv, shift) -> _NewtonSystem:
+    """Build the KKT matrix, its diagonal shifted by +shift on the
+    constraint rows and -shift on the free scalars, LU-factor it, and
+    solve for q."""
     m, f = emb.m, emb.f
     B = _schur(emb, Sinv)
     K = np.zeros((m + f, m + f))
     K[:m, :m] = B
     K[:m, m:] = emb.D
     K[m:, :m] = emb.D.T
-    if regularization > 0.0:
-        K[:m, :m] += regularization * np.eye(m)
-        K[m:, m:] -= regularization * np.eye(f)
+    if shift:
+        K[:m, :m] += shift * np.eye(m)
+        K[m:, m:] -= shift * np.eye(f)
     try:
         _check_finite(K)
         # an exactly singular K (info > 0) is found by the solves instead
@@ -676,8 +675,8 @@ def _ray_verdict(emb):
     on a ray or ambiguously, else None.
 
     The ray quality bar RAY_TOL is fixed, not loosened with RELAXED_TOL,
-    so that no feasible problem is misclassified; a marginal instance
-    degrades to numerical-failure instead."""
+    so a marginal ray degrades to numerical-failure; being relative to
+    b.y, it can still pass a feasible problem (module docstring)."""
     by = float(emb.b @ emb.y)
     if by > 0:
         At_y = emb.opAt(emb.y)
@@ -708,10 +707,9 @@ def _failure(message: str) -> SdpSolution:
         iterations=0, message=message)
 
 
-def _solve(problem: SdpProblem, regularization: float):
+def _solve(problem: SdpProblem):
     emb = _Embedding(problem)
-    if regularization == 0.0 and not _independent_constraints(emb):
-        return _failure(_DEPENDENT)
+    shift = 0.0 if _independent_constraints(emb) else DEPENDENT_SHIFT
     message, certificate, verdict = "", None, None
     iterations = stall = 0
     E = emb.residuals()
@@ -720,7 +718,7 @@ def _solve(problem: SdpProblem, regularization: float):
     for iterations in range(1, MAX_ITERATIONS + 1):
         try:
             Lx, Ls, Sinv = _cone_factors(emb)
-            newton = _newton_system(emb, Lx, Ls, Sinv, regularization)
+            newton = _newton_system(emb, Lx, Ls, Sinv, shift)
             d = _search_direction(emb, E, mu, newton)
             alpha = _step_length(emb, newton, d)
         except _Breakdown as exc:
@@ -769,7 +767,7 @@ def _solve(problem: SdpProblem, regularization: float):
         min_eigs = [min_eigenvalue(X) for X in blocks]
         primal_res = _primal_residual(emb, E[0])
 
-        # the one bar for a point the attempt stopped at short of TOL; a
+        # the one bar for a point the iteration stopped at short of TOL; a
         # program without objective has no gap to meet
         if status == STATUS_FAILURE and verdict is None \
                 and primal_res <= RELAXED_TOL and min(min_eigs) >= -PSD_TOL \
@@ -856,24 +854,17 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
-    """Solve the SDP: one attempt per regularisation, each judged once at
-    its end by the rule of the module docstring, until one is not
-    numerical failure or stops at the mu floor or on a dual-infeasibility
-    ray.  The walk runs with every loaded OpenBLAS on one thread, and the
-    caller's thread counts are restored when it ends."""
+    """Solve the SDP in one attempt, judged once at its end by the rule of
+    the module docstring.  The attempt runs with every loaded OpenBLAS on
+    one thread, and the caller's thread counts are restored when it ends;
+    a linear algebra error in it is reported as numerical failure."""
     if problem.m == 0:
         raise ValueError("problem has no constraints")
     with _ONE_BLAS_THREAD:
-        for reg in REGULARIZATIONS:
-            try:
-                solution = _solve(problem, reg)
-            except (np.linalg.LinAlgError, ValueError,
-                    FloatingPointError) as exc:
-                solution = _failure(f"linear algebra failure: {exc}")
-            if solution.status != STATUS_FAILURE \
-                    or solution.message in (_MU_FLOOR, _UNBOUNDED):
-                return solution
-    return solution
+        try:
+            return _solve(problem)
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+            return _failure(f"linear algebra failure: {exc}")
 
 
 # -- SDPA sparse format --------------------------------------------------------

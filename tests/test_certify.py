@@ -306,6 +306,35 @@ class TestVerifyCertificate:
                                residual_tol=1e-5)
         assert any("containment" in f for f in err.value.report.failures)
 
+    @pytest.mark.parametrize("lyapunov, multipliers, check, degree", [
+        ("x1^4 + x2^4 + x1^3", None, "lyapunov-lower-bound", 3),
+        ("2*x1^4 + 2*x2^4", ("x1", "1"), "multiplier-p1", 1),
+    ], ids=["V", "p1"])
+    def test_odd_top_degree_is_a_named_failure(self, affine_pair, lyapunov,
+                                               multipliers, check, degree):
+        # V - delta*nrm is x1^3 in the first case: a single odd degree,
+        # which has no Gram basis
+        cert = AbsorbingSetCertificate(
+            dimension=2, n_subsystems=2,
+            lyapunov=parse_expression(lyapunov, 2), beta=3.3, delta=1.0,
+            ell=2, gamma=100.0,
+            multipliers=multipliers and tuple(
+                parse_expression(p, 2) for p in multipliers))
+        with pytest.raises(CertificateRejectedError) as err:
+            verify_certificate(affine_pair, cert, sample_count=200)
+        assert f"{check} (odd top degree {degree}: not a sum of squares)" \
+            in err.value.report.failures
+
+    def test_odd_top_degree_fails_before_basis_or_solve(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(certify, "gram_basis", unused)
+        monkeypatch.setattr(certify, "solve", unused)
+        assert certify._check_sos_membership(
+            parse_expression("x1^4 + x1^2*x2^3", 2), 1e-6) == \
+            "odd top degree 5: not a sum of squares"
+
     def test_dimension_mismatch(self, affine_pair):
         cert = AbsorbingSetCertificate(
             dimension=3, n_subsystems=2,

@@ -12,6 +12,8 @@ from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, EquilibriumError,
                                 GammaInfeasibleError, NumericalFailureError)
 from switchcert.poly import parse_expression
+from switchcert.sdp import write_sdpa
+from switchcert.sosprog import encode
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,33 @@ class TestCmdCertify:
         problem = read_sdpa(str(dump))
         assert problem.m > 0
 
+    @pytest.mark.parametrize("flags", [["--beta", "3.3"], ["--beta-max", "6"]],
+                             ids=["beta", "beta-max"])
+    def test_dump_is_the_certified_search(self, tmp_path, capsys, monkeypatch,
+                                          flags):
+        # the dump is the encoding escalate certified, which is the decay
+        # program at the certificate's degree and beta; it is not built again
+        built = []
+        inner = cert_mod.build_absorbing_program
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cert_mod, "build_absorbing_program", counting)
+        affine = str(SYSTEMS / "affine_pair.sys")
+        dump, out = tmp_path / "prog.dat-s", tmp_path / "c.cert"
+        code = main(["certify", affine, "--ell", "2", "--degree", "4",
+                     *flags, "--out", str(out), "--dump-sdp", str(dump)])
+        assert code == 0
+        decay_lines = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("solve decay ")]
+        assert len(built) == len(decay_lines)
+        cert = load_certificate(str(out))
+        program, _ = inner(load_system(affine), 2, 1.0, 4, cert.beta)
+        write_sdpa(encode(program).problem, str(tmp_path / "rebuilt.dat-s"))
+        assert dump.read_bytes() == (tmp_path / "rebuilt.dat-s").read_bytes()
+
 
 class TestCmdVerify:
     def test_reduced_gamma_fails_containment(self, affine_cert, tmp_path):
@@ -167,6 +196,19 @@ class TestCmdVerify:
                        "V = 436.8*x1^4 + oops\n")
         code = main(["verify", str(SYSTEMS / "affine_pair.sys"), str(bad)])
         assert code == 1
+
+    @pytest.mark.parametrize("listing, check", [
+        ("V = x1^4 + x2^4 + x1^3\n", "lyapunov-lower-bound"),
+        ("V = 2*x1^4 + 2*x2^4\np1 = x1\np2 = 1\n", "multiplier-p1"),
+    ], ids=["V", "p1"])
+    def test_odd_top_degree_exit_code(self, tmp_path, capsys, listing, check):
+        path = tmp_path / "odd.cert"
+        path.write_text("dim 2\nsubsystems 2\nell 2\ndelta 1\nbeta 3.3\n"
+                        "gamma 100\n" + listing)
+        code, _, err = _run(["verify", str(SYSTEMS / "affine_pair.sys"),
+                             str(path), "--samples", "200"], capsys)
+        assert code == 4
+        assert f"{check} (odd top degree" in err
 
     def test_dimension_mismatch_exit_code(self, affine_cert):
         code = main(["verify", str(SYSTEMS / "cubic_3d_pair.sys"),
@@ -443,6 +485,54 @@ class TestCmdLevelset:
 
     def test_missing_certificate_exit_code(self, tmp_path):
         assert main(["levelset", str(tmp_path / "nope.cert")]) == 1
+
+    @pytest.fixture
+    def cert_4d(self, tmp_path):
+        path = tmp_path / "four.cert"
+        path.write_text("dim 4\nsubsystems 1\nell 1\ndelta 1\nbeta 0\n"
+                        "gamma 1\nV = x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2 "
+                        "+ x1*x3 + x2*x4 + x4^3\n")
+        return path
+
+    def test_slice_fixes_the_other_coordinates_at_zero(self, cert_4d,
+                                                       tmp_path):
+        out = tmp_path / "slice.csv"
+        code = main(["levelset", str(cert_4d), "--slice", "2,4",
+                     "--window=-1:1,-2:2", "--resolution", "3",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "x1,x2,x3,x4,V"
+        table = np.array([[float(tok) for tok in row.split(",")]
+                          for row in rows[1:]])
+        assert table.shape == (9, 5)
+        assert np.all(table[:, [0, 2]] == 0.0)
+        assert set(table[:, 1]) == {-1.0, 0.0, 1.0}
+        assert set(table[:, 3]) == {-2.0, 0.0, 2.0}
+        V = load_certificate(str(cert_4d)).lyapunov
+        assert np.array_equal(
+            table[:, 4], V.evaluate_many(np.ascontiguousarray(table[:, :4])))
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "dimension above 3 requires --slice i,j (remaining coordinates "
+             "fixed at 0)"),
+        (["--slice", "1"], "bad --slice '1'"),
+        (["--slice", "0,2"], "bad --slice '0,2'"),
+        (["--slice", "1,5"], "bad --slice '1,5'"),
+        (["--slice", "a,b"], "bad --slice 'a,b'"),
+        (["--slice", "2,2"], "bad --slice '2,2'"),
+        (["--slice", "1,2", "--window=-1:1,-1:1,-1:1"],
+         "window has 3 axes, expected 2"),
+    ], ids=["no-slice", "one-axis", "axis-0", "axis-5", "not-integers",
+            "equal-axes", "window-axes"])
+    def test_bad_slice_is_usage_error(self, cert_4d, tmp_path, capsys, flags,
+                                      message):
+        out = tmp_path / "none.csv"
+        code, _, err = _run(["levelset", str(cert_4d), "--resolution", "2",
+                             "--out", str(out)] + flags, capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def _run(argv, capsys):

@@ -96,6 +96,25 @@ def audited(monkeypatch):
     return calls
 
 
+def record_attempts(monkeypatch):
+    """Wraps sdp._solve and sdp._newton_system: the returned list gets one
+    set per _solve call, holding the KKT shifts of its iterations."""
+    attempts = []
+    inner_solve, inner_newton = sdp._solve, sdp._newton_system
+
+    def recording(problem):
+        attempts.append(set())
+        return inner_solve(problem)
+
+    def newton(emb, Lx, Ls, Sinv, shift):
+        attempts[-1].add(shift)
+        return inner_newton(emb, Lx, Ls, Sinv, shift)
+
+    monkeypatch.setattr(sdp, "_solve", recording)
+    monkeypatch.setattr(sdp, "_newton_system", newton)
+    return attempts
+
+
 class TestSolveAnalytic:
     def test_min_trace_with_pinned_corner(self, audited):
         builder = SdpProblemBuilder([2])
@@ -410,7 +429,7 @@ class TestReportedOnOriginalData:
             problem = _program(systems_dir, case)
         if case == "gas_b12_mu_floor":
             # the attempt stops at the mu floor and keeps its iterate
-            solution = sdp._solve(problem, 0.0)
+            solution = sdp._solve(problem)
             assert solution.message == \
                 f"feasible point accepted ({sdp._MU_FLOOR})"
         else:
@@ -427,8 +446,8 @@ class TestReportedOnOriginalData:
 
 
 class TestDependentConstraints:
-    """Linearly dependent constraints make the KKT matrix singular at
-    regularisation 0."""
+    """Linearly dependent constraints make the unshifted KKT matrix
+    singular, so their one attempt runs with DEPENDENT_SHIFT."""
 
     def test_singular_kkt_is_a_breakdown(self):
         K = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -438,7 +457,7 @@ class TestDependentConstraints:
         with pytest.raises(sdp._Breakdown, match=sdp._SINGULAR):
             sdp._kkt_solve(K, lu, np.array([1.0, 0.0]))
 
-    def test_unregularised_attempt_ends_at_once(self, monkeypatch):
+    def test_one_attempt_with_the_shift(self, monkeypatch):
         rng = np.random.default_rng(0)
         R_star = random_pd(rng, 3)
         rows = [rng.normal(size=(3, 3)) for _ in range(3)]
@@ -449,21 +468,10 @@ class TestDependentConstraints:
             builder.add_constraint(
                 float(np.sum(A * R_star)),
                 {0: [(i, j, A[i, j]) for i in range(3) for j in range(i, 3)]})
-        attempts = []
-        inner = sdp._solve
-
-        def recording(problem, regularization):
-            outcome = inner(problem, regularization)
-            attempts.append((regularization, outcome.message,
-                             outcome.iterations))
-            return outcome
-
-        monkeypatch.setattr(sdp, "_solve", recording)
+        attempts = record_attempts(monkeypatch)
         solution = solve(builder.build())
         assert solution.status == "optimal"
-        assert "linear algebra failure" not in solution.message
-        assert attempts[0] == (0.0, sdp._DEPENDENT, 0)
-        assert attempts[1][0] == sdp.REGULARIZATIONS[1]
+        assert attempts == [{sdp.DEPENDENT_SHIFT}]
 
 
 class TestDirectLapack:
@@ -542,54 +550,24 @@ class TestDirectLapack:
         with pytest.raises(sdp._Breakdown, match="KKT factorisation failed"):
             self.newton(monkeypatch, B, np.ones((3, 1)))
 
-    @staticmethod
-    def poisoned_walk(monkeypatch, poisoned):
-        """Solve a planted problem with a NaN put into every direction of
-        the attempts at the regularisations in poisoned; returns the
-        solution, the attempts' regularisations and the failures solve
-        reported."""
-        attempts, failures = [], []
-        inner_solve, inner_direction = sdp._solve, sdp._direction
-        inner_failure = sdp._failure
-
-        def recording(problem, regularization):
-            attempts.append(regularization)
-            return inner_solve(problem, regularization)
-
-        def direction(*args):
-            d = inner_direction(*args)
-            if attempts[-1] in poisoned:
-                d.dX[0][0, 0] = np.nan
-            return d
-
-        def failure(message):
-            failures.append(message)
-            return inner_failure(message)
-
-        monkeypatch.setattr(sdp, "_solve", recording)
-        monkeypatch.setattr(sdp, "_direction", direction)
-        monkeypatch.setattr(sdp, "_failure", failure)
-        problem = planted_feasible(np.random.default_rng(0), 3, 4)
-        return solve(problem), attempts, failures
-
-    NAN_FAILURE = "linear algebra failure: array must not contain infs or NaNs"
-
-    def test_nan_direction_walks_on(self, monkeypatch):
+    def test_nan_direction_in_every_attempt_fails(self, monkeypatch):
         # the step search's finite check raises the wrappers' ValueError,
         # not a _Breakdown, whose stopped point the end-of-attempt bar
         # could accept as feasible
-        solution, attempts, failures = self.poisoned_walk(monkeypatch, {0.0})
-        assert failures == [self.NAN_FAILURE]
-        assert attempts == list(sdp.REGULARIZATIONS[:2])
-        assert solution.status == "optimal"
+        attempts = record_attempts(monkeypatch)
+        inner = sdp._direction
 
-    def test_nan_direction_in_every_attempt_fails(self, monkeypatch):
-        solution, attempts, failures = self.poisoned_walk(
-            monkeypatch, set(sdp.REGULARIZATIONS))
-        assert attempts == list(sdp.REGULARIZATIONS)
-        assert failures == [self.NAN_FAILURE] * len(sdp.REGULARIZATIONS)
+        def direction(*args):
+            d = inner(*args)
+            d.dX[0][0, 0] = np.nan
+            return d
+
+        monkeypatch.setattr(sdp, "_direction", direction)
+        solution = solve(planted_feasible(np.random.default_rng(0), 3, 4))
+        assert attempts == [{0.0}]
         assert solution.status == "numerical-failure"
-        assert solution.message == self.NAN_FAILURE
+        assert solution.message == \
+            "linear algebra failure: array must not contain infs or NaNs"
         assert solution.blocks is None
 
 
@@ -597,7 +575,8 @@ class TestAttemptList:
     """The degree-12 homogeneous GAS decay program of the linear pair at
     b = 12 exhausts complementarity at a primal residual of about 2.8e-7,
     short of TOL = 1e-7; the end-of-attempt bar of RELAXED_TOL = 1e-6
-    accepts that point, so one attempt decides the solve."""
+    accepts that point.  Its rows are independent, so solve makes its one
+    attempt without a KKT shift."""
 
     @pytest.fixture(scope="class")
     def gas_b12(self, systems_dir):
@@ -605,18 +584,6 @@ class TestAttemptList:
         program, _ = build_absorbing_program(
             system, ell=6, delta=1e-3, degree=12, beta=0.0)
         return encode(program).problem
-
-    @staticmethod
-    def recorded(monkeypatch):
-        attempts = []
-        inner = sdp._solve
-
-        def recording(problem, regularization):
-            attempts.append(regularization)
-            return inner(problem, regularization)
-
-        monkeypatch.setattr(sdp, "_solve", recording)
-        return attempts
 
     def test_mu_floor_point_accepted(self, gas_b12):
         solution = solve(gas_b12)
@@ -626,19 +593,19 @@ class TestAttemptList:
         assert sdp.TOL < solution.primal_residual <= sdp.RELAXED_TOL
 
     def test_mu_floor_skips_regularisations(self, gas_b12, monkeypatch):
-        attempts = self.recorded(monkeypatch)
+        attempts = record_attempts(monkeypatch)
         solve(gas_b12)
-        assert attempts == [0.0]
+        assert attempts == [{0.0}]
 
     def test_mu_floor_fails_above_the_bar(self, gas_b12, monkeypatch):
-        # below the point's residual the bar rejects it, and the mu floor
-        # still ends the walk
+        # below the point's residual the bar rejects it, and the one
+        # attempt still decides the solve
         monkeypatch.setattr(sdp, "RELAXED_TOL", 2e-7)
-        attempts = self.recorded(monkeypatch)
+        attempts = record_attempts(monkeypatch)
         solution = solve(gas_b12)
         assert solution.status == "numerical-failure"
         assert solution.message == sdp._MU_FLOOR
-        assert attempts == [0.0]
+        assert attempts == [{0.0}]
 
     def test_van_der_pol_stopped_point_accepted(self, systems_dir,
                                                 monkeypatch):
@@ -649,38 +616,31 @@ class TestAttemptList:
             system, ell=1, delta=1e-4, degree=6, beta=12.25)
         problem = encode(program).problem
         assert problem.m == 41
-        attempts = self.recorded(monkeypatch)
+        attempts = record_attempts(monkeypatch)
         solution = solve(problem)
         assert solution.status == "feasible"
         assert solution.message == f"feasible point accepted ({sdp._MU_FLOOR})"
         assert solution.primal_residual <= sdp.RELAXED_TOL
         assert min(solution.min_eigenvalues) >= -sdp.PSD_TOL
-        assert attempts == [0.0]
+        assert attempts == [{0.0}]
 
 
 class TestUnboundedPrimal:
     def test_dual_infeasibility_ray_ends_the_walk(self, monkeypatch):
         # minimise -X[1,1] with only X[0,0] fixed: the ray is judged
-        # against the fixed RAY_TOL, so retrying cannot change the verdict
+        # against the fixed RAY_TOL in the one attempt
         builder = SdpProblemBuilder([2])
         builder.set_objective_block(0, np.diag([0.0, -1.0]))
         builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
-        attempts = []
-        inner = sdp._solve
-
-        def recording(problem, regularization):
-            attempts.append(regularization)
-            return inner(problem, regularization)
-
-        monkeypatch.setattr(sdp, "_solve", recording)
+        attempts = record_attempts(monkeypatch)
         solution = solve(builder.build())
         assert solution.status == "numerical-failure"
         assert solution.message.startswith("primal appears unbounded")
-        assert attempts == [0.0]
+        assert attempts == [{0.0}]
 
 
 class TestOneBlasThread:
-    """solve runs every attempt with each loaded OpenBLAS on one thread:
+    """solve runs its attempt with each loaded OpenBLAS on one thread:
     numpy's and scipy's pools spin against each other otherwise.  The
     caller's thread counts come back when solve returns or raises."""
 
@@ -704,9 +664,9 @@ class TestOneBlasThread:
         seen = []
         inner = sdp._solve
 
-        def recording(problem, regularization):
+        def recording(problem):
             seen.append(self.counts(controls))
-            return inner(problem, regularization)
+            return inner(problem)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         problem = planted_feasible(np.random.default_rng(0), 3, 4)
@@ -715,7 +675,7 @@ class TestOneBlasThread:
         assert self.counts(controls) == [2] * len(controls)
 
     def test_counts_restored_when_solve_raises(self, controls, monkeypatch):
-        def failing(problem, regularization):
+        def failing(problem):
             raise RuntimeError("attempt aborted")
 
         monkeypatch.setattr(sdp, "_solve", failing)
@@ -730,9 +690,9 @@ class TestOneBlasThread:
         seen = []
         inner = sdp._solve
 
-        def recording(problem, regularization):
+        def recording(problem):
             seen.append(self.counts(controls))
-            return inner(problem, regularization)
+            return inner(problem)
 
         monkeypatch.setattr(sdp, "_solve", recording)
         problems = [planted_feasible(np.random.default_rng(k), 3, 4)

@@ -157,7 +157,7 @@ class TestDecode:
         enc = sos_membership(target)
         # at the default TOL the residual is 3.5e-8; ask for 1e-10
         monkeypatch.setattr(sdp, "TOL", 1e-10)
-        solution = sdp._solve(enc.problem, 0.0)
+        solution = sdp._solve(enc.problem)
         recovered = gram_expand(enc.identity_bases["m"],
                                 solution.blocks[enc.identity_blocks["m"]])
         assert (recovered - target).max_abs_coefficient() <= 1e-8
