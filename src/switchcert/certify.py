@@ -27,9 +27,12 @@ writes.  A multiplier (each p_i, and q unless deg_q is given) has the
 degree _multiplier_degree gives: the largest even number at most the
 degree of its identity minus 2, where the decay identity of f_i has degree
 deg f_i + deg V - 1 and the sublevel identity deg V.  Every Gram basis
-comes from sosprog.gram_basis.  One rule, _probe, labels every
-bisection step.  Verification re-derives its membership polynomials on its
-own, so a faulty builder cannot pass its own check.
+comes from sosprog.gram_basis.  A search reads its verdict off the solver
+status alone, since sdp bars every point it reports by one PSD test: a
+solution is feasible, a Farkas ray proves infeasibility, and anything else
+is a numerical failure.  One rule, _probe, labels every bisection step.
+Verification re-derives its membership polynomials on its own, so a faulty
+builder cannot pass its own check.
 """
 
 from __future__ import annotations
@@ -169,7 +172,6 @@ class VerificationReport:
     gram_margins: dict
     negativity_margin: float | None
     containment_ok: bool | None
-    containment_slack: float | None
     sample_count: int
     seed: int
     failures: tuple
@@ -188,8 +190,6 @@ class VerificationReport:
         ]
         if self.negativity_margin is not None:
             lines.append(f"negativity_margin {self.negativity_margin:.6g}")
-        if self.containment_slack is not None:
-            lines.append(f"containment_slack {self.containment_slack:.6g}")
         lines.append(
             "checks passed" if self.passed
             else "checks FAILED: " + ", ".join(self.failures))
@@ -248,13 +248,19 @@ class SolveLog:
 
 @dataclass
 class AbsorbingSearchResult:
+    """A decay search that ended in a verdict: feasible with V and its
+    multipliers, or else proven infeasible by the solution's Farkas ray."""
+
     feasible: bool
-    proven_infeasible: bool = False
     lyapunov: Polynomial | None = None
     multipliers: tuple | None = None
     encoding: SdpEncoding | None = None
     solution: SdpSolution | None = None
     degree: int = 0
+
+    @property
+    def proven_infeasible(self) -> bool:
+        return not self.feasible
 
 
 def _multiplier_degree(D: int) -> int:
@@ -323,11 +329,10 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
                             logs: list | None = None) -> AbsorbingSearchResult:
     """Solve the decay identities at fixed beta and degree.
 
-    Feasibility is declared only when every Gram block is PSD within
-    sdp.PSD_TOL; a feasible solve that misses the bar is reported as
-    marginal.  Proven infeasibility and numerical failure are kept
-    distinct, and the strict margin (smallest Gram eigenvalue minus
-    sdp.PSD_TOL) is recorded in the solve log.
+    The verdict is the solver's status: a solution (whose Gram blocks sdp
+    has found PSD) is feasible, a Farkas ray is proven infeasibility, and
+    anything else raises NumericalFailureError.  The margin (smallest Gram
+    eigenvalue minus sdp.PSD_TOL) is recorded in the solve log.
     """
     if query.beta is None:
         raise ValueError("query.beta must be a fixed scalar here")
@@ -350,19 +355,12 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
 
     if solution.status == sdp.STATUS_INFEASIBLE:
         return AbsorbingSearchResult(
-            feasible=False, proven_infeasible=True, solution=solution,
-            encoding=encoding, degree=degree)
+            feasible=False, solution=solution, encoding=encoding,
+            degree=degree)
     if solution.status == sdp.STATUS_FAILURE:
         raise NumericalFailureError(
             f"decay program at beta={query.beta:g}, degree={degree}: "
             f"{solution.message}")
-    # acceptance bar: PSD up to sdp.PSD_TOL.  Structurally rank-deficient Gram
-    # faces are unavoidable for vector fields whose top-degree part vanishes
-    # on a subspace, so a strictly positive margin cannot be required.
-    if min(solution.min_eigenvalues) < -sdp.PSD_TOL:
-        return AbsorbingSearchResult(
-            feasible=False, solution=solution, encoding=encoding,
-            degree=degree)
 
     decoded = decode(encoding, solution)
     V = decoded.polynomials["S"] + query.delta * nrm
@@ -427,17 +425,14 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
 def _probe(search, system: SwitchedSystem, query: CertificationQuery,
            logs: list | None) -> tuple:
     """(label, result) of one bisection step: "certified" when the search
-    is feasible, "infeasible" only when infeasibility is proven, and
-    "inconclusive" otherwise, for a marginal Gram or a numerical failure
-    (whose result is None)."""
+    is feasible, "infeasible" when it returned a Farkas ray, and
+    "inconclusive", with result None, only when it raised
+    NumericalFailureError."""
     try:
         result = search(system, query, logs)
     except NumericalFailureError:
         return "inconclusive", None
-    if result.feasible:
-        return "certified", result
-    return ("infeasible" if result.proven_infeasible else "inconclusive",
-            result)
+    return ("certified" if result.feasible else "infeasible"), result
 
 
 def _bisect(passes: Callable[[float], bool], good: float, bad: float,
@@ -691,11 +686,12 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
         else:
             identity_residuals[name], gram_margins[name] = outcome
 
+    lies = [lie_derivative(cert.lyapunov, f) for f in system.fields]
     membership("lyapunov-lower-bound", cert.lyapunov - cert.delta * nrm)
     if multipliers is not None:
-        for i, (p, f) in enumerate(zip(multipliers, system.fields), start=1):
+        for i, (p, lie) in enumerate(zip(multipliers, lies), start=1):
             membership(f"multiplier-p{i}", p)
-            expr = (-1.0) * lie_derivative(cert.lyapunov, f) \
+            expr = (-1.0) * lie \
                 - p * (sumsq - Polynomial.constant(n, cert.beta)) \
                 - cert.delta * nrm
             membership(f"identity-decay{i}", expr)
@@ -707,7 +703,6 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
 
     # sampling checks with a deterministic generator
     rng = np.random.default_rng(seed)
-    lies = [lie_derivative(cert.lyapunov, f) for f in system.fields]
     lo, hi = (cert.beta, 4.0 * cert.beta) if cert.beta > 0 else (1.0, 4.0)
 
     def shell_points(count, lo=lo, hi=hi):
@@ -745,7 +740,6 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
             "on a sampled shell point)")
 
     containment_ok = None
-    containment_slack = None
     if cert.gamma is not None:
         ball = shell_points(sample_count, 0.0, cert.beta) if cert.beta > 0 \
             else np.zeros((1, n))
@@ -754,20 +748,12 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
         if not containment_ok:
             failures.append(
                 "containment (V exceeds gamma inside the beta ball)")
-        inside = cert.lyapunov.evaluate_many(points) <= cert.gamma
-        slack_pts = points[inside]
-        slack = 0.0
-        if len(slack_pts):
-            slack = max(0.0, float(
-                np.max(np.sum(slack_pts ** 2, axis=1))) - cert.beta)
-        containment_slack = slack
 
     report = VerificationReport(
         identity_residuals=identity_residuals,
         gram_margins=gram_margins,
         negativity_margin=negativity_margin,
         containment_ok=containment_ok,
-        containment_slack=containment_slack,
         sample_count=sample_count,
         seed=seed,
         failures=tuple(failures),

@@ -9,7 +9,7 @@ their usage):
        grid or window bounds that are not finite, simulation starts that
        are not finite or lie beyond the divergence guard, and output paths
        that cannot be written
-    2  proven infeasibility at the degree cap
+    2  proven infeasibility: every degree up to the cap returned a Farkas ray
     3  numerical failure in the solver
     4  certificate verification check failed
     5  trajectory diverged under a verified certificate (contradiction)
@@ -475,10 +475,11 @@ _DEFAULT_WINDOWS = {2: "-3:3,-4:4", 3: "-5:5,-2:2,-3:3"}
 def cmd_levelset(args) -> None:
     cert = load_certificate(args.certificate)
     n = cert.dimension
-    if n > 3 and not args.slice:
+    if n > 3 and args.slice is None:
         raise ValueError("dimension above 3 requires --slice i,j "
                          "(remaining coordinates fixed at 0)")
-    free_axes = _parse_slice(args.slice, n) if n > 3 else list(range(1, n + 1))
+    free_axes = list(range(1, n + 1)) if args.slice is None \
+        else _parse_slice(args.slice, n)
 
     window_text = args.window or _DEFAULT_WINDOWS.get(len(free_axes))
     if window_text is None:
@@ -562,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-axis lo:hi, comma separated")
     p_lvl.add_argument("--resolution", type=int, default=100)
     p_lvl.add_argument("--slice", default=None,
-                       help="two 1-based axes for dimensions above 3")
+                       help="two 1-based axes to sample, the others at 0")
     p_lvl.add_argument("--out", default="levelset.csv")
     p_lvl.set_defaults(func=cmd_levelset)
     return parser

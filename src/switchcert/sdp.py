@@ -44,14 +44,19 @@ by 1 + max(|b_j|, ||A_j||_F); it is read off the residual of the scaled
 data that every iteration computes, so no pass over the rows repeats it.
 
 ``solve`` makes one attempt, which aims at residuals and gap of ``TOL``
-and is judged once, where it stops.  Converged, it is optimal.  Stopped
-short, as ill-conditioned SOS programs at feasibility edges do at the
-double-precision floor of mu, it is feasible when no ray ended it, its
-primal residual on the original data is at most ``RELAXED_TOL``, every
-block is PSD, and its gap is at most ``RELAXED_TOL`` or the program has no
-objective.  The self-dual iterates do not depend on the tolerances, so a
-looser re-solve would only retrace them.  A Gram block counts as PSD when
-its smallest eigenvalue is at least ``-PSD_TOL``.
+and is judged once, where it stops.  Converged with every block PSD, it is
+optimal.  Stopped short, as ill-conditioned SOS programs at feasibility
+edges do at the double-precision floor of mu, it is feasible when no ray
+ended it, its primal residual on the original data is at most
+``RELAXED_TOL``, every block is PSD, and its gap is at most
+``RELAXED_TOL`` or the program has no objective.  A block is PSD when its
+smallest eigenvalue is at least ``-PSD_TOL``; a point that misses this one
+bar is a numerical failure whose message names that eigenvalue, so
+callers judge a solve by its status alone.  The bar is not a positive
+margin because structurally rank-deficient Gram faces are unavoidable for
+vector fields whose top-degree part vanishes on a subspace.  The self-dual
+iterates do not depend on the tolerances, so a looser re-solve would only
+retrace them.
 
 Linearly dependent constraints make the KKT matrix singular;
 ``_independent_constraints`` finds them before the first iteration, and
@@ -767,11 +772,18 @@ def _solve(problem: SdpProblem):
         min_eigs = [min_eigenvalue(X) for X in blocks]
         primal_res = _primal_residual(emb, E[0])
 
-        # the one bar for a point the iteration stopped at short of TOL; a
-        # program without objective has no gap to meet
-        if status == STATUS_FAILURE and verdict is None \
-                and primal_res <= RELAXED_TOL and min(min_eigs) >= -PSD_TOL \
-                and (gap <= RELAXED_TOL or emb.max_abs_g == 0.0):
+        # the residual and gap bar of a point the iteration stopped at short
+        # of TOL (a program without objective has no gap to meet), then the
+        # one PSD bar of every point reported as a solution
+        stopped = status == STATUS_FAILURE and verdict is None \
+            and primal_res <= RELAXED_TOL \
+            and (gap <= RELAXED_TOL or emb.max_abs_g == 0.0)
+        if (status == STATUS_OPTIMAL or stopped) and min(min_eigs) < -PSD_TOL:
+            status, message = STATUS_FAILURE, (
+                f"point not PSD: smallest block eigenvalue "
+                f"{min(min_eigs):.3e} below -{PSD_TOL:g}"
+                + (f" ({message})" if message else ""))
+        elif stopped:
             status = STATUS_FEASIBLE
             message = f"feasible point accepted ({message})"
 

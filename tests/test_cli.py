@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import REPO, SYSTEMS
-from switchcert import certify as cert_mod, cli, sim
+from switchcert import certify as cert_mod, cli, sdp, sim
 from switchcert.cli import (FileFormatError, certificate_to_text,
                             load_certificate, load_system, main,
                             parse_certificate_text, parse_system_text)
@@ -121,6 +121,21 @@ class TestCmdCertify:
                      "--beta", "0", "--degree-cap", "6",
                      "--out", str(tmp_path / "no.cert")])
         assert code == 2
+
+    def test_psd_bar_miss_is_numerical_failure(self, tmp_path, capsys,
+                                               monkeypatch):
+        # every solve converges, but its blocks miss the solver's PSD bar:
+        # that proves nothing, so the degree walk ends in exit 3, not 2
+        monkeypatch.setattr(sdp, "min_eigenvalue", lambda M: -1e-6)
+        out = tmp_path / "none.cert"
+        code, _, err = _run(["certify", str(SYSTEMS / "affine_pair.sys"),
+                             "--ell", "2", "--beta", "3.3", "--degree-cap",
+                             "6", "--out", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("numerical failure: decay program at "
+                              "beta=3.3, degree=4: point not PSD: smallest "
+                              "block eigenvalue -1.000e-06")
+        assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.sys"
@@ -485,6 +500,33 @@ class TestCmdLevelset:
 
     def test_missing_certificate_exit_code(self, tmp_path):
         assert main(["levelset", str(tmp_path / "nope.cert")]) == 1
+
+    def test_slice_beyond_the_dimension_is_usage_error(self, affine_cert,
+                                                       tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        code, _, err = _run(["levelset", str(affine_cert), "--slice", "9,9",
+                             "--resolution", "2", "--out", str(out)], capsys)
+        assert code == 1
+        assert err == "error: bad --slice '9,9'\n"
+        assert not out.exists()
+
+    def test_slice_of_a_3d_certificate(self, tmp_path):
+        cert = tmp_path / "three.cert"
+        cert.write_text("dim 3\nsubsystems 1\nell 1\ndelta 1\nbeta 0\n"
+                        "gamma 1\nV = x1^2 + 2*x2^2 + 3*x3^2 + x1*x3\n")
+        out = tmp_path / "slice.csv"
+        code = main(["levelset", str(cert), "--slice", "1,3",
+                     "--resolution", "3", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "x1,x2,x3,V"
+        table = np.array([[float(tok) for tok in row.split(",")]
+                          for row in rows[1:]])
+        # the default window of a 2-D slice
+        assert table.shape == (9, 4)
+        assert np.all(table[:, 1] == 0.0)
+        assert set(table[:, 0]) == {-3.0, 0.0, 3.0}
+        assert set(table[:, 2]) == {-4.0, 0.0, 4.0}
 
     @pytest.fixture
     def cert_4d(self, tmp_path):

@@ -624,6 +624,43 @@ class TestAttemptList:
         assert min(solution.min_eigenvalues) >= -sdp.PSD_TOL
         assert attempts == [{0.0}]
 
+    def test_mu_floor_point_below_the_psd_bar_fails(self, gas_b12,
+                                                    monkeypatch):
+        # the stopped point meets the residual bar, so the PSD bar decides,
+        # and the message keeps the reason the iteration stopped
+        monkeypatch.setattr(sdp, "min_eigenvalue", lambda M: -1e-6)
+        solution = solve(gas_b12)
+        assert solution.status == "numerical-failure"
+        assert solution.message == ("point not PSD: smallest block "
+                                    "eigenvalue -1.000e-06 below -1e-08 "
+                                    f"({sdp._MU_FLOOR})")
+
+
+class TestPsdBar:
+    """One PSD bar, smallest block eigenvalue at least -PSD_TOL, holds for
+    every point solve reports as a solution, converged ones included."""
+
+    def problem(self):
+        builder = SdpProblemBuilder([2])
+        builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
+        builder.add_constraint(1.0, {0: [(1, 1, 1.0)]})
+        return builder.build()
+
+    def test_converged_point_below_the_bar_fails(self, monkeypatch):
+        assert solve(self.problem()).status == "optimal"
+        monkeypatch.setattr(sdp, "min_eigenvalue",
+                            lambda M: -10.0 * sdp.PSD_TOL)
+        solution = solve(self.problem())
+        assert solution.status == "numerical-failure"
+        assert not solution.feasible
+        assert solution.message == ("point not PSD: smallest block "
+                                    "eigenvalue -1.000e-07 below -1e-08")
+        assert solution.min_eigenvalues == [-10.0 * sdp.PSD_TOL]
+
+    def test_converged_point_at_the_bar_is_optimal(self, monkeypatch):
+        monkeypatch.setattr(sdp, "min_eigenvalue", lambda M: -sdp.PSD_TOL)
+        assert solve(self.problem()).status == "optimal"
+
 
 class TestUnboundedPrimal:
     def test_dual_infeasibility_ray_ends_the_walk(self, monkeypatch):
