@@ -226,7 +226,9 @@ class SolveLog:
     equality per monomial of each identity's support, and every Gram
     upper-triangle entry and free scalar.  rows counts the SDP rows
     actually solved, which leave out the equalities that the program's
-    sign symmetries make vacuous (sosprog.encode)."""
+    sign symmetries make vacuous (sosprog.encode).  min_eig is the
+    smallest eigenvalue of the solved Gram blocks, when there is a
+    solution; sdp accepts a point only when it is at least -sdp.PSD_TOL."""
 
     purpose: str
     degree: int
@@ -235,14 +237,14 @@ class SolveLog:
     decision_variables: int
     rows: int
     status: str
-    margin: float | None = None
+    min_eig: float | None = None
 
     def line(self) -> str:
         text = (f"solve {self.purpose} deg={self.degree} beta={self.beta:g}: "
                 f"status={self.status} equalities={self.equalities} "
                 f"decision_vars={self.decision_variables} rows={self.rows}")
-        if self.margin is not None:
-            text += f" margin={self.margin:.3e}"
+        if self.min_eig is not None:
+            text += f" min_eig={self.min_eig:.3e}"
         return text
 
 
@@ -331,8 +333,8 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
 
     The verdict is the solver's status: a solution (whose Gram blocks sdp
     has found PSD) is feasible, a Farkas ray is proven infeasibility, and
-    anything else raises NumericalFailureError.  The margin (smallest Gram
-    eigenvalue minus sdp.PSD_TOL) is recorded in the solve log.
+    anything else raises NumericalFailureError.  The smallest Gram
+    eigenvalue of a solution is recorded in the solve log.
     """
     if query.beta is None:
         raise ValueError("query.beta must be a fixed scalar here")
@@ -341,9 +343,6 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
         system, query.ell, query.delta, degree, query.beta)
     encoding = encode(program)
     solution = solve(encoding.problem)
-    margin = None
-    if solution.feasible:
-        margin = min(solution.min_eigenvalues) - sdp.PSD_TOL
 
     if logs is not None:
         logs.append(SolveLog(
@@ -351,7 +350,9 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
             equalities=encoding.n_equalities,
             decision_variables=encoding.n_decision_variables,
             rows=encoding.problem.m,
-            status=solution.status, margin=margin))
+            status=solution.status,
+            min_eig=(min(solution.min_eigenvalues) if solution.feasible
+                     else None)))
 
     if solution.status == sdp.STATUS_INFEASIBLE:
         return AbsorbingSearchResult(

@@ -313,10 +313,24 @@ def _scaled_constraints(problem):
                           + [vals for _, vals in problem.free_rows])
 
     # an off-diagonal entry stands for itself and its mirror image
-    fro2 = np.bincount(con, weights=np.where(row != col, 2.0, 1.0) * val ** 2,
-                       minlength=m)
-    fro2 += np.bincount(fcon, weights=fval ** 2, minlength=m)
-    norm = np.sqrt(fro2)
+    weight = np.where(row != col, 2.0, 1.0)
+
+    def norms(peak):
+        """Per row, peak times the norm of the entries divided by peak."""
+        fro2 = np.bincount(con, weights=weight * (val / peak[con]) ** 2,
+                           minlength=m)
+        return peak * np.sqrt(fro2 + np.bincount(
+            fcon, weights=(fval / peak[fcon]) ** 2, minlength=m))
+
+    with np.errstate(over="ignore"):
+        norm = norms(np.ones(m))
+    big = np.isinf(norm)
+    if big.any():
+        # the squares overflow above about 1e154: such a row is divided by
+        # its largest magnitude first, and every other row keeps its bits
+        peak = np.zeros(m)
+        np.maximum.at(peak, np.r_[con, fcon], np.abs(np.r_[val, fval]))
+        norm = norms(np.where(big, peak, 1.0))
     scale = 1.0 / np.maximum(norm, 1e-12)
     val = val * scale[con]
     D = np.zeros((m, problem.n_free))

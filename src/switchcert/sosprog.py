@@ -9,10 +9,15 @@ and unknown scalars with known polynomial weights.
 
 Encoding: every identity receives its own Gram matrix; matching the
 coefficient of each monomial that can occur yields one trace equality per
-monomial.  Unknown SOS polynomials are shared across identities.  Decoding
-recovers each unknown polynomial as chi^T R chi from its solved Gram block.
-Encoding is deterministic: monomials are processed in graded-lex order, so
-identical programs produce identical SDP data.
+monomial.  Unknown SOS polynomials are shared across identities.  Each
+identity's equalities come from one row table, built in one pass over its
+terms: per monomial, the Gram entries of each block and the scalars that
+multiply it, with the identity's own Gram entries at -1 (_identity_rows).
+encode only filters that table (the row rule below) and emits what is
+left.  Decoding recovers each unknown polynomial as chi^T R chi from its
+solved Gram block.  Encoding is deterministic: rows are emitted in
+graded-lex order of their monomials, so identical programs produce
+identical SDP data.
 
 Sign symmetry.  A sign change x -> s*x (s in {-1, 1}^n) that fixes every
 known polynomial and weight of a program, and maps component k of each
@@ -23,11 +28,11 @@ certificate (Gatermann & Parrilo, J. Pure Appl. Algebra 2004; Lofberg,
 IEEE TAC 2009).  invariant_parities finds, from the program's data alone,
 the monomials every such change fixes: those whose exponent parities lie
 in the GF(2) span of the data's parities.
-- Row rule: encode poses one equality per monomial of each identity's
-  support (SdpEncoding.n_equalities counts them) but emits the rows of
-  invariant monomials only.  Every other row holds only Gram entries
-  (i, j) whose product chi_i chi_j is not invariant, with no known
-  coefficient and no scalar, so it reads 0 = 0 on invariant Gram
+- Row rule: a filter over the row table.  encode poses one equality per
+  monomial of the table (SdpEncoding.n_equalities counts them) but emits
+  the rows of invariant monomials only.  Every other row holds only Gram
+  entries (i, j) whose product chi_i chi_j is not invariant, with no
+  known coefficient and no scalar, so it reads 0 = 0 on invariant Gram
   matrices.  A program without such a change, such as one whose fields
   have a constant term in every component, keeps every row.
 - Decode average: decode sets those entries to 0.  That is the group
@@ -44,6 +49,7 @@ degrees of the polynomial checked.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -248,32 +254,62 @@ def parity_classes(basis: GramBasis, span: tuple) -> np.ndarray:
     return np.array([_reduce(_parity(m), span) for m in basis.monomials])
 
 
-def _entry_coefficient_polys(identity: SosIdentity, unknowns: Mapping[str, SosUnknown]):
-    """Per Gram entry (i<=j) of each unknown, the known polynomial that
-    multiplies R[i,j] in the identity (with the off-diagonal doubling kept
-    implicit, matching the trace convention of the SDP layer).  Within a
-    term the polynomial depends only on the product monomial
-    chi_i chi_j, so each product is expanded once."""
-    coeffs: dict = {}
+def _identity_rows(identity: SosIdentity, unknowns: Mapping[str, tuple],
+                   scalar_index: Mapping[str, int], block: int):
+    """The row table of an identity whose own Gram matrix is block `block`,
+    and that matrix's basis.  unknowns maps a name to its (block, basis).
+
+    The table maps each monomial that some Gram entry or scalar multiplies
+    to ({block: [(i, j, c), ...]}, {scalar index: c}): R[i, j] of that
+    block enters the monomial's coefficient with weight c (the
+    off-diagonal doubling kept implicit, matching the trace convention of
+    the SDP layer).  The weight of R[i, j] in a term depends only on the
+    product chi_i chi_j, so each product is expanded once per term and its
+    weights are summed over the terms; an entry whose weights cancel
+    exactly is left out, and so is a monomial left with nothing."""
+    # monomial -> ({block: {product: c}}, {scalar index: c})
+    sums = defaultdict(lambda: (defaultdict(dict), {}))
+    pairs: dict = {}    # block -> {product: [(i, j), ...]}
     for term in identity.terms:
         if isinstance(term, ScalarTerm):
+            if term.scalar not in scalar_index:
+                raise ValueError(f"scalar {term.scalar!r} not declared")
+            k = scalar_index[term.scalar]
+            for mono, c in term.weight.terms.items():
+                free = sums[mono][1]
+                free[k] = free.get(k, 0.0) + c
             continue
-        by_product: dict = {}
-        for i, j, mono in unknowns[term.unknown].basis.pairs():
-            gij = by_product.get(mono)
-            if gij is None:
-                if isinstance(term, UnknownTerm):
-                    gij = term.weight * Polynomial.monomial(mono)
-                else:
-                    gij = term.scale * lie_derivative(
-                        Polynomial.monomial(mono), term.field)
-                by_product[mono] = gij
-            if gij.is_zero():
-                continue
-            key = (term.unknown, i, j)
-            prev = coeffs.get(key)
-            coeffs[key] = gij if prev is None else prev + gij
-    return coeffs
+        if term.unknown not in unknowns:
+            raise ValueError(f"unknown {term.unknown!r} not declared")
+        ublock, basis = unknowns[term.unknown]
+        if ublock not in pairs:
+            pairs[ublock] = {}
+            for i, j, product in basis.pairs():
+                pairs[ublock].setdefault(product, []).append((i, j))
+        for product in pairs[ublock]:
+            if isinstance(term, UnknownTerm):
+                g = term.weight * Polynomial.monomial(product)
+            else:
+                g = term.scale * lie_derivative(
+                    Polynomial.monomial(product), term.field)
+            for mono, c in g.terms.items():
+                weights = sums[mono][0][ublock]
+                weights[product] = weights.get(product, 0.0) + c
+
+    rows: dict = {}
+    for mono, (blocks, free) in sums.items():
+        entries = {b: [(i, j, c) for product, c in weights.items() if c
+                       for i, j in pairs[b][product]]
+                   for b, weights in blocks.items()}
+        entries = {b: trips for b, trips in entries.items() if trips}
+        if entries or free:
+            rows[mono] = (entries, free)
+    degrees = [sum(m) for m in rows.keys() | identity.known.terms] or [0]
+    basis = gram_basis(identity.dimension, min(degrees), max(degrees))
+    for i, j, mono in basis.pairs():
+        rows.setdefault(mono, ({}, {}))[0].setdefault(block, []).append(
+            (i, j, -1.0))
+    return rows, basis
 
 
 def encode(program: SosProgram) -> SdpEncoding:
@@ -286,41 +322,15 @@ def encode(program: SosProgram) -> SdpEncoding:
         if ident.dimension != n:
             raise ValueError("identities must share one dimension")
 
-    unknowns = {u.name: u for u in program.unknowns}
+    unknowns = {u.name: (b, u.basis) for b, u in enumerate(program.unknowns)}
     scalar_index = {name: k for k, name in enumerate(program.scalars)}
-
-    unknown_blocks = {u.name: b for b, u in enumerate(program.unknowns)}
-    block_sizes = [len(u.basis) for u in program.unknowns]
-    identity_blocks = {}
-    identity_bases = {}
-    identity_tables = {}
-
-    for ident in program.identities:
-        for term in ident.terms:
-            if isinstance(term, ScalarTerm):
-                if term.scalar not in scalar_index:
-                    raise ValueError(f"scalar {term.scalar!r} not declared")
-            elif term.unknown not in unknowns:
-                raise ValueError(f"unknown {term.unknown!r} not declared")
-
-        coeffs = _entry_coefficient_polys(ident, unknowns)
-        support = set(ident.known.terms)
-        for gij in coeffs.values():
-            support.update(gij.terms)
-        for term in ident.terms:
-            if isinstance(term, ScalarTerm):
-                support.update(term.weight.terms)
-        degrees = [sum(m) for m in support] or [0]
-        basis = gram_basis(n, min(degrees), max(degrees))
-        for _, _, mono in basis.pairs():
-            support.add(mono)
-
-        identity_blocks[ident.name] = len(block_sizes)
-        identity_bases[ident.name] = basis
-        identity_tables[ident.name] = (coeffs, support)
-        block_sizes.append(len(basis))
-
-    builder = SdpProblemBuilder(block_sizes, n_free=len(program.scalars))
+    first = len(program.unknowns)
+    tables = [_identity_rows(ident, unknowns, scalar_index, first + k)
+              for k, ident in enumerate(program.identities)]
+    builder = SdpProblemBuilder(
+        [len(u.basis) for u in program.unknowns]
+        + [len(basis) for _, basis in tables],
+        n_free=len(program.scalars))
     if program.objective is not None:
         vec = np.zeros(len(program.scalars))
         for name, coef in program.objective.items():
@@ -328,67 +338,40 @@ def encode(program: SosProgram) -> SdpEncoding:
         builder.set_objective_free(vec)
 
     span = invariant_parities(program)
-    n_equalities = 0
-    for ident in program.identities:
-        coeffs, support = identity_tables[ident.name]
-        basis = identity_bases[ident.name]
-        id_block = identity_blocks[ident.name]
-        known_scale = 1.0 + ident.known.max_abs_coefficient()
-
-        # a row of a monomial outside the span reads 0 = 0 once the Gram
-        # matrices are invariant: it is posed but not emitted.  Known and
-        # scalar terms lie in the span by construction of span.
-        kept = {mono for mono in support if _reduce(_parity(mono), span) == 0}
-        n_equalities += len(support) - len(kept)
-        data = set(ident.known.terms).union(*(
-            term.weight.terms for term in ident.terms
-            if isinstance(term, ScalarTerm)))
-        if not kept.issuperset(data):
+    for ident, (rows, _) in zip(program.identities, tables):
+        # the row rule: a row of a monomial outside the span reads 0 = 0
+        # once the Gram matrices are invariant, so it is posed but not
+        # emitted.  Known and scalar terms lie in the span by construction
+        # of span, so one outside it is an internal error.
+        data = ident.known.terms.keys() | {
+            mono for mono, (_, free) in rows.items() if free}
+        if any(_reduce(_parity(mono), span) for mono in data):
             raise RuntimeError(
                 f"identity {ident.name!r}: a known or scalar term lies "
                 "outside the invariant parities")
-
-        # invert the per-entry tables into per-monomial rows
-        rows: dict = {mono: ({}, {}) for mono in kept}
-        for (uname, i, j), gij in coeffs.items():
-            block = unknown_blocks[uname]
-            for mono, c in gij.terms.items():
-                row = rows.get(mono)
-                if row is not None:
-                    row[0].setdefault(block, []).append((i, j, c))
-        for term in ident.terms:
-            if isinstance(term, ScalarTerm):
-                k = scalar_index[term.scalar]
-                for mono, c in term.weight.terms.items():
-                    _, free_map = rows[mono]
-                    free_map[k] = free_map.get(k, 0.0) + c
-        for i, j, mono in basis.pairs():
-            row = rows.get(mono)
-            if row is not None:
-                row[0].setdefault(id_block, []).append((i, j, -1.0))
-
-        for mono in sorted(kept, key=grlex_key):
-            block_map, free_map = rows[mono]
-            rhs = -ident.known.coefficient(mono)
-            if not block_map and not free_map:
-                if abs(rhs) > 1e-12 * known_scale:
-                    raise IllFormedIdentityError(
-                        f"identity {ident.name!r}: monomial {mono} has known "
-                        f"coefficient {-rhs} but no unknown can produce it")
-                continue
-            n_equalities += 1
-            builder.add_constraint(
-                rhs, {b: trips for b, trips in sorted(block_map.items())},
-                free_map)
+        known_scale = 1.0 + ident.known.max_abs_coefficient()
+        for mono in sorted(ident.known.terms.keys() - rows.keys(),
+                           key=grlex_key):
+            coef = ident.known.terms[mono]
+            if abs(coef) > 1e-12 * known_scale:
+                raise IllFormedIdentityError(
+                    f"identity {ident.name!r}: monomial {mono} has known "
+                    f"coefficient {coef} but no unknown can produce it")
+        for mono in sorted(rows, key=grlex_key):
+            if _reduce(_parity(mono), span) == 0:
+                builder.add_constraint(-ident.known.coefficient(mono),
+                                       *rows[mono])
 
     return SdpEncoding(
         problem=builder.build(),
-        unknown_blocks=unknown_blocks,
-        identity_blocks=identity_blocks,
-        identity_bases=identity_bases,
+        unknown_blocks={name: b for name, (b, _) in unknowns.items()},
+        identity_blocks={ident.name: first + k
+                         for k, ident in enumerate(program.identities)},
+        identity_bases={ident.name: basis for ident, (_, basis)
+                        in zip(program.identities, tables)},
         scalar_index=scalar_index,
         unknown_bases={u.name: u.basis for u in program.unknowns},
-        n_equalities=n_equalities,
+        n_equalities=sum(len(rows) for rows, _ in tables),
         parity_span=span,
     )
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import (BETA_AFFINE_PAIR, SYSTEMS, V_AFFINE_PAIR,
                       V_LINEAR_PAIR_DEG12, encode_posed, gram_bases,
                       linear_pair_matrices, same_row)
-from switchcert import certify
+from switchcert import certify, sdp
 from switchcert.certify import (AbsorbingSetCertificate,
                                 CertificateRejectedError, CertificationQuery,
                                 EquilibriumError, GammaInfeasibleError,
@@ -63,10 +63,20 @@ class TestFindAbsorbingLyapunov:
         assert result.lyapunov.degree() == 4
 
     def test_cubic_3d_degree_tradeoff(self, cubic_3d_pair):
+        logs = []
         q4 = CertificationQuery(ell=2, delta=1.0, degree=4, beta=0.0)
-        assert find_absorbing_lyapunov(cubic_3d_pair, q4).proven_infeasible
+        assert find_absorbing_lyapunov(cubic_3d_pair, q4,
+                                       logs).proven_infeasible
         q6 = CertificationQuery(ell=2, delta=1.0, degree=6, beta=0.0)
-        assert find_absorbing_lyapunov(cubic_3d_pair, q6).feasible
+        result = find_absorbing_lyapunov(cubic_3d_pair, q6, logs)
+        assert result.feasible
+        # the log gives a solution's smallest Gram eigenvalue as it is,
+        # above the solver's bar, and none for a ray
+        ray, solved = logs
+        assert ray.min_eig is None and "min_eig" not in ray.line()
+        assert solved.min_eig == min(result.solution.min_eigenvalues)
+        assert solved.min_eig >= -sdp.PSD_TOL
+        assert solved.line().endswith(f" min_eig={solved.min_eig:.3e}")
 
     def test_requires_fixed_beta(self, affine_pair):
         query = CertificationQuery(ell=2, degree=4, beta=None, beta_max=4.0)

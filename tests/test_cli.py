@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -596,6 +599,23 @@ _NO_GAMMA_CERT = ("dim 2\nsubsystems 2\nell 2\ndelta 1\nbeta 3.3\n"
 class TestExitCodes:
     AFFINE = str(SYSTEMS / "affine_pair.sys")
     LINEAR = str(SYSTEMS / "linear_pair.sys")
+
+    def test_huge_beta_is_one_numerical_failure_line(self, tmp_path):
+        # beta = 1e200 puts entries whose squares overflow into the
+        # sublevel program; the run, in its own process so that a
+        # RuntimeWarning would reach stderr, ends in exit 3 and one
+        # `prefix: message` line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "switchcert.cli", "certify", self.LINEAR,
+             "--ell", "1", "--beta", "1e200",
+             "--out", str(tmp_path / "huge.cert")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 3
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("numerical failure: ")
 
     @pytest.mark.parametrize("argv", [
         ["certify", AFFINE, "--ell", "abc"],

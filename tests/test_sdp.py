@@ -373,6 +373,24 @@ class TestSparseOperators:
             assert np.array_equal(Xa, Xb)
 
 
+class TestRowNorms:
+    def test_huge_row_has_a_finite_norm(self):
+        # the squares of 1e200 overflow, so that row's norm comes from its
+        # entries divided by its largest magnitude; the other row keeps its
+        # plain sum of squares (an off-diagonal entry counts twice)
+        builder = SdpProblemBuilder([2], n_free=1)
+        builder.add_constraint(1.0, {0: [(0, 0, 1e200), (0, 1, 1e200)]},
+                               {0: 1e200})
+        builder.add_constraint(1.0, {0: [(1, 1, 3.0), (0, 1, 2.0)]},
+                               {0: 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm, scale, *_ = sdp._scaled_constraints(builder.build())
+        assert norm[0] == pytest.approx(2e200, rel=1e-15)
+        assert scale[0] * norm[0] == pytest.approx(1.0, rel=1e-15)
+        assert norm[1] == np.sqrt(18.0)
+
+
 def _program(systems_dir, name):
     if name == "sublevel_affine_pair":
         V = parse_expression(V_AFFINE_PAIR, 2)

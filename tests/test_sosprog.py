@@ -1,18 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import encode_posed, gram_bases, identity_residual, same_row
-from switchcert.poly import (Polynomial, PolynomialVectorField, mono_mul,
-                             parse_expression)
+from conftest import (SYSTEMS, V_AFFINE_PAIR, encode_posed, gram_bases,
+                      identity_residual, same_row)
+from switchcert.poly import (Polynomial, PolynomialVectorField, grlex_key,
+                             lie_derivative, mono_mul, parse_expression)
 from switchcert import sdp, sosprog
+from switchcert.certify import (_multiplier_degree, _sublevel_program,
+                                build_absorbing_program)
+from switchcert.cli import load_system
 from switchcert.sdp import SdpSolution, solve
 from switchcert.sosprog import (GramBasis, IllFormedIdentityError, ScalarTerm,
                                 SosIdentity, SosProgram, SosUnknown,
                                 UnknownLieTerm, UnknownTerm,
-                                decode, encode, gram_expand,
+                                decode, encode, gram_basis, gram_expand,
                                 invariant_parities, monomial_basis)
 
 
@@ -311,3 +316,129 @@ class TestSignSymmetry:
         reduced, posed = encode(program), encode_posed(program)
         assert reduced.problem.m <= posed.problem.m == reduced.n_equalities
         assert solve(reduced.problem).status == solve(posed.problem).status
+
+
+def _sign(s, mono):
+    """The factor by which x -> s*x multiplies a monomial."""
+    return math.prod(s[k] ** e for k, e in enumerate(mono))
+
+
+def _symmetries(program):
+    """Every sign vector s that fixes the program's data, found by trying
+    each one: known polynomials and weights are fixed, and component k of
+    each Lie term's field maps to s_k times itself."""
+    def fixes(s, ident):
+        for term in ident.terms:
+            if isinstance(term, UnknownLieTerm):
+                if any(_sign(s, m) != s[k]
+                       for k, comp in enumerate(term.field.components)
+                       for m in comp.terms):
+                    return False
+            elif any(_sign(s, m) != 1 for m in term.weight.terms):
+                return False
+        return all(_sign(s, m) == 1 for m in ident.known.terms)
+
+    n = program.identities[0].dimension
+    return [s for s in itertools.product((1, -1), repeat=n)
+            if all(fixes(s, ident) for ident in program.identities)]
+
+
+def _row_check_program(name):
+    V = parse_expression(V_AFFINE_PAIR, 2)
+    if name == "affine-decay":
+        system = load_system(str(SYSTEMS / "affine_pair.sys"))
+        return build_absorbing_program(system, 2, 1.0, 4, 3.3)[0]
+    if name == "cubic-decay":
+        system = load_system(str(SYSTEMS / "cubic_3d_pair.sys"))
+        return build_absorbing_program(system, 2, 1.0, 6, 0.0)[0]
+    if name == "vdp-decay":
+        system = load_system(str(SYSTEMS / "vdp_relay_pair.sys"))
+        return build_absorbing_program(system, 1, 1e-4, 6, 14.0)[0]
+    if name == "sublevel":
+        return _sublevel_program(V, 3.3, _multiplier_degree(4))
+    if name == "sublevel-fixed-gamma":
+        return _sublevel_program(V, 3.3, _multiplier_degree(4), gamma=8725.0)
+    if name == "membership":
+        # the shape of certify's SOS membership check
+        envelope = gram_expand(monomial_basis(2, 2, 2), np.eye(3))
+        identity = SosIdentity("membership", 2, known=V * (1.0 / 964.1),
+                               terms=(ScalarTerm("slack", envelope),))
+        return SosProgram((identity,), (), scalars=("slack",),
+                          objective={"slack": 1.0})
+    # three terms on one unknown: its Gram entries reach a monomial from
+    # each term, and their coefficients add up; on the degree-2 monomials
+    # they cancel exactly (1 - 2 + 1), so those leave the support
+    field = PolynomialVectorField(2, (parse_expression("-x1 + x2^3", 2),
+                                      parse_expression("-x2 - x1^3", 2)))
+    identity = SosIdentity(
+        "shared", 2, known=parse_expression("x1^6 + x2^6 + 3*x1^2*x2^2", 2),
+        terms=(UnknownTerm("u", parse_expression("1 + x1^2", 2)),
+               UnknownLieTerm("u", field, scale=-0.5),
+               UnknownTerm("u", parse_expression("0.25*x2^2 - 2", 2))))
+    return SosProgram((identity,), (SosUnknown("u", monomial_basis(2, 1, 2)),))
+
+
+class TestRowCoefficients:
+    """Each emitted row against the coefficient of its monomial in
+    known + sum(terms) - chi^T R chi at random Gram matrices and scalars,
+    expanded with gram_expand and lie_derivative, not through encode."""
+
+    @pytest.mark.parametrize("name", [
+        "affine-decay", "cubic-decay", "vdp-decay", "sublevel",
+        "sublevel-fixed-gamma", "membership", "shared-unknown"])
+    def test_rows_match_expanded_identities(self, name):
+        program = _row_check_program(name)
+        enc = encode(program)
+        problem = enc.problem
+        rng = np.random.default_rng(7)
+
+        def symmetric(size):
+            G = rng.normal(size=(size, size))
+            return G + G.T
+
+        X = [symmetric(s) for s in problem.block_sizes]
+        u = rng.normal(size=problem.n_free)
+        grams = {name: X[b] for name, b in enc.unknown_blocks.items()}
+        values = {name: u[k] for name, k in enc.scalar_index.items()}
+        symmetries = _symmetries(program)
+
+        j = posed = 0
+        for ident in program.identities:
+            expr = Polynomial.zero(ident.dimension)
+            for term in ident.terms:
+                if isinstance(term, ScalarTerm):
+                    expr = expr + term.weight * values[term.scalar]
+                    continue
+                U = gram_expand(enc.unknown_bases[term.unknown],
+                                grams[term.unknown])
+                if isinstance(term, UnknownTerm):
+                    expr = expr + term.weight * U
+                else:
+                    expr = expr + term.scale * lie_derivative(U, term.field)
+            # the identity's basis spans the degrees its terms reach
+            degrees = [sum(m) for m in expr.terms.keys() | ident.known.terms]
+            basis = enc.identity_bases[ident.name]
+            assert basis == gram_basis(ident.dimension, min(degrees),
+                                       max(degrees))
+            expr = expr - gram_expand(
+                basis, X[enc.identity_blocks[ident.name]])
+            # random data leave no coefficient at 0 by chance
+            posed += len(expr.terms)
+            kept = sorted((m for m in expr.terms
+                           if all(_sign(s, m) == 1 for s in symmetries)),
+                          key=grlex_key)
+            scale = 1.0 + expr.max_abs_coefficient()
+            for mono in kept:
+                value = sum(
+                    float(np.sum(np.where(ent.rows == ent.cols, 1.0, 2.0)
+                                 * ent.vals * X[ent.block][ent.rows,
+                                                           ent.cols]))
+                    for ent in problem.entries[j])
+                idx, vals = problem.free_rows[j]
+                value += float(vals @ u[idx])
+                assert problem.rhs[j] == -ident.known.coefficient(mono)
+                assert value == pytest.approx(expr.coefficient(mono),
+                                              abs=1e-12 * scale)
+                j += 1
+        assert j == problem.m
+        assert posed == enc.n_equalities
