@@ -137,8 +137,9 @@ class SwitchedSystem:
 
 @dataclass
 class CertificationQuery:
-    """Parameters of one certification run; beta is a scalar or an interval
-    [0, beta_max], and degree None escalates from 2*ell to degree_cap."""
+    """Parameters of one certification run; beta is a scalar or, given as
+    beta_max instead (not both), an interval [0, beta_max], and degree None
+    escalates from 2*ell to degree_cap."""
 
     ell: int = 1
     delta: float = 1.0
@@ -154,6 +155,8 @@ class CertificationQuery:
     def __post_init__(self):
         _check_constants(self.ell, self.delta, beta=self.beta,
                          beta_max=self.beta_max)
+        if self.beta is not None and self.beta_max is not None:
+            raise ValueError("give beta or beta_max, not both")
         if self.degree is not None:
             if self.degree % 2 or self.degree < 2 * self.ell:
                 raise ValueError("degree must be even and at least 2*ell")
@@ -238,6 +241,16 @@ class SolveLog:
     rows: int
     status: str
     min_eig: float | None = None
+
+    @classmethod
+    def of(cls, purpose: str, degree: int, beta: float,
+           encoding: SdpEncoding, solution: SdpSolution) -> SolveLog:
+        """The log of one solve of an encoded program."""
+        return cls(purpose, degree, beta, encoding.n_equalities,
+                   encoding.n_decision_variables, encoding.problem.m,
+                   solution.status,
+                   min(solution.min_eigenvalues) if solution.feasible
+                   else None)
 
     def line(self) -> str:
         text = (f"solve {self.purpose} deg={self.degree} beta={self.beta:g}: "
@@ -345,14 +358,8 @@ def find_absorbing_lyapunov(system: SwitchedSystem,
     solution = solve(encoding.problem)
 
     if logs is not None:
-        logs.append(SolveLog(
-            purpose="decay", degree=degree, beta=query.beta,
-            equalities=encoding.n_equalities,
-            decision_variables=encoding.n_decision_variables,
-            rows=encoding.problem.m,
-            status=solution.status,
-            min_eig=(min(solution.min_eigenvalues) if solution.feasible
-                     else None)))
+        logs.append(SolveLog.of("decay", degree, query.beta, encoding,
+                                solution))
 
     if solution.status == sdp.STATUS_INFEASIBLE:
         return AbsorbingSearchResult(
@@ -407,12 +414,8 @@ def minimize_gamma(system: SwitchedSystem, V: Polynomial, beta: float,
     encoding = encode(_sublevel_program(V, beta, deg_q))
     solution = solve(encoding.problem)
     if logs is not None:
-        logs.append(SolveLog(
-            purpose="sublevel", degree=V.degree(), beta=beta,
-            equalities=encoding.n_equalities,
-            decision_variables=encoding.n_decision_variables,
-            rows=encoding.problem.m,
-            status=solution.status))
+        logs.append(SolveLog.of("sublevel", V.degree(), beta, encoding,
+                                solution))
     if solution.status == sdp.STATUS_INFEASIBLE:
         raise GammaInfeasibleError(
             f"sublevel program infeasible at deg(q)={deg_q}; raise deg_q")
@@ -584,9 +587,10 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float):
     # envelope = gram_expand(I), so shifting the Gram by -min(t*, 0) * I
     # absorbs any negative slack exactly and restores a PSD witness for
     # the polynomial itself
-    R = decode(encoding, solution).identity_grams["membership"]
+    R = decode(encoding, solution).grams["membership"]
     R = R - min(slack, 0.0) * np.eye(R.shape[0])
-    residual_poly = poly - gram_expand(encoding.identity_bases["membership"], R)
+    basis = encoding.bases[encoding.blocks["membership"]]
+    residual_poly = poly - gram_expand(basis, R)
     residual = residual_poly.max_abs_coefficient() / scale
     margin = sdp.min_eigenvalue(R)
     threshold = -GRAM_EIG_SLACK * (1.0 + float(np.trace(R)))
@@ -854,10 +858,8 @@ def escalate(system: SwitchedSystem,
     beta_star = probe_beta
     if query.beta_max is not None:
         sub = dataclasses.replace(query, degree=result.degree)
-        known = result if probe_beta == query.beta_max else None
-        tighten = tighten_beta(system, sub, logs, _at_beta_max=known)
-        result = tighten.result
-        beta_star = tighten.beta_star
+        tighten = tighten_beta(system, sub, logs, _at_beta_max=result)
+        result, beta_star = tighten.result, tighten.beta_star
 
     gamma_out = minimize_gamma(
         system, result.lyapunov, beta_star, deg_q=query.deg_q, logs=logs)

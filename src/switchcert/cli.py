@@ -187,10 +187,14 @@ def certificate_to_text(cert: AbsorbingSetCertificate,
     return "\n".join(lines) + "\n"
 
 
+# certificate keys and the types of their values
+_CERTIFICATE_KEYS = {"dim": int, "subsystems": int, "ell": int,
+                     "delta": float, "beta": float, "gamma": float,
+                     "verdict": str}
+
+
 def parse_certificate_text(text: str) -> AbsorbingSetCertificate:
-    dim = n_sub = ell = None
-    delta = beta = gamma = None
-    verdict = None
+    values: dict = {}
     polys: dict = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -206,44 +210,35 @@ def parse_certificate_text(text: str) -> AbsorbingSetCertificate:
         if len(tokens) != 2:
             raise FileFormatError(f"malformed certificate line: {line!r}")
         key, value = tokens
-        if key == "dim":
-            dim = int(value)
-        elif key == "subsystems":
-            n_sub = int(value)
-        elif key == "ell":
-            ell = int(value)
-        elif key == "delta":
-            delta = float(value)
-        elif key == "beta":
-            beta = float(value)
-        elif key == "gamma":
-            gamma = float(value)
-        elif key == "verdict":
-            verdict = value
-        else:
+        if key not in _CERTIFICATE_KEYS:
             raise FileFormatError(f"unknown certificate key {key!r}")
-    if None in (dim, n_sub, ell, delta, beta) or "V" not in polys:
+        values[key] = _CERTIFICATE_KEYS[key](value)
+    required = ("dim", "subsystems", "ell", "delta", "beta")
+    if not values.keys() >= set(required) or "V" not in polys:
         raise FileFormatError(
             "certificate needs dim, subsystems, ell, delta, beta and V")
+    dim, n_sub = values["dim"], values["subsystems"]
+    keys = [f"p{i}" for i in range(1, n_sub + 1)]
     try:
         V = parse_expression(polys.pop("V"), dim)
-        multipliers = []
-        for i in range(1, n_sub + 1):
-            key = f"p{i}"
-            if key in polys:
-                multipliers.append(parse_expression(polys.pop(key), dim))
-        q = None
-        if "q" in polys:
-            q = parse_expression(polys.pop("q"), dim)
+        multipliers = {key: parse_expression(polys.pop(key), dim)
+                       for key in keys if key in polys}
+        q = parse_expression(polys.pop("q"), dim) if "q" in polys else None
     except ParseError as exc:
         raise FileFormatError(f"bad polynomial in certificate: {exc}") from exc
     if polys:
         raise FileFormatError(f"unknown polynomial entries: {sorted(polys)}")
+    missing = [key for key in keys if key not in multipliers]
+    if multipliers and missing:
+        raise FileFormatError(
+            f"certificate gives some multipliers but not {', '.join(missing)}")
+    if q is not None and "gamma" not in values:
+        raise FileFormatError("certificate gives q but not gamma")
     return AbsorbingSetCertificate(
-        dimension=dim, n_subsystems=n_sub, lyapunov=V, beta=beta, delta=delta,
-        ell=ell, gamma=gamma,
-        multipliers=tuple(multipliers) if len(multipliers) == n_sub else None,
-        radius_multiplier=q, verdict=verdict)
+        dimension=dim, n_subsystems=n_sub, lyapunov=V, beta=values["beta"],
+        delta=values["delta"], ell=values["ell"], gamma=values.get("gamma"),
+        multipliers=tuple(multipliers.values()) or None,
+        radius_multiplier=q, verdict=values.get("verdict"))
 
 
 def load_certificate(path: str) -> AbsorbingSetCertificate:

@@ -23,6 +23,7 @@ float code term by term.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -342,9 +343,17 @@ def monomial_kernel(exps: np.ndarray):
     them, and a monomial of several factors in its own row, from the left.
     So every value is the repeated product of the rule, with the bits of
     the same product on floats, and each call makes one allocation and one
-    numpy call per product.
+    numpy call per product.  Equal exponent tables share one kernel.
     """
-    T, n = exps.shape
+    exps = np.ascontiguousarray(exps, dtype=np.intp)
+    return _compiled_kernel(exps.shape, exps.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled_kernel(shape: tuple, table: bytes):
+    """monomial_kernel of the exponent table with these shape and bytes."""
+    exps = np.frombuffer(table, dtype=np.intp).reshape(shape)
+    T, n = shape
     xs = [f"x{j}" for j in range(n)]
     steps, factors = monomial_steps(exps, xs)
     rows = [f"m{t}" for t in range(T)]

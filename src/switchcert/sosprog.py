@@ -14,10 +14,13 @@ identity's equalities come from one row table, built in one pass over its
 terms: per monomial, the Gram entries of each block and the scalars that
 multiply it, with the identity's own Gram entries at -1 (_identity_rows).
 encode only filters that table (the row rule below) and emits what is
-left.  Decoding recovers each unknown polynomial as chi^T R chi from its
-solved Gram block.  Encoding is deterministic: rows are emitted in
-graded-lex order of their monomials, so identical programs produce
-identical SDP data.
+left.  Encoding is deterministic: rows are emitted in graded-lex order of
+their monomials, so identical programs produce identical SDP data.
+
+The Gram table: SdpEncoding.blocks maps each unknown and identity name
+to its SDP block, and SdpEncoding.bases holds each block's Gram basis.
+decode reads that table alone, and returns each block's Gram matrix by
+name and each unknown's polynomial chi^T R chi.
 
 Sign symmetry.  A sign change x -> s*x (s in {-1, 1}^n) that fixes every
 known polynomial and weight of a program, and maps component k of each
@@ -50,7 +53,7 @@ degrees of the polynomial checked.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -92,19 +95,10 @@ def monomial_basis(n: int, d_min: int, d_max: int) -> GramBasis:
     """All monomials in n variables with total degree in [d_min, d_max]."""
     if not 0 <= d_min <= d_max:
         raise ValueError("need 0 <= d_min <= d_max")
-    monos = []
-
-    def rec(prefix, remaining_vars, budget):
-        if remaining_vars == 1:
-            for e in range(budget + 1):
-                monos.append(prefix + (e,))
-            return
-        for e in range(budget + 1):
-            rec(prefix + (e,), remaining_vars - 1, budget - e)
-
-    rec((), n, d_max)
-    monos = [m for m in monos if d_min <= sum(m) <= d_max]
-    return GramBasis(n, tuple(monos))
+    monos = [()]
+    for _ in range(n):
+        monos = [m + (e,) for m in monos for e in range(d_max - sum(m) + 1)]
+    return GramBasis(n, tuple(m for m in monos if sum(m) >= d_min))
 
 
 def gram_basis(n: int, d_lo: int, d_hi: int) -> GramBasis:
@@ -181,16 +175,18 @@ class SosProgram:
 
 @dataclass(frozen=True)
 class SdpEncoding:
-    """The SDP of a program and where its unknowns sit in it.  problem holds
-    only the rows of invariant monomials; n_equalities counts every row the
-    program poses, n_decision_variables every Gram entry and scalar."""
+    """The SDP of a program and its Gram table: blocks maps every unknown
+    and identity name to its block, the n_unknowns unknowns' blocks first,
+    and bases[b] is the Gram basis of block b (len(bases[b]) ==
+    problem.block_sizes[b]).  problem holds only the rows of invariant
+    monomials; n_equalities counts every row the program poses,
+    n_decision_variables every Gram entry and scalar."""
 
     problem: SdpProblem
-    unknown_blocks: Mapping[str, int]
-    identity_blocks: Mapping[str, int]
-    identity_bases: Mapping[str, GramBasis]
+    blocks: Mapping[str, int]
+    bases: tuple
+    n_unknowns: int
     scalar_index: Mapping[str, int]
-    unknown_bases: Mapping[str, GramBasis]
     n_equalities: int
     parity_span: tuple          # from invariant_parities
 
@@ -312,6 +308,14 @@ def _identity_rows(identity: SosIdentity, unknowns: Mapping[str, tuple],
     return rows, basis
 
 
+def _index(names, kind: str) -> dict:
+    """Each name's position in names; a name given twice is a ValueError."""
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"{kind} {name!r} is declared twice")
+    return {name: k for k, name in enumerate(names)}
+
+
 def encode(program: SosProgram) -> SdpEncoding:
     """Build the block-diagonal SDP for a program of SOS identities, with
     the rows of invariant monomials only (see the module docstring)."""
@@ -322,15 +326,18 @@ def encode(program: SosProgram) -> SdpEncoding:
         if ident.dimension != n:
             raise ValueError("identities must share one dimension")
 
+    blocks = _index([u.name for u in program.unknowns]
+                    + [ident.name for ident in program.identities],
+                    "unknown or identity")
+    scalar_index = _index(program.scalars, "scalar")
     unknowns = {u.name: (b, u.basis) for b, u in enumerate(program.unknowns)}
-    scalar_index = {name: k for k, name in enumerate(program.scalars)}
     first = len(program.unknowns)
     tables = [_identity_rows(ident, unknowns, scalar_index, first + k)
               for k, ident in enumerate(program.identities)]
-    builder = SdpProblemBuilder(
-        [len(u.basis) for u in program.unknowns]
-        + [len(basis) for _, basis in tables],
-        n_free=len(program.scalars))
+    bases = tuple(u.basis for u in program.unknowns) \
+        + tuple(basis for _, basis in tables)
+    builder = SdpProblemBuilder([len(basis) for basis in bases],
+                                n_free=len(program.scalars))
     if program.objective is not None:
         vec = np.zeros(len(program.scalars))
         for name, coef in program.objective.items():
@@ -363,50 +370,37 @@ def encode(program: SosProgram) -> SdpEncoding:
                                        *rows[mono])
 
     return SdpEncoding(
-        problem=builder.build(),
-        unknown_blocks={name: b for name, (b, _) in unknowns.items()},
-        identity_blocks={ident.name: first + k
-                         for k, ident in enumerate(program.identities)},
-        identity_bases={ident.name: basis for ident, (_, basis)
-                        in zip(program.identities, tables)},
-        scalar_index=scalar_index,
-        unknown_bases={u.name: u.basis for u in program.unknowns},
+        problem=builder.build(), blocks=blocks, bases=bases,
+        n_unknowns=first, scalar_index=scalar_index,
         n_equalities=sum(len(rows) for rows, _ in tables),
-        parity_span=span,
-    )
+        parity_span=span)
 
 
 @dataclass
 class DecodedSos:
-    polynomials: dict
+    polynomials: dict       # unknown name -> chi^T R chi
     scalars: dict
-    identity_grams: dict     # identity name -> matrix
+    grams: dict             # unknown or identity name -> Gram matrix
 
 
 def decode(encoding: SdpEncoding, solution: SdpSolution) -> DecodedSos:
-    """Recover unknown polynomials and scalars from a solved SDP, each Gram
-    block averaged over the program's sign symmetries."""
+    """Recover, from a solved SDP, the Gram matrix of every named block,
+    averaged over the program's sign symmetries, the polynomial of every
+    unknown, and the scalars."""
     if not solution.feasible:
         raise ValueError(
             f"cannot decode a solution with status {solution.status!r}")
-
-    def invariant_part(basis, block):
-        """The block with every entry whose product chi_i chi_j is not
-        invariant set to 0: its average over the sign symmetries."""
-        R = solution.blocks[block]
+    grams, polys = {}, {}
+    for name, block in encoding.blocks.items():
+        # every entry whose product chi_i chi_j is not invariant set to 0:
+        # the block's average over the sign symmetries
+        basis, R = encoding.bases[block], solution.blocks[block]
         classes = parity_classes(basis, encoding.parity_span)
         cross = classes[:, None] != classes[None, :]
-        return np.where(cross, 0.0, R) if cross.any() else R
-
-    polys = {
-        name: gram_expand(encoding.unknown_bases[name],
-                          invariant_part(encoding.unknown_bases[name], block))
-        for name, block in encoding.unknown_blocks.items()}
-    identity_grams = {
-        name: invariant_part(encoding.identity_bases[name], block)
-        for name, block in encoding.identity_blocks.items()}
+        grams[name] = np.where(cross, 0.0, R) if cross.any() else R
+        if block < encoding.n_unknowns:
+            polys[name] = gram_expand(basis, grams[name])
     scalars = {
         name: float(solution.free[k])
         for name, k in encoding.scalar_index.items()}
-    return DecodedSos(polys, scalars, identity_grams)
-
+    return DecodedSos(polys, scalars, grams)

@@ -42,8 +42,8 @@ def identity_residual(identity, decoded, encoding):
         else:
             expr = expr + term.scale * lie_derivative(
                 decoded.polynomials[term.unknown], term.field)
-    basis = encoding.identity_bases[identity.name]
-    return expr - gram_expand(basis, decoded.identity_grams[identity.name])
+    basis = encoding.bases[encoding.blocks[identity.name]]
+    return expr - gram_expand(basis, decoded.grams[identity.name])
 
 
 def encode_posed(program):
@@ -55,15 +55,6 @@ def encode_posed(program):
         patch.setattr(sosprog, "invariant_parities",
                       lambda program: tuple(1 << k for k in reversed(range(n))))
         return sosprog.encode(program)
-
-
-def gram_bases(encoding):
-    """The Gram basis of each block of an encoding, by block index."""
-    bases = {block: encoding.unknown_bases[name]
-             for name, block in encoding.unknown_blocks.items()}
-    bases.update({block: encoding.identity_bases[name]
-                  for name, block in encoding.identity_blocks.items()})
-    return bases
 
 
 def same_row(a, j, b, k):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (BETA_AFFINE_PAIR, SYSTEMS, V_AFFINE_PAIR,
-                      V_LINEAR_PAIR_DEG12, encode_posed, gram_bases,
+                      V_LINEAR_PAIR_DEG12, encode_posed,
                       linear_pair_matrices, same_row)
 from switchcert import certify, sdp
 from switchcert.certify import (AbsorbingSetCertificate,
@@ -115,12 +115,37 @@ class TestMinimizeGamma:
             slack = 1e-6 * (1.0 + abs(gammas[0]))
             assert gammas[1] <= gammas[0] + slack
 
+    def test_log_gives_min_eig(self, affine_pair, published_v_affine_pair,
+                               monkeypatch):
+        # the sublevel log follows the decay log's rule: a solution's
+        # smallest Gram eigenvalue, as it is
+        solutions = []
+
+        def solve_and_keep(problem):
+            solutions.append(sdp.solve(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(certify, "solve", solve_and_keep)
+        logs = []
+        minimize_gamma(affine_pair, published_v_affine_pair, beta=3.3,
+                       logs=logs)
+        (log,), (solution,) = logs, solutions
+        assert log.purpose == "sublevel"
+        assert log.min_eig == min(solution.min_eigenvalues) >= -sdp.PSD_TOL
+        assert log.line().endswith(f" min_eig={log.min_eig:.3e}")
+
     def test_degree_zero_q_infeasible_for_quartic(self, affine_pair,
                                                   published_v_affine_pair):
         # a constant q cannot cancel the quartic top of V
         with pytest.raises(GammaInfeasibleError):
             minimize_gamma(affine_pair, published_v_affine_pair, beta=3.3,
                            deg_q=0)
+
+
+class TestQueryConstants:
+    def test_beta_and_beta_max_together_rejected(self):
+        with pytest.raises(ValueError, match="beta or beta_max, not both"):
+            CertificationQuery(ell=2, degree=4, beta=3.3, beta_max=6.0)
 
 
 class TestTightenBeta:
@@ -402,6 +427,19 @@ class TestCertificateConstants:
                 lyapunov=published_v_affine_pair, **{**constants, **bad})
 
 
+def assert_gram_table(encoding, program):
+    """One basis per SDP block, of the block's size, and one block per
+    unknown and identity, the unknowns' first."""
+    assert [len(basis) for basis in encoding.bases] == \
+        list(encoding.problem.block_sizes)
+    names = [u.name for u in program.unknowns] \
+        + [ident.name for ident in program.identities]
+    assert list(encoding.blocks) == names
+    assert list(encoding.blocks.values()) == list(range(len(names)))
+    assert encoding.bases[:encoding.n_unknowns] == \
+        tuple(u.basis for u in program.unknowns)
+
+
 class TestProgramSizes:
     """Posed rows m, solved rows and Gram block sizes of each bundled
     program, encoded without a solve.  m and the blocks follow from the
@@ -431,6 +469,7 @@ class TestProgramSizes:
         problem = encoding.problem
         assert (encoding.n_equalities, problem.m, tuple(problem.block_sizes),
                 problem.n_free) == (m, self.SOLVED[name, degree], blocks, 0)
+        assert_gram_table(encoding, program)
 
     @pytest.mark.parametrize("v_text, beta, m, solved, blocks", [
         (V_AFFINE_PAIR, BETA_AFFINE_PAIR, 15, 9, (3, 6)),
@@ -439,11 +478,13 @@ class TestProgramSizes:
     def test_sublevel_program_of_published_v(self, v_text, beta, m, solved,
                                              blocks):
         V = parse_expression(v_text, 2)
-        encoding = encode(certify._sublevel_program(
-            V, beta, certify._multiplier_degree(V.degree())))
+        program = certify._sublevel_program(
+            V, beta, certify._multiplier_degree(V.degree()))
+        encoding = encode(program)
         problem = encoding.problem
         assert (encoding.n_equalities, problem.m, tuple(problem.block_sizes),
                 problem.n_free) == (m, solved, blocks, 1)
+        assert_gram_table(encoding, program)
 
     def test_multiplier_degree(self):
         # D = deg f + deg V - 1 gives deg p_i, and D = deg V the default
@@ -475,7 +516,7 @@ class TestSignSymmetryReduction:
         if not solved.feasible:
             return
         # the IPM keeps the entries that no solved row touches at 0.0
-        for block, basis in gram_bases(reduced).items():
+        for block, basis in enumerate(reduced.bases):
             classes = parity_classes(basis, reduced.parity_span)
             cross = classes[:, None] != classes[None, :]
             assert np.all(solved.blocks[block][cross] == 0.0)

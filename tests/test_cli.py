@@ -228,6 +228,30 @@ class TestCmdVerify:
         assert code == 4
         assert f"{check} (odd top degree" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"p1": "p1 = -5*x1^2", "p2": None},
+         "certificate gives some multipliers but not p2"),
+        ({"p1": None}, "certificate gives some multipliers but not p1"),
+        ({"gamma": None}, "certificate gives q but not gamma")],
+        ids=["p1-without-p2", "p2-without-p1", "q-without-gamma"])
+    def test_partial_witnesses_are_usage_errors(self, affine_cert, tmp_path,
+                                                capsys, edit, message):
+        # verify once searched its own witnesses for a file like these and
+        # passed, dropping the given p1 = -5*x1^2, which is not SOS
+        lines = []
+        for line in affine_cert.read_text().splitlines():
+            key = line.split(" ", 1)[0]
+            if key not in edit:
+                lines.append(line)
+            elif edit[key] is not None:
+                lines.append(edit[key])
+        path = tmp_path / "partial.cert"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = _run(["verify", str(SYSTEMS / "affine_pair.sys"),
+                               str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_dimension_mismatch_exit_code(self, affine_cert):
         code = main(["verify", str(SYSTEMS / "cubic_3d_pair.sys"),
                      str(affine_cert)])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from switchcert import poly
 from switchcert.poly import (ParseError, Polynomial, PolynomialVectorField,
-                             even_power_norm, gradient, lie_derivative,
-                             monomial_kernel, parse_expression, poly_to_text)
+                             even_power_norm, exponent_tables, gradient,
+                             lie_derivative, monomial_kernel,
+                             parse_expression, poly_to_text)
 
 
 def random_poly(rng, n, max_degree, n_terms=6):
@@ -331,6 +333,21 @@ class TestMonomialKernel:
                 points = rng.choice(special, size=(n, 40))
                 points[:, :len(special)] = special
                 _assert_kernel_matches_table(exps, points)
+
+    def test_equal_tables_share_one_kernel(self):
+        # one kernel per exponent table, so a fresh polynomial with a
+        # known table compiles nothing; it gives an uncached kernel's bits
+        p = parse_expression("x1^3 - 2*x1*x2 + x2^4 + 1", 2)
+        q = parse_expression("5*x1^3 + x1*x2 - 3*x2^4 + 7", 2)
+        exps = exponent_tables([p], 2)[0]
+        assert np.array_equal(exps, exponent_tables([q], 2)[0])
+        kernel = p._get_arrays()[0]
+        assert q._get_arrays()[0] is kernel
+        assert monomial_kernel(exps.astype(np.int32)) is kernel
+        fresh = poly._compiled_kernel.__wrapped__(exps.shape, exps.tobytes())
+        assert fresh is not kernel
+        x = np.random.default_rng(15).normal(size=(2, 17))
+        assert kernel(x).tobytes() == fresh(x).tobytes()
 
     @pytest.mark.parametrize("n, count", [(4, 1820), (5, 6188)])
     def test_dense_degree_12_tables(self, n, count):

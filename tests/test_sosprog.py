@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (SYSTEMS, V_AFFINE_PAIR, encode_posed, gram_bases,
+from conftest import (SYSTEMS, V_AFFINE_PAIR, encode_posed,
                       identity_residual, same_row)
 from switchcert.poly import (Polynomial, PolynomialVectorField, grlex_key,
                              lie_derivative, mono_mul, parse_expression)
@@ -156,6 +156,48 @@ class TestEncode:
             encode(SosProgram((a, b), ()))
 
 
+class TestGramTable:
+    """encode names each SDP block once, by its unknown or identity."""
+
+    @pytest.mark.parametrize("unknowns, identities, scalars, name", [
+        ((), ("m", "m"), (), "identity 'm'"),
+        (("u",), ("u",), (), "identity 'u'"),
+        ((), ("m",), ("t", "t"), "scalar 't'")],
+        ids=["two-identities", "unknown-and-identity", "two-scalars"])
+    def test_name_declared_twice_rejected(self, unknowns, identities,
+                                          scalars, name):
+        # two identities named m once kept both Gram blocks, but decode
+        # returned only the second one's Gram matrix
+        knowns = ["x1^2 + x2^2", "x1^4 + x2^4"]
+        program = SosProgram(
+            tuple(SosIdentity(ident, 2, parse_expression(knowns[k], 2))
+                  for k, ident in enumerate(identities)),
+            tuple(SosUnknown(u, monomial_basis(2, 1, 1)) for u in unknowns),
+            scalars=scalars)
+        with pytest.raises(ValueError, match=f"{name} is declared twice"):
+            encode(program)
+
+    def test_term_naming_an_identity_is_not_declared(self):
+        a = SosIdentity("a", 2, parse_expression("x1^2", 2))
+        b = SosIdentity("b", 2, parse_expression("x2^2", 2),
+                        (UnknownTerm("a", Polynomial.constant(2, 1.0)),))
+        with pytest.raises(ValueError, match="unknown 'a' not declared"):
+            encode(SosProgram((a, b), ()))
+
+    def test_grams_re_expand_every_identity(self):
+        program = _row_check_program("affine-decay")
+        enc = encode(program)
+        decoded = decode(enc, solve(enc.problem))
+        assert list(decoded.grams) == list(enc.blocks)
+        assert list(decoded.polynomials) == [u.name for u in program.unknowns]
+        for name, block in enc.blocks.items():
+            assert decoded.grams[name].shape == (len(enc.bases[block]),) * 2
+        for ident in program.identities:
+            residual = identity_residual(ident, decoded, enc)
+            scale = 1.0 + ident.known.max_abs_coefficient()
+            assert residual.max_abs_coefficient() <= 1e-6 * scale
+
+
 class TestDecode:
     def test_round_trip_rank_one(self, monkeypatch):
         target = parse_expression("(x1 - x2)^2", 2)
@@ -163,8 +205,8 @@ class TestDecode:
         # at the default TOL the residual is 3.5e-8; ask for 1e-10
         monkeypatch.setattr(sdp, "TOL", 1e-10)
         solution = sdp._solve(enc.problem)
-        recovered = gram_expand(enc.identity_bases["m"],
-                                solution.blocks[enc.identity_blocks["m"]])
+        block = enc.blocks["m"]
+        recovered = gram_expand(enc.bases[block], solution.blocks[block])
         assert (recovered - target).max_abs_coefficient() <= 1e-8
 
     def test_decode_rejects_infeasible(self):
@@ -215,14 +257,14 @@ class TestInvariantSuite:
                 SosIdentity("m", n, target, ()), decoded, enc)
             scale = 1.0 + target.max_abs_coefficient()
             assert residual.max_abs_coefficient() <= 1e-6 * scale
-            for R in decoded.identity_grams.values():
+            for R in decoded.grams.values():
                 min_eig = float(np.linalg.eigvalsh(R)[0])
                 assert min_eig >= -1e-7 * (1.0 + np.trace(R))
 
 
 def row_products(encoding):
     """Per SDP row, the Gram products chi_i chi_j of its entries."""
-    bases = gram_bases(encoding)
+    bases = encoding.bases
     return [{mono_mul(bases[ent.block].monomials[i],
                       bases[ent.block].monomials[j])
              for ent in row for i, j in zip(ent.rows, ent.cols)}
@@ -291,7 +333,7 @@ class TestSignSymmetry:
             status=sdp.STATUS_OPTIMAL, blocks=[R], free=np.zeros(0),
             objective=0.0, dual_objective=0.0, primal_residual=0.0,
             min_eigenvalues=[0.0], iterations=1)
-        gram = decode(enc, solution).identity_grams["m"]
+        gram = decode(enc, solution).grams["m"]
         assert np.array_equal(gram, np.diag([1.0, 2.0]))
         assert np.array_equal(R, [[1.0, 0.5], [0.5, 2.0]])
 
@@ -398,7 +440,7 @@ class TestRowCoefficients:
 
         X = [symmetric(s) for s in problem.block_sizes]
         u = rng.normal(size=problem.n_free)
-        grams = {name: X[b] for name, b in enc.unknown_blocks.items()}
+        grams = {name: X[b] for name, b in enc.blocks.items()}
         values = {name: u[k] for name, k in enc.scalar_index.items()}
         symmetries = _symmetries(program)
 
@@ -409,7 +451,7 @@ class TestRowCoefficients:
                 if isinstance(term, ScalarTerm):
                     expr = expr + term.weight * values[term.scalar]
                     continue
-                U = gram_expand(enc.unknown_bases[term.unknown],
+                U = gram_expand(enc.bases[enc.blocks[term.unknown]],
                                 grams[term.unknown])
                 if isinstance(term, UnknownTerm):
                     expr = expr + term.weight * U
@@ -417,11 +459,10 @@ class TestRowCoefficients:
                     expr = expr + term.scale * lie_derivative(U, term.field)
             # the identity's basis spans the degrees its terms reach
             degrees = [sum(m) for m in expr.terms.keys() | ident.known.terms]
-            basis = enc.identity_bases[ident.name]
+            basis = enc.bases[enc.blocks[ident.name]]
             assert basis == gram_basis(ident.dimension, min(degrees),
                                        max(degrees))
-            expr = expr - gram_expand(
-                basis, X[enc.identity_blocks[ident.name]])
+            expr = expr - gram_expand(basis, grams[ident.name])
             # random data leave no coefficient at 0 by chance
             posed += len(expr.terms)
             kept = sorted((m for m in expr.terms
