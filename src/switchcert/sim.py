@@ -20,11 +20,14 @@ of each subsystem form one block.
 
 Observers get each block's states in chunks of consecutive steps within a
 segment, at most CHUNK_COLUMNS (steps x rows) per block.  So the
-absorption check forms V's monomials and updates its entry times and
-maxima once per chunk, not once per step: on a batch of about a hundred
-rows numpy's per-call cost, not the arithmetic, sets the time.  The sum
-with V's coefficients stays one BLAS product per step, which keeps the
-bits of a step-by-step march.  The cap bounds the arrays of a chunk.
+absorption check forms V's monomials once per chunk and block, and
+updates the entry times and maxima of a block's rows from its own
+(steps, rows) values, not once per step: numpy's per-call cost, not the
+arithmetic, sets the time, and V's kernel costs less per column on a
+chunk of a few thousand columns than on one step of a thousand rows.  The
+cap gives a block of a thousand rows several steps per chunk and bounds
+the arrays of a chunk.  The sum with V's coefficients stays one BLAS
+product per step, which keeps the bits of a step-by-step march.
 
 ``_march_one`` steps a single start on Python floats, where numpy's
 per-call cost would exceed the arithmetic.  Its steps and the greedy
@@ -56,7 +59,7 @@ DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
 _BLOCK_GUARD = 0.5 * DIVERGENCE_GUARD ** 2
 # (steps x rows) columns of the largest block that one chunk holds
-CHUNK_COLUMNS = 1024
+CHUNK_COLUMNS = 8192
 
 
 class CertificateContradictionError(RuntimeError):
@@ -298,11 +301,29 @@ def _steppers(system: SwitchedSystem, dts: np.ndarray):
 
 
 def _rk4_stages(field, x: np.ndarray, dt: float) -> np.ndarray:
+    """x + dt/6 (k1 + 2 k2 + 2 k3 + k4), the stage points x + (dt/2) k and
+    the sum ((k1 + 2 k2) + 2 k3) + k4 formed in place: the IEEE operations
+    of the allocating expressions, in their order (a sum or product of two
+    values is the same bits either way round)."""
+    half = 0.5 * dt
     k1 = field(x)
-    k2 = field(x + 0.5 * dt * k1)
-    k3 = field(x + 0.5 * dt * k2)
-    k4 = field(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.multiply(k1, half)
+    y += x
+    k2 = field(y)
+    np.multiply(k2, half, out=y)
+    y += x
+    k3 = field(y)
+    np.multiply(k3, dt, out=y)
+    y += x
+    k4 = field(y)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += x
+    return k2
 
 
 def _scalar_steppers(system: SwitchedSystem, dts: np.ndarray):
@@ -423,25 +444,27 @@ class _March:
         step at which a row leaves the guard, and leaves the last states in
         ``states``.  Returns each block's states (n, steps, rows) and, per
         block, None or, when some of its rows left, its rows within the
-        guard (a boolean mask)."""
+        guard (a boolean mask).  A field that overflows within a step is
+        the evidence of a divergence, so its overflow warns nothing."""
         chunk = [np.empty((len(xb), end - k, xb.shape[1])) for xb in states]
         inside = [None] * len(steps)
         leaving = False
-        for j in range(k, end):
-            for b, step in enumerate(steps):
-                xb = states[b] = step(states[b], self.dts[j])
-                chunk[b][:, j - k] = xb
-                # the sum of squares over a block bounds each column's, so
-                # only a block within a factor 2 of the guard (or not
-                # finite) needs the column check
-                if (xb * xb).sum() <= _BLOCK_GUARD:
-                    continue
-                ok = _within_guard(xb)
-                if not ok.all():
-                    inside[b], leaving = ok, True
-            if leaving:
-                chunk = [xb[:, :j + 1 - k] for xb in chunk]
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k, end):
+                for b, step in enumerate(steps):
+                    xb = states[b] = step(states[b], self.dts[j])
+                    chunk[b][:, j - k] = xb
+                    # the sum of squares over a block bounds each column's,
+                    # so only a block within a factor 2 of the guard (or not
+                    # finite) needs the column check
+                    if np.vdot(xb, xb) <= _BLOCK_GUARD:
+                        continue
+                    ok = _within_guard(xb)
+                    if not ok.all():
+                        inside[b], leaving = ok, True
+                if leaving:
+                    chunk = [xb[:, :j + 1 - k] for xb in chunk]
+                    break
         return chunk, inside
 
 
@@ -545,23 +568,25 @@ class _Absorption:
                 f"trajectory diverged under a certified system "
                 f"(signal {self.march.signal_of_row[min(left)]}, "
                 f"t={self.march.times[point + steps - 1]})")
-        v = np.empty((steps, len(self.entered)))
         for rows, xb in blocks:
-            v[:, rows] = self.lyapunov(xb)
+            v = self.lyapunov(xb)
+            if not self.all_entered:
+                # from the entry step on, per row
+                entered = self.entered[rows]
+                inside = np.logical_or.accumulate(v <= self.gamma, axis=0)
+                inside |= entered
+                newly = inside[-1] & ~entered
+                if newly.any():
+                    first = inside[:, newly].argmax(axis=0)
+                    self.entry_time[rows[newly]] = \
+                        self.march.times[point + first]
+                    self.entered[rows] = inside[-1]
+                v = np.where(inside, v, -np.inf)
+            # max(V) - gamma is the max of V - gamma: rounding is monotone
+            self.post_max[rows] = np.maximum(self.post_max[rows],
+                                             v.max(axis=0) - self.gamma)
         if not self.all_entered:
-            # from the entry step on, per row
-            inside = np.logical_or.accumulate(v <= self.gamma, axis=0)
-            inside |= self.entered
-            newly = inside[-1] & ~self.entered
-            if newly.any():
-                first = inside[:, newly].argmax(axis=0)
-                self.entry_time[newly] = self.march.times[point + first]
-                self.entered = inside[-1].copy()
-                self.all_entered = bool(self.entered.all())
-            v = np.where(inside, v, -np.inf)
-        # max(V) - gamma is the max of V - gamma: rounding is monotone
-        np.maximum(self.post_max, v.max(axis=0) - self.gamma,
-                   out=self.post_max)
+            self.all_entered = bool(self.entered.all())
 
     def report(self, starts: np.ndarray) -> AbsorptionReport:
         records = []

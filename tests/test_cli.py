@@ -364,6 +364,19 @@ class TestCmdSimulate:
             (tmp_path / "diverge" / "summary.json").read_text())
         assert summary["diverged"] == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_field_overflow_diverges_quietly(self, tmp_path, capsys):
+        # x1^5 from 1e11 overflows within the first step: a divergence,
+        # reported with nothing on stderr
+        system = tmp_path / "quintic.sys"
+        system.write_text("dim 1\nsubsystems 1\nsubsystem 1\nx1^5\n")
+        out = tmp_path / "quintic"
+        code, _, err = _run(["simulate", str(system), "--signals", "1",
+                             "--x0-grid=1e11:1e11:1", "--horizon", "1",
+                             "--step", "0.01", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads((out / "summary.json").read_text())["diverged"] == 1
+
     def test_mixed_divergence_truncates_only_the_diverging_row(self,
                                                               tmp_path):
         system = tmp_path / "unstable.sys"

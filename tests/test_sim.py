@@ -146,6 +146,16 @@ def _rk4_reference(A, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_stages_reference(field, x, dt):
+    """One RK4 step of a polynomial field on a block, every stage point and
+    sum a new array, as sim._rk4_stages did before it reused them."""
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestSwitchingSignal:
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -584,7 +594,7 @@ class TestAbsorptionChunks:
     STARTS = np.array([[0.5, 0.5], [2.5, -1.0], [-2.0, 1.5], [1.0, 2.5],
                        [0.2, -0.3]])
 
-    @pytest.mark.parametrize("columns", [64, 1024])
+    @pytest.mark.parametrize("columns", [64, 1024, 8192])
     @pytest.mark.parametrize("case", ["vdp_pair", "mixed_triple",
                                       "cubic_3d_pair"])
     def test_records_match_per_step_bookkeeping(self, case, columns,
@@ -595,6 +605,10 @@ class TestAbsorptionChunks:
         if system.dimension == 3:
             starts = np.column_stack([starts, [0.3, -1.0, 0.8, -0.5, 0.1]])
             V += " + x3^2"
+        # one shrunk copy of the starts per 1024 columns beyond the first,
+        # so that the widest chunks still end at the width cap
+        starts = np.concatenate([starts * (1.0 - 0.05 * c)
+                                 for c in range(max(1, columns // 1024))])
         # every monomial of degree 2 to 4, as in a certificate's V: BLAS
         # rounds a sum of that many terms by the column's place in the
         # product
@@ -642,9 +656,10 @@ class TestAbsorptionChunks:
         assert 0 in entries
         assert any(p > 0 and p not in firsts for p in entries)
 
-    def test_divergence_within_a_chunk(self):
+    def test_divergence_within_a_chunk(self, monkeypatch):
         # the rows of signal 0 leave the guard near t = 13.2, at a step in
         # the middle of a 512-step chunk, and signal 0 is named
+        monkeypatch.setattr(sim, "CHUNK_COLUMNS", 1024)
         growth = np.array([[2.0, 0.0], [0.0, 2.0]])
         system = SwitchedSystem.from_matrices([growth, growth])
         cert = _certificate(system, "x1^2 + x2^2", 1.0)
@@ -665,6 +680,26 @@ class TestAbsorptionChunks:
         assert str(caught.value).endswith(
             f"(signal 0, t={march.times[point + steps - 1]})")
 
+    def test_van_der_pol_blocks_beyond_1024_rows(self, vdp_pair,
+                                                 vdp_certificate):
+        # the 10 x 10 grid of the criterion-6 batch under 21 signals: a
+        # block of more than 1024 rows, one step per chunk under a cap of
+        # 1024 columns, now takes chunks of several steps
+        grid = np.array([[a, b] for a in np.linspace(-3.8, 3.8, 10)
+                         for b in np.linspace(-9.5, 9.5, 10)])
+        signals = [random_switching(2, 0.05, 0.5, seed)
+                   for seed in range(21)]
+        march = sim._March(vdp_pair, signals, grid, 1e-3, 0.05)
+        absorption = sim._Absorption(vdp_certificate, march)
+        chunks = []
+        march.run(lambda point, blocks, left: chunks.append(
+            (blocks[0][1].shape[1], max(len(rows) for rows, _ in blocks))),
+            absorption)
+        wide = [steps for steps, rows in chunks if rows > 1024]
+        assert wide and min(wide) > 1
+        _assert_same_reports(absorption.report(grid), _per_step_absorption(
+            vdp_pair, vdp_certificate, grid, signals, 1e-3, 0.05))
+
     @pytest.mark.parametrize("columns", [1, 7])
     def test_recorded_states_independent_of_chunks(self, columns,
                                                    monkeypatch):
@@ -683,6 +718,79 @@ class TestAbsorptionChunks:
             assert (a.diverged, a.diverged_at) == (b.diverged, b.diverged_at)
             assert np.array_equal(a.states, b.states)
             assert np.array_equal(a.active, b.active)
+
+
+class TestBlockGuard:
+    """A block whose sum of squares passes the screen, or is not finite,
+    goes to the column check; the rows past the guard leave."""
+
+    @pytest.mark.parametrize("column, leaves", [
+        pytest.param(np.nan, True, id="nan"),
+        pytest.param(np.inf, True, id="inf"),
+        pytest.param(np.nextafter(sim.DIVERGENCE_GUARD, np.inf), True,
+                     id="just_past_guard"),
+        # within the guard, but the block's squares pass the screen
+        pytest.param(0.8 * sim.DIVERGENCE_GUARD, False, id="past_screen")])
+    def test_screened_block_gets_the_column_check(self, decay_1d, column,
+                                                  leaves, monkeypatch):
+        march = sim._March(decay_1d, [SwitchingSignal.constant(1, 1.0)],
+                           np.array([[0.5], [0.25], [0.125]]), 0.1, 1.0)
+        checked = []
+
+        def within_guard(x, real=sim._within_guard):
+            checked.append(x.copy())
+            return real(x)
+
+        monkeypatch.setattr(sim, "_within_guard", within_guard)
+        block = np.array([[0.5, column, -0.25]])
+        chunk, inside = march._chunk([lambda x, dt: block.copy()],
+                                     [march.x0.copy()], 0, 3)
+        # a leaving row ends the chunk at its step
+        assert len(checked) == (1 if leaves else 3)
+        assert all(np.array_equal(x, block, equal_nan=True) for x in checked)
+        if leaves:
+            assert inside[0].tolist() == [True, False, True]
+        else:
+            assert inside == [None] and chunk[0].shape == (1, 3, 3)
+
+    def test_block_within_the_screen_skips_the_column_check(
+            self, decay_1d, monkeypatch):
+        march = sim._March(decay_1d, [SwitchingSignal.constant(1, 1.0)],
+                           np.array([[0.5], [0.25]]), 0.1, 1.0)
+        monkeypatch.setattr(sim, "_within_guard", None)
+        block = np.array([[0.7 * sim.DIVERGENCE_GUARD, -1.0]])
+        _, inside = march._chunk([lambda x, dt: block.copy()],
+                                 [march.x0.copy()], 0, 3)
+        assert inside == [None]
+
+
+class TestRk4Stages:
+    """The stages of a polynomial field's batch step reuse their arrays and
+    keep the bits of stages that allocate each one."""
+
+    @staticmethod
+    def _assert_same_bits(system):
+        rng = np.random.default_rng(23)
+        fields = [f for f in system.fields if not f.is_linear()]
+        assert fields
+        for f in fields:
+            field = sim._evaluator(f.components, f.dimension)
+            x = rng.normal(scale=2.0, size=(f.dimension, 300))
+            before = x.copy()
+            for dt in (1e-3, 2e-3, 5e-4, 0.1):
+                step = sim._rk4_stages(field, x, dt)
+                assert (step.tobytes()
+                        == _rk4_stages_reference(field, x, dt).tobytes())
+                assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in SYSTEMS.glob("*.sys")
+        if not all(f.is_linear() for f in load_system(str(p)).fields)))
+    def test_bundled_systems(self, name):
+        self._assert_same_bits(load_system(str(SYSTEMS / name)))
+
+    def test_mixed_triple(self, mixed_triple):
+        self._assert_same_bits(mixed_triple)
 
 
 class TestGrid:
@@ -780,6 +888,24 @@ class TestIntegrateBatch:
         cert = _certificate(system, "x1^2 + x2^2", 1.0)
         with pytest.raises(CertificateContradictionError):
             integrate_batch(system, signals, starts, 1e-2, 20.0, cert)
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_overflow_within_a_step(self):
+        # x' = x^5 from 1e11 overflows within the first step, to inf: the
+        # row leaves the guard as in integrate, with no warning, and the
+        # row from 0.5 runs to the horizon
+        system = SwitchedSystem(1, (_field("x1^5"),))
+        signal = SwitchingSignal.constant(1, 1.0)
+        alone = integrate(system, signal, [1e11], 1e-2, 1.0)
+        assert alone.diverged and alone.diverged_at == 0.01
+        (far, near), _ = integrate_batch(system, [signal],
+                                         np.array([[1e11], [0.5]]), 1e-2, 1.0)
+        assert (far.diverged, far.diverged_at) == (True, alone.diverged_at)
+        assert not near.diverged and near.times[-1] == 1.0
+        cert = _certificate(system, "x1^2", 1.0)
+        with pytest.raises(CertificateContradictionError):
+            check_absorption(system, cert, np.array([[1e11], [0.5]]),
+                             [signal], h=1e-2)
 
     def test_march_ends_once_every_row_has_left(self, monkeypatch):
         # the batch loop and the loop of one start both stop at the step
