@@ -29,7 +29,14 @@ produced it.
 
 The constraint data stays sparse: each block holds the A_j that touch it
 as one CSR operator on vec(X), built from ``SdpProblem.entries`` when an
-attempt starts, so storage scales with the nonzeros, not with m s^2.  ``_schur`` builds the Schur
+attempt starts, so storage scales with the nonzeros, not with m s^2.  An
+operator is a plain record of the arrays a scipy.sparse CSR matrix holds
+(shape, row pointers, int32 column indices, values), and ``_matmul``
+hands them to the sparsetools kernel that scipy.sparse's product calls,
+``csr_matvec`` for a vector and ``csr_matvecs`` for a matrix, adding into
+a zeroed output as scipy does, so the products are the same bits without
+scipy.sparse's dispatch, which on these small operators took several
+times as long as the kernel.  ``_schur`` builds the Schur
 complement B[j,k] = <A_j, X A_k S^-1> one block at a time over only the
 constraints that touch the block (Fujisawa, Kojima & Nakata, "Exploiting
 sparsity in primal-dual interior-point methods for semidefinite
@@ -76,7 +83,12 @@ the routine spends computing.  The direct calls pass the arguments the
 wrappers pass, so the results are the same bits, and keep their checks:
 a non-finite input raises the wrappers' ``ValueError`` and a bad ``info``
 raises as they do.  The raw routines never warn, so the iteration sets
-no warning filter, which would not be thread-safe.
+no warning filter, which would not be thread-safe.  In the same way the
+Cholesky factors of X and S and the eigenvalues of each step-length
+search and of ``min_eigenvalue`` come from the gufuncs ``cholesky_lo``
+and ``eigvalsh_lo`` that ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``
+call, under the error state those wrappers set: a failed factorisation
+raises their ``LinAlgError`` and nothing warns.
 
 ``solve`` runs the attempt with every loaded OpenBLAS on one thread and
 restores the caller's thread counts when it returns or raises.  numpy and
@@ -101,7 +113,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.linalg import _umath_linalg
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
 
 STATUS_OPTIMAL = "optimal"
@@ -267,7 +280,70 @@ def min_eigenvalue(M: np.ndarray) -> float:
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M - M.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    return float(_eigvalsh(0.5 * (M + M.T))[0])
+
+
+# -- direct kernels ------------------------------------------------------------
+
+
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def _not_converged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _cholesky(*Ms) -> list:
+    """np.linalg.cholesky's lower factor of each float matrix, in order,
+    by the gufunc it calls and under its error state: a failed
+    factorisation raises its LinAlgError, and nothing warns."""
+    with np.errstate(call=_not_positive_definite, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return [_umath_linalg.cholesky_lo(M, signature="d->d") for M in Ms]
+
+
+def _eigvalsh(M) -> np.ndarray:
+    """np.linalg.eigvalsh of a symmetric float matrix, ascending, by the
+    gufunc it calls and under its error state."""
+    with np.errstate(call=_not_converged, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigvalsh_lo(M, signature="d->d")
+
+
+# A CSR matrix as the arrays scipy.sparse holds and hands to sparsetools.
+_Csr = namedtuple("_Csr", "shape indptr indices data")
+
+
+def _csr(rows, cols, vals, shape) -> _Csr:
+    """The CSR matrix of the given entries, each row in the given order,
+    with the index type scipy.sparse would pick: int32 while the shape and
+    the entry count fit."""
+    fits = max(*shape, len(vals)) <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _Csr(shape, indptr, cols[order].astype(index), vals[order])
+
+
+def _matmul(op: _Csr, x: np.ndarray) -> np.ndarray:
+    """op @ x for a vector or an (N, k) matrix x, as scipy.sparse forms
+    it: the sparsetools kernel (csr_matvec for a vector or one column,
+    csr_matvecs otherwise) adds the products row by row into a zeroed
+    output, so the result is the same bits.  The kernels read x unchecked,
+    so its length is checked here, as scipy.sparse checks it."""
+    (M, N), indptr, indices, data = op
+    if x.shape[0] != N:
+        raise ValueError(f"matmul: {x.shape[0]} rows against {N} columns")
+    if x.ndim == 1 or x.shape[1] == 1:
+        out = np.zeros(M)
+        csr_matvec(M, N, indptr, indices, data, x.ravel(), out)
+        return out if x.ndim == 1 else out.reshape(M, 1)
+    out = np.zeros((M, x.shape[1]))
+    csr_matvecs(M, N, x.shape[1], indptr, indices, data, x.ravel(),
+                out.ravel())
+    return out
 
 
 # -- interior-point core -------------------------------------------------------
@@ -277,21 +353,13 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
-def _csr(rows, cols, vals, shape):
-    """The CSR matrix of the given entries, each row in the given order."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
-
-
 def _scaled_constraints(problem):
     """The constraints scaled to unit Frobenius norm, as
     (norm, scale, D, rows, A, At, stack): the Frobenius norm of each
     constraint (A_j, d_j) and its scale, the dense (m, n_free) free-scalar
     coefficients, and per block b
     - rows[b], the m_b constraints that touch the block;
-    - A[b], their A_j as the rows of an (m_b, s^2) CSR operator on vec(X_b),
+    - A[b], their A_j as the rows of an (m_b, s^2) CSR record on vec(X_b),
       and At[b], its transpose;
     - stack[b], the same A_j as an (s m_b, s) CSR whose row (i, k) is row i
       of the k-th, so that stack[b] @ M lays the A_j M side by side as an
@@ -389,11 +457,11 @@ class _Embedding:
     def opA(self, Xs) -> np.ndarray:
         out = np.zeros(self.m)
         for rows, A, X in zip(self.rows, self.A, Xs):
-            out[rows] += A @ X.ravel()
+            out[rows] += _matmul(A, X.ravel())
         return out
 
     def opAt(self, y) -> list:
-        return [(At @ y[rows]).reshape(s, s)
+        return [_matmul(At, y[rows]).reshape(s, s)
                 for rows, At, s in zip(self.rows, self.At, self.sizes)]
 
     # -- residuals of the embedding equations (all should go to zero) --
@@ -450,9 +518,12 @@ def _independent_constraints(emb) -> bool:
     fails; with dependent rows the unshifted KKT matrix is singular."""
     gram = emb.D @ emb.D.T
     for rows, A, At in zip(emb.rows, emb.A, emb.At):
-        gram[np.ix_(rows, rows)] += (A @ At).toarray()
+        (n, mb), indptr, indices, data = At
+        dense = np.zeros((n, mb))
+        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        gram[np.ix_(rows, rows)] += _matmul(A, dense)
     try:
-        L = np.linalg.cholesky(gram)
+        L, = _cholesky(gram)
     except np.linalg.LinAlgError:
         return False
     return float(np.min(np.diag(L))) ** 2 > emb.m * np.finfo(float).eps
@@ -486,8 +557,8 @@ _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
 def _cone_factors(emb):
     """Cholesky factors Lx, Ls of X and S, and S^-1, per block."""
     try:
-        Lx = [np.linalg.cholesky(X) for X in emb.X]
-        Ls = [np.linalg.cholesky(S) for S in emb.S]
+        Lx = _cholesky(*emb.X)
+        Ls = _cholesky(*emb.S)
     except np.linalg.LinAlgError:
         raise _Breakdown("cone factorisation failed") from None
     Sinv = []
@@ -511,9 +582,9 @@ def _schur(emb, Sinv):
         mb = len(rows)
         if not mb:
             continue
-        F = X @ (emb.stack[b] @ Si).reshape(s, mb * s)
+        F = X @ _matmul(emb.stack[b], Si).reshape(s, mb * s)
         F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
-        B[np.ix_(rows, rows)] += emb.A[b] @ F
+        B[np.ix_(rows, rows)] += _matmul(emb.A[b], F)
     return _sym(B)
 
 
@@ -638,7 +709,7 @@ def _max_step_psd(L, dM) -> float:
     W = _lower_solve(L, dM)
     _check_finite(W)
     W = _lower_solve(L, W.T).T
-    lam = float(np.linalg.eigvalsh(_sym(W))[0])
+    lam = float(_eigvalsh(_sym(W))[0])
     if lam >= -1e-16:
         return np.inf
     return -1.0 / lam
@@ -940,7 +1011,10 @@ def read_sdpa(path: str) -> SdpProblem:
     """Read an SDPA sparse file as a pure PSD problem.
 
     Diagonal blocks (negative sizes) are expanded to 1x1 PSD blocks; the
-    objective is negated back into minimisation form.
+    objective is negated back into minimisation form.  Repeated entries of
+    one matrix are summed, in the objective as in the constraints.  A
+    header line that is missing or holds too few values, and an entry line
+    with fewer than five fields, raise a ValueError that names the line.
     """
     raw = []
     with open(path) as fh:
@@ -949,10 +1023,21 @@ def read_sdpa(path: str) -> SdpProblem:
             if not line or line[0] in '"*':
                 continue
             raw.append(line)
-    m = int(raw[0].split()[0])
-    nblocks = int(raw[1].split()[0])
-    declared = [int(tok) for tok in raw[2].replace(",", " ").split()[:nblocks]]
-    rhs = [float(tok) for tok in raw[3].replace(",", " ").split()[:m]]
+
+    def header(k, what, count, kind):
+        """The first count values of header line k."""
+        if len(raw) <= k:
+            raise ValueError(f"SDPA file ends before its {what} line")
+        toks = raw[k].replace(",", " ").split()
+        if len(toks) < count:
+            raise ValueError(f"SDPA {what} line {raw[k]!r} holds fewer "
+                             f"than {count} values")
+        return [kind(tok) for tok in toks[:count]]
+
+    m, = header(0, "constraint count", 1, int)
+    nblocks, = header(1, "block count", 1, int)
+    declared = header(2, "block size", nblocks, int)
+    rhs = header(3, "right-hand side", m, float)
 
     # expand diagonal blocks into singleton PSD blocks
     block_map = []  # per declared block: (offset into expanded list, diag?)
@@ -969,6 +1054,9 @@ def read_sdpa(path: str) -> SdpProblem:
     cons: list = [dict() for _ in range(m)]
     for line in raw[4:]:
         toks = line.replace(",", " ").split()
+        if len(toks) < 5:
+            raise ValueError(f"SDPA entry line {line!r} holds fewer than "
+                             f"5 fields")
         matno, blk, i, j, v = (int(toks[0]), int(toks[1]) - 1,
                                int(toks[2]) - 1, int(toks[3]) - 1, float(toks[4]))
         if not (0 <= matno <= m and 0 <= blk < nblocks
@@ -989,8 +1077,9 @@ def read_sdpa(path: str) -> SdpProblem:
         s = sizes[b]
         M = np.zeros((s, s))
         for i, j, v in triplets:
-            M[i, j] = v
-            M[j, i] = v
+            M[i, j] += v
+            if i != j:
+                M[j, i] += v
         builder.set_objective_block(b, -M)
     for j in range(m):
         builder.add_constraint(rhs[j], cons[j])

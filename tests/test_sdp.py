@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sparse
 
 from conftest import BETA_AFFINE_PAIR, V_AFFINE_PAIR
 from switchcert import sdp
@@ -337,7 +338,7 @@ class TestSparseOperators:
         A = dense_constraints(problem, emb.con_scale)
         assert len(emb.rows[1]) == 0
         # storage is one value per nonzero of the symmetric A_j
-        assert [op.nnz for op in emb.A] == \
+        assert [len(op.data) for op in emb.A] == \
             [int(np.count_nonzero(A_b)) for A_b in A]
         assert [len(rows) for rows in emb.rows] == \
             [int(np.count_nonzero(np.any(A_b, axis=(1, 2)))) for A_b in A]
@@ -587,6 +588,150 @@ class TestDirectLapack:
         assert solution.message == \
             "linear algebra failure: array must not contain infs or NaNs"
         assert solution.blocks is None
+
+
+class TestDirectKernels:
+    """The iteration calls scipy's sparsetools kernels and numpy's LAPACK
+    gufuncs directly.  Their results are the bits of scipy.sparse's
+    products and of np.linalg.cholesky and np.linalg.eigvalsh, and a failed
+    factorisation raises np.linalg.LinAlgError without a warning.  These
+    tests fail first if a numpy or scipy release moves the private modules
+    that hold the kernels."""
+
+    @staticmethod
+    def operator(rng, shape):
+        """A CSR record with rows 0 and 3 empty and the other rows' entries
+        unsorted, some repeated, and the scipy.sparse matrix of the same
+        arrays."""
+        n = 3 * shape[0]
+        rows = rng.choice([r for r in range(shape[0]) if r not in (0, 3)],
+                          size=n)
+        cols = rng.integers(shape[1], size=n)
+        vals = rng.normal(size=n)
+        op = sdp._csr(rows, cols, vals, shape)
+        matrix = sparse.csr_matrix((op.data, op.indices, op.indptr),
+                                   shape=shape)
+        return op, matrix, (rows, cols, vals)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (9, 25), (40, 7)])
+    def test_csr_record(self, shape):
+        op, matrix, (rows, cols, vals) = self.operator(
+            np.random.default_rng(shape[0]), shape)
+        assert op.shape == shape
+        # the index type scipy.sparse keeps for these arrays
+        assert op.indices.dtype == op.indptr.dtype == np.int32
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        dense = np.zeros(shape)
+        np.add.at(dense, (rows, cols), vals)
+        assert np.allclose(matrix.toarray(), dense, rtol=1e-15, atol=1e-15)
+        # each row keeps its entries in the given order
+        for r in range(shape[0]):
+            span = slice(op.indptr[r], op.indptr[r + 1])
+            assert np.array_equal(op.indices[span], cols[rows == r])
+            assert np.array_equal(op.data[span], vals[rows == r])
+
+    def test_csr_record_beyond_int32(self):
+        # scipy.sparse keeps int64 indices once a dimension outgrows int32
+        shape = (3, 2 ** 31)
+        op = sdp._csr(np.array([2, 0]), np.array([2 ** 31 - 1, 5]),
+                      np.array([1.0, 2.0]), shape)
+        matrix = sparse.csr_matrix((op.data, op.indices, op.indptr),
+                                   shape=shape)
+        assert op.indices.dtype == op.indptr.dtype == np.int64
+        assert matrix.indices.dtype == np.int64
+        assert op.indptr.tolist() == [0, 1, 1, 2]
+        assert op.indices.tolist() == [5, 2 ** 31 - 1]
+
+    @pytest.mark.parametrize("shape", [(6, 4), (9, 25), (40, 7)])
+    @pytest.mark.parametrize("columns", [None, 1, 2, 5])
+    def test_matmul_matches_scipy(self, shape, columns):
+        rng = np.random.default_rng(shape[0] + (columns or 0))
+        op, matrix, _ = self.operator(rng, shape)
+        size = (shape[1],) if columns is None else (shape[1], columns)
+        x = rng.normal(size=size)
+        got = sdp._matmul(op, x)
+        expected = matrix @ x
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert not got[0].any() and not got[3].any()
+        # numpy's Fortran-ordered results (S^-1 from dpotrs) go in as well
+        f_ordered = np.asfortranarray(x)
+        assert np.array_equal(sdp._matmul(op, f_ordered), matrix @ f_ordered)
+
+    @pytest.mark.parametrize("size", [(3,), (5,), (5, 2)])
+    def test_matmul_rejects_a_wrong_length(self, size):
+        op, matrix, _ = self.operator(np.random.default_rng(0), (6, 4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix @ np.ones(size)
+        with pytest.raises(ValueError, match=f"{size[0]} rows against 4"):
+            sdp._matmul(op, np.ones(size))
+
+    @pytest.mark.parametrize("size", TestDirectLapack.SIZES)
+    def test_cholesky_matches_numpy(self, size):
+        rng = np.random.default_rng(size)
+        Ms = [random_pd(rng, size) for _ in range(2)]
+        got = sdp._cholesky(*Ms)
+        assert len(got) == 2
+        for L, M in zip(got, Ms):
+            expected = np.linalg.cholesky(M)
+            assert np.array_equal(L, expected)
+            assert L.flags.c_contiguous == expected.flags.c_contiguous
+
+    @pytest.mark.parametrize("size", TestDirectLapack.SIZES)
+    def test_eigvalsh_matches_numpy(self, size):
+        rng = np.random.default_rng(size)
+        M = sdp._sym(rng.normal(size=(size, size)))
+        assert np.array_equal(sdp._eigvalsh(M), np.linalg.eigvalsh(M))
+
+    @staticmethod
+    def outcome(f, M):
+        """The result of f(M), or its exception type and text, with every
+        warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return f(M)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+    @pytest.mark.parametrize("bad", ["indefinite", "nan", "nan_pivot"])
+    def test_failures_match_numpy(self, bad):
+        M = {"indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
+             "nan": np.full((3, 3), np.nan),
+             "nan_pivot": np.array([[2.0, 1.0], [1.0, np.nan]])}[bad]
+        for ours, numpys in [(lambda M: sdp._cholesky(M)[0],
+                              np.linalg.cholesky),
+                             (sdp._eigvalsh, np.linalg.eigvalsh)]:
+            got, expected = self.outcome(ours, M), self.outcome(numpys, M)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_indefinite_and_nan_raise_without_warning(self):
+        # numpy's cholesky returns NaN factors for a NaN matrix, so the
+        # solver's finite checks, not the factorisation, catch those
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="not positive definite"):
+                sdp._cholesky(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="did not converge"):
+                sdp._eigvalsh(np.full((3, 3), np.nan))
+            assert np.isnan(sdp._cholesky(np.full((3, 3), np.nan))[0]).any()
+
+    def test_indefinite_cone_is_a_breakdown(self):
+        emb = types.SimpleNamespace(X=[np.eye(2)],
+                                    S=[np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(sdp._Breakdown, match="cone factorisation failed"):
+            sdp._cone_factors(emb)
+
+    def test_nan_cone_fails_the_finite_check(self):
+        emb = types.SimpleNamespace(X=[np.eye(2)],
+                                    S=[np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            sdp._cone_factors(emb)
 
 
 class TestAttemptList:
@@ -895,3 +1040,33 @@ class TestSdpaFormat:
         with pytest.raises(ValueError,
                            match=re.escape(f"out of range in line {entry!r}")):
             read_sdpa(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "SDPA file ends before its constraint count line"),
+        ("1\n2\n", "SDPA file ends before its block size line"),
+        ("1\n1\n2\n", "SDPA file ends before its right-hand side line"),
+        ("1\n2\n2\n1.0\n",
+         "SDPA block size line '2' holds fewer than 2 values"),
+        ("2\n1\n2\n1.0\n1 1 1 1 1.0\n",
+         "SDPA right-hand side line '1.0' holds fewer than 2 values"),
+        ("1\n1\n2\n1.0\n1 1 1 1\n",
+         "SDPA entry line '1 1 1 1' holds fewer than 5 fields")])
+    def test_truncated_file_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "short.dat-s"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_sdpa(str(path))
+
+    @pytest.mark.parametrize("second", ["1 2", "2 1"])
+    def test_repeated_objective_entries_are_summed(self, tmp_path, second):
+        # the objective gets the pair twice, as constraint 1 does, and both
+        # are summed: the objective's row is <C, X> - t = 0 with C = -M
+        path = tmp_path / "repeat.dat-s"
+        path.write_text(f"1\n1\n2\n1.0\n0 1 1 2 1.0\n0 1 {second} 1.0\n"
+                        f"1 1 1 2 1.0\n1 1 {second} 1.0\n")
+        loaded = read_sdpa(str(path))
+        (constraint,), (objective,) = loaded.entries
+        assert (constraint.rows.tolist(), constraint.cols.tolist(),
+                constraint.vals.tolist()) == ([0], [1], [2.0])
+        assert (objective.rows.tolist(), objective.cols.tolist(),
+                objective.vals.tolist()) == ([0], [1], [-2.0])
