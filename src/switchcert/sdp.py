@@ -33,8 +33,9 @@ attempt starts, so storage scales with the nonzeros, not with m s^2.  An
 operator is a plain record of the arrays a scipy.sparse CSR matrix holds
 (shape, row pointers, int32 column indices, values), and ``_matmul``
 hands them to the sparsetools kernel that scipy.sparse's product calls,
-``csr_matvec`` for a vector and ``csr_matvecs`` for a matrix, adding into
-a zeroed output as scipy does, so the products are the same bits without
+``csr_matvec`` for a vector and ``csr_matvecs`` for a matrix, from the
+compiled module ``scipy.sparse._sparsetools``, adding into a zeroed
+output as scipy does, so the products are the same bits without
 scipy.sparse's dispatch, which on these small operators took several
 times as long as the kernel.  ``_schur`` builds the Schur
 complement B[j,k] = <A_j, X A_k S^-1> one block at a time over only the
@@ -73,9 +74,10 @@ That bar is relative to b.y, so a feasible problem with a large solution
 can be called infeasible: one 1x1 block with the single constraint
 X = 2e8 is.  Every certificate is re-verified apart from the search.
 
-The iteration calls scipy's LAPACK routines directly: ``dtrtrs`` for the
-two triangular solves of each step-length search, ``dpotrs`` for S^-1,
-``dgetrf`` for the KKT LU and ``dgetrs`` for its solves.  The Gram blocks
+The iteration calls scipy's LAPACK routines directly, from the compiled
+module ``scipy.linalg._flapack``: ``dtrtrs`` for the two triangular solves
+of each step-length search, ``dpotrs`` for S^-1, ``dgetrf`` for the KKT
+LU and ``dgetrs`` for its solves.  The Gram blocks
 of most SOS programs are 3 to 15 wide, and on blocks that small scipy's
 wrappers (``solve_triangular``, ``cho_solve``, ``lu_factor``,
 ``lu_solve``) spend several times longer validating their arguments than
@@ -89,6 +91,19 @@ search and of ``min_eigenvalue`` come from the gufuncs ``cholesky_lo``
 and ``eigvalsh_lo`` that ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``
 call, under the error state those wrappers set: a failed factorisation
 raises their ``LinAlgError`` and nothing warns.
+
+``_scipy_extension`` loads those two compiled modules from their files
+under scipy's directory, found by ``importlib.util.find_spec("scipy")``,
+which imports nothing.  Importing them by name would first run the
+``__init__`` of ``scipy.sparse`` and ``scipy.linalg``, which pull in
+scipy's Python layer and through ``array_api_compat`` numpy.f2py and
+numpy.testing: about 0.15-0.2 s and 20-25 MB in every process, more than
+the rest of ``import switchcert``.  They are the files scipy's packages
+import, so the routines are the same compiled objects and the results
+the same bits.  Where scipy was imported first its modules are reused,
+and a later ``import scipy.linalg`` or ``import scipy.sparse`` works as
+usual.  A missing file raises an ImportError that names the module and
+the directory searched.
 
 ``solve`` runs the attempt with every loaded OpenBLAS on one thread and
 restores the caller's thread counts when it returns or raises.  numpy and
@@ -107,6 +122,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -114,8 +133,44 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrs, dtrtrs
+
+
+def _scipy_extension(package: str, name: str):
+    """The compiled module scipy.<package>.<name>, loaded from its file
+    without importing a scipy package, or the module scipy holds if it was
+    imported first.  A single-phase extension enters itself in sys.modules
+    as it loads; that entry, without its parent package, would keep a later
+    ``import scipy.<package>`` from binding the attribute, so it is
+    removed, and only that one."""
+    fullname = f"scipy.{package}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"cannot load {fullname}: scipy is not installed",
+                          name=fullname)
+    directory = os.path.join(spec.submodule_search_locations[0], package)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, name + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"cannot load {fullname}: no compiled module "
+                          f"{name} in {directory}", name=fullname)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(fullname, path, loader=loader))
+    loader.exec_module(module)
+    if sys.modules.get(fullname) is module:
+        del sys.modules[fullname]
+    return module
+
+
+_sparsetools = _scipy_extension("sparse", "_sparsetools")
+_flapack = _scipy_extension("linalg", "_flapack")
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+dpotrs, dtrtrs = _flapack.dpotrs, _flapack.dtrtrs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
@@ -1007,14 +1062,19 @@ def write_sdpa(problem: SdpProblem, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
+_SDPA_SEPARATORS = str.maketrans("{}(),", "     ")
+
+
 def read_sdpa(path: str) -> SdpProblem:
     """Read an SDPA sparse file as a pure PSD problem.
 
     Diagonal blocks (negative sizes) are expanded to 1x1 PSD blocks; the
     objective is negated back into minimisation form.  Repeated entries of
-    one matrix are summed, in the objective as in the constraints.  A
-    header line that is missing or holds too few values, and an entry line
-    with fewer than five fields, raise a ValueError that names the line.
+    one matrix are summed, in the objective as in the constraints.  Braces,
+    parentheses and commas separate values as blanks do, so the vectors of
+    SDPLIB files (``{2, 3}``) read as bare ones.  A header line that is
+    missing or holds too few values, and an entry line with fewer than five
+    fields, raise a ValueError that names the line.
     """
     raw = []
     with open(path) as fh:
@@ -1028,7 +1088,7 @@ def read_sdpa(path: str) -> SdpProblem:
         """The first count values of header line k."""
         if len(raw) <= k:
             raise ValueError(f"SDPA file ends before its {what} line")
-        toks = raw[k].replace(",", " ").split()
+        toks = raw[k].translate(_SDPA_SEPARATORS).split()
         if len(toks) < count:
             raise ValueError(f"SDPA {what} line {raw[k]!r} holds fewer "
                              f"than {count} values")
@@ -1053,7 +1113,7 @@ def read_sdpa(path: str) -> SdpProblem:
     obj = {}
     cons: list = [dict() for _ in range(m)]
     for line in raw[4:]:
-        toks = line.replace(",", " ").split()
+        toks = line.translate(_SDPA_SEPARATORS).split()
         if len(toks) < 5:
             raise ValueError(f"SDPA entry line {line!r} holds fewer than "
                              f"5 fields")

@@ -1,5 +1,8 @@
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import types
 import warnings
@@ -9,7 +12,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
-from conftest import BETA_AFFINE_PAIR, V_AFFINE_PAIR
+from conftest import BETA_AFFINE_PAIR, REPO, V_AFFINE_PAIR
 from switchcert import sdp
 from switchcert.certify import (_multiplier_degree, _sublevel_program,
                                 build_absorbing_program)
@@ -596,7 +599,8 @@ class TestDirectKernels:
     products and of np.linalg.cholesky and np.linalg.eigvalsh, and a failed
     factorisation raises np.linalg.LinAlgError without a warning.  These
     tests fail first if a numpy or scipy release moves the private modules
-    that hold the kernels."""
+    that hold the kernels, or scipy moves the files sdp loads its compiled
+    modules from."""
 
     @staticmethod
     def operator(rng, shape):
@@ -732,6 +736,84 @@ class TestDirectKernels:
                                     S=[np.full((2, 2), np.nan)])
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             sdp._cone_factors(emb)
+
+
+class TestColdStart:
+    """sdp loads scipy's compiled modules _sparsetools and _flapack from
+    their files, so importing switchcert runs no scipy package's __init__.
+    Import state belongs to the process, so each test runs in its own."""
+
+    @staticmethod
+    def run(code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+
+    def check(self, code):
+        run = self.run(code)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    @pytest.mark.parametrize("module", ["switchcert", "switchcert.cli"])
+    def test_import_loads_no_scipy_module(self, module):
+        assert self.check(f"""
+            import sys, {module}
+            print(sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")))
+            """) == "[]\n"
+
+    def test_later_scipy_import_works(self):
+        self.check("""
+            import numpy as np
+            from switchcert import sdp
+            import scipy.linalg, scipy.sparse
+            assert scipy.linalg._flapack.dgetrf is sdp.dgetrf
+            assert scipy.linalg.lapack.dpotrs is sdp.dpotrs
+            assert scipy.sparse._sparsetools.csr_matvec is sdp.csr_matvec
+            a = np.array([[2.0, 1.0], [1.0, 3.0]])
+            lu, piv = scipy.linalg.lu_factor(a)
+            assert np.allclose(scipy.linalg.lu_solve((lu, piv), a), np.eye(2))
+            assert np.array_equal(scipy.sparse.csr_matrix(a) @ np.ones(2),
+                                  [3.0, 4.0])
+            """)
+
+    def test_scipy_imported_first_is_reused(self):
+        self.check("""
+            import sys
+            import scipy.linalg, scipy.sparse
+            from switchcert import sdp
+            assert sdp._flapack is scipy.linalg._flapack
+            assert sdp._sparsetools is scipy.sparse._sparsetools
+            # scipy's own entries stay
+            assert sys.modules["scipy.linalg._flapack"] is sdp._flapack
+            assert sys.modules["scipy.sparse._sparsetools"] is sdp._sparsetools
+            """)
+
+    def test_same_openblas_controls_as_after_scipy(self):
+        # scipy's OpenBLAS is mapped once _flapack is loaded, so solve pins
+        # the same libraries however scipy's modules came in
+        counts = [self.check(f"""
+            {first}
+            from switchcert import sdp
+            print(len(sdp._openblas_controls()))
+            """) for first in ("", "import scipy.linalg")]
+        assert counts[0] == counts[1]
+
+    def test_missing_file_names_the_module(self):
+        run = self.run("""
+            import importlib.machinery
+            importlib.machinery.EXTENSION_SUFFIXES[:] = [".missing"]
+            import switchcert
+            """)
+        assert run.returncode != 0
+        last = run.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: cannot load "
+                               "scipy.sparse._sparsetools: no compiled "
+                               "module _sparsetools in ")
+        assert last.endswith(os.path.join("scipy", "sparse"))
 
 
 class TestAttemptList:
@@ -1056,6 +1138,41 @@ class TestSdpaFormat:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(message)):
             read_sdpa(str(path))
+
+    # one 2x2 block and a 1-entry diagonal block under X11 + X22 + d = 1;
+    # the objective minimises X11 + X22 + 2 d
+    ENTRIES = ("0 1 1 1 -1.0\n0 1 2 2 -1.0\n0 2 1 1 -2.0\n1 1 1 1 1.0\n"
+               "ENTRY\n1 2 1 1 1.0\n")
+
+    @staticmethod
+    def contents(problem):
+        return (problem.block_sizes, problem.rhs.tolist(),
+                [[(e.block, e.rows.tolist(), e.cols.tolist(), e.vals.tolist())
+                  for e in row] for row in problem.entries])
+
+    @pytest.mark.parametrize("header, entry", [
+        ("1\n2\n{2, -1}\n{1.0}", "1 1 2 2 1.0"),
+        ("1\n2\n{2 -1}\n{1.0}", "{1, 1, 2, 2, 1.0}"),
+        ("1\n2\n(2, -1)\n(1.0)", "1 1 2 2 1.0"),
+        ("1\n2\n(2,-1)\n(1.0)", "(1 1 2 2 1.0)"),
+        ("1\n2\n2 -1\n1.0", "1, 1, 2, 2, 1.0"),
+        ('"an SDPLIB file\n1 =mdim\n2 =nblocks\n{2, -1}\n{1.0}',
+         "1 1 2 2 1.0")],
+        ids=["braces", "brace-entry", "parentheses", "parenthesis-entry",
+             "commas", "sdplib"])
+    def test_bracketed_vectors_read_as_bare(self, tmp_path, header, entry):
+        # SDPLIB writes its block sizes and right-hand side in braces
+        bare = tmp_path / "bare.dat-s"
+        bare.write_text("1\n2\n2 -1\n1.0\n"
+                        + self.ENTRIES.replace("ENTRY", "1 1 2 2 1.0"))
+        bracketed = tmp_path / "bracketed.dat-s"
+        bracketed.write_text(f"{header}\n"
+                             + self.ENTRIES.replace("ENTRY", entry))
+        loaded = read_sdpa(str(bracketed))
+        assert self.contents(loaded) == self.contents(read_sdpa(str(bare)))
+        solution = solve(loaded)
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("second", ["1 2", "2 1"])
     def test_repeated_objective_entries_are_summed(self, tmp_path, second):
