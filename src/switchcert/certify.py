@@ -555,15 +555,17 @@ def _check_sos_membership(poly: Polynomial, residual_tol: float):
     Returns (scaled residual, Gram min eigenvalue) or an error string; a
     polynomial of odd top degree fails before any basis or solve.
     """
+    n = poly.dimension
+    # normalise the coefficient scale; membership is invariant under positive
+    # scaling and the tolerances below are the scaled ones.  The scaling can
+    # underflow small coefficients and drop their terms, so the zero and
+    # degree checks read the scaled polynomial, whose terms fix the basis
+    norm_scale = 1.0 + poly.max_abs_coefficient()
+    poly = poly * (1.0 / norm_scale)
     if poly.is_zero():
         return 0.0, 0.0
     if poly.degree() % 2:
         return f"odd top degree {poly.degree()}: not a sum of squares"
-    n = poly.dimension
-    # normalise the coefficient scale; membership is invariant under positive
-    # scaling and the tolerances below are the scaled ones
-    norm_scale = 1.0 + poly.max_abs_coefficient()
-    poly = poly * (1.0 / norm_scale)
     degrees = [sum(m) for m in poly.terms]
     basis = gram_basis(n, min(degrees), max(degrees))
     envelope = gram_expand(basis, np.eye(len(basis)))

@@ -27,24 +27,35 @@ direction-independent KKT solve), ``_search_direction``
 The residuals and mu of an iterate are computed once, after the step that
 produced it.
 
-The constraint data stays sparse: each block holds the A_j that touch it
-as one CSR operator on vec(X), built from ``SdpProblem.entries`` when an
-attempt starts, so storage scales with the nonzeros, not with m s^2.  An
-operator is a plain record of the arrays a scipy.sparse CSR matrix holds
-(shape, row pointers, int32 column indices, values), and ``_matmul``
+The iterate is held as one (g, s, s) stack per distinct block size,
+blocks in block order, stacks in order of first appearance
+(``_size_groups``).  SOS programs repeat their block sizes, and on small
+blocks numpy's per-call overhead, not arithmetic, sets the time, so each
+dense step is one call per stack; a step-length search takes the X and S
+blocks of one size as one stack.  ``dpotrs``, the ``dtrtrs`` solves of
+the step search and ``_schur`` have no stacked form and run per block.
+The bits are those of a loop over blocks: a stacked gufunc call runs the
+per-matrix kernel on each matrix, S^-1 keeps dpotrs's Fortran layout for
+the gemms, and per-block sums are added in block order.
+
+The constraint data stays sparse, built from ``SdpProblem.entries`` when
+an attempt starts, so storage scales with the nonzeros, not with m s^2.
+A(X) and A^T(y) are one CSR product each on the stacks laid end to end.
+An operator is a plain record of the arrays a scipy.sparse CSR matrix
+holds (shape, row pointers, int32 column indices, values), and ``_matmul``
 hands them to the sparsetools kernel that scipy.sparse's product calls,
 ``csr_matvec`` for a vector and ``csr_matvecs`` for a matrix, from the
-compiled module ``scipy.sparse._sparsetools``, adding into a zeroed
-output as scipy does, so the products are the same bits without
-scipy.sparse's dispatch, which on these small operators took several
-times as long as the kernel.  ``_schur`` builds the Schur
-complement B[j,k] = <A_j, X A_k S^-1> one block at a time over only the
-constraints that touch the block (Fujisawa, Kojima & Nakata, "Exploiting
-sparsity in primal-dual interior-point methods for semidefinite
-programming", Math. Prog. 1997): one sparse product gives every A_k S^-1,
-one gemm every X A_k S^-1, and one sparse product their inner products
-with the A_j.  The dense work per block is O(s^3 m_b) for its m_b touching
-constraints, against O(s^2 m^2) for a dense B = U U^T.
+compiled module ``scipy.sparse._sparsetools``, adding into a zeroed output
+as scipy does, so the products are the same bits without scipy.sparse's
+dispatch, which on these small operators took several times as long as the
+kernel.  ``_schur`` builds the Schur complement B[j,k] = <A_j, X A_k S^-1>
+one block at a time over only the constraints that touch the block
+(Fujisawa, Kojima & Nakata, "Exploiting sparsity in primal-dual
+interior-point methods for semidefinite programming", Math. Prog. 1997):
+one sparse product gives every A_k S^-1, one gemm every X A_k S^-1, and
+one sparse product their inner products with the A_j.  The dense work per
+block is O(s^3 m_b) for its m_b touching constraints, against O(s^2 m^2)
+for a dense B = U U^T.
 
 Constraints are normalised to unit Frobenius norm internally.  The
 reported primal residual refers to the original data, each row normalised
@@ -82,15 +93,18 @@ of most SOS programs are 3 to 15 wide, and on blocks that small scipy's
 wrappers (``solve_triangular``, ``cho_solve``, ``lu_factor``,
 ``lu_solve``) spend several times longer validating their arguments than
 the routine spends computing.  The direct calls pass the arguments the
-wrappers pass, so the results are the same bits, and keep their checks:
-a non-finite input raises the wrappers' ``ValueError`` and a bad ``info``
-raises as they do.  The raw routines never warn, so the iteration sets
-no warning filter, which would not be thread-safe.  In the same way the
-Cholesky factors of X and S and the eigenvalues of each step-length
-search and of ``min_eigenvalue`` come from the gufuncs ``cholesky_lo``
-and ``eigvalsh_lo`` that ``np.linalg.cholesky`` and ``np.linalg.eigvalsh``
-call, under the error state those wrappers set: a failed factorisation
-raises their ``LinAlgError`` and nothing warns.
+wrappers pass, so the results are the same bits, and keep their checks,
+once per stack: a non-finite input raises the wrappers' ``ValueError``
+and a bad ``info`` raises as they do.  The raw routines never warn, so
+the iteration sets no warning filter, which would not be thread-safe.  In
+the same way the Cholesky factors of X and S and the eigenvalues of each
+step-length search and of ``min_eigenvalue`` come from the gufuncs
+``cholesky_lo`` and ``eigvalsh_lo`` that ``np.linalg.cholesky`` and
+``np.linalg.eigvalsh`` call, under the error state those wrappers set:
+a failed factorisation raises their ``LinAlgError`` and nothing warns.
+A check covers a whole stack before the next one starts, so where two
+blocks of one size fail in different ways, another failure than a loop
+over blocks would report can come first.
 
 ``_scipy_extension`` loads those two compiled modules from their files
 under scipy's directory, found by ``importlib.util.find_spec("scipy")``,
@@ -350,17 +364,19 @@ def _not_converged(err, flag):
 
 
 def _cholesky(*Ms) -> list:
-    """np.linalg.cholesky's lower factor of each float matrix, in order,
-    by the gufunc it calls and under its error state: a failed
-    factorisation raises its LinAlgError, and nothing warns."""
+    """np.linalg.cholesky's lower factors of each float matrix or stack of
+    matrices, in order, by the gufunc it calls and under one error state,
+    its own: a failed factorisation raises its LinAlgError, and nothing
+    warns."""
     with np.errstate(call=_not_positive_definite, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         return [_umath_linalg.cholesky_lo(M, signature="d->d") for M in Ms]
 
 
 def _eigvalsh(M) -> np.ndarray:
-    """np.linalg.eigvalsh of a symmetric float matrix, ascending, by the
-    gufunc it calls and under its error state."""
+    """np.linalg.eigvalsh of a symmetric float matrix or of each matrix of
+    a stack, ascending, by the gufunc it calls and under its error
+    state."""
     with np.errstate(call=_not_converged, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
         return _umath_linalg.eigvalsh_lo(M, signature="d->d")
@@ -368,18 +384,28 @@ def _eigvalsh(M) -> np.ndarray:
 
 # A CSR matrix as the arrays scipy.sparse holds and hands to sparsetools.
 _Csr = namedtuple("_Csr", "shape indptr indices data")
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _csr(rows, cols, vals, shape) -> _Csr:
     """The CSR matrix of the given entries, each row in the given order,
     with the index type scipy.sparse would pick: int32 while the shape and
     the entry count fit."""
-    fits = max(*shape, len(vals)) <= np.iinfo(np.int32).max
+    fits = max(*shape, len(vals)) <= _INT32_MAX
     index = np.int32 if fits else np.int64
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return _Csr(shape, indptr, cols[order].astype(index), vals[order])
+
+
+def _csr_rows(op: _Csr, lo, hi, width, shift) -> _Csr:
+    """Rows lo to hi of a CSR record as one of the given width, its column
+    indices less shift: the record _csr builds of those rows' entries."""
+    start, stop = op.indptr[lo], op.indptr[hi]
+    return _Csr((int(hi - lo), width), op.indptr[lo:hi + 1] - start,
+                op.indices[start:stop] - op.indices.dtype.type(shift),
+                op.data[start:stop])
 
 
 def _matmul(op: _Csr, x: np.ndarray) -> np.ndarray:
@@ -405,20 +431,33 @@ def _matmul(op: _Csr, x: np.ndarray) -> np.ndarray:
 
 
 def _sym(M):
-    return 0.5 * (M + M.T)
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + M.mT)
+
+
+def _size_groups(sizes) -> list:
+    """The blocks grouped by size, in order of first appearance, as
+    (size, block indices) pairs."""
+    groups = {}
+    for b, s in enumerate(sizes):
+        groups.setdefault(s, []).append(b)
+    return [(s, np.array(idx, dtype=np.intp)) for s, idx in groups.items()]
 
 
 def _scaled_constraints(problem):
     """The constraints scaled to unit Frobenius norm, as
-    (norm, scale, D, rows, A, At, stack): the Frobenius norm of each
+    (norm, scale, D, rows, A, stack, opA, opAt): the Frobenius norm of each
     constraint (A_j, d_j) and its scale, the dense (m, n_free) free-scalar
-    coefficients, and per block b
+    coefficients, per block b
     - rows[b], the m_b constraints that touch the block;
-    - A[b], their A_j as the rows of an (m_b, s^2) CSR record on vec(X_b),
-      and At[b], its transpose;
+    - A[b], their A_j as the rows of an (m_b, s^2) CSR record on vec(X_b);
     - stack[b], the same A_j as an (s m_b, s) CSR whose row (i, k) is row i
       of the k-th, so that stack[b] @ M lays the A_j M side by side as an
-      (s, m_b s) array."""
+      (s, m_b s) array;
+
+    and, on the per-size stacks laid end to end, opA, the A[b] as one
+    block-diagonal CSR whose rows are the rows[b] in turn, and opAt, its
+    transpose on all m constraints."""
     m = problem.m
     ents = [(j, ent) for j, per_con in enumerate(problem.entries)
             for ent in per_con]
@@ -459,34 +498,75 @@ def _scaled_constraints(problem):
     D = np.zeros((m, problem.n_free))
     D[fcon, fidx] = fval * scale[fcon]
 
-    rows, A, At, stack = [], [], [], []
-    for b, s in enumerate(problem.block_sizes):
-        sel = block == b
-        off = sel & (row != col)
-        j = np.concatenate([con[sel], con[off]])
-        vec = np.concatenate([row[sel] * s + col[sel], col[off] * s + row[off]])
-        v = np.concatenate([val[sel], val[off]])
-        touched, k = np.unique(j, return_inverse=True)
-        mb = len(touched)
-        rows.append(touched)
-        A.append(_csr(k, vec, v, (mb, s * s)))
-        At.append(_csr(vec, k, v, (s * s, mb)))
-        stack.append(_csr((vec // s) * mb + k, vec % s, v, (s * mb, s)))
-    return norm, scale, D, rows, A, At, stack
+    # where each block's vec(X_b) starts in the stacks laid end to end
+    sizes = problem.block_sizes
+    offset, n = [0] * len(sizes), 0
+    for s, idx in _size_groups(sizes):
+        for b in idx.tolist():
+            offset[b], n = n, n + s * s
+    offset = np.array(offset)
+    sizes = np.array(sizes)
+
+    # every entry, then the mirror image of every off-diagonal one, sorted
+    # by block with a block's entries before its mirror images
+    off = row != col
+    s = sizes[block]
+    keep = np.argsort(np.concatenate([2 * block, 2 * block[off] + 1]),
+                      kind="stable")
+    block = np.concatenate([block, block[off]])[keep]
+    j = np.concatenate([con, con[off]])[keep]
+    vec = np.concatenate([row * s + col, (col * s + row)[off]])[keep]
+    v = np.concatenate([val, val[off]])[keep]
+    s = sizes[block]
+    # opA has one row per block and touching constraint, block by block
+    touching, k = np.unique(block * m + j, return_inverse=True)
+    first = np.searchsorted(touching // m, np.arange(len(sizes) + 1))
+    mb = first[1:] - first[:-1]
+    flat = offset[block] + vec
+    opA = _csr(k, flat, v, (len(touching), n))
+    opAt = _csr(flat, j, v, (n, m))
+    # the stack records one after another, entry (i, k) of block b in row
+    # top[b] + i m_b + k
+    top = np.concatenate([[0], np.cumsum(sizes * mb)])
+    stacks = _csr(top[block] + (vec // s) * mb[block] + k - first[block],
+                  vec % s, v, (int(top[-1]), int(sizes.max())))
+
+    touching %= m
+    rows, A, stack = [], [], []
+    for b, s in enumerate(sizes.tolist()):
+        lo, hi = first[b], first[b + 1]
+        rows.append(touching[lo:hi])
+        A.append(_csr_rows(opA, lo, hi, s * s, offset[b]))
+        stack.append(_csr_rows(stacks, top[b], top[b + 1], s, 0))
+    return norm, scale, D, rows, A, stack, opA, opAt
 
 
 class _Embedding:
-    """Homogeneous self-dual iteration state on the scaled problem data."""
+    """Homogeneous self-dual iteration state on the scaled problem data,
+    each matrix quantity one stack per entry of ``groups``."""
 
     def __init__(self, problem: SdpProblem):
         self.sizes = problem.block_sizes
-        self.nblocks = len(self.sizes)
+        self.groups = _size_groups(self.sizes)
+        # per block, its stack and its index in that stack
+        self._place = [None] * len(self.sizes)
+        for group, (_, idx) in enumerate(self.groups):
+            for k, b in enumerate(idx.tolist()):
+                self._place[b] = (group, k)
         self.m = problem.m
         self.f = problem.n_free
         self.nu = sum(self.sizes)
 
-        con_norm, self.con_scale, self.D, self.rows, self.A, self.At, \
-            self.stack = _scaled_constraints(problem)
+        con_norm, self.con_scale, self.D, self.rows, self.A, self.stack, \
+            self._opA, self._opAt = _scaled_constraints(problem)
+        self._opA_rows = np.concatenate(self.rows)
+        # the index of each block's rows and columns in the Schur complement
+        self.ix = [(rows[:, None], rows) for rows in self.rows]
+        # the slice of opAt's result that holds each stack
+        self._spans, end = [], 0
+        for s, idx in self.groups:
+            start, end = end, end + len(idx) * s * s
+            self._spans.append((slice(start, end), (len(idx), s, s)))
         self.b = problem.rhs * self.con_scale
         # the normaliser 1 + max(|b_j|, ||A_j||_F) of the reported residual
         self.res_norm = 1.0 + np.maximum(np.abs(problem.rhs), con_norm)
@@ -500,46 +580,56 @@ class _Embedding:
         self.max_abs_g = float(np.max(np.abs(self.g))) if self.f else 0.0
 
         # start at the identity point
-        self.X = [np.eye(s) for s in self.sizes]
-        self.S = [np.eye(s) for s in self.sizes]
+        self.X = [np.eye(s)[None].repeat(len(idx), axis=0)
+                  for s, idx in self.groups]
+        self.S = [X.copy() for X in self.X]
         self.y = np.zeros(problem.m)
         self.u = np.zeros(self.f)
         self.tau = 1.0
         self.kappa = 1.0
 
+    def unstack(self, stacks) -> list:
+        """The matrices of per-size stacks, as one list in block order."""
+        return [stacks[group][k] for group, k in self._place]
+
+    def inner(self, As, Bs) -> float:
+        """sum_b <A_b, B_b> over per-size stacks, the blocks' sums added in
+        block order."""
+        dots = np.empty(len(self.sizes))
+        for (_, idx), A, B in zip(self.groups, As, Bs):
+            dots[idx] = (A * B).sum(axis=(1, 2))
+        return sum(dots.tolist())
+
     # -- linear operators --
 
     def opA(self, Xs) -> np.ndarray:
-        out = np.zeros(self.m)
-        for rows, A, X in zip(self.rows, self.A, Xs):
-            out[rows] += _matmul(A, X.ravel())
-        return out
+        """A(X), each block's part added into its rows in block order:
+        bincount adds its weights into zeros in the order given."""
+        return np.bincount(self._opA_rows, minlength=self.m, weights=_matmul(
+            self._opA, np.concatenate(Xs, axis=None)))
 
     def opAt(self, y) -> list:
-        return [_matmul(At, y[rows]).reshape(s, s)
-                for rows, At, s in zip(self.rows, self.At, self.sizes)]
+        flat = _matmul(self._opAt, y)
+        return [flat[span].reshape(shape) for span, shape in self._spans]
 
     # -- residuals of the embedding equations (all should go to zero) --
 
     def residuals(self):
         E1 = self.opA(self.X) + (self.D @ self.u if self.f else 0.0) \
             - self.b * self.tau
-        At_y = self.opAt(self.y)
-        E2 = [At_y[b] + self.S[b] for b in range(self.nblocks)]
+        E2 = [At_y + S for At_y, S in zip(self.opAt(self.y), self.S)]
         E3 = self.D.T @ self.y - self.g * self.tau
         E4 = float(self.g @ self.u) - float(self.b @ self.y) + self.kappa
         return E1, E2, E3, E4
 
     def mu(self) -> float:
-        dots = sum(float(np.sum(self.X[b] * self.S[b]))
-                   for b in range(self.nblocks))
-        return (dots + self.tau * self.kappa) / (self.nu + 1)
+        return (self.inner(self.X, self.S) + self.tau * self.kappa) \
+            / (self.nu + 1)
 
     def advance(self, alpha: float, d) -> float:
         """Take the step; returns the factor the iterate was rescaled by."""
-        for b in range(self.nblocks):
-            self.X[b] = _sym(self.X[b] + alpha * d.dX[b])
-            self.S[b] = _sym(self.S[b] + alpha * d.dS[b])
+        self.X = [_sym(X + alpha * dX) for X, dX in zip(self.X, d.dX)]
+        self.S = [_sym(S + alpha * dS) for S, dS in zip(self.S, d.dS)]
         self.y += alpha * d.dy
         self.u += alpha * d.du
         self.tau += alpha * d.dtau
@@ -548,16 +638,16 @@ class _Embedding:
         # the embedding is positively homogeneous: renormalise the iterate
         # when magnitudes threaten double-precision range
         peak = max(self.tau, self.kappa,
-                   max(float(np.max(np.abs(X))) for X in self.X),
-                   max(float(np.max(np.abs(S))) for S in self.S),
-                   float(np.max(np.abs(self.y))) if self.m else 0.0,
-                   float(np.max(np.abs(self.u))) if self.f else 0.0)
+                   max(float(np.abs(X).max()) for X in self.X),
+                   max(float(np.abs(S).max()) for S in self.S),
+                   float(np.abs(self.y).max()) if self.m else 0.0,
+                   float(np.abs(self.u).max()) if self.f else 0.0)
         if not peak > 1e8:
             return 1.0
         inv = 1.0 / peak
-        for b in range(self.nblocks):
-            self.X[b] *= inv
-            self.S[b] *= inv
+        for X, S in zip(self.X, self.S):
+            X *= inv
+            S *= inv
         self.y *= inv
         self.u *= inv
         self.tau *= inv
@@ -572,10 +662,10 @@ def _independent_constraints(emb) -> bool:
     a pivot at rounding level, or none at all when the factorisation
     fails; with dependent rows the unshifted KKT matrix is singular."""
     gram = emb.D @ emb.D.T
-    for rows, A, At in zip(emb.rows, emb.A, emb.At):
-        (n, mb), indptr, indices, data = At
+    for rows, A in zip(emb.rows, emb.A):
+        (mb, n), indptr, indices, data = A
         dense = np.zeros((n, mb))
-        dense[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+        dense[indices, np.repeat(np.arange(mb), np.diff(indptr))] = data
         gram[np.ix_(rows, rows)] += _matmul(A, dense)
     try:
         L, = _cholesky(gram)
@@ -588,11 +678,17 @@ class _Breakdown(Exception):
     """A phase of the iteration broke down; the text is the solve's message."""
 
 
+def _finite(a) -> bool:
+    """Whether every entry of a is finite, by the reduction that
+    ``ndarray.all`` calls, without its Python wrapper."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 def _check_finite(*arrays):
     """The input check of scipy.linalg's wrappers, with their ValueError,
     which ``solve`` reports as a linear algebra failure."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not _finite(a):
             raise ValueError("array must not contain infs or NaNs")
 
 
@@ -610,18 +706,23 @@ _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
 
 
 def _cone_factors(emb):
-    """Cholesky factors Lx, Ls of X and S, and S^-1, per block."""
+    """Cholesky factors Lx, Ls of X and S, and S^-1, per size stack; each
+    S^-1 keeps the Fortran order dpotrs returns, for the gemms."""
     try:
-        Lx = _cholesky(*emb.X)
-        Ls = _cholesky(*emb.S)
+        factors = _cholesky(*emb.X, *emb.S)
     except np.linalg.LinAlgError:
         raise _Breakdown("cone factorisation failed") from None
+    Lx, Ls = factors[:len(emb.X)], factors[len(emb.X):]
     Sinv = []
     for L in Ls:
         _check_finite(L)
-        Si, info = dpotrs(L, np.eye(len(L)), lower=1)
-        _check_info("dpotrs", info)
-        Sinv.append(Si)
+        eye = np.eye(L.shape[-1])
+        transposed = np.empty_like(L)
+        for Lb, Tb in zip(L, transposed):
+            Si, info = dpotrs(Lb, eye, lower=1)
+            _check_info("dpotrs", info)
+            Tb[...] = Si.T
+        Sinv.append(transposed.mT)
     return Lx, Ls, Sinv
 
 
@@ -632,14 +733,15 @@ def _schur(emb, Sinv):
     touch it: one sparse product gives every A_k S^-1, one gemm every
     X A_k S^-1, and one sparse product their inner products with the A_j."""
     B = np.zeros((emb.m, emb.m))
-    for b, (s, rows, X, Si) in enumerate(zip(emb.sizes, emb.rows, emb.X,
-                                             Sinv)):
+    for s, rows, ix, A, stack, X, Si in zip(
+            emb.sizes, emb.rows, emb.ix, emb.A, emb.stack,
+            emb.unstack(emb.X), emb.unstack(Sinv)):
         mb = len(rows)
         if not mb:
             continue
-        F = X @ _matmul(emb.stack[b], Si).reshape(s, mb * s)
+        F = X @ _matmul(stack, Si).reshape(s, mb * s)
         F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
-        B[np.ix_(rows, rows)] += _matmul(emb.A[b], F)
+        B[ix] += _matmul(A, F)
     return _sym(B)
 
 
@@ -679,10 +781,10 @@ def _kkt_solve(K, lu, rhs):
     """LU solve with one pass of iterative refinement; a singular K is a
     breakdown, found before the refinement can fail on its input."""
     sol = _lu_solve(lu, rhs)
-    if np.all(np.isfinite(sol)):
+    if _finite(sol):
         with np.errstate(over="ignore", invalid="ignore"):
             sol += _lu_solve(lu, rhs - K @ sol)
-    if not np.all(np.isfinite(sol)):
+    if not _finite(sol):
         raise _Breakdown(_SINGULAR)
     return sol
 
@@ -694,14 +796,11 @@ def _direction(emb, E, newton, eta, tc, corrM, corr_tk) -> _Direction:
     corrM, corr_tk are the second-order corrections (None and 0 in the
     predictor)."""
     E1, E2, E3, E4 = E
-    m, f = emb.m, emb.f
-    Sinv = newton.Sinv
-    G = []
-    for b in range(emb.nblocks):
-        Gb = tc * Sinv[b] - emb.X[b] + eta * _sym(emb.X[b] @ E2[b] @ Sinv[b])
-        if corrM is not None:
-            Gb = Gb - corrM[b]
-        G.append(Gb)
+    m = emb.m
+    G = [tc * Si - X + eta * _sym(X @ E2b @ Si)
+         for X, E2b, Si in zip(emb.X, E2, newton.Sinv)]
+    if corrM is not None:
+        G = [Gb - C for Gb, C in zip(G, corrM)]
     e0 = (tc - emb.tau * emb.kappa - corr_tk) / emb.tau
     h1 = -eta * E1 - emb.opA(G)
     h3 = -eta * E4 - e0
@@ -715,14 +814,12 @@ def _direction(emb, E, newton, eta, tc, corrM, corr_tk) -> _Direction:
     dtau = num / den
     dy = p[:m] + dtau * q[:m]
     du = p[m:] + dtau * q[m:]
-    At_dy = emb.opAt(dy)
-    dS = [-eta * E2[b] - At_dy[b] for b in range(emb.nblocks)]
-    dX = []
-    for b in range(emb.nblocks):
-        M = tc * Sinv[b] - emb.X[b] - _sym(emb.X[b] @ dS[b] @ Sinv[b])
-        if corrM is not None:
-            M = M - corrM[b]
-        dX.append(_sym(M))
+    dS = [-eta * E2b - At_dy for E2b, At_dy in zip(E2, emb.opAt(dy))]
+    M = [tc * Si - X - _sym(X @ dSb @ Si)
+         for X, dSb, Si in zip(emb.X, dS, newton.Sinv)]
+    if corrM is not None:
+        M = [Mb - C for Mb, C in zip(M, corrM)]
+    dX = [_sym(Mb) for Mb in M]
     dkappa = e0 - (emb.kappa / emb.tau) * dtau
     return _Direction(dX, du, dy, dS, dtau, dkappa)
 
@@ -732,15 +829,13 @@ def _search_direction(emb, E, mu, newton) -> _Direction:
     centring sigma, the corrector adds its second-order terms."""
     pred = _direction(emb, E, newton, 1.0, 0.0, None, 0.0)
     alpha = min(1.0, _max_step(emb, newton, pred))
-    dot = sum(
-        float(np.sum((emb.X[b] + alpha * pred.dX[b])
-                     * (emb.S[b] + alpha * pred.dS[b])))
-        for b in range(emb.nblocks))
+    dot = emb.inner([X + alpha * dX for X, dX in zip(emb.X, pred.dX)],
+                    [S + alpha * dS for S, dS in zip(emb.S, pred.dS)])
     mu_aff = (dot + (emb.tau + alpha * pred.dtau)
               * (emb.kappa + alpha * pred.dkappa)) / (emb.nu + 1)
     sigma = min(max((mu_aff / mu) ** 3, 1e-10), 0.99999)
-    corrM = [_sym(pred.dX[b] @ pred.dS[b] @ newton.Sinv[b])
-             for b in range(emb.nblocks)]
+    corrM = [_sym(dX @ dS @ Si)
+             for dX, dS, Si in zip(pred.dX, pred.dS, newton.Sinv)]
     return _direction(emb, E, newton, 1.0 - sigma, sigma * mu, corrM,
                       pred.dtau * pred.dkappa)
 
@@ -758,24 +853,31 @@ def _lower_solve(L, B):
 
 
 def _max_step_psd(L, dM) -> float:
-    """Largest alpha with M + alpha*dM PSD for M = L L^T, via L^-1 dM L^-T
-    eigenvalues."""
+    """Largest alpha with M + alpha*dM PSD for every M = L L^T of a stack,
+    via the smallest eigenvalues of L^-1 dM L^-T.  The triangular solves
+    run per matrix, as dtrtrs has no stacked form."""
     _check_finite(L, dM)
-    W = _lower_solve(L, dM)
+    W = np.empty_like(dM)
+    for Lb, dMb, Wb in zip(L, dM, W):
+        Wb[...] = _lower_solve(Lb, dMb)
     _check_finite(W)
-    W = _lower_solve(L, W.T).T
-    lam = float(_eigvalsh(_sym(W))[0])
-    if lam >= -1e-16:
+    for Lb, Wb in zip(L, W):
+        Wb[...] = _lower_solve(Lb, Wb.T).T
+    # -1/lam rises with lam < 0, so the stack's smallest eigenvalue bounds
+    # its step; fmin passes over a NaN, which bounds no step
+    lam = float(np.fmin.reduce(_eigvalsh(_sym(W))[:, 0]))
+    if not lam < -1e-16:
         return np.inf
     return -1.0 / lam
 
 
 def _max_step(emb, newton, d) -> float:
-    """Largest step along d that keeps X, S, tau and kappa in their cones."""
+    """Largest step along d that keeps X, S, tau and kappa in their cones;
+    the X and S blocks of one size are searched as one stack."""
     alpha = np.inf
-    for b in range(emb.nblocks):
-        alpha = min(alpha, _max_step_psd(newton.Lx[b], d.dX[b]))
-        alpha = min(alpha, _max_step_psd(newton.Ls[b], d.dS[b]))
+    for Lx, Ls, dX, dS in zip(newton.Lx, newton.Ls, d.dX, d.dS):
+        alpha = min(alpha, _max_step_psd(np.concatenate((Lx, Ls)),
+                                         np.concatenate((dX, dS))))
     if d.dtau < 0:
         alpha = min(alpha, -emb.tau / d.dtau)
     if d.dkappa < 0:
@@ -796,8 +898,8 @@ def _primal_residual(emb, E1) -> float:
     scaled data, whose row j is the original row times con_scale[j].
 
     Row-normalised so the value is meaningful for badly scaled rows."""
-    return float(np.max(np.abs(E1) / (emb.tau * emb.con_scale)
-                        / emb.res_norm))
+    return float((np.abs(E1) / (emb.tau * emb.con_scale)
+                  / emb.res_norm).max())
 
 
 def _converged(emb, E) -> bool:
@@ -805,9 +907,9 @@ def _converged(emb, E) -> bool:
     the primal residual on the original data within TOL."""
     E1, E2, E3, _ = E
     tau = emb.tau
-    pres = float(np.max(np.abs(E1))) / tau / (1.0 + emb.max_abs_b)
-    dres = max(float(np.max(np.abs(Eb))) for Eb in E2) / tau
-    gres = (float(np.max(np.abs(E3))) / tau / (1.0 + emb.max_abs_g)) \
+    pres = float(np.abs(E1).max()) / tau / (1.0 + emb.max_abs_b)
+    dres = max(float(np.abs(Eb).max()) for Eb in E2) / tau
+    gres = (float(np.abs(E3).max()) / tau / (1.0 + emb.max_abs_g)) \
         if emb.f else 0.0
     pobj = float(emb.g @ emb.u) / tau
     dobj = float(emb.b @ emb.y) / tau
@@ -824,9 +926,8 @@ def _ray_verdict(emb):
     b.y, it can still pass a feasible problem (module docstring)."""
     by = float(emb.b @ emb.y)
     if by > 0:
-        At_y = emb.opAt(emb.y)
-        ray_res = max(float(np.max(np.abs(At_y[b] + emb.S[b])))
-                      for b in range(emb.nblocks))
+        ray_res = max(float(np.max(np.abs(At_y + S)))
+                      for At_y, S in zip(emb.opAt(emb.y), emb.S))
         ray_res = max(ray_res,
                       float(np.max(np.abs(emb.D.T @ emb.y))) if emb.f else 0.0)
         if ray_res <= RAY_TOL * by:
@@ -902,7 +1003,7 @@ def _solve(problem: SdpProblem):
     blocks = free = objective = dual_objective = min_eigs = None
     primal_res = np.inf
     if status != STATUS_INFEASIBLE and emb.tau > 0:
-        blocks = [X / emb.tau for X in emb.X]
+        blocks = emb.unstack([X / emb.tau for X in emb.X])
         free = emb.u / emb.tau
         y_out = emb.y / emb.tau * emb.con_scale / emb.obj_scale
         objective = float(emb.g @ emb.u) / (emb.tau * emb.obj_scale)

@@ -654,6 +654,29 @@ class TestExitCodes:
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith("numerical failure: ")
 
+    def test_underflowing_identity_is_a_verification_failure(self, tmp_path,
+                                                              capsys):
+        # the constant 1e200 makes the decay identity's coefficients span
+        # about 190 decades; the membership check's scaling underflows its
+        # terms of degree 2 to 4 to zero, leaving a degree-1 polynomial that
+        # must fail as odd top degree (exit 4), not reach gram_basis as a
+        # usage error (exit 1)
+        system = tmp_path / "underflow.sys"
+        system.write_text(
+            "dim 3\nsubsystems 1\nsubsystem 1\n"
+            "- 1*x1*x3 + 2*x1*x2*x3 + 1e-12*x1 + -4.11*x2\n"
+            "-0*x2*x3 - 4*x1*x2\n"
+            "0.1*x1*x2 + 0.5*x1*x3 + 1e200*1\n")
+        code, out, err = _run(
+            ["certify", str(system), "--ell", "1", "--delta", "1e-9",
+             "--degree-cap", "6", "--beta", "0",
+             "--out", str(tmp_path / "x.cert")], capsys)
+        assert code == 4
+        assert "identity-decay1 (odd top degree 1: not a sum of squares)" \
+            in out
+        assert err.startswith("verification failed: certificate rejected: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["certify", AFFINE, "--ell", "abc"],
         [],

@@ -58,25 +58,33 @@ def dense_constraints(problem, scale):
     return dense
 
 
+def stacked(emb, blocks):
+    """Per-block matrices as the embedding's per-size stacks."""
+    return [np.stack([blocks[b] for b in idx]) for _, idx in emb.groups]
+
+
 def assert_newton_rows(emb, E, newton, eta, tc, corrM, corr_tk, d):
-    """The six Newton equations of the embedding hold for direction d."""
+    """The six Newton equations of the embedding hold for direction d,
+    checked block by block through per-block views of the stacks."""
     E1, E2, E3, E4 = E
-    Sinv = newton.Sinv
+    X, E2, Sinv, dX, dS = (emb.unstack(stacks) for stacks in
+                           (emb.X, E2, newton.Sinv, d.dX, d.dS))
+    corrM = emb.unstack(corrM) if corrM else None
     tol = 1e-6 * (1 + emb.m)
     lhs1 = emb.opA(d.dX) + (emb.D @ d.du if emb.f else 0.0) - emb.b * d.dtau
     assert np.max(np.abs(lhs1 + eta * E1)) < tol, "primal Newton row failed"
-    At_dy = emb.opAt(d.dy)
-    for b in range(emb.nblocks):
-        lhs2 = At_dy[b] + d.dS[b]
+    At_dy = emb.unstack(emb.opAt(d.dy))
+    for b in range(len(emb.sizes)):
+        lhs2 = At_dy[b] + dS[b]
         assert np.max(np.abs(lhs2 + eta * E2[b])) < tol, "dual Newton row failed"
     if emb.f:
         lhs3 = emb.D.T @ d.dy - emb.g * d.dtau
         assert np.max(np.abs(lhs3 + eta * E3)) < tol, "free Newton row failed"
     lhs4 = float(emb.g @ d.du) - float(emb.b @ d.dy) + d.dkappa
     assert abs(lhs4 + eta * E4) < tol, "gap Newton row failed"
-    for b in range(emb.nblocks):
-        lhs5 = d.dX[b] + sdp._sym(emb.X[b] @ d.dS[b] @ Sinv[b]) \
-            - (tc * Sinv[b] - emb.X[b] - (corrM[b] if corrM else 0.0))
+    for b in range(len(emb.sizes)):
+        lhs5 = dX[b] + sdp._sym(X[b] @ dS[b] @ Sinv[b]) \
+            - (tc * Sinv[b] - X[b] - (corrM[b] if corrM else 0.0))
         assert np.max(np.abs(lhs5)) < tol, "complementarity Newton row failed"
     lhs6 = emb.tau * d.dkappa + emb.kappa * d.dtau \
         - (tc - emb.tau * emb.kappa - corr_tk)
@@ -350,13 +358,14 @@ class TestSparseOperators:
         Sinv = [np.linalg.inv(random_pd(rng, s)) for s in self.SIZES]
         y = rng.normal(size=problem.m)
         opA = sum(np.einsum("kij,ij->k", A_b, X_b) for A_b, X_b in zip(A, X))
-        assert np.allclose(emb.opA(X), opA, rtol=1e-13, atol=1e-13)
-        for got, A_b in zip(emb.opAt(y), A):
+        assert np.allclose(emb.opA(stacked(emb, X)), opA,
+                           rtol=1e-13, atol=1e-13)
+        for got, A_b in zip(emb.unstack(emb.opAt(y)), A):
             assert np.allclose(got, np.einsum("k,kij->ij", y, A_b),
                                rtol=1e-13, atol=1e-13)
 
-        emb.X = X
-        B = sdp._schur(emb, Sinv)
+        emb.X = stacked(emb, X)
+        B = sdp._schur(emb, stacked(emb, Sinv))
         B_ref = sum(np.einsum("jab,bc,kcd,da->jk", A_b, X_b, A_b, Si)
                     for A_b, X_b, Si in zip(A, X, Sinv))
         assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
@@ -375,6 +384,263 @@ class TestSparseOperators:
         assert a.objective == b.objective
         for Xa, Xb in zip(a.blocks, b.blocks):
             assert np.array_equal(Xa, Xb)
+
+
+# The iteration as it ran block by block, before its iterate was held as
+# per-size stacks: the references of TestStackedIteration.  An iterate is a
+# namespace with per-block lists X and S and y, u, tau and kappa; the data
+# come from the embedding's per-block records.
+
+
+def _reference_opA(emb, Xs):
+    out = np.zeros(emb.m)
+    for rows, A, X in zip(emb.rows, emb.A, Xs):
+        out[rows] += sdp._matmul(A, X.ravel())
+    return out
+
+
+def _reference_opAt(emb, y):
+    """Per block, the transpose of A[b] as its own CSR on y[rows[b]]."""
+    blocks = []
+    for rows, A, s in zip(emb.rows, emb.A, emb.sizes):
+        (mb, n), indptr, indices, data = A
+        At = sdp._csr(indices, np.repeat(np.arange(mb), np.diff(indptr)),
+                      data, (n, mb))
+        blocks.append(sdp._matmul(At, y[rows]).reshape(s, s))
+    return blocks
+
+
+def _reference_residuals(emb, it):
+    E1 = _reference_opA(emb, it.X) + (emb.D @ it.u if emb.f else 0.0) \
+        - emb.b * it.tau
+    At_y = _reference_opAt(emb, it.y)
+    E2 = [At_y[b] + it.S[b] for b in range(len(it.X))]
+    E3 = emb.D.T @ it.y - emb.g * it.tau
+    E4 = float(emb.g @ it.u) - float(emb.b @ it.y) + it.kappa
+    return E1, E2, E3, E4
+
+
+def _reference_mu(emb, it):
+    dots = sum(float(np.sum(it.X[b] * it.S[b])) for b in range(len(it.X)))
+    return (dots + it.tau * it.kappa) / (emb.nu + 1)
+
+
+def _reference_advance(it, alpha, d):
+    for b in range(len(it.X)):
+        it.X[b] = sdp._sym(it.X[b] + alpha * d.dX[b])
+        it.S[b] = sdp._sym(it.S[b] + alpha * d.dS[b])
+    it.y = it.y + alpha * d.dy
+    it.u = it.u + alpha * d.du
+    it.tau += alpha * d.dtau
+    it.kappa += alpha * d.dkappa
+    peak = max(it.tau, it.kappa,
+               max(float(np.max(np.abs(X))) for X in it.X),
+               max(float(np.max(np.abs(S))) for S in it.S),
+               float(np.max(np.abs(it.y))) if len(it.y) else 0.0,
+               float(np.max(np.abs(it.u))) if len(it.u) else 0.0)
+    if not peak > 1e8:
+        return 1.0
+    inv = 1.0 / peak
+    for b in range(len(it.X)):
+        it.X[b] *= inv
+        it.S[b] *= inv
+    it.y *= inv
+    it.u *= inv
+    it.tau *= inv
+    it.kappa *= inv
+    return inv
+
+
+def _reference_cone_factors(it):
+    Lx = [np.linalg.cholesky(X) for X in it.X]
+    Ls = [np.linalg.cholesky(S) for S in it.S]
+    Sinv = [sdp.dpotrs(L, np.eye(len(L)), lower=1)[0] for L in Ls]
+    return Lx, Ls, Sinv
+
+
+def _reference_schur(emb, it, Sinv):
+    B = np.zeros((emb.m, emb.m))
+    for b, (s, rows, X, Si) in enumerate(zip(emb.sizes, emb.rows, it.X,
+                                             Sinv)):
+        mb = len(rows)
+        if not mb:
+            continue
+        F = X @ sdp._matmul(emb.stack[b], Si).reshape(s, mb * s)
+        F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
+        B[np.ix_(rows, rows)] += sdp._matmul(emb.A[b], F)
+    return sdp._sym(B)
+
+
+def _reference_direction(emb, it, E, Sinv, newton, eta, tc, corrM, corr_tk):
+    E1, E2, E3, E4 = E
+    m = emb.m
+    G = []
+    for b in range(len(it.X)):
+        Gb = tc * Sinv[b] - it.X[b] + eta * sdp._sym(it.X[b] @ E2[b] @ Sinv[b])
+        if corrM is not None:
+            Gb = Gb - corrM[b]
+        G.append(Gb)
+    e0 = (tc - it.tau * it.kappa - corr_tk) / it.tau
+    h1 = -eta * E1 - _reference_opA(emb, G)
+    h3 = -eta * E4 - e0
+    p = sdp._kkt_solve(newton.K, newton.lu, np.concatenate([h1, -eta * E3]))
+    q = newton.q
+    den = float(emb.g @ q[m:]) - float(emb.b @ q[:m]) - it.kappa / it.tau
+    num = h3 + float(emb.b @ p[:m]) - float(emb.g @ p[m:])
+    dtau = num / den
+    dy = p[:m] + dtau * q[:m]
+    du = p[m:] + dtau * q[m:]
+    At_dy = _reference_opAt(emb, dy)
+    dS = [-eta * E2[b] - At_dy[b] for b in range(len(it.X))]
+    dX = []
+    for b in range(len(it.X)):
+        M = tc * Sinv[b] - it.X[b] - sdp._sym(it.X[b] @ dS[b] @ Sinv[b])
+        if corrM is not None:
+            M = M - corrM[b]
+        dX.append(sdp._sym(M))
+    dkappa = e0 - (it.kappa / it.tau) * dtau
+    return sdp._Direction(dX, du, dy, dS, dtau, dkappa)
+
+
+def _reference_max_step_psd(L, dM):
+    sdp._check_finite(L, dM)
+    W = sdp._lower_solve(L, dM)
+    sdp._check_finite(W)
+    W = sdp._lower_solve(L, W.T).T
+    lam = float(np.linalg.eigvalsh(sdp._sym(W))[0])
+    if lam >= -1e-16:
+        return np.inf
+    return -1.0 / lam
+
+
+def _reference_max_step(it, Lx, Ls, d):
+    alpha = np.inf
+    for b in range(len(it.X)):
+        alpha = min(alpha, _reference_max_step_psd(Lx[b], d.dX[b]))
+        alpha = min(alpha, _reference_max_step_psd(Ls[b], d.dS[b]))
+    if d.dtau < 0:
+        alpha = min(alpha, -it.tau / d.dtau)
+    if d.dkappa < 0:
+        alpha = min(alpha, -it.kappa / d.dkappa)
+    return alpha
+
+
+def _reference_search_direction(emb, it, E, mu, Lx, Ls, Sinv, newton):
+    pred = _reference_direction(emb, it, E, Sinv, newton, 1.0, 0.0, None, 0.0)
+    alpha = min(1.0, _reference_max_step(it, Lx, Ls, pred))
+    dot = sum(
+        float(np.sum((it.X[b] + alpha * pred.dX[b])
+                     * (it.S[b] + alpha * pred.dS[b])))
+        for b in range(len(it.X)))
+    mu_aff = (dot + (it.tau + alpha * pred.dtau)
+              * (it.kappa + alpha * pred.dkappa)) / (emb.nu + 1)
+    sigma = min(max((mu_aff / mu) ** 3, 1e-10), 0.99999)
+    corrM = [sdp._sym(pred.dX[b] @ pred.dS[b] @ Sinv[b])
+             for b in range(len(it.X))]
+    return _reference_direction(emb, it, E, Sinv, newton, 1.0 - sigma,
+                                sigma * mu, corrM, pred.dtau * pred.dkappa)
+
+
+class TestStackedIteration:
+    """The iteration on per-size stacks returns the bytes of the iteration
+    block by block (the _reference_* functions above) on random iterates:
+    blocks of size 1, size groups of one, and a single block."""
+
+    SIZES = [(2, 1, 1, 2, 2), (3, 3, 3, 6, 6), (19, 20, 10, 34, 19), (5,)]
+
+    @staticmethod
+    def program(rng, sizes):
+        """Random constraints, each on two blocks (one when there is one),
+        independent, with two free scalars in the first rows."""
+        m = min(12, sum(s * (s + 1) // 2 for s in sizes) - 1)
+        builder = SdpProblemBuilder(sizes, n_free=2)
+        for j in range(m):
+            entries = {}
+            for b in rng.choice(len(sizes), size=min(len(sizes), 2),
+                                replace=False):
+                s = sizes[b]
+                entries[int(b)] = [(int(rng.integers(s)), int(rng.integers(s)),
+                                    float(rng.normal())) for _ in range(3)]
+            free = {j: float(rng.normal())} if j < 2 else {}
+            builder.add_constraint(float(rng.normal()), entries, free)
+        return builder.build()
+
+    @staticmethod
+    def same(got, expected):
+        """Byte equality of two arrays, floats or per-block lists."""
+        if isinstance(expected, list):
+            return len(got) == len(expected) and all(
+                TestStackedIteration.same(g, e) for g, e in zip(got, expected))
+        return np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def assert_same_direction(self, emb, got, expected):
+        for name in ("dX", "dS"):
+            assert self.same(emb.unstack(getattr(got, name)),
+                             getattr(expected, name)), name
+        for name in ("dy", "du", "dtau", "dkappa"):
+            assert self.same(getattr(got, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=str)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_bits_as_block_by_block(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        emb = sdp._Embedding(self.program(rng, sizes))
+        it = types.SimpleNamespace(
+            X=[random_pd(rng, s) / s for s in sizes],
+            S=[random_pd(rng, s) / s for s in sizes],
+            y=rng.normal(size=emb.m), u=rng.normal(size=emb.f),
+            tau=float(rng.uniform(0.5, 2.0)), kappa=float(rng.uniform(0.5, 2.0)))
+        emb.X, emb.S = stacked(emb, it.X), stacked(emb, it.S)
+        emb.y, emb.u, emb.tau, emb.kappa = it.y.copy(), it.u.copy(), it.tau, \
+            it.kappa
+
+        E, E_ref = emb.residuals(), _reference_residuals(emb, it)
+        assert self.same(E[0], E_ref[0])
+        assert self.same(emb.unstack(E[1]), E_ref[1])
+        assert self.same(E[2], E_ref[2]) and self.same(E[3], E_ref[3])
+        mu = emb.mu()
+        assert self.same(mu, _reference_mu(emb, it))
+
+        Lx, Ls, Sinv = sdp._cone_factors(emb)
+        Lx_ref, Ls_ref, Sinv_ref = _reference_cone_factors(it)
+        assert self.same(emb.unstack(Lx), Lx_ref)
+        assert self.same(emb.unstack(Ls), Ls_ref)
+        assert self.same(emb.unstack(Sinv), Sinv_ref)
+        assert all(Si.flags.f_contiguous for Si in emb.unstack(Sinv))
+        newton = sdp._newton_system(emb, Lx, Ls, Sinv, 0.0)
+        assert self.same(newton.K[:emb.m, :emb.m],
+                         _reference_schur(emb, it, Sinv_ref))
+
+        pred = sdp._direction(emb, E, newton, 1.0, 0.0, None, 0.0)
+        pred_ref = _reference_direction(emb, it, E_ref, Sinv_ref, newton,
+                                        1.0, 0.0, None, 0.0)
+        self.assert_same_direction(emb, pred, pred_ref)
+        assert self.same(sdp._max_step(emb, newton, pred),
+                         _reference_max_step(it, Lx_ref, Ls_ref, pred_ref))
+
+        d = sdp._search_direction(emb, E, mu, newton)
+        d_ref = _reference_search_direction(emb, it, E_ref, mu, Lx_ref,
+                                            Ls_ref, Sinv_ref, newton)
+        self.assert_same_direction(emb, d, d_ref)
+        alpha = sdp._step_length(emb, newton, d)
+        assert self.same(alpha, min(1.0, sdp.STEP_SCALE * _reference_max_step(
+            it, Lx_ref, Ls_ref, d_ref)))
+
+        # one plain step, then one from an iterate scaled past the
+        # renormalisation threshold
+        for factor in (1.0, 1e9):
+            emb.tau *= factor
+            it.tau *= factor
+            assert self.same(emb.advance(alpha, d),
+                             _reference_advance(it, alpha, d_ref))
+            assert self.same(emb.unstack(emb.X), it.X)
+            assert self.same(emb.unstack(emb.S), it.S)
+            for name in ("y", "u", "tau", "kappa"):
+                assert self.same(getattr(emb, name), getattr(it, name)), name
+            E, E_ref = emb.residuals(), _reference_residuals(emb, it)
+            assert self.same(E[0], E_ref[0])
+            assert self.same(emb.unstack(E[1]), E_ref[1])
+            assert self.same(emb.mu(), _reference_mu(emb, it))
 
 
 class TestRowNorms:
@@ -512,18 +778,19 @@ class TestDirectLapack:
         W = sla.solve_triangular(L, W.T, lower=True).T
         lam = float(np.linalg.eigvalsh(sdp._sym(W))[0])
         assert lam < -1e-16
-        assert sdp._max_step_psd(L, dM) == -1.0 / lam
+        # a one-matrix stack is the per-block view of the step search
+        assert sdp._max_step_psd(L[None], dM[None]) == -1.0 / lam
 
     @pytest.mark.parametrize("size", SIZES)
     def test_cone_inverse_matches_cho_solve(self, size):
         rng = np.random.default_rng(size)
-        emb = types.SimpleNamespace(X=[random_pd(rng, size)],
-                                    S=[random_pd(rng, size)])
+        emb = types.SimpleNamespace(X=[random_pd(rng, size)[None]],
+                                    S=[random_pd(rng, size)[None]])
         _, Ls, Sinv = sdp._cone_factors(emb)
-        expected = sla.cho_solve((Ls[0], True), np.eye(size))
-        assert np.array_equal(Sinv[0], expected)
+        expected = sla.cho_solve((Ls[0][0], True), np.eye(size))
+        assert np.array_equal(Sinv[0][0], expected)
         # the layout feeds the Schur gemms, whose bits could depend on it
-        assert Sinv[0].flags.f_contiguous == expected.flags.f_contiguous
+        assert Sinv[0][0].flags.f_contiguous == expected.flags.f_contiguous
 
     @staticmethod
     def newton(monkeypatch, B, D):
@@ -581,7 +848,7 @@ class TestDirectLapack:
 
         def direction(*args):
             d = inner(*args)
-            d.dX[0][0, 0] = np.nan
+            d.dX[0][0, 0, 0] = np.nan
             return d
 
         monkeypatch.setattr(sdp, "_direction", direction)
@@ -726,14 +993,14 @@ class TestDirectKernels:
             assert np.isnan(sdp._cholesky(np.full((3, 3), np.nan))[0]).any()
 
     def test_indefinite_cone_is_a_breakdown(self):
-        emb = types.SimpleNamespace(X=[np.eye(2)],
-                                    S=[np.array([[1.0, 2.0], [2.0, 1.0]])])
+        emb = types.SimpleNamespace(X=[np.eye(2)[None]],
+                                    S=[np.array([[[1.0, 2.0], [2.0, 1.0]]])])
         with pytest.raises(sdp._Breakdown, match="cone factorisation failed"):
             sdp._cone_factors(emb)
 
     def test_nan_cone_fails_the_finite_check(self):
-        emb = types.SimpleNamespace(X=[np.eye(2)],
-                                    S=[np.full((2, 2), np.nan)])
+        emb = types.SimpleNamespace(X=[np.eye(2)[None]],
+                                    S=[np.full((1, 2, 2), np.nan)])
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             sdp._cone_factors(emb)
 
