@@ -354,13 +354,12 @@ def cmd_certify(args) -> None:
                          "(conditioning)")
     _check_count("--seed", args.seed)
     delta = args.delta if args.delta is not None else 1.0
+    beta = 0.0 if args.beta is None and args.beta_max is None else args.beta
 
     query = CertificationQuery(
         ell=args.ell, delta=delta, degree=args.degree,
-        beta=args.beta, beta_max=args.beta_max, degree_cap=args.degree_cap,
+        beta=beta, beta_max=args.beta_max, degree_cap=args.degree_cap,
         deg_q=args.q_degree, seed=args.seed)
-    if args.beta is None and args.beta_max is None:
-        query.beta = 0.0
     out_path = args.out or str(Path(args.system).with_suffix(".cert"))
     for path in filter(None, (out_path, args.dump_sdp)):
         _check_parent_dir(path)
@@ -394,7 +393,6 @@ def cmd_verify(args) -> None:
     _check_count("--seed", args.seed)
     system = load_system(args.system, _parse_param_flags(args.param))
     cert = load_certificate(args.certificate)
-    check_matches(cert, system)
     report = verify_certificate(
         system, cert, sample_count=args.samples, seed=args.seed,
         residual_tol=args.residual_tol)

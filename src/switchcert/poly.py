@@ -4,7 +4,7 @@ A polynomial in n variables maps exponent tuples (one non-negative integer
 per variable) to finite real coefficients (a NaN or infinite coefficient
 raises ValueError); the zero polynomial is the empty map.
 Values are immutable after construction and safe to share across threads;
-every operation returns a new object.
+every operation returns a new object, and a ``Polynomial`` caches nothing.
 
 Text form uses variables x1..xn with operators + - * ^ and parentheses,
 e.g. ``0.2868*x1 - x2^2*x1``.  Printing emits terms in descending
@@ -14,11 +14,11 @@ exactly.
 Evaluation has one monomial rule, ``monomial_steps``: powers by repeated
 products, each monomial the product of its powers in variable order.
 ``monomial_kernel`` compiles it to straight-line numpy code for blocks of
-points, which ``evaluate_many`` and the simulation's batch use, and the
-simulation emits the same steps as float code for a single point.  Every
-caller lists monomials and coefficients by ``exponent_tables`` and sums
-in that order: ``evaluate_many`` and the batch with one BLAS product, the
-float code term by term.
+points, once per exponent table, for ``evaluate_many`` and the
+simulation's batch, and the simulation emits the same steps as float code
+for a single point.  Every caller lists monomials and coefficients by
+``exponent_tables`` and sums in that order: ``evaluate_many`` and the
+batch with one BLAS product, the float code term by term.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class ParseError(ValueError):
 class Polynomial:
     """Immutable sparse polynomial: dict from exponent tuple to coefficient."""
 
-    __slots__ = ("dimension", "terms", "_arrays")
+    __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, terms: Mapping[Monomial, float] | None = None):
         if dimension < 1:
@@ -80,7 +80,6 @@ class Polynomial:
                     clean[mono] = c
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_arrays", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
@@ -211,14 +210,6 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _get_arrays(self):
-        cached = self._arrays
-        if cached is None:
-            exps, coefs = exponent_tables([self], self.dimension)
-            cached = (monomial_kernel(exps), coefs[0])
-            object.__setattr__(self, "_arrays", cached)
-        return cached
-
     def evaluate(self, point: Sequence[float]) -> float:
         pt = np.asarray(point, dtype=float)
         if pt.shape != (self.dimension,):
@@ -234,8 +225,8 @@ class Polynomial:
                 f"points have shape {pts.shape}, expected (k, {self.dimension})")
         if not self.terms:
             return np.zeros(pts.shape[0])
-        monomials, coefs = self._get_arrays()
-        return evaluate_exponent_form(pts, monomials, coefs)
+        exps, coefs = exponent_tables([self], self.dimension)
+        return evaluate_exponent_form(pts, monomial_kernel(exps), coefs[0])
 
     __call__ = evaluate
 

@@ -78,12 +78,14 @@ iterates do not depend on the tolerances, so a looser re-solve would only
 retrace them.
 
 Linearly dependent constraints make the KKT matrix singular;
-``_independent_constraints`` finds them before the first iteration, and
-only then is the KKT diagonal shifted, by ``DEPENDENT_SHIFT``.  A Farkas
-ray is accepted when its dual residual is at most ``RAY_TOL`` times b.y.
-That bar is relative to b.y, so a feasible problem with a large solution
-can be called infeasible: one 1x1 block with the single constraint
-X = 2e8 is.  Every certificate is re-verified apart from the search.
+``_independent_constraints`` finds them from the first iteration's Schur
+complement, which at X = S = I is the rows' Gram matrix, before its KKT
+matrix is factored, and only then is the KKT diagonal shifted, by
+``DEPENDENT_SHIFT``, in every iteration.  A Farkas ray is accepted when
+its dual residual is at most ``RAY_TOL`` times b.y.  That bar is relative
+to b.y, so a feasible problem with a large solution can be called
+infeasible: one 1x1 block with the single constraint X = 2e8 is.  Every
+certificate is re-verified apart from the search.
 
 The iteration calls scipy's LAPACK routines directly, from the compiled
 module ``scipy.linalg._flapack``: ``dtrtrs`` for the two triangular solves
@@ -655,20 +657,15 @@ class _Embedding:
         return inv
 
 
-def _independent_constraints(emb) -> bool:
+def _independent_constraints(emb, B) -> bool:
     """Whether the scaled constraint rows (A_j, d_j) are linearly
     independent, judged by the Cholesky factor of their Gram matrix
-    sum_b A_b A_b^T + D D^T.  Its diagonal is one, so dependent rows leave
-    a pivot at rounding level, or none at all when the factorisation
-    fails; with dependent rows the unshifted KKT matrix is singular."""
-    gram = emb.D @ emb.D.T
-    for rows, A in zip(emb.rows, emb.A):
-        (mb, n), indptr, indices, data = A
-        dense = np.zeros((n, mb))
-        dense[indices, np.repeat(np.arange(mb), np.diff(indptr))] = data
-        gram[np.ix_(rows, rows)] += _matmul(A, dense)
+    B + D D^T, B the first iteration's Schur complement: at X = S = I it is
+    sum_b A_b A_b^T.  Its diagonal is one, so dependent rows leave a pivot
+    at rounding level, or none at all when the factorisation fails; with
+    dependent rows the unshifted KKT matrix is singular."""
     try:
-        L, = _cholesky(gram)
+        L, = _cholesky(B + emb.D @ emb.D.T)
     except np.linalg.LinAlgError:
         return False
     return float(np.min(np.diag(L))) ** 2 > emb.m * np.finfo(float).eps
@@ -701,7 +698,7 @@ def _check_info(name, info):
 # One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
 # diagonal shift, with the Schur complement B.  q = K^-1 (b, g) does not
 # depend on the direction, so predictor and corrector share it.
-_NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu q")
+_NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu q shift")
 _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
 
 
@@ -748,9 +745,12 @@ def _schur(emb, Sinv):
 def _newton_system(emb, Lx, Ls, Sinv, shift) -> _NewtonSystem:
     """Build the KKT matrix, its diagonal shifted by +shift on the
     constraint rows and -shift on the free scalars, LU-factor it, and
-    solve for q."""
+    solve for q.  A shift of None, on the first iteration, is decided here:
+    DEPENDENT_SHIFT when the constraint rows are dependent, else 0."""
     m, f = emb.m, emb.f
     B = _schur(emb, Sinv)
+    if shift is None:
+        shift = 0.0 if _independent_constraints(emb, B) else DEPENDENT_SHIFT
     K = np.zeros((m + f, m + f))
     K[:m, :m] = B
     K[:m, m:] = emb.D
@@ -766,7 +766,7 @@ def _newton_system(emb, Lx, Ls, Sinv, shift) -> _NewtonSystem:
     except ValueError:
         raise _Breakdown("KKT factorisation failed") from None
     q = _kkt_solve(K, (lu, piv), np.concatenate([emb.b, emb.g]))
-    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), q)
+    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), q, shift)
 
 
 def _lu_solve(lu, rhs):
@@ -955,7 +955,7 @@ def _failure(message: str) -> SdpSolution:
 
 def _solve(problem: SdpProblem):
     emb = _Embedding(problem)
-    shift = 0.0 if _independent_constraints(emb) else DEPENDENT_SHIFT
+    shift = None
     message, certificate, verdict = "", None, None
     iterations = stall = 0
     E = emb.residuals()
@@ -965,6 +965,7 @@ def _solve(problem: SdpProblem):
         try:
             Lx, Ls, Sinv = _cone_factors(emb)
             newton = _newton_system(emb, Lx, Ls, Sinv, shift)
+            shift = newton.shift
             d = _search_direction(emb, E, mu, newton)
             alpha = _step_length(emb, newton, d)
         except _Breakdown as exc:

@@ -35,10 +35,11 @@ signal's rates are Python source generated from the tables of
 ``poly.exponent_tables`` and compiled once per call: straight-line code
 with the batch's one-step matrices and the monomials of
 ``poly.monomial_steps``, the rule that ``poly.monomial_kernel`` compiles
-for blocks, each sum in ascending (degree, exponent) order, so no table
-is walked while stepping.  ``integrate`` drives it with the snapped
-signal and ``adversarial_switching`` with the greedy choice at each grid
-point.
+for blocks, every sum written by ``_polynomial_lines`` in the order of its
+table (a one-step matrix's over the identity table, in index order), so
+no table is walked while stepping.  ``integrate`` drives it with the
+snapped signal and ``adversarial_switching`` with the greedy choice at
+each grid point.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ import numpy as np
 
 from .certify import (AbsorbingSetCertificate, SwitchedSystem, check_matches,
                       check_positive)
-from .poly import (Polynomial, compile_function, exponent_tables,
-                   lie_derivative, monomial_kernel, monomial_steps)
+from .poly import (Polynomial, compile_function, even_power_norm,
+                   exponent_tables, lie_derivative, monomial_kernel,
+                   monomial_steps)
 
 DIVERGENCE_GUARD = 1e12
 RE_EXIT_TOLERANCE = 1e-3
@@ -338,11 +340,13 @@ def _scalar_steppers(system: SwitchedSystem, dts: np.ndarray):
 
 def _generated_linear_step(increments: dict, dimension: int):
     xs, sums, constants = _names("x", dimension), _names("z", dimension), {}
+    # D x over the identity table, in index order; _polynomial_lines drops
+    # D's zero entries, whose terms would add a signed zero of a finite
+    # state to a sum that starts at 0.0 and so never change it
+    identity = np.eye(dimension, dtype=np.intp)
     lines = [f"{', '.join(xs)}, = x"]
     for dt, D in increments.items():
-        branch = [line for target, row in zip(sums, D.tolist())
-                  for line in _sum_lines(target, [
-                      _term(d, x, constants) for d, x in zip(row, xs)])]
+        branch = _polynomial_lines(identity, D, xs, sums, constants)
         branch.append("return [" + ", ".join(
             f"{x} + {z}" for x, z in zip(xs, sums)) + "]")
         lines += [f"if dt == {_literal(dt, constants)}:",
@@ -541,7 +545,7 @@ class _Absorption:
         self.monomials = monomial_kernel(exps)
         self.gamma = cert.gamma
         self.march = march
-        self.entered = (self.coefs @ self.monomials(march.x0))[0] <= self.gamma
+        self.entered = self.lyapunov(march.x0[:, None, :])[0] <= self.gamma
         self.entry_time = np.where(self.entered, 0.0, np.nan)
         self.post_max = np.full(len(self.entered), -np.inf)
         self.all_entered = bool(self.entered.all())
@@ -700,8 +704,7 @@ def adversarial_switching(system: SwitchedSystem, V: Polynomial | None,
     n = system.dimension
     start = check_starts(system, [x0])[0]
     if V is None:
-        V = Polynomial(n, {tuple(2 if k == j else 0 for k in range(n)): 1.0
-                           for j in range(n)})
+        V = even_power_norm(n, 1)
     rates = _scalar_evaluator([lie_derivative(V, f) for f in system.fields], n)
     dts, times = _grid(horizon, h)
     switches = []

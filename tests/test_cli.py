@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import REPO, SYSTEMS
 from switchcert import certify as cert_mod, cli, sdp, sim
@@ -936,3 +940,61 @@ class TestExitCodes:
         assert _run(["certify", self.AFFINE], capsys) == (
             4, "containment: FAIL\n",
             "verification failed: certificate rejected: containment\n")
+
+
+# coefficients of the generated fields: exact zeros and ones, small
+# integers, and magnitudes at the edges of double precision
+_COEFFICIENTS = st.sampled_from(
+    [0, 1, -1, 2, -2, 3, -5, 1e-12, -1e-12, 1e200, 1e-300])
+
+
+@st.composite
+def _system_texts(draw):
+    """System files of dimension 1-2 with 1-2 subsystems, each component
+    a sum of monomials of degree at most 3."""
+    n, count = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    monomials = [m for m in np.ndindex(*(4,) * n) if sum(m) <= 3]
+    lines = [f"dim {n}", f"subsystems {count}"]
+    for i in range(count):
+        lines.append(f"subsystem {i + 1}")
+        for _ in range(n):
+            terms = draw(st.lists(st.tuples(_COEFFICIENTS, st.sampled_from(
+                monomials)), min_size=1, max_size=4))
+            lines.append(" + ".join(
+                "*".join([repr(c), *(f"x{j + 1}^{e}" for j, e in enumerate(m)
+                                     if e)]) for c, m in terms))
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedCertify:
+    """cli.main's exit-code contract on generated system files and
+    queries: a code in 0-5, no exception or warning out of main, one
+    stderr line with the code's prefix on failure and none on success."""
+
+    PREFIXES = {code: prefix for _, code, prefix in cli._EXIT_POLICY}
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_system_texts(),
+           delta=st.sampled_from(["1e-9", "1e-4", "1"]),
+           beta=st.sampled_from(["0", "1"]),
+           cap=st.sampled_from(["2", "4"]))
+    def test_exit_code_contract(self, tmp_path, text, delta, beta, cap):
+        system = tmp_path / "generated.sys"
+        system.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["certify", str(system), "--ell", "1",
+                         "--delta", delta, "--beta", beta,
+                         "--degree-cap", cap,
+                         "--out", str(tmp_path / "generated.cert")])
+        assert code in range(6)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith(f"{self.PREFIXES[code]}: ")

@@ -341,8 +341,8 @@ class TestMonomialKernel:
         q = parse_expression("5*x1^3 + x1*x2 - 3*x2^4 + 7", 2)
         exps = exponent_tables([p], 2)[0]
         assert np.array_equal(exps, exponent_tables([q], 2)[0])
-        kernel = p._get_arrays()[0]
-        assert q._get_arrays()[0] is kernel
+        kernel = monomial_kernel(exponent_tables([p], 2)[0])
+        assert monomial_kernel(exponent_tables([q], 2)[0]) is kernel
         assert monomial_kernel(exps.astype(np.int32)) is kernel
         fresh = poly._compiled_kernel.__wrapped__(exps.shape, exps.tobytes())
         assert fresh is not kernel

@@ -110,7 +110,7 @@ def audited(monkeypatch):
 
 def record_attempts(monkeypatch):
     """Wraps sdp._solve and sdp._newton_system: the returned list gets one
-    set per _solve call, holding the KKT shifts of its iterations."""
+    set per _solve call, holding the KKT shifts its Newton systems used."""
     attempts = []
     inner_solve, inner_newton = sdp._solve, sdp._newton_system
 
@@ -119,8 +119,9 @@ def record_attempts(monkeypatch):
         return inner_solve(problem)
 
     def newton(emb, Lx, Ls, Sinv, shift):
-        attempts[-1].add(shift)
-        return inner_newton(emb, Lx, Ls, Sinv, shift)
+        system = inner_newton(emb, Lx, Ls, Sinv, shift)
+        attempts[-1].add(system.shift)
+        return system
 
     monkeypatch.setattr(sdp, "_solve", recording)
     monkeypatch.setattr(sdp, "_newton_system", newton)
@@ -733,6 +734,22 @@ class TestReportedOnOriginalData:
             1e-12 + 1e-5 * abs(objective)
 
 
+def _reference_independent(emb):
+    """The dependence test as it ran before the first iteration: the
+    Cholesky factor of sum_b A_b A_b^T + D D^T from densified blocks."""
+    gram = emb.D @ emb.D.T
+    for rows, A in zip(emb.rows, emb.A):
+        (mb, n), indptr, indices, data = A
+        dense = np.zeros((n, mb))
+        dense[indices, np.repeat(np.arange(mb), np.diff(indptr))] = data
+        gram[np.ix_(rows, rows)] += sdp._matmul(A, dense)
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return float(np.min(np.diag(L))) ** 2 > emb.m * np.finfo(float).eps
+
+
 class TestDependentConstraints:
     """Linearly dependent constraints make the unshifted KKT matrix
     singular, so their one attempt runs with DEPENDENT_SHIFT."""
@@ -745,7 +762,10 @@ class TestDependentConstraints:
         with pytest.raises(sdp._Breakdown, match=sdp._SINGULAR):
             sdp._kkt_solve(K, lu, np.array([1.0, 0.0]))
 
-    def test_one_attempt_with_the_shift(self, monkeypatch):
+    @staticmethod
+    def dependent_program():
+        """Four constraints on one 3x3 block, the last the first plus twice
+        the second."""
         rng = np.random.default_rng(0)
         R_star = random_pd(rng, 3)
         rows = [rng.normal(size=(3, 3)) for _ in range(3)]
@@ -756,10 +776,25 @@ class TestDependentConstraints:
             builder.add_constraint(
                 float(np.sum(A * R_star)),
                 {0: [(i, j, A[i, j]) for i in range(3) for j in range(i, 3)]})
+        return builder.build()
+
+    def test_one_attempt_with_the_shift(self, monkeypatch):
         attempts = record_attempts(monkeypatch)
-        solution = solve(builder.build())
+        solution = solve(self.dependent_program())
         assert solution.status == "optimal"
         assert attempts == [{sdp.DEPENDENT_SHIFT}]
+
+    @pytest.mark.parametrize("dependent", [True, False])
+    def test_first_schur_complement_decides_as_the_dense_gram(self,
+                                                              dependent):
+        # the independent program holds two free scalars, so D D^T counts
+        problem = self.dependent_program() if dependent else \
+            TestStackedIteration.program(np.random.default_rng(3), (3, 3, 6))
+        emb = sdp._Embedding(problem)
+        newton = sdp._newton_system(emb, *sdp._cone_factors(emb), None)
+        assert newton.shift == (sdp.DEPENDENT_SHIFT if dependent else 0.0)
+        assert newton.shift == \
+            (0.0 if _reference_independent(emb) else sdp.DEPENDENT_SHIFT)
 
 
 class TestDirectLapack:

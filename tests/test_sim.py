@@ -1049,6 +1049,29 @@ class TestGeneratedFloatLoop:
             assert (np.array(generated(x)).tobytes()
                     == np.array(reference(x)).tobytes())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_linear_step_on_signed_zeros_and_extreme_states(self, n):
+        # _reference_linear_step adds every entry's term, zeros included;
+        # the generated step drops D's zero entries and must keep the bits
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            increments = {}
+            for dt in (1e-3, 5e-4):
+                D = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 2)
+                mask = rng.choice(4, size=(n, n), p=[0.4, 0.2, 0.2, 0.2])
+                D[mask == 1], D[mask == 2], D[mask == 3] = 0.0, -0.0, 1.0
+                increments[dt] = D
+            step = sim._generated_linear_step(increments, n)
+            lists = {dt: D.tolist() for dt, D in increments.items()}
+            x = rng.choice([-1.0, 1.0], size=(50, n)) \
+                * 10.0 ** rng.uniform(-300, 12, size=(50, n))
+            x[rng.random(size=x.shape) < 0.2] = 0.0
+            x[rng.random(size=x.shape) < 0.2] = -0.0
+            for dt in increments:
+                for point in x.tolist():
+                    assert (np.array(step(point, dt)).tobytes() == np.array(
+                        _reference_linear_step(lists, point, dt)).tobytes())
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_one_step_matrix(self, monkeypatch):
         # D holds inf and nan; the first step leaves the guard
