@@ -229,9 +229,12 @@ class SolveLog:
     equality per monomial of each identity's support, and every Gram
     upper-triangle entry and free scalar.  rows counts the SDP rows
     actually solved, which leave out the equalities that the program's
-    sign symmetries make vacuous (sosprog.encode).  min_eig is the
-    smallest eigenvalue of the solved Gram blocks, when there is a
-    solution; sdp accepts a point only when it is at least -sdp.PSD_TOL."""
+    sign symmetries make vacuous (sosprog.encode).  solved_sizes gives,
+    per Gram block, the sizes of the blocks sdp solved it as
+    (SdpSolution.solved_sizes): a wide block splits into the components
+    of its sparsity pattern.  min_eig is the smallest eigenvalue of the
+    solved Gram blocks, when there is a solution; sdp accepts a point only
+    when it is at least -sdp.PSD_TOL."""
 
     purpose: str
     degree: int
@@ -241,6 +244,7 @@ class SolveLog:
     rows: int
     status: str
     min_eig: float | None = None
+    solved_sizes: tuple | None = None
 
     @classmethod
     def of(cls, purpose: str, degree: int, beta: float,
@@ -250,12 +254,17 @@ class SolveLog:
                    encoding.n_decision_variables, encoding.problem.m,
                    solution.status,
                    min(solution.min_eigenvalues) if solution.feasible
-                   else None)
+                   else None, solution.solved_sizes)
 
     def line(self) -> str:
+        """The log as one line; solved_blocks= lists the sizes as solved,
+        a split block's parts joined by +, when some block was split."""
         text = (f"solve {self.purpose} deg={self.degree} beta={self.beta:g}: "
                 f"status={self.status} equalities={self.equalities} "
                 f"decision_vars={self.decision_variables} rows={self.rows}")
+        if any(len(parts) > 1 for parts in self.solved_sizes or ()):
+            text += " solved_blocks=" + ",".join(
+                "+".join(map(str, parts)) for parts in self.solved_sizes)
         if self.min_eig is not None:
             text += f" min_eig={self.min_eig:.3e}"
         return text

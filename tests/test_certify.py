@@ -78,6 +78,25 @@ class TestFindAbsorbingLyapunov:
         assert solved.min_eig >= -sdp.PSD_TOL
         assert solved.line().endswith(f" min_eig={solved.min_eig:.3e}")
 
+    def test_log_gives_solved_blocks(self, cubic_3d_pair, affine_pair):
+        # the 34-wide block of the cubic degree-6 program is solved as its
+        # two sign classes, and the log says so before min_eig; a program
+        # solved whole, as the affine pair's, says nothing of it
+        logs = []
+        q6 = CertificationQuery(ell=2, delta=1.0, degree=6, beta=0.0)
+        result = find_absorbing_lyapunov(cubic_3d_pair, q6, logs)
+        log, = logs
+        assert log.solved_sizes == result.solution.solved_sizes == \
+            ((19,), (20,), (10,), (13, 21), (19,))
+        assert f"rows={log.rows} solved_blocks=19,20,10,13+21,19 " \
+            f"min_eig={log.min_eig:.3e}" in log.line()
+        logs = []
+        q4 = CertificationQuery(ell=2, delta=1.0, degree=4, beta=3.3)
+        find_absorbing_lyapunov(affine_pair, q4, logs)
+        log, = logs
+        assert all(len(parts) == 1 for parts in log.solved_sizes)
+        assert "solved_blocks" not in log.line()
+
     def test_requires_fixed_beta(self, affine_pair):
         query = CertificationQuery(ell=2, degree=4, beta=None, beta_max=4.0)
         with pytest.raises(ValueError):

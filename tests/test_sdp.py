@@ -544,8 +544,9 @@ def _reference_search_direction(emb, it, E, mu, Lx, Ls, Sinv, newton):
 
 class TestStackedIteration:
     """The iteration on per-size stacks returns the bytes of the iteration
-    block by block (the _reference_* functions above) on random iterates:
-    blocks of size 1, size groups of one, and a single block."""
+    block by block (the _reference_* functions above) on random iterates
+    of the blocks as solved: blocks of size 1, size groups of one, a block
+    split into its components, and a single block."""
 
     SIZES = [(2, 1, 1, 2, 2), (3, 3, 3, 6, 6), (19, 20, 10, 34, 19), (5,)]
 
@@ -586,6 +587,10 @@ class TestStackedIteration:
     def test_same_bits_as_block_by_block(self, sizes, seed):
         rng = np.random.default_rng(seed)
         emb = sdp._Embedding(self.program(rng, sizes))
+        # the iterate lives on the blocks as solved: the random pattern of
+        # the 34-wide block, at least SPLIT_WIDTH wide, falls apart into
+        # many components
+        sizes = emb.sizes
         it = types.SimpleNamespace(
             X=[random_pd(rng, s) / s for s in sizes],
             S=[random_pd(rng, s) / s for s in sizes],
@@ -642,6 +647,172 @@ class TestStackedIteration:
             assert self.same(E[0], E_ref[0])
             assert self.same(emb.unstack(E[1]), E_ref[1])
             assert self.same(emb.mu(), _reference_mu(emb, it))
+
+
+def _pattern(problem, block):
+    """The rows and columns of every entry of a block, over all
+    constraints."""
+    ents = [ent for per_con in problem.entries for ent in per_con
+            if ent.block == block]
+    return (np.concatenate([ent.rows for ent in ents]),
+            np.concatenate([ent.cols for ent in ents]))
+
+
+class TestBlockSplit:
+    """A block at least SPLIT_WIDTH wide is solved as the components of
+    its constraint pattern; the solution is reported on the blocks as
+    posed."""
+
+    # a wide block whose pattern falls into two interleaved classes, the
+    # wider one first, and a narrow block
+    WIDTH = sdp.SPLIT_WIDTH + 4
+    PARTS = (np.setdiff1d(np.arange(WIDTH), np.arange(2, WIDTH, 3)),
+             np.arange(2, WIDTH, 3))
+
+    def program(self, separate):
+        """Planted constraints within one class each, plus one row that
+        sets the free scalar t to <C, X> with C block-diagonal over the
+        classes; the objective is t.  separate poses each class as a block
+        of its own."""
+        rng = np.random.default_rng(5)
+        Rs = [random_pd(rng, len(idx)) for idx in self.PARTS]
+        R_small = random_pd(rng, 3)
+        if separate:
+            builder = SdpProblemBuilder([len(idx) for idx in self.PARTS]
+                                        + [3], n_free=1)
+            place = [(k, np.arange(len(idx)))
+                     for k, idx in enumerate(self.PARTS)]
+            small = len(self.PARTS)
+        else:
+            builder = SdpProblemBuilder([self.WIDTH, 3], n_free=1)
+            place = [(0, idx) for idx in self.PARTS]
+            small = 1
+        builder.set_objective_free([1.0])
+
+        def entries(k, M):
+            """The upper triangle of M on class k, as posed."""
+            b, idx = place[k]
+            i, j = np.triu_indices(len(M))
+            return b, [(idx[a], idx[c], M[a, c]) for a, c in zip(i, j)]
+
+        for j in range(24):
+            k = j % 2
+            A = sdp._sym(rng.normal(size=Rs[k].shape))
+            A[rng.uniform(size=A.shape) < 0.7] = 0.0
+            A = sdp._sym(A)
+            b, triplets = entries(k, A)
+            E = sdp._sym(rng.normal(size=(3, 3)))
+            rhs = float(np.sum(A * Rs[k]) + np.sum(E * R_small))
+            builder.add_constraint(rhs, {b: triplets, small: [
+                (i, c, E[i, c]) for i in range(3) for c in range(i, 3)]})
+        row = {}
+        for k, R in enumerate(Rs):
+            C = sdp._sym(rng.normal(size=R.shape)) + len(R) * np.eye(len(R))
+            b, triplets = entries(k, C)
+            row.setdefault(b, []).extend(triplets)
+        builder.add_constraint(0.0, row, {0: -1.0})
+        return builder.build()
+
+    def test_same_solution_as_separate_blocks(self):
+        posed, separate = self.program(False), self.program(True)
+        emb = sdp._Embedding(posed)
+        assert [[idx.tolist() for _, idx in part] for part in emb.parts] == \
+            [[idx.tolist() for idx in self.PARTS], [[0, 1, 2]]]
+        assert emb.sizes == separate.block_sizes
+
+        got, expected = solve(posed), solve(separate)
+        assert got.status == expected.status == "optimal"
+        assert got.objective == pytest.approx(expected.objective, rel=1e-9)
+        assert got.solved_sizes == ((len(self.PARTS[0]), len(self.PARTS[1])),
+                                    (3,))
+        assert expected.solved_sizes == ((len(self.PARTS[0]),),
+                                         (len(self.PARTS[1]),), (3,))
+        X = got.blocks[0]
+        assert X.shape == (self.WIDTH, self.WIDTH)
+        A, B = self.PARTS
+        assert np.all(X[np.ix_(A, B)] == 0.0)
+        assert np.all(X[np.ix_(B, A)] == 0.0)
+        assert got.min_eigenvalues[0] == min(
+            min_eigenvalue(X[np.ix_(idx, idx)]) for idx in self.PARTS)
+        assert got.min_eigenvalues[1] == min_eigenvalue(got.blocks[1])
+
+    def test_ray_holds_on_the_posed_data(self):
+        # the trace of one class pinned at -1: no PSD point exists
+        A, B = self.PARTS
+        builder = SdpProblemBuilder([self.WIDTH])
+        builder.add_constraint(-1.0, {0: [(i, i, 1.0) for i in A]})
+        # two more rows, each chaining one class together
+        builder.add_constraint(0.5, {0: [(i, k, 1.0) for i, k in zip(A, A[1:])]
+                                     + [(B[0], B[0], 2.0)]})
+        builder.add_constraint(2.0, {0: [(i, i, 1.0) for i in B]
+                                     + [(i, k, 0.5) for i, k in zip(B, B[1:])]})
+        problem = builder.build()
+        solution = solve(problem)
+        assert solution.status == "infeasible"
+        assert solution.solved_sizes == ((len(A), len(B)),)
+        y = solution.certificate["ray_y"]
+        dense, = dense_constraints(problem, np.ones(problem.m))
+        assert float(problem.rhs @ y) > 0
+        assert min_eigenvalue(-np.einsum("k,kij->ij", y, dense)) >= \
+            -sdp.RAY_TOL
+
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_components_are_the_parity_classes(self, systems_dir, degree):
+        # the sign symmetries of the cubic pair give each Gram block its
+        # classes (sosprog), the constraint pattern its components (sdp)
+        from switchcert.sosprog import parity_classes
+        system = load_system(str(systems_dir / "cubic_3d_pair.sys"))
+        program, _ = build_absorbing_program(
+            system, ell=2, delta=1.0, degree=degree, beta=0.0)
+        encoding = encode(program)
+        problem = encoding.problem
+        emb = sdp._Embedding(problem)
+        split = 0
+        for b, s in enumerate(problem.block_sizes):
+            classes = parity_classes(encoding.bases[b], encoding.parity_span)
+            by_class = sorted((np.flatnonzero(classes == c).tolist()
+                               for c in set(classes.tolist())))
+            comps = sdp._components(s, *_pattern(problem, b))
+            assert [idx.tolist() for idx in comps] == by_class
+            parts = [idx.tolist() for _, idx in emb.parts[b]]
+            if s >= sdp.SPLIT_WIDTH:
+                assert parts == by_class
+                split += len(parts) > 1
+            else:
+                assert parts == [list(range(s))]
+        assert split == (1 if degree == 6 else 4)
+
+    def test_wide_block_with_fewer_entries_than_indices(self):
+        # two entries on a wide block: every index is a component, and the
+        # indices no constraint touches are free
+        builder = SdpProblemBuilder([self.WIDTH])
+        builder.add_constraint(1.0, {0: [(0, 0, 1.0)]})
+        builder.add_constraint(2.0, {0: [(self.WIDTH - 1,) * 2 + (1.0,)]})
+        solution = solve(builder.build())
+        assert solution.status == "optimal"
+        assert solution.solved_sizes == ((1,) * self.WIDTH,)
+        X = solution.blocks[0]
+        assert X[0, 0] == pytest.approx(1.0) and X[-1, -1] == pytest.approx(2.0)
+        assert np.all(X[~np.eye(self.WIDTH, dtype=bool)] == 0.0)
+
+    def test_narrow_blocks_iterate_as_posed(self):
+        # every index its own component, yet no block is wide enough
+        sizes = (sdp.SPLIT_WIDTH - 1, 4)
+        builder = SdpProblemBuilder(sizes)
+        for b, s in enumerate(sizes):
+            for i in range(s):
+                builder.add_constraint(1.0 + i, {b: [(i, i, 1.0)]})
+        problem = builder.build()
+        assert len(sdp._components(sizes[0], *_pattern(problem, 0))) == \
+            sizes[0]
+        emb = sdp._Embedding(problem)
+        assert emb.sizes == sizes
+        assert [len(part) for part in emb.parts] == [1, 1]
+        solution = solve(problem)
+        assert solution.status == "optimal"
+        assert solution.solved_sizes == ((sizes[0],), (sizes[1],))
+        assert np.allclose(solution.blocks[0],
+                           np.diag(1.0 + np.arange(sizes[0])), atol=1e-6)
 
 
 class TestRowNorms:
