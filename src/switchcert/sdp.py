@@ -56,8 +56,10 @@ one sparse product gives every A_k S^-1, one gemm every X A_k S^-1, and
 one sparse product their inner products with the A_j.  The dense work per
 block is O(s^3 m_b) in the gemm and O(s^2 m_b) in the copy of F that lays
 the X A_k S^-1 out for the last product, for its m_b touching constraints,
-against O(s^2 m^2) for a dense B = U U^T.  The blocks are those solved,
-below.
+against O(s^2 m^2) for a dense B = U U^T.  The blocks' m_b x m_b parts
+are added into B by one bincount over precomputed flat indices, in block
+order from 0.0, so B has the bits of one update per block.  The blocks are
+those solved, below.
 
 Before the embedding is built, ``_split_blocks`` solves every block at
 least ``SPLIT_WIDTH`` wide as the connected components of its pattern:
@@ -176,7 +178,7 @@ import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -237,8 +239,7 @@ _UNBOUNDED = "primal appears unbounded (dual infeasibility ray detected)"
 _SINGULAR = "singular Newton system"
 
 
-@dataclass(frozen=True)
-class _ConstraintEntries:
+class _ConstraintEntries(NamedTuple):
     """Sparse symmetric entries of one constraint in one block (i <= j)."""
 
     block: int
@@ -262,7 +263,18 @@ class SdpProblem:
 
 
 class SdpProblemBuilder:
-    """Incremental assembly of an SdpProblem with sparse symmetric entries."""
+    """Incremental assembly of an SdpProblem with sparse symmetric entries.
+
+    Every row passes one rule, on arrays (``_rule``): an entry (i, j) is
+    stored as (min, max), so with i <= j; entries at the same place of one
+    row and block are summed in the order given, from 0.0; an entry or free
+    coefficient that sums to 0.0 is dropped; and each row's entries are
+    sorted by (block, i, j), its free coefficients by index.
+    ``add_constraint`` (one row as dicts, as the tests pose it),
+    ``add_rows`` (many rows as arrays, as ``sosprog.encode`` and
+    ``read_sdpa`` pose them, each in one call) and the block objectives of
+    ``build`` (in one call) all go through it.  The free coefficients are
+    sorted with the entries, as one more block after the PSD blocks."""
 
     def __init__(self, block_sizes: Sequence[int], n_free: int = 0):
         if not block_sizes:
@@ -271,6 +283,8 @@ class SdpProblemBuilder:
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
         self.n_free = int(n_free)
+        self._sizes = np.array(self.block_sizes, dtype=np.intp)
+        self._side = max(self.block_sizes)
         self._rows = []
         self._block_objectives = {}
         self._obj_free = np.zeros(self.n_free)
@@ -299,41 +313,61 @@ class SdpProblemBuilder:
     def add_constraint(self, rhs: float, block_entries=None, free_entries=None):
         """block_entries: {block: [(i, j, value), ...]}, value is the full
         symmetric entry A[i,j] = A[j,i]; free_entries: {index: value}."""
-        self._rows.append(self._row(rhs, block_entries or {},
-                                    free_entries or {}, self.n_free))
+        ents = [(b, i, j, v) for b, triplets in (block_entries or {}).items()
+                for i, j, v in triplets]
+        block, i, j, vals = zip(*ents) if ents else ((), (), (), ())
+        free = (free_entries or {}).items()
+        fidx, fvals = zip(*free) if free else ((), ())
+        self._rows += self._rule(
+            [rhs], (np.zeros(len(ents), dtype=np.intp), block, i, j, vals),
+            (np.zeros(len(fidx), dtype=np.intp), fidx, fvals), self.n_free)
 
-    def _row(self, rhs, block_entries, free_entries, n_free):
-        """(rhs, entries, (free indices, values)) over n_free scalars."""
-        ents = []
-        for block, triplets in sorted(block_entries.items()):
-            s = self._block_size(block)
-            rows, cols, vals = [], [], []
-            agg: dict = {}
-            for i, j, v in triplets:
-                if not (0 <= i < s and 0 <= j < s):
-                    raise ValueError("entry index out of range")
-                key = (min(i, j), max(i, j))
-                agg[key] = agg.get(key, 0.0) + float(v)
-            for (i, j), v in sorted(agg.items()):
-                if v != 0.0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(v)
-            if rows:
-                ents.append(_ConstraintEntries(
-                    block,
-                    np.array(rows, dtype=np.intp),
-                    np.array(cols, dtype=np.intp),
-                    np.array(vals, dtype=float)))
-        fidx, fval = [], []
-        for idx, v in sorted(free_entries.items()):
-            if not 0 <= idx < n_free:
-                raise ValueError("free variable index out of range")
-            if v != 0.0:
-                fidx.append(idx)
-                fval.append(float(v))
-        return (float(rhs), tuple(ents),
-                (np.array(fidx, dtype=np.intp), np.array(fval, dtype=float)))
+    def add_rows(self, rhs, entries, free):
+        """Append len(rhs) equalities at once.  entries = (row, block, i, j,
+        value) and free = (row, index, value) are equal-length arrays, row
+        counting the new rows from 0; value is the full symmetric entry."""
+        self._rows += self._rule(rhs, entries, free, self.n_free)
+
+    def _rule(self, rhs, entries, free, n_free) -> list:
+        """The rows (rhs, entries, (free indices, values)) of the data, over
+        n_free scalars, by the one row rule of the class docstring."""
+        nb = len(self.block_sizes)
+        row, block, i, j = (np.asarray(a, dtype=np.intp) for a in entries[:4])
+        frow, fidx = (np.asarray(a, dtype=np.intp) for a in free[:2])
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        # as unsigned, a negative index is out of range above
+        if np.count_nonzero(block.view(np.uintp) >= nb):
+            self._block_size(int(block[(block < 0) | (block >= nb)].min()))
+        if np.count_nonzero(lo < 0) or np.count_nonzero(
+                hi >= self._sizes[block]):
+            raise ValueError("entry index out of range")
+        if np.count_nonzero(fidx.view(np.uintp) >= n_free):
+            raise ValueError("free variable index out of range")
+        # one key per place, row-major, the free scalars at (0, index) of
+        # one more block, nb: key order is (row, block, i, j) order, and
+        # i, j and row * (nb + 1) + block are read back off the summed keys
+        side = max(self._side, n_free)
+        key, vals = _summed(
+            np.concatenate([((row * (nb + 1) + block) * side + lo) * side + hi,
+                            (frow * (nb + 1) + nb) * (side * side) + fidx]),
+            np.concatenate([entries[4], free[2]]))
+        place, j = np.divmod(key, side)
+        place, i = np.divmod(place, side)
+        start = [0, *((place[1:] != place[:-1]).nonzero()[0] + 1).tolist()] \
+            if len(key) else []
+        per_row = [[] for _ in range(len(rhs))]
+        per_free = [(np.zeros(0, dtype=np.intp), np.zeros(0))] * len(rhs)
+        for p, a, z in zip(place[start].tolist(), start,
+                           start[1:] + [len(key)]):
+            # each row's entries are views of one run of the sorted arrays
+            r, b = divmod(p, nb + 1)
+            if b < nb:
+                per_row[r].append(
+                    _ConstraintEntries(b, i[a:z], j[a:z], vals[a:z]))
+            else:
+                per_free[r] = (j[a:z], vals[a:z])
+        return list(zip(np.asarray(rhs, dtype=float).tolist(),
+                        map(tuple, per_row), per_free))
 
     def build(self) -> SdpProblem:
         """The problem, each block objective C_b posed as a free scalar t_b
@@ -341,10 +375,17 @@ class SdpProblemBuilder:
         <C_b, X_b> - t_b = 0 after the caller's rows."""
         objectives = sorted(self._block_objectives.items())
         rows, n_free = list(self._rows), self.n_free + len(objectives)
-        for t, (block, C) in enumerate(objectives, self.n_free):
-            i, j = np.triu_indices(len(C))
-            rows.append(self._row(0.0, {block: zip(i, j, C[i, j])},
-                                  {t: -1.0}, n_free))
+        if objectives:
+            parts = []
+            for r, (block, C) in enumerate(objectives):
+                i, j = np.triu_indices(len(C))
+                parts.append((np.full(len(i), r), np.full(len(i), block),
+                              i, j, C[i, j]))
+            count = len(objectives)
+            rows += self._rule(
+                np.zeros(count), [np.concatenate(a) for a in zip(*parts)],
+                (np.arange(count), np.arange(self.n_free, n_free),
+                 np.full(count, -1.0)), n_free)
         rhs, entries, free_rows = zip(*rows) if rows else ((), (), ())
         return SdpProblem(
             block_sizes=self.block_sizes,
@@ -355,6 +396,25 @@ class SdpProblemBuilder:
             obj_free=np.concatenate(
                 [self._obj_free, np.ones(n_free - self.n_free)]),
         )
+
+
+def _summed(key, vals) -> tuple:
+    """The distinct keys, ascending, and each one's sum of its values in
+    the order given, from 0.0 (a stable sort, then bincount, which adds in
+    its input order); a key whose values sum to 0.0 is dropped."""
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    # bin 0 stays empty: the k-th distinct key's values add into bin k
+    sums = np.bincount(first.cumsum(),
+                       weights=np.asarray(vals, dtype=float)[order])[1:]
+    key = key[first]
+    if np.count_nonzero(sums) < len(sums):
+        live = sums != 0.0
+        key, sums = key[live], sums[live]
+    return key, sums
 
 
 @dataclass
@@ -646,8 +706,11 @@ class _Embedding:
         self.f = problem.n_free
         self.nu = sum(self.sizes)
         self._opA_rows = np.concatenate(self.rows)
-        # the index of each block's rows and columns in the Schur complement
-        self.ix = [(rows[:, None], rows) for rows in self.rows]
+        # where each block's part of the Schur complement lands in B
+        # flattened, the blocks' parts laid end to end in block order
+        self.schur_index = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [(rows[:, None] * self.m + rows).ravel() for rows in self.rows])
         # the slice of opAt's result that holds each stack
         self._spans, end = [], 0
         for s, idx in self.groups:
@@ -823,18 +886,23 @@ def _schur(emb, Sinv):
 
     Each block adds only to the rows and columns of the constraints that
     touch it: one sparse product gives every A_k S^-1, one gemm every
-    X A_k S^-1, and one sparse product their inner products with the A_j."""
-    B = np.zeros((emb.m, emb.m))
-    for s, rows, ix, A, stack, X, Si in zip(
-            emb.sizes, emb.rows, emb.ix, emb.A, emb.stack,
+    X A_k S^-1, and one sparse product their inner products with the A_j.
+    The blocks' parts are added into B in one bincount over
+    ``emb.schur_index``, which adds into zeros in block order, as one
+    ``B[ix] +=`` per block would."""
+    parts = [np.zeros(0)]
+    for s, rows, A, stack, X, Si in zip(
+            emb.sizes, emb.rows, emb.A, emb.stack,
             emb.unstack(emb.X), emb.unstack(Sinv)):
         mb = len(rows)
         if not mb:
             continue
         F = X @ _matmul(stack, Si).reshape(s, mb * s)
         F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
-        B[ix] += _matmul(A, F)
-    return _sym(B)
+        parts.append(_matmul(A, F).ravel())
+    B = np.bincount(emb.schur_index, weights=np.concatenate(parts),
+                    minlength=emb.m * emb.m)
+    return _sym(B.reshape(emb.m, emb.m))
 
 
 def _newton_system(emb, Lx, Ls, Sinv, shift) -> _NewtonSystem:
@@ -1311,8 +1379,9 @@ def read_sdpa(path: str) -> SdpProblem:
             block_map.append((len(sizes), False))
             sizes.append(size)
 
-    obj = {}
-    cons: list = [dict() for _ in range(m)]
+    # the constraints' entries in file order, so the row rule sums
+    # repeated entries in that order
+    obj, cons = {}, []
     for line in raw[4:]:
         toks = line.translate(_SDPA_SEPARATORS).split()
         if len(toks) < 5:
@@ -1330,8 +1399,10 @@ def read_sdpa(path: str) -> SdpProblem:
             target, ii, jj = offset + i, 0, 0
         else:
             target, ii, jj = offset, i, j
-        store = obj if matno == 0 else cons[matno - 1]
-        store.setdefault(target, []).append((ii, jj, v))
+        if matno == 0:
+            obj.setdefault(target, []).append((ii, jj, v))
+        else:
+            cons.append((matno - 1, target, ii, jj, v))
 
     builder = SdpProblemBuilder(sizes, n_free=0)
     for b, triplets in obj.items():
@@ -1342,6 +1413,6 @@ def read_sdpa(path: str) -> SdpProblem:
             if i != j:
                 M[j, i] += v
         builder.set_objective_block(b, -M)
-    for j in range(m):
-        builder.add_constraint(rhs[j], cons[j])
+    columns = tuple(zip(*cons)) if cons else ((),) * 5
+    builder.add_rows(rhs, columns, ((), (), ()))
     return builder.build()

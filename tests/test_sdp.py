@@ -313,6 +313,88 @@ class TestBuilderIndices:
         assert builder.build().n_free == 0
 
 
+class TestRowRule:
+    """add_rows against a row built entry by entry: (i, j) stored with
+    i <= j, repeats summed in the order given from 0.0, zero sums dropped,
+    entries sorted by (block, i, j) and free coefficients by index."""
+
+    @staticmethod
+    def reference(rhs, triplets, free):
+        ents = []
+        for block in sorted({b for b, _, _, _ in triplets}):
+            agg: dict = {}
+            for b, i, j, v in triplets:
+                if b == block:
+                    key = (min(i, j), max(i, j))
+                    agg[key] = agg.get(key, 0.0) + v
+            kept = [(i, j, v) for (i, j), v in sorted(agg.items()) if v != 0.0]
+            if kept:
+                ents.append((block, *map(list, zip(*kept))))
+        coefs: dict = {}
+        for k, v in free:
+            coefs[k] = coefs.get(k, 0.0) + v
+        kept = sorted((k, v) for k, v in coefs.items() if v != 0.0)
+        return rhs, ents, [k for k, _ in kept], [v for _, v in kept]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_at_once_as_entry_by_entry(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes, n_free, m = (3, 1, 5), 3, 6
+        values = [0.1, 0.2, 0.3, -0.3, 1e-17, 1.0, -1.0]
+        rows = []
+        for r in range(m):
+            triplets = []
+            for _ in range(rng.integers(0, 12)):
+                b = int(rng.integers(len(sizes)))
+                i, j = (int(x) for x in rng.integers(sizes[b], size=2))
+                triplets.append((b, i, j, float(rng.choice(values))))
+            free = [(int(rng.integers(n_free)), float(rng.choice(values)))
+                    for _ in range(rng.integers(0, 4))]
+            rows.append((float(rng.normal()), triplets, free))
+        builder = SdpProblemBuilder(sizes, n_free=n_free)
+        builder.add_rows(
+            [rhs for rhs, _, _ in rows],
+            [np.array([r for r, (_, t, _) in enumerate(rows) for _ in t]),
+             *(np.array([e[k] for _, t, _ in rows for e in t])
+               for k in range(4))],
+            [np.array([r for r, (_, _, f) in enumerate(rows) for _ in f]),
+             *(np.array([e[k] for _, _, f in rows for e in f])
+               for k in range(2))])
+        problem = builder.build()
+        for r, row in enumerate(rows):
+            rhs, ents, idx, vals = self.reference(*row)
+            assert problem.rhs[r] == rhs
+            got = problem.entries[r]
+            assert [(e.block, e.rows.tolist(), e.cols.tolist()) for e in got] \
+                == [(b, i, j) for b, i, j, _ in ents]
+            assert [e.vals.tobytes() for e in got] == \
+                [np.array(v).tobytes() for _, _, _, v in ents]
+            assert problem.free_rows[r][0].tolist() == idx
+            assert problem.free_rows[r][1].tobytes() == \
+                np.array(vals, dtype=float).tobytes()
+
+    def test_read_sdpa_poses_its_rows_in_one_call(self, tmp_path,
+                                                  monkeypatch):
+        # one call for the constraints and one for the block objectives,
+        # so reading stays linear in the entries for many blocks
+        path = tmp_path / "diag.dat-s"
+        path.write_text("3\n2\n2 -40\n1 2 3\n"
+                        + "".join(f"0 2 {k} {k} 1.0\n" for k in range(1, 41))
+                        + "".join(f"{r} 2 {k} {k} 0.5\n{r} 1 1 2 1.0\n"
+                                  for r in (1, 2, 3) for k in range(1, 41)))
+        calls = []
+        rule = SdpProblemBuilder._rule
+
+        def counted(self, *args):
+            calls.append(len(args[0]))
+            return rule(self, *args)
+
+        monkeypatch.setattr(SdpProblemBuilder, "_rule", counted)
+        problem = read_sdpa(str(path))
+        assert calls == [3, 40]
+        assert problem.m == 43 and len(problem.block_sizes) == 41
+
+
 class TestSparseOperators:
     """opA, opAt and the Schur complement against dense references."""
 
@@ -581,6 +663,27 @@ class TestStackedIteration:
                              getattr(expected, name)), name
         for name in ("dy", "du", "dtau", "dkappa"):
             assert self.same(getattr(got, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("name, ell, delta, degree, beta", [
+        ("affine_pair.sys", 2, 1.0, 4, 3.3),
+        ("vdp_relay_pair.sys", 1, 1e-4, 6, 14.0),
+        ("cubic_3d_pair.sys", 2, 1.0, 6, 0.0),
+        ("cubic_3d_pair.sys", 2, 1.0, 8, 0.0)])
+    def test_schur_same_bits_as_block_by_block_on_decay_programs(
+            self, systems_dir, name, ell, delta, degree, beta):
+        # one bincount over every block's part adds into B in block order,
+        # as the reference's B[np.ix_(rows, rows)] += per block does
+        system = load_system(str(systems_dir / name))
+        program, _ = build_absorbing_program(system, ell, delta, degree, beta)
+        emb = sdp._Embedding(encode(program).problem)
+        rng = np.random.default_rng(degree)
+        it = types.SimpleNamespace(
+            X=[random_pd(rng, s) / s for s in emb.sizes])
+        Sinv = [np.asfortranarray(np.linalg.inv(random_pd(rng, s)))
+                for s in emb.sizes]
+        emb.X = stacked(emb, it.X)
+        assert self.same(sdp._schur(emb, stacked(emb, Sinv)),
+                         _reference_schur(emb, it, Sinv))
 
     @pytest.mark.parametrize("sizes", SIZES, ids=str)
     @pytest.mark.parametrize("seed", [0, 1])

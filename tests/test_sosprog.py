@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from conftest import (SYSTEMS, V_AFFINE_PAIR, encode_posed,
 from switchcert.poly import (Polynomial, PolynomialVectorField, grlex_key,
                              lie_derivative, mono_mul, parse_expression)
 from switchcert import sdp, sosprog
-from switchcert.certify import (_multiplier_degree, _sublevel_program,
-                                build_absorbing_program)
+from switchcert.certify import (SwitchedSystem, _multiplier_degree,
+                                _sublevel_program, build_absorbing_program)
 from switchcert.cli import load_system
 from switchcert.sdp import SdpSolution, solve
 from switchcert.sosprog import (GramBasis, IllFormedIdentityError, ScalarTerm,
@@ -69,6 +71,26 @@ class TestGramExpand:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             gram_expand(monomial_basis(2, 0, 1), np.eye(2))
+
+    @pytest.mark.parametrize("n, lo, hi", [(2, 0, 2), (3, 1, 4), (2, 2, 6)])
+    def test_same_terms_and_bits_as_pair_by_pair(self, n, lo, hi):
+        # each product's weights added in pair order from 0.0, and the
+        # products listed in order of first appearance, as one dict update
+        # per pair did
+        basis = monomial_basis(n, lo, hi)
+        G = np.random.default_rng(hi).normal(size=(len(basis), len(basis)))
+        R = G + G.T
+        terms: dict = {}
+        monos = basis.monomials
+        for i in range(len(monos)):
+            for j in range(i, len(monos)):
+                weight = R[i, j] if i == j else 2.0 * R[i, j]
+                mono = mono_mul(monos[i], monos[j])
+                terms[mono] = terms.get(mono, 0.0) + weight
+        got = gram_expand(basis, R).terms
+        assert list(got) == list(terms)
+        assert np.array(list(got.values())).tobytes() == \
+            np.array(list(terms.values())).tobytes()
 
 
 class TestCoefficientMatching:
@@ -325,6 +347,30 @@ class TestSignSymmetry:
         with pytest.raises(RuntimeError, match="invariant parities"):
             encode(SosProgram((identity,), (), scalars=("t",)))
 
+    @pytest.mark.parametrize("n", [3, 8, 70])
+    def test_parity_checks_agree_with_reduce(self, n):
+        # a monomial passes the checks exactly when _reduce sends its
+        # parities to 0, and two share a label exactly when _reduce sends
+        # them to one representative; 70 variables take masks past 64 bits
+        rng = np.random.default_rng(n)
+        span: list = []
+        for mask in rng.integers(0, 2, size=(n // 2 + 1, n)).tolist():
+            mask = sosprog._reduce(sum(b << k for k, b in enumerate(mask)),
+                                   span)
+            if mask:
+                span = sorted(span + [mask], reverse=True)
+        span = tuple(span)
+        basis = GramBasis(n, tuple(map(tuple, np.unique(rng.integers(
+            0, 4, size=(40, n)), axis=0).tolist())))
+        reduced = [sosprog._reduce(sosprog._parity(m), span)
+                   for m in basis.monomials]
+        exps = np.array(basis.monomials)
+        passes = ~(exps @ sosprog._parity_checks(span, n) & 1).any(1)
+        assert passes.tolist() == [r == 0 for r in reduced]
+        labels = sosprog.parity_classes(basis, span)
+        assert (labels[:, None] == labels[None, :]).tolist() == \
+            [[a == b for b in reduced] for a in reduced]
+
     def test_decode_zeroes_cross_class_entries(self):
         # x1 and x2 lie in different classes, so R12 is averaged away
         enc = sos_membership(parse_expression("x1^2 + x2^2", 2))
@@ -483,3 +529,293 @@ class TestRowCoefficients:
                 j += 1
         assert j == problem.m
         assert posed == enc.n_equalities
+
+
+def _reference_encode(program):
+    """encode as it was built one Gram product at a time: each product of
+    each term expanded as a Polynomial and each row aggregated entry by
+    entry.  Returns the problem's rows as (rhs, ((block, rows, cols,
+    vals), ...), (free indices, free values)) and the encoding's tables."""
+    n = program.identities[0].dimension
+    scalar_index = {name: k for k, name in enumerate(program.scalars)}
+    unknowns = {u.name: (b, u.basis) for b, u in enumerate(program.unknowns)}
+
+    def pairs(basis):
+        monos = basis.monomials
+        return [(i, j, mono_mul(monos[i], monos[j]))
+                for i in range(len(monos)) for j in range(i, len(monos))]
+
+    def identity_rows(identity, block):
+        sums = defaultdict(lambda: (defaultdict(dict), {}))
+        products: dict = {}
+        for term in identity.terms:
+            if isinstance(term, ScalarTerm):
+                k = scalar_index[term.scalar]
+                for mono, c in term.weight.terms.items():
+                    free = sums[mono][1]
+                    free[k] = free.get(k, 0.0) + c
+                continue
+            ublock, basis = unknowns[term.unknown]
+            if ublock not in products:
+                products[ublock] = {}
+                for i, j, product in pairs(basis):
+                    products[ublock].setdefault(product, []).append((i, j))
+            for product in products[ublock]:
+                if isinstance(term, UnknownTerm):
+                    g = term.weight * Polynomial.monomial(product)
+                else:
+                    g = term.scale * lie_derivative(
+                        Polynomial.monomial(product), term.field)
+                for mono, c in g.terms.items():
+                    weights = sums[mono][0][ublock]
+                    weights[product] = weights.get(product, 0.0) + c
+        rows: dict = {}
+        for mono, (blocks, free) in sums.items():
+            entries = {b: [(i, j, c) for product, c in weights.items() if c
+                           for i, j in products[b][product]]
+                       for b, weights in blocks.items()}
+            entries = {b: trips for b, trips in entries.items() if trips}
+            if entries or free:
+                rows[mono] = (entries, free)
+        degrees = [sum(m) for m in rows.keys() | identity.known.terms] or [0]
+        basis = gram_basis(n, min(degrees), max(degrees))
+        for i, j, mono in pairs(basis):
+            rows.setdefault(mono, ({}, {}))[0].setdefault(block, []).append(
+                (i, j, -1.0))
+        return rows, basis
+
+    def row(rhs, block_entries, free_entries):
+        ents = []
+        for block, triplets in sorted(block_entries.items()):
+            agg: dict = {}
+            for i, j, v in triplets:
+                key = (min(i, j), max(i, j))
+                agg[key] = agg.get(key, 0.0) + float(v)
+            kept = [(i, j, v) for (i, j), v in sorted(agg.items()) if v != 0.0]
+            if kept:
+                i, j, v = zip(*kept)
+                ents.append((block, np.array(i, dtype=np.intp),
+                             np.array(j, dtype=np.intp),
+                             np.array(v, dtype=float)))
+        free = [(k, float(v)) for k, v in sorted(free_entries.items())
+                if v != 0.0]
+        return (float(rhs), tuple(ents),
+                (np.array([k for k, _ in free], dtype=np.intp),
+                 np.array([v for _, v in free], dtype=float)))
+
+    first = len(program.unknowns)
+    tables = [identity_rows(ident, first + k)
+              for k, ident in enumerate(program.identities)]
+    span = invariant_parities(program)
+    for ident, (rows, _) in zip(program.identities, tables):
+        known_scale = 1.0 + ident.known.max_abs_coefficient()
+        for mono in sorted(ident.known.terms.keys() - rows.keys(),
+                           key=grlex_key):
+            coef = ident.known.terms[mono]
+            if abs(coef) > 1e-12 * known_scale:
+                raise IllFormedIdentityError(
+                    f"identity {ident.name!r}: monomial {mono} has known "
+                    f"coefficient {coef} but no unknown can produce it")
+    problem_rows = [
+        row(-ident.known.coefficient(mono), *rows[mono])
+        for ident, (rows, _) in zip(program.identities, tables)
+        for mono in sorted(rows, key=grlex_key)
+        if sosprog._reduce(sosprog._parity(mono), span) == 0]
+    bases = tuple(u.basis for u in program.unknowns) \
+        + tuple(basis for _, basis in tables)
+    return problem_rows, bases, sum(len(rows) for rows, _ in tables), span
+
+
+def _assert_same_bytes(program):
+    """encode's problem holds the reference's rows byte for byte, and its
+    tables are the reference's; or both raise the same error."""
+    try:
+        rows, bases, n_equalities, span = _reference_encode(program)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            encode(program)
+        return
+    enc = encode(program)
+    problem = enc.problem
+    assert (enc.bases, enc.n_equalities, enc.parity_span) == \
+        (bases, n_equalities, span)
+    assert enc.blocks == {name: b for b, name in enumerate(
+        [u.name for u in program.unknowns]
+        + [ident.name for ident in program.identities])}
+    assert problem.block_sizes == tuple(len(b) for b in bases)
+    assert problem.rhs.tobytes() == np.array([r for r, _, _ in rows]).tobytes()
+    assert len(problem.entries) == len(problem.free_rows) == len(rows)
+    for ents, free, (_, ref_ents, ref_free) in zip(
+            problem.entries, problem.free_rows, rows):
+        assert [(e.block, e.rows.dtype, e.rows.tobytes(), e.cols.dtype,
+                 e.cols.tobytes(), e.vals.tobytes()) for e in ents] == \
+            [(b, r.dtype, r.tobytes(), c.dtype, c.tobytes(), v.tobytes())
+             for b, r, c, v in ref_ents]
+        assert [(a.dtype, a.tobytes()) for a in free] == \
+            [(a.dtype, a.tobytes()) for a in ref_free]
+    objective = np.zeros(len(program.scalars))
+    for name, coef in (program.objective or {}).items():
+        objective[program.scalars.index(name)] = coef
+    assert problem.obj_free.tobytes() == objective.tobytes()
+
+
+def _decay_program(name, ell, delta, degree, beta, overrides=None):
+    system = load_system(str(SYSTEMS / name), overrides)
+    return build_absorbing_program(system, ell, delta, degree, beta)[0]
+
+
+class TestSameBytes:
+    """encode against _reference_encode, byte for byte."""
+
+    @pytest.mark.parametrize("name, ell, delta, degree, beta, overrides", [
+        ("affine_pair.sys", 2, 1.0, 4, 3.3, None),
+        ("affine_triple.sys", 2, 1.0, 4, 2.0, None),
+        ("linear_pair.sys", 1, 1.0, 2, 0.0, {"b": 5.0}),
+        ("linear_pair.sys", 6, 1e-3, 12, 0.0, {"b": 12.0}),
+        ("cubic_3d_pair.sys", 2, 1.0, 4, 0.0, None),
+        ("cubic_3d_pair.sys", 2, 1.0, 4, 5.0, None),
+        ("cubic_3d_pair.sys", 2, 1.0, 6, 0.0, None),
+        ("cubic_3d_pair.sys", 2, 1.0, 8, 0.0, None),
+        ("vdp_relay_pair.sys", 1, 1e-4, 6, 14.0, None),
+        ("vdp_relay_pair.sys", 1, 1e-4, 8, 14.0, None),
+    ])
+    def test_decay_programs(self, name, ell, delta, degree, beta, overrides):
+        program = _decay_program(name, ell, delta, degree, beta, overrides)
+        _assert_same_bytes(program)
+
+    def test_decay_program_of_a_given_lyapunov(self):
+        system = load_system(str(SYSTEMS / "affine_pair.sys"))
+        program = build_absorbing_program(
+            system, 2, 1.0, 4, 3.3,
+            lyapunov=parse_expression(V_AFFINE_PAIR, 2))[0]
+        _assert_same_bytes(program)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-13])
+    def test_lie_round_off_dropped_before_the_scale(self, scale):
+        # at chi^P = x1 x2^3 the Lie sum is 0.3 * 1 - 0.1 * 3, round-off of
+        # -5.6e-17: dropped after the add, it stays out at any scale
+        field = PolynomialVectorField(2, (parse_expression("0.3*x1*x2", 2),
+                                          parse_expression("-0.1*x2^2", 2)))
+        identity = SosIdentity("decay", 2, parse_expression("x1^2*x2^2", 2),
+                               (UnknownLieTerm("u", field, scale=scale),))
+        _assert_same_bytes(SosProgram(
+            (identity,), (SosUnknown("u", monomial_basis(2, 1, 2)),)))
+
+    @pytest.mark.parametrize("name", [
+        "sublevel", "sublevel-fixed-gamma", "membership", "shared-unknown"])
+    def test_row_check_programs(self, name):
+        program = _row_check_program(name)
+        _assert_same_bytes(program)
+
+    def test_quadratic_decay_program_of_31_states(self):
+        # no bound on the dimension: degree 2 in 31 states reaches
+        # products of degree 3 in 31 variables
+        rng = np.random.default_rng(31)
+        matrices = []
+        for _ in range(2):
+            A = -np.eye(31) + np.diag(rng.normal(size=30), 1)
+            A[rng.integers(31), rng.integers(31)] += 0.5
+            matrices.append(A)
+        system = SwitchedSystem.from_matrices(matrices)
+        _assert_same_bytes(build_absorbing_program(system, 1, 1.0, 2, 0.0)[0])
+
+    def test_membership_program_of_65_variables(self):
+        # parity masks past 64 bits: x64 x65 and x1 x65 span bits 63, 64
+        # and 0, and x2 x3 lies outside the span
+        known = parse_expression(
+            "2*x1^2 + x64*x65 + x1*x65 + 3*x65^2 + x64^2 + x2*x3", 65)
+        slack = Polynomial(65, {tuple(2 * (k == j) for k in range(65)): 1.0
+                                for j in (0, 1, 2, 63, 64)})
+        _assert_same_bytes(SosProgram(
+            (SosIdentity("membership", 65, known,
+                         (ScalarTerm("slack", slack),)),),
+            (), ("slack",), {"slack": 1.0}))
+
+    @pytest.mark.parametrize("known", ["x1", "x1^2 + x1", "x1^3"])
+    def test_identities_without_terms(self, known):
+        # the known part alone sizes the identity's basis: the same rows,
+        # or the same error, as the reference
+        _assert_same_bytes(SosProgram(
+            (SosIdentity("m", 1, parse_expression(known, 1)),), ()))
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def test_small_programs(self, data):
+        program = data.draw(_small_programs())
+        _assert_same_bytes(program)
+
+
+# coefficients that reach the drop rule: near ZERO_THRESHOLD on their own
+# or after a product with an exponent, and values that cancel exactly
+_COEFS = st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0, 1e-14, -1e-14,
+                          1.5e-14, 2e-14, 0.3, -0.1, 1e-7])
+
+
+# coefficient pairs (c1, c2) whose sums P1 c1 + P2 c2 are 0.0 exactly, or
+# round-off below ZERO_THRESHOLD, for some exponents P1, P2 <= 3
+_MEETING = [(1.0, -1.0), (0.1, -0.1), (0.3, -0.1), (0.1, -0.3),
+            (1.0, -0.99999999999999), (2.0, 3.0)]
+
+
+@st.composite
+def _small_programs(draw):
+    """A program of one or two identities in one or two variables over up
+    to two unknowns, with unknown, Lie and scalar terms."""
+    n = draw(st.integers(1, 2))
+    monos = monomial_basis(n, 0, 3).monomials
+
+    def poly(max_terms=3):
+        picked = draw(st.lists(st.sampled_from(monos), max_size=max_terms,
+                               unique=True))
+        return Polynomial(n, {m: draw(_COEFS) for m in picked})
+
+    unknowns = tuple(
+        SosUnknown(f"u{k}", monomial_basis(n, lo, lo + draw(st.integers(0, 1))))
+        for k, lo in enumerate(draw(st.lists(st.integers(0, 1), min_size=1,
+                                             max_size=2))))
+    scalars = ("t",) if draw(st.booleans()) else ()
+    identities = []
+    for k in range(draw(st.integers(1, 2))):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["weight", "lie", "lie", "scalar"]))
+            if kind == "scalar" and scalars:
+                terms.append(ScalarTerm("t", poly()))
+            elif kind == "lie":
+                # components that share a monomial after the shift m - e_k,
+                # so their contributions meet (and may cancel) in one sum
+                u = draw(st.sampled_from(unknowns)).name
+                comps = [poly() for _ in range(n)]
+                if n == 2 and draw(st.integers(0, 3)):
+                    # x1 x2 in f1 and x2^2 in f2 both reach chi^(P + e2):
+                    # P1 c1 + P2 c2 cancels exactly, or leaves round-off
+                    c1, c2 = draw(st.sampled_from(_MEETING))
+                    comps = [comps[0] + Polynomial(2, {(1, 1): c1}),
+                             comps[1] + Polynomial(2, {(0, 2): c2})]
+                terms.append(UnknownLieTerm(
+                    u, PolynomialVectorField(n, tuple(comps)),
+                    scale=draw(st.sampled_from([1.0, -1.0, 0.5, 1e-13, 1e3]))))
+            else:
+                terms.append(UnknownTerm(draw(st.sampled_from(unknowns)).name,
+                                         poly()))
+        # a known part the terms reach, so the identity is well formed
+        identities.append(SosIdentity(f"id{k}", n, poly(2), tuple(terms)))
+    return SosProgram(tuple(identities), unknowns, scalars)
+
+
+class TestNoPolynomialPerProduct:
+    def test_degree_eight_cubic_encode_builds_no_polynomial_per_product(
+            self, monkeypatch):
+        program = _decay_program("cubic_3d_pair.sys", 2, 1.0, 8, 0.0)
+        built = []
+        init = Polynomial.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting)
+        encode(program)
+        terms = sum(len(ident.terms) for ident in program.identities)
+        assert len(built) <= terms
