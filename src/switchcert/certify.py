@@ -32,7 +32,7 @@ status alone, since sdp bars every point it reports by one PSD test: a
 solution is feasible, a Farkas ray proves infeasibility, and anything else
 is a numerical failure.  One rule, _probe, labels every bisection step.
 Verification re-derives its membership polynomials on its own, so a faulty
-builder cannot pass its own check.
+builder cannot pass its own check, and checks them all in one SDP.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .poly import (Polynomial, PolynomialVectorField, even_power_norm,
                    lie_derivative)
 from . import sdp
 from .sdp import SdpSolution, solve
-from .sosprog import (ScalarTerm, SdpEncoding, SosIdentity,
-                      SosProgram, SosUnknown, UnknownLieTerm, UnknownTerm,
-                      decode, encode, gram_basis, gram_expand)
+from .sosprog import (IllFormedIdentityError, ScalarTerm, SdpEncoding,
+                      SosIdentity, SosProgram, SosUnknown, UnknownLieTerm,
+                      UnknownTerm, decode, encode, gram_basis, gram_expand)
 
 GAS = "GLOBALLY_ASYMPTOTICALLY_STABLE"
 ULTIMATELY_BOUNDED = "ULTIMATELY_BOUNDED"
@@ -169,7 +169,10 @@ class CertificationQuery:
 
 @dataclass
 class VerificationReport:
-    """Outcome of the independent certificate checks."""
+    """Outcome of the independent certificate checks.  identity_residuals
+    and gram_margins hold the scaled residual and the Gram min eigenvalue
+    of each of the membership_checks SOS membership checks that passed,
+    all read off one joint solve."""
 
     identity_residuals: dict
     gram_margins: dict
@@ -179,18 +182,24 @@ class VerificationReport:
     seed: int
     failures: tuple
     residual_tol: float
+    membership_checks: int = 0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def summary_lines(self) -> list:
-        worst_res = max(self.identity_residuals.values(), default=0.0)
-        worst_eig = min(self.gram_margins.values(), default=0.0)
-        lines = [
-            f"residual_max {worst_res:.3e} (tol {self.residual_tol:g})",
-            f"gram_min_eig {worst_eig:.3e}",
-        ]
+        """The report as lines; the worst residual and eigenvalue are over
+        the membership checks that passed, and n/a when none did."""
+        if self.identity_residuals:
+            lines = [
+                f"residual_max {max(self.identity_residuals.values()):.3e} "
+                f"(tol {self.residual_tol:g})",
+                f"gram_min_eig {min(self.gram_margins.values()):.3e}",
+            ]
+        else:
+            none = f"n/a (0 of {self.membership_checks} checks passed)"
+            lines = [f"residual_max {none}", f"gram_min_eig {none}"]
         if self.negativity_margin is not None:
             lines.append(f"negativity_margin {self.negativity_margin:.6g}")
         lines.append(
@@ -555,61 +564,90 @@ def cqlf_bisection(matrices_of_b: Callable[[float], Sequence[np.ndarray]],
 GRAM_EIG_SLACK = 1e-7
 
 
-def _check_sos_membership(poly: Polynomial, residual_tol: float):
-    """Robust SOS membership: minimise t with poly + t * sum(chi_i^2) SOS.
+def _check_sos_memberships(checks, residual_tol: float) -> dict:
+    """Robust SOS membership of each (name, polynomial) pair of checks, in
+    one SDP: for each polynomial p_k, minimise t_k with
+    p_k + t_k * sum(chi_i^2) SOS, the objective being the sum of the t_k.
 
-    Always feasible (t >= ||M||_2 works for any Gram representation M), so a
-    certificate exactly on the SOS boundary re-verifies instead of tripping
-    over round-off; t* above the scaled residual tolerance is a failure.
-    Returns (scaled residual, Gram min eigenvalue) or an error string; a
-    polynomial of odd top degree fails before any basis or solve.
+    Each check is always feasible (t_k >= ||M||_2 works for any Gram
+    representation M), so a certificate exactly on the SOS boundary
+    re-verifies instead of tripping over round-off; t_k* above the scaled
+    residual tolerance is a failure.  The checks share no unknown and no
+    scalar, so their program is the direct sum of the one-check programs
+    (sosprog.encode), which sdp solves as one iteration over its KKT
+    blocks, and its optimum is every check's own optimum.  Returns, by
+    name, (scaled residual, Gram min eigenvalue) or an error string.  A
+    zero polynomial passes and one of odd top degree fails before any
+    basis or solve; a polynomial that encode cannot represent fails alone
+    and is left out of the program; a solve that fails fails every check
+    posed in it, with its status.
     """
-    n = poly.dimension
-    # normalise the coefficient scale; membership is invariant under positive
-    # scaling and the tolerances below are the scaled ones.  The scaling can
-    # underflow small coefficients and drop their terms, so the zero and
-    # degree checks read the scaled polynomial, whose terms fix the basis
-    norm_scale = 1.0 + poly.max_abs_coefficient()
-    poly = poly * (1.0 / norm_scale)
-    if poly.is_zero():
-        return 0.0, 0.0
-    if poly.degree() % 2:
-        return f"odd top degree {poly.degree()}: not a sum of squares"
-    degrees = [sum(m) for m in poly.terms]
-    basis = gram_basis(n, min(degrees), max(degrees))
-    envelope = gram_expand(basis, np.eye(len(basis)))
-    identity = SosIdentity(
-        name="membership", dimension=n, known=poly,
-        terms=(ScalarTerm("slack", envelope),))
-    try:
-        encoding = encode(SosProgram(
-            identities=(identity,), unknowns=(), scalars=("slack",),
-            objective={"slack": 1.0}))
-    except ValueError as exc:
-        return f"not representable: {exc}"
+    outcomes, posed = {}, []
+    for name, poly in checks:
+        # normalise the coefficient scale; membership is invariant under
+        # positive scaling and the tolerances below are the scaled ones.
+        # The scaling can underflow small coefficients and drop their
+        # terms, so the zero and degree checks read the scaled polynomial,
+        # whose terms fix the basis
+        poly = poly * (1.0 / (1.0 + poly.max_abs_coefficient()))
+        if poly.is_zero():
+            outcomes[name] = 0.0, 0.0
+            continue
+        if poly.degree() % 2:
+            outcomes[name] = \
+                f"odd top degree {poly.degree()}: not a sum of squares"
+            continue
+        degrees = [sum(m) for m in poly.terms]
+        basis = gram_basis(poly.dimension, min(degrees), max(degrees))
+        envelope = gram_expand(basis, np.eye(len(basis)))
+        posed.append(SosIdentity(name=name, dimension=poly.dimension,
+                                 known=poly,
+                                 terms=(ScalarTerm(name, envelope),)))
+    encoding = None
+    while posed and encoding is None:
+        names = tuple(identity.name for identity in posed)
+        try:
+            encoding = encode(SosProgram(
+                identities=tuple(posed), unknowns=(), scalars=names,
+                objective=dict.fromkeys(names, 1.0)))
+        except IllFormedIdentityError as exc:
+            outcomes[exc.identity] = f"not representable: {exc}"
+            posed = [i for i in posed if i.name != exc.identity]
+    if not posed:
+        return outcomes
     solution = solve(encoding.problem)
     if not solution.feasible:
-        return f"membership solve failed ({solution.status})"
-    scale = 1.0 + poly.max_abs_coefficient()
-    slack = float(solution.free[encoding.scalar_index["slack"]])
-    if slack > 10.0 * residual_tol * scale:
-        return (f"SOS defect {slack:.3e} exceeds scaled tolerance "
-                f"{residual_tol * scale:.3e}")
-    # envelope = gram_expand(I), so shifting the Gram by -min(t*, 0) * I
-    # absorbs any negative slack exactly and restores a PSD witness for
-    # the polynomial itself
-    R = decode(encoding, solution).grams["membership"]
-    R = R - min(slack, 0.0) * np.eye(R.shape[0])
-    basis = encoding.bases[encoding.blocks["membership"]]
-    residual_poly = poly - gram_expand(basis, R)
-    residual = residual_poly.max_abs_coefficient() / scale
-    margin = sdp.min_eigenvalue(R)
-    threshold = -GRAM_EIG_SLACK * (1.0 + float(np.trace(R)))
-    if residual > residual_tol:
-        return f"Gram residual {residual:.3e} exceeds {residual_tol:g}"
-    if margin < threshold:
-        return f"Gram min eigenvalue {margin:.3e} below {threshold:.3e}"
-    return residual, margin
+        outcomes.update(dict.fromkeys(
+            names, f"membership solve failed ({solution.status})"))
+        return outcomes
+    decoded = decode(encoding, solution)
+    for identity in posed:
+        name, poly = identity.name, identity.known
+        scale = 1.0 + poly.max_abs_coefficient()
+        slack = decoded.scalars[name]
+        if slack > 10.0 * residual_tol * scale:
+            outcomes[name] = (f"SOS defect {slack:.3e} exceeds scaled "
+                              f"tolerance {residual_tol * scale:.3e}")
+            continue
+        # envelope = gram_expand(I), so shifting the Gram by -min(t*, 0) * I
+        # absorbs any negative slack exactly and restores a PSD witness for
+        # the polynomial itself
+        R = decoded.grams[name]
+        R = R - min(slack, 0.0) * np.eye(R.shape[0])
+        basis = encoding.bases[encoding.blocks[name]]
+        residual = (poly - gram_expand(basis, R)).max_abs_coefficient() \
+            / scale
+        margin = sdp.min_eigenvalue(R)
+        threshold = -GRAM_EIG_SLACK * (1.0 + float(np.trace(R)))
+        if residual > residual_tol:
+            outcomes[name] = \
+                f"Gram residual {residual:.3e} exceeds {residual_tol:g}"
+        elif margin < threshold:
+            outcomes[name] = \
+                f"Gram min eigenvalue {margin:.3e} below {threshold:.3e}"
+        else:
+            outcomes[name] = residual, margin
+    return outcomes
 
 
 def check_positive(*named) -> None:
@@ -648,8 +686,10 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
     """Independent numerical verification of a certificate.
 
     (a) every SOS identity re-expands against a freshly derived Gram matrix
-    with a small scaled residual; (b) all Gram matrices are PSD up to the
-    scaled eigenvalue slack GRAM_EIG_SLACK; (c) the worst subsystem
+    with a small scaled residual, the Gram matrices of all membership
+    checks coming from one joint SDP (_check_sos_memberships), whose
+    failure fails every check posed in it; (b) all Gram matrices are PSD
+    up to the scaled eigenvalue slack GRAM_EIG_SLACK; (c) the worst subsystem
     derivative of V is negative on sampled shells outside the beta ball;
     (d) sampled points of the beta ball stay inside {V <= gamma}.  Any
     failure raises CertificateRejectedError naming the failed checks; a
@@ -695,27 +735,25 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
         if found is not None:
             radius_multiplier = found["q"]
 
-    def membership(name, poly):
-        outcome = _check_sos_membership(poly, residual_tol)
-        if isinstance(outcome, str):
-            failures.append(f"{name} ({outcome})")
-        else:
-            identity_residuals[name], gram_margins[name] = outcome
-
     lies = [lie_derivative(cert.lyapunov, f) for f in system.fields]
-    membership("lyapunov-lower-bound", cert.lyapunov - cert.delta * nrm)
+    checks = [("lyapunov-lower-bound", cert.lyapunov - cert.delta * nrm)]
     if multipliers is not None:
         for i, (p, lie) in enumerate(zip(multipliers, lies), start=1):
-            membership(f"multiplier-p{i}", p)
             expr = (-1.0) * lie \
                 - p * (sumsq - Polynomial.constant(n, cert.beta)) \
                 - cert.delta * nrm
-            membership(f"identity-decay{i}", expr)
+            checks += [(f"multiplier-p{i}", p), (f"identity-decay{i}", expr)]
     if cert.gamma is not None and radius_multiplier is not None:
-        membership("multiplier-q", radius_multiplier)
         expr = Polynomial.constant(n, cert.gamma) - cert.lyapunov \
             + radius_multiplier * (sumsq - Polynomial.constant(n, cert.beta))
-        membership("identity-sublevel", expr)
+        checks += [("multiplier-q", radius_multiplier),
+                   ("identity-sublevel", expr)]
+    outcomes = _check_sos_memberships(checks, residual_tol)
+    for name, _ in checks:
+        if isinstance(outcomes[name], str):
+            failures.append(f"{name} ({outcomes[name]})")
+        else:
+            identity_residuals[name], gram_margins[name] = outcomes[name]
 
     # sampling checks with a deterministic generator
     rng = np.random.default_rng(seed)
@@ -773,7 +811,8 @@ def verify_certificate(system: SwitchedSystem, cert: AbsorbingSetCertificate,
         sample_count=sample_count,
         seed=seed,
         failures=tuple(failures),
-        residual_tol=residual_tol)
+        residual_tol=residual_tol,
+        membership_checks=len(checks))
     if failures:
         raise CertificateRejectedError(report)
     return report

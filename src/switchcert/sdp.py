@@ -22,8 +22,9 @@ thread count the caller set.
 Each iteration runs four phases, one function each: ``_cone_factors``
 (Cholesky factors of X and S, and S^-1), ``_newton_system`` (the Schur
 complement from ``_schur``, the KKT matrix, its LU factors and the
-direction-independent KKT solve), ``_search_direction``
-(predictor and corrector, one ``_direction`` each) and ``_step_length``.
+direction-independent KKT solve, each per KKT block),
+``_search_direction`` (predictor and corrector, one ``_direction`` each)
+and ``_step_length``.
 The residuals and mu of an iterate are computed once, after the step that
 produced it.
 
@@ -59,7 +60,7 @@ the X A_k S^-1 out for the last product, for its m_b touching constraints,
 against O(s^2 m^2) for a dense B = U U^T.  The blocks' m_b x m_b parts
 are added into B by one bincount over precomputed flat indices, in block
 order from 0.0, so B has the bits of one update per block.  The blocks are
-those solved, below.
+those solved, below, and B is held per KKT block, below.
 
 Before the embedding is built, ``_split_blocks`` solves every block at
 least ``SPLIT_WIDTH`` wide as the connected components of its pattern:
@@ -90,6 +91,20 @@ solved as 13+21, 22+13, 20, 34+21 and 13+21, took 104 ms against 178 ms
 in the same 15 iterations.  So ``SPLIT_WIDTH`` is 30, between the widest
 block that gained nothing and the narrowest that gained.
 
+The rows fall into KKT blocks (``_kkt_blocks``): the connected components
+of the graph whose nodes are the solved blocks and the free scalars, two
+nodes joined when a row touches both, labelled by ``_components`` on that
+graph.  B and the KKT matrix are zero between two KKT blocks, so each
+holds its own Schur complement (the bits of its rows and columns of the
+whole B), its own dependence test and shift, and its own LU factors and
+solves; the embedding, its tau and kappa and the step stay joint.  A
+direct sum, such as the membership program of a verification, then costs
+per iteration what its parts cost, not the dense m^2 and m^3 of the sum,
+and runs to the iteration count of its slowest part.  A connected
+problem, as every search program of the bundled systems is, is one KKT
+block holding every row in order, and is solved with the operations and
+bits it always had.
+
 Constraints are normalised to unit Frobenius norm internally.  The
 reported primal residual refers to the original data, each row normalised
 by 1 + max(|b_j|, ||A_j||_F); it is read off the residual of the scaled
@@ -111,14 +126,14 @@ iterates do not depend on the tolerances, so a looser re-solve would only
 retrace them.
 
 Linearly dependent constraints make the KKT matrix singular;
-``_independent_constraints`` finds them from the first iteration's Schur
-complement, which at X = S = I is the rows' Gram matrix, before its KKT
-matrix is factored, and only then is the KKT diagonal shifted, by
-``DEPENDENT_SHIFT``, in every iteration.  A Farkas ray is accepted when
-its dual residual is at most ``RAY_TOL`` times b.y.  That bar is relative
-to b.y, so a feasible problem with a large solution can be called
-infeasible: one 1x1 block with the single constraint X = 2e8 is.  Every
-certificate is re-verified apart from the search.
+``_independent_constraints`` finds them in each KKT block from the first
+iteration's Schur complement, which at X = S = I is the rows' Gram matrix,
+before its KKT matrix is factored, and only then is that block's diagonal
+shifted, by ``DEPENDENT_SHIFT``, in every iteration.  A Farkas ray is
+accepted when its dual residual is at most ``RAY_TOL`` times b.y.  That
+bar is relative to b.y, so a feasible problem with a large solution can
+be called infeasible: one 1x1 block with the single constraint X = 2e8
+is.  Every certificate is re-verified apart from the search.
 
 The iteration calls scipy's LAPACK routines directly, from the compiled
 module ``scipy.linalg._flapack``: ``dtrtrs`` for the two triangular solves
@@ -544,18 +559,24 @@ def _size_groups(sizes) -> list:
 def _components(s, row, col) -> list:
     """The connected components of the pattern of entries (row, col) on
     the indices 0..s-1, each as its ascending index array, in order of
-    their smallest index.  Boolean squaring of the reach matrix closes it
-    in about log2(s) products; each index's smallest reachable index
-    labels its component."""
-    reach = np.eye(s, dtype=bool)
-    reach[row, col] = reach[col, row] = True
+    their smallest index.  Each index holds a label, at first itself; each
+    round every entry gives both its ends the smaller of their labels and
+    every index then takes its label's label, until no label changes.  A
+    label never exceeds its index and stays within its component, and at
+    the end it is equal across every entry, so each index holds the
+    smallest index of its component; the work is linear in s and the
+    entries per round."""
+    label = np.arange(s)
     while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
+        low = label.copy()
+        np.minimum.at(low, row, label[col])
+        np.minimum.at(low, col, label[row])
+        low = low[low]
+        if np.array_equal(low, label):
             break
-        reach = wider
-    label = reach.argmax(axis=1)
-    return [np.flatnonzero(label == first) for first in np.unique(label)]
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def _split_blocks(sizes, block, row, col):
@@ -686,6 +707,65 @@ def _scaled_constraints(problem):
     return norm, scale, D, rows, A, stack, opA, opAt, solved, parts
 
 
+class _KktBlock(NamedTuple):
+    """One diagonal block of the Schur complement and of the KKT matrix: a
+    connected component of the graph whose nodes are the solved blocks and
+    the free scalars, two nodes joined when a row touches both.  No other
+    row touches its nodes, so B and K are zero between two such blocks."""
+
+    rows: np.ndarray          # its constraint rows, ascending
+    index: np.ndarray         # its places in a KKT vector: rows, m + scalars
+    blocks: tuple             # the solved blocks its rows touch, in order
+    schur_index: np.ndarray   # where their Schur parts land in its flat B
+    D: np.ndarray             # its rows' coefficients of its free scalars
+
+
+def _kkt_blocks(rows, D) -> list:
+    """The KKT blocks (_KktBlock) of the problem whose solved block b
+    touches the rows rows[b] and whose free-scalar coefficients are D.
+    The components are labelled on the small graph of nodes by
+    _components, each row joining the first node it touches to every
+    other; a row that touches no node is a component of its own.  They
+    come in order of their smallest node, such rows last.  A connected
+    problem is one block that holds every row and scalar in order, whose
+    Schur parts land where they land in the whole B."""
+    m, f = D.shape
+    nb = len(rows)
+    frow, fcol = np.nonzero(D)
+    # every (row, node) pair, sorted by row, and each one's row's first node
+    row = np.concatenate([np.zeros(0, dtype=np.intp), *rows, frow])
+    node = np.concatenate([np.repeat(np.arange(nb), [len(r) for r in rows]),
+                           nb + fcol])
+    order = np.argsort(row, kind="stable")
+    row, node = row[order], node[order]
+    first = np.ones(len(row), dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    head = node[first][first.cumsum() - 1]
+    label = np.empty(nb + f, dtype=np.intp)
+    for k, comp in enumerate(_components(nb + f, head, node)):
+        label[comp] = k
+    touched = {}        # label -> the solved blocks with rows, in order
+    for b in range(nb):
+        if len(rows[b]):
+            touched.setdefault(int(label[b]), []).append(b)
+    # the label of every place of a KKT vector: the rows', then the scalars'
+    places = np.concatenate([nb + f + np.arange(m), label[nb:]])
+    places[row] = label[node]
+    order = np.argsort(places, kind="stable")
+    local = np.empty(m, dtype=np.intp)
+    out = []
+    for index in np.split(order, np.flatnonzero(np.diff(places[order])) + 1):
+        rows_c, free_c = index[index < m], index[index >= m] - m
+        local[rows_c] = np.arange(len(rows_c))
+        blocks = tuple(touched.get(int(places[index[0]]), ()))
+        out.append(_KktBlock(rows_c, index, blocks, np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [(local[rows[b]][:, None] * len(rows_c)
+                + local[rows[b]]).ravel() for b in blocks]),
+            D[np.ix_(rows_c, free_c)]))
+    return out
+
+
 class _Embedding:
     """Homogeneous self-dual iteration state on the scaled problem data,
     on the blocks as solved (``_split_blocks``), each matrix quantity one
@@ -706,11 +786,7 @@ class _Embedding:
         self.f = problem.n_free
         self.nu = sum(self.sizes)
         self._opA_rows = np.concatenate(self.rows)
-        # where each block's part of the Schur complement lands in B
-        # flattened, the blocks' parts laid end to end in block order
-        self.schur_index = np.concatenate(
-            [np.zeros(0, dtype=np.intp)]
-            + [(rows[:, None] * self.m + rows).ravel() for rows in self.rows])
+        self.kkt_blocks = _kkt_blocks(self.rows, self.D)
         # the slice of opAt's result that holds each stack
         self._spans, end = [], 0
         for s, idx in self.groups:
@@ -815,18 +891,20 @@ class _Embedding:
         return inv
 
 
-def _independent_constraints(emb, B) -> bool:
-    """Whether the scaled constraint rows (A_j, d_j) are linearly
-    independent, judged by the Cholesky factor of their Gram matrix
-    B + D D^T, B the first iteration's Schur complement: at X = S = I it is
-    sum_b A_b A_b^T.  Its diagonal is one, so dependent rows leave a pivot
-    at rounding level, or none at all when the factorisation fails; with
-    dependent rows the unshifted KKT matrix is singular."""
+def _independent_constraints(B, D) -> bool:
+    """Whether the scaled constraint rows (A_j, d_j) of one KKT block are
+    linearly independent, judged by the Cholesky factor of their Gram
+    matrix B + D D^T, B the block's first Schur complement: at X = S = I
+    it is sum_b A_b A_b^T.  Its diagonal is one, so dependent rows leave a
+    pivot at rounding level, or none at all when the factorisation fails;
+    with dependent rows the unshifted KKT block is singular.  A block
+    without rows has none to depend."""
     try:
-        L, = _cholesky(B + emb.D @ emb.D.T)
+        L, = _cholesky(B + D @ D.T)
     except np.linalg.LinAlgError:
         return False
-    return float(np.min(np.diag(L))) ** 2 > emb.m * np.finfo(float).eps
+    return not len(L) or \
+        float(np.min(np.diag(L))) ** 2 > len(L) * np.finfo(float).eps
 
 
 class _Breakdown(Exception):
@@ -853,8 +931,9 @@ def _check_info(name, info):
         raise ValueError(f"illegal value in argument {-info} of {name}")
 
 
-# One iteration's factorised Newton system: K = [[B, D], [D^T, 0]] plus the
-# diagonal shift, with the Schur complement B.  q = K^-1 (b, g) does not
+# One iteration's factorised Newton system, per KKT block (_KktBlock): K[c] =
+# [[B_c, D_c], [D_c^T, 0]] plus the block's diagonal shift[c], with B_c its
+# Schur complement, and lu[c] its LU factors.  q = K^-1 (b, g) does not
 # depend on the direction, so predictor and corrector share it.
 _NewtonSystem = namedtuple("_NewtonSystem", "Lx Ls Sinv K lu q shift")
 _Direction = namedtuple("_Direction", "dX du dy dS dtau dkappa")
@@ -881,55 +960,78 @@ def _cone_factors(emb):
     return Lx, Ls, Sinv
 
 
-def _schur(emb, Sinv):
-    """Schur complement B[j,k] = <A_j, X A_k S^-1>.
+def _schur(emb, Sinv) -> list:
+    """Schur complement B[j,k] = <A_j, X A_k S^-1>, one matrix per KKT
+    block (B is zero between them).
 
     Each block adds only to the rows and columns of the constraints that
     touch it: one sparse product gives every A_k S^-1, one gemm every
     X A_k S^-1, and one sparse product their inner products with the A_j.
-    The blocks' parts are added into B in one bincount over
-    ``emb.schur_index``, which adds into zeros in block order, as one
-    ``B[ix] +=`` per block would."""
-    parts = [np.zeros(0)]
-    for s, rows, A, stack, X, Si in zip(
+    The parts of a KKT block's solved blocks are added into its B in one
+    bincount over its ``schur_index``, which adds into zeros in block
+    order, as one ``B[ix] +=`` per block would, so each matrix holds the
+    bits of its rows and columns of the whole B."""
+    parts = [np.zeros(0)] * len(emb.sizes)
+    for b, (s, rows, A, stack, X, Si) in enumerate(zip(
             emb.sizes, emb.rows, emb.A, emb.stack,
-            emb.unstack(emb.X), emb.unstack(Sinv)):
+            emb.unstack(emb.X), emb.unstack(Sinv))):
         mb = len(rows)
         if not mb:
             continue
         F = X @ _matmul(stack, Si).reshape(s, mb * s)
         F = F.reshape(s, mb, s).transpose(0, 2, 1).reshape(s * s, mb)
-        parts.append(_matmul(A, F).ravel())
-    B = np.bincount(emb.schur_index, weights=np.concatenate(parts),
-                    minlength=emb.m * emb.m)
-    return _sym(B.reshape(emb.m, emb.m))
+        parts[b] = _matmul(A, F).ravel()
+    out = []
+    for kkt in emb.kkt_blocks:
+        m = len(kkt.rows)
+        B = np.bincount(kkt.schur_index, minlength=m * m,
+                        weights=np.concatenate(
+                            [np.zeros(0)] + [parts[b] for b in kkt.blocks]))
+        out.append(_sym(B.reshape(m, m)))
+    return out
 
 
 def _newton_system(emb, Lx, Ls, Sinv, shift) -> _NewtonSystem:
-    """Build the KKT matrix, its diagonal shifted by +shift on the
-    constraint rows and -shift on the free scalars, LU-factor it, and
-    solve for q.  A shift of None, on the first iteration, is decided here:
-    DEPENDENT_SHIFT when the constraint rows are dependent, else 0."""
-    m, f = emb.m, emb.f
-    B = _schur(emb, Sinv)
+    """Build each KKT block's matrix, its diagonal shifted by +shift[c] on
+    the constraint rows and -shift[c] on the free scalars, LU-factor it,
+    and solve for q.  A shift of None, on the first iteration, is decided
+    here, block by block: DEPENDENT_SHIFT where its constraint rows are
+    dependent, else 0."""
+    Bs = _schur(emb, Sinv)
     if shift is None:
-        shift = 0.0 if _independent_constraints(emb, B) else DEPENDENT_SHIFT
-    K = np.zeros((m + f, m + f))
-    K[:m, :m] = B
-    K[:m, m:] = emb.D
-    K[m:, :m] = emb.D.T
-    if shift:
-        K[:m, :m] += shift * np.eye(m)
-        K[m:, m:] -= shift * np.eye(f)
-    try:
-        _check_finite(K)
-        # an exactly singular K (info > 0) is found by the solves instead
-        lu, piv, info = dgetrf(K)
-        _check_info("dgetrf", info)
-    except ValueError:
-        raise _Breakdown("KKT factorisation failed") from None
-    q = _kkt_solve(K, (lu, piv), np.concatenate([emb.b, emb.g]))
-    return _NewtonSystem(Lx, Ls, Sinv, K, (lu, piv), q, shift)
+        shift = tuple(
+            0.0 if _independent_constraints(B, kkt.D) else DEPENDENT_SHIFT
+            for B, kkt in zip(Bs, emb.kkt_blocks))
+    Ks, lus = [], []
+    for B, kkt, sh in zip(Bs, emb.kkt_blocks, shift):
+        (m, f), D = kkt.D.shape, kkt.D
+        K = np.zeros((m + f, m + f))
+        K[:m, :m] = B
+        K[:m, m:] = D
+        K[m:, :m] = D.T
+        if sh:
+            K[:m, :m] += sh * np.eye(m)
+            K[m:, m:] -= sh * np.eye(f)
+        try:
+            _check_finite(K)
+            # an exactly singular K (info > 0) is found by the solves instead
+            lu, piv, info = dgetrf(K)
+            _check_info("dgetrf", info)
+        except ValueError:
+            raise _Breakdown("KKT factorisation failed") from None
+        Ks.append(K)
+        lus.append((lu, piv))
+    q = _newton_solve(emb, Ks, lus, np.concatenate([emb.b, emb.g]))
+    return _NewtonSystem(Lx, Ls, Sinv, Ks, lus, q, shift)
+
+
+def _newton_solve(emb, Ks, lus, rhs):
+    """K^-1 rhs, each KKT block solving its own places of rhs
+    (_kkt_solve)."""
+    out = np.empty(len(rhs))
+    for kkt, K, lu in zip(emb.kkt_blocks, Ks, lus):
+        out[kkt.index] = _kkt_solve(K, lu, rhs[kkt.index])
+    return out
 
 
 def _lu_solve(lu, rhs):
@@ -968,7 +1070,8 @@ def _direction(emb, E, newton, eta, tc, corrM, corr_tk) -> _Direction:
     h1 = -eta * E1 - emb.opA(G)
     h3 = -eta * E4 - e0
 
-    p = _kkt_solve(newton.K, newton.lu, np.concatenate([h1, -eta * E3]))
+    p = _newton_solve(emb, newton.K, newton.lu,
+                      np.concatenate([h1, -eta * E3]))
     q = newton.q
     den = float(emb.g @ q[m:]) - float(emb.b @ q[:m]) - emb.kappa / emb.tau
     num = h3 + float(emb.b @ p[:m]) - float(emb.g @ p[m:])

@@ -56,6 +56,15 @@ the monomials every such change fixes: those whose exponent parities lie
 in the GF(2) span of the data's parities.  A table of monomials is tested
 against the span in one product with its parity checks (_parity_checks),
 for any dimension.
+- Components: identities that share no unknown and no scalar are
+  separate programs side by side, and a sign change may act on each one
+  apart (Gatermann & Parrilo take the symmetries of a direct sum part by
+  part).  So the span is taken per component (_linked), from that
+  component's data, and each block keeps its component's span for decode
+  (SdpEncoding.parity_spans).  A program of several components, such as
+  the membership program of certify.verify_certificate or a decay program
+  with V given, then encodes as the direct sum of its components encoded
+  apart; a connected program has the one span it always had.
 - Row rule: a filter over the row table.  encode poses one equality per
   monomial of the table (SdpEncoding.n_equalities counts them) but emits
   the rows of invariant monomials only.  Every other row holds only Gram
@@ -77,6 +86,7 @@ degrees of the polynomial checked.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass
@@ -89,7 +99,12 @@ from .sdp import SdpProblem, SdpProblemBuilder, SdpSolution
 
 
 class IllFormedIdentityError(ValueError):
-    """A monomial of the target cannot be produced by any unknown."""
+    """A monomial of the target cannot be produced by any unknown; identity
+    names the identity whose target holds it."""
+
+    def __init__(self, message: str, identity: str):
+        super().__init__(message)
+        self.identity = identity
 
 
 @dataclass(frozen=True)
@@ -272,7 +287,9 @@ class SdpEncoding:
     and bases[b] is the Gram basis of block b (len(bases[b]) ==
     problem.block_sizes[b]).  problem holds only the rows of invariant
     monomials; n_equalities counts every row the program poses,
-    n_decision_variables every Gram entry and scalar."""
+    n_decision_variables every Gram entry and scalar.  parity_spans[b] is
+    the invariant_parities span of the component that holds block b (an
+    unknown no identity uses has the empty span)."""
 
     problem: SdpProblem
     blocks: Mapping[str, int]
@@ -280,7 +297,7 @@ class SdpEncoding:
     n_unknowns: int
     scalar_index: Mapping[str, int]
     n_equalities: int
-    parity_span: tuple          # from invariant_parities
+    parity_spans: tuple
 
     @property
     def n_decision_variables(self) -> int:
@@ -547,6 +564,27 @@ def _identity_rows(identity: SosIdentity, unknowns: Mapping[str, int],
         (rank[o:s], sidx, coefs[:s - o]))
 
 
+def _linked(program: SosProgram) -> list:
+    """The components of a program: per identity, the index of the first
+    identity of its component, two identities being linked when they share
+    an unknown or a scalar."""
+    root = list(range(len(program.identities)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    owner: dict = {}
+    for k, ident in enumerate(program.identities):
+        for term in ident.terms:
+            name = ("scalar", term.scalar) if isinstance(term, ScalarTerm) \
+                else ("unknown", term.unknown)
+            a, b = sorted((find(owner.setdefault(name, k)), find(k)))
+            root[b] = a
+    return [find(k) for k in range(len(root))]
+
+
 def _index(names, kind: str) -> dict:
     """Each name's position in names; a name given twice is a ValueError."""
     for k, name in enumerate(names):
@@ -558,6 +596,11 @@ def _index(names, kind: str) -> dict:
 def encode(program: SosProgram) -> SdpEncoding:
     """Build the block-diagonal SDP for a program of SOS identities, with
     the rows of invariant monomials only (see the module docstring).
+
+    A program is the direct sum of its components (_linked): the span of
+    invariant parities is taken per component, from its identities' data
+    alone, so the rows of a program of several components are those of
+    its components encoded apart, block and scalar indices aside.
 
     Each identity's row table comes from _identity_rows; the rows of
     invariant monomials go to SdpProblemBuilder.add_rows as arrays, in
@@ -598,9 +641,22 @@ def encode(program: SosProgram) -> SdpEncoding:
             vec[scalar_index[name]] = coef
         builder.set_objective_free(vec)
 
-    span = invariant_parities(program)
+    component = _linked(program)
+    spans = {}
+    for c in sorted(set(component)):
+        part = tuple(ident for ident, d in zip(program.identities, component)
+                     if d == c)
+        spans[c] = invariant_parities(
+            dataclasses.replace(program, identities=part))
+    parity_spans = [()] * len(bases)
+    for k, ident in enumerate(program.identities):
+        parity_spans[first + k] = spans[component[k]]
+        for term in ident.terms:
+            if not isinstance(term, ScalarTerm):
+                parity_spans[unknowns[term.unknown]] = spans[component[k]]
     rhs, entries, free, offset = [], [], [], 0
     for k, (ident, t) in enumerate(zip(program.identities, tables)):
+        span = spans[component[k]]
         # the row rule: a row of a monomial outside the span reads 0 = 0
         # once the Gram matrices are invariant, so it is posed but not
         # emitted.  Known and scalar terms lie in the span by construction
@@ -622,7 +678,7 @@ def encode(program: SosProgram) -> SdpEncoding:
                     f"identity {ident.name!r}: monomial "
                     f"{tuple((-t.monos[known[worst], 1:]).tolist())} has "
                     f"known coefficient {float(kcoefs[worst])} but no "
-                    "unknown can produce it")
+                    "unknown can produce it", ident.name)
         kept = t.is_row & invariant
         index = kept.cumsum() + (offset - 1)
         offset = int(index[-1]) + 1
@@ -658,7 +714,7 @@ def encode(program: SosProgram) -> SdpEncoding:
         problem=builder.build(), blocks=blocks, bases=bases,
         n_unknowns=first, scalar_index=scalar_index,
         n_equalities=sum(int(np.count_nonzero(t.is_row)) for t in tables),
-        parity_span=span)
+        parity_spans=tuple(parity_spans))
 
 
 @dataclass
@@ -680,7 +736,7 @@ def decode(encoding: SdpEncoding, solution: SdpSolution) -> DecodedSos:
         # every entry whose product chi_i chi_j is not invariant set to 0:
         # the block's average over the sign symmetries
         basis, R = encoding.bases[block], solution.blocks[block]
-        classes = parity_classes(basis, encoding.parity_span)
+        classes = parity_classes(basis, encoding.parity_spans[block])
         cross = classes[:, None] != classes[None, :]
         grams[name] = np.where(cross, 0.0, R) if cross.any() else R
         if block < encoding.n_unknowns:

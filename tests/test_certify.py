@@ -335,6 +335,55 @@ class TestVerifyCertificate:
                                     residual_tol=1e-5)
         assert report.passed
 
+    # the membership checks of a certificate that carries V, p1, p2 and q
+    CHECKS = ("lyapunov-lower-bound", "multiplier-p1", "identity-decay1",
+              "multiplier-p2", "identity-decay2", "multiplier-q",
+              "identity-sublevel")
+
+    def test_one_solve_for_every_membership_check(
+            self, affine_pair, affine_pair_certificate, monkeypatch):
+        solves = []
+        monkeypatch.setattr(certify, "solve",
+                            lambda problem: solves.append(problem)
+                            or solve(problem))
+        report = verify_certificate(affine_pair, affine_pair_certificate)
+        assert len(solves) == 1
+        assert tuple(report.identity_residuals) == self.CHECKS
+        assert report.membership_checks == len(self.CHECKS)
+
+    def test_non_sos_multiplier_fails_alone(self, affine_pair,
+                                            affine_pair_certificate):
+        # -p2 is not SOS, nor is the decay identity it enters; the other
+        # five checks of the same solve pass with their own residuals
+        p1, p2 = affine_pair_certificate.multipliers
+        cert = dataclasses.replace(affine_pair_certificate,
+                                   multipliers=(p1, -1.0 * p2), report=None)
+        with pytest.raises(CertificateRejectedError) as err:
+            verify_certificate(affine_pair, cert)
+        report = err.value.report
+        assert [f.split(" (")[0] for f in report.failures] == \
+            ["multiplier-p2", "identity-decay2"]
+        assert all(" (SOS defect " in f for f in report.failures)
+        assert tuple(report.identity_residuals) == tuple(
+            name for name in self.CHECKS if not name.endswith("2"))
+        assert max(report.identity_residuals.values()) <= 1e-6
+
+    def test_failed_joint_solve_fails_every_check(
+            self, affine_pair, affine_pair_certificate, monkeypatch):
+        # no check passed, so the summary names no residual: 0.000e+00
+        # would read as a perfect fit
+        monkeypatch.setattr(certify, "solve",
+                            lambda problem: sdp._failure("stub"))
+        with pytest.raises(CertificateRejectedError) as err:
+            verify_certificate(affine_pair, affine_pair_certificate)
+        report = err.value.report
+        assert report.failures == tuple(
+            f"{name} (membership solve failed (numerical-failure))"
+            for name in self.CHECKS)
+        none = f"n/a (0 of {len(self.CHECKS)} checks passed)"
+        assert report.summary_lines()[:2] == [f"residual_max {none}",
+                                              f"gram_min_eig {none}"]
+
     def test_rotation_field_fails_negativity(self):
         system = SwitchedSystem.from_matrices(
             [np.array([[0.0, 1.0], [-1.0, 0.0]])])
@@ -381,10 +430,11 @@ class TestVerifyCertificate:
             raise AssertionError("called")
 
         monkeypatch.setattr(certify, "gram_basis", unused)
+        monkeypatch.setattr(certify, "encode", unused)
         monkeypatch.setattr(certify, "solve", unused)
-        assert certify._check_sos_membership(
-            parse_expression("x1^4 + x1^2*x2^3", 2), 1e-6) == \
-            "odd top degree 5: not a sum of squares"
+        assert certify._check_sos_memberships(
+            [("p", parse_expression("x1^4 + x1^2*x2^3", 2))], 1e-6) == \
+            {"p": "odd top degree 5: not a sum of squares"}
 
     def test_dimension_mismatch(self, affine_pair):
         cert = AbsorbingSetCertificate(
@@ -536,7 +586,7 @@ class TestSignSymmetryReduction:
             return
         # the IPM keeps the entries that no solved row touches at 0.0
         for block, basis in enumerate(reduced.bases):
-            classes = parity_classes(basis, reduced.parity_span)
+            classes = parity_classes(basis, reduced.parity_spans[block])
             cross = classes[:, None] != classes[None, :]
             assert np.all(solved.blocks[block][cross] == 0.0)
         ours, theirs = decode(reduced, solved), decode(posed, full)

@@ -58,6 +58,24 @@ def dense_constraints(problem, scale):
     return dense
 
 
+def direct_sum(*problems):
+    """The problem whose blocks, free scalars and rows are those of the
+    given problems in turn, each one's block and scalar indices shifted
+    past those of the problems before it."""
+    sizes, entries, free_rows, n_free = [], [], [], 0
+    for problem in problems:
+        entries += [tuple(ent._replace(block=ent.block + len(sizes))
+                          for ent in row) for row in problem.entries]
+        free_rows += [(idx + n_free, vals) for idx, vals in problem.free_rows]
+        sizes += problem.block_sizes
+        n_free += problem.n_free
+    return sdp.SdpProblem(
+        block_sizes=tuple(sizes), n_free=n_free,
+        rhs=np.concatenate([p.rhs for p in problems]),
+        entries=tuple(entries), free_rows=tuple(free_rows),
+        obj_free=np.concatenate([p.obj_free for p in problems]))
+
+
 def stacked(emb, blocks):
     """Per-block matrices as the embedding's per-size stacks."""
     return [np.stack([blocks[b] for b in idx]) for _, idx in emb.groups]
@@ -110,7 +128,8 @@ def audited(monkeypatch):
 
 def record_attempts(monkeypatch):
     """Wraps sdp._solve and sdp._newton_system: the returned list gets one
-    set per _solve call, holding the KKT shifts its Newton systems used."""
+    set per _solve call, holding the KKT shifts its Newton systems used on
+    any KKT block."""
     attempts = []
     inner_solve, inner_newton = sdp._solve, sdp._newton_system
 
@@ -120,7 +139,7 @@ def record_attempts(monkeypatch):
 
     def newton(emb, Lx, Ls, Sinv, shift):
         system = inner_newton(emb, Lx, Ls, Sinv, shift)
-        attempts[-1].add(system.shift)
+        attempts[-1].update(system.shift)
         return system
 
     monkeypatch.setattr(sdp, "_solve", recording)
@@ -448,7 +467,8 @@ class TestSparseOperators:
                                rtol=1e-13, atol=1e-13)
 
         emb.X = stacked(emb, X)
-        B = sdp._schur(emb, stacked(emb, Sinv))
+        # the rows share blocks and scalars: one KKT block
+        B, = sdp._schur(emb, stacked(emb, Sinv))
         B_ref = sum(np.einsum("jab,bc,kcd,da->jk", A_b, X_b, A_b, Si)
                     for A_b, X_b, Si in zip(A, X, Sinv))
         assert np.allclose(B, B_ref, rtol=1e-12, atol=1e-12)
@@ -566,7 +586,8 @@ def _reference_direction(emb, it, E, Sinv, newton, eta, tc, corrM, corr_tk):
     e0 = (tc - it.tau * it.kappa - corr_tk) / it.tau
     h1 = -eta * E1 - _reference_opA(emb, G)
     h3 = -eta * E4 - e0
-    p = sdp._kkt_solve(newton.K, newton.lu, np.concatenate([h1, -eta * E3]))
+    p = sdp._newton_solve(emb, newton.K, newton.lu,
+                          np.concatenate([h1, -eta * E3]))
     q = newton.q
     den = float(emb.g @ q[m:]) - float(emb.b @ q[:m]) - it.kappa / it.tau
     num = h3 + float(emb.b @ p[:m]) - float(emb.g @ p[m:])
@@ -628,7 +649,9 @@ class TestStackedIteration:
     """The iteration on per-size stacks returns the bytes of the iteration
     block by block (the _reference_* functions above) on random iterates
     of the blocks as solved: blocks of size 1, size groups of one, a block
-    split into its components, and a single block."""
+    split into its components, and a single block; and on a direct sum of
+    programs, whose KKT blocks each hold the bits of their rows and
+    columns of the whole Schur complement."""
 
     SIZES = [(2, 1, 1, 2, 2), (3, 3, 3, 6, 6), (19, 20, 10, 34, 19), (5,)]
 
@@ -657,6 +680,21 @@ class TestStackedIteration:
                 TestStackedIteration.same(g, e) for g, e in zip(got, expected))
         return np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
+    def assert_schur_blocks(self, emb, Bs, B_ref):
+        """The Schur complement of each KKT block holds the bits of its rows
+        and columns of the whole one B_ref, which is zero between blocks,
+        and every row lies in one block."""
+        assert len(Bs) == len(emb.kkt_blocks)
+        between = np.ones(B_ref.shape, dtype=bool)
+        for B, kkt in zip(Bs, emb.kkt_blocks):
+            ix = np.ix_(kkt.rows, kkt.rows)
+            assert self.same(B, B_ref[ix])
+            between[ix] = False
+        assert not B_ref[between].any()
+        assert np.array_equal(
+            np.sort(np.concatenate([kkt.rows for kkt in emb.kkt_blocks])),
+            np.arange(emb.m))
+
     def assert_same_direction(self, emb, got, expected):
         for name in ("dX", "dS"):
             assert self.same(emb.unstack(getattr(got, name)),
@@ -675,21 +713,49 @@ class TestStackedIteration:
         # as the reference's B[np.ix_(rows, rows)] += per block does
         system = load_system(str(systems_dir / name))
         program, _ = build_absorbing_program(system, ell, delta, degree, beta)
-        emb = sdp._Embedding(encode(program).problem)
-        rng = np.random.default_rng(degree)
+        self.check_schur(encode(program).problem, degree, 1)
+
+    def test_schur_same_bits_on_a_decay_program_of_a_given_lyapunov(
+            self, systems_dir):
+        # with V given, each decay identity and its multiplier p_i are a
+        # KKT block
+        system = load_system(str(systems_dir / "affine_pair.sys"))
+        program, _ = build_absorbing_program(
+            system, 2, 1.0, 4, 3.3,
+            lyapunov=parse_expression(V_AFFINE_PAIR, 2))
+        self.check_schur(encode(program).problem, 4, 2)
+
+    def check_schur(self, problem, seed, blocks):
+        emb = sdp._Embedding(problem)
+        assert len(emb.kkt_blocks) == blocks
+        rng = np.random.default_rng(seed)
         it = types.SimpleNamespace(
             X=[random_pd(rng, s) / s for s in emb.sizes])
         Sinv = [np.asfortranarray(np.linalg.inv(random_pd(rng, s)))
                 for s in emb.sizes]
         emb.X = stacked(emb, it.X)
-        assert self.same(sdp._schur(emb, stacked(emb, Sinv)),
-                         _reference_schur(emb, it, Sinv))
+        self.assert_schur_blocks(emb, sdp._schur(emb, stacked(emb, Sinv)),
+                                 _reference_schur(emb, it, Sinv))
 
     @pytest.mark.parametrize("sizes", SIZES, ids=str)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_same_bits_as_block_by_block(self, sizes, seed):
         rng = np.random.default_rng(seed)
         emb = sdp._Embedding(self.program(rng, sizes))
+        assert len(emb.kkt_blocks) == 1
+        self.check_same_bits(emb, rng)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_bits_on_a_direct_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        emb = sdp._Embedding(direct_sum(*(self.program(rng, sizes)
+                                          for sizes in self.SIZES)))
+        # one KKT block per program, holding its two free scalars
+        assert [(kkt.index[kkt.index >= emb.m] - emb.m).tolist()
+                for kkt in emb.kkt_blocks] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+        self.check_same_bits(emb, rng)
+
+    def check_same_bits(self, emb, rng):
         # the iterate lives on the blocks as solved: the random pattern of
         # the 34-wide block, at least SPLIT_WIDTH wide, falls apart into
         # many components
@@ -716,9 +782,12 @@ class TestStackedIteration:
         assert self.same(emb.unstack(Ls), Ls_ref)
         assert self.same(emb.unstack(Sinv), Sinv_ref)
         assert all(Si.flags.f_contiguous for Si in emb.unstack(Sinv))
-        newton = sdp._newton_system(emb, Lx, Ls, Sinv, 0.0)
-        assert self.same(newton.K[:emb.m, :emb.m],
-                         _reference_schur(emb, it, Sinv_ref))
+        newton = sdp._newton_system(emb, Lx, Ls, Sinv,
+                                    (0.0,) * len(emb.kkt_blocks))
+        self.assert_schur_blocks(
+            emb, [K[:len(kkt.rows), :len(kkt.rows)]
+                  for K, kkt in zip(newton.K, emb.kkt_blocks)],
+            _reference_schur(emb, it, Sinv_ref))
 
         pred = sdp._direction(emb, E, newton, 1.0, 0.0, None, 0.0)
         pred_ref = _reference_direction(emb, it, E_ref, Sinv_ref, newton,
@@ -872,7 +941,8 @@ class TestBlockSplit:
         emb = sdp._Embedding(problem)
         split = 0
         for b, s in enumerate(problem.block_sizes):
-            classes = parity_classes(encoding.bases[b], encoding.parity_span)
+            classes = parity_classes(encoding.bases[b],
+                                     encoding.parity_spans[b])
             by_class = sorted((np.flatnonzero(classes == c).tolist()
                                for c in set(classes.tolist())))
             comps = sdp._components(s, *_pattern(problem, b))
@@ -916,6 +986,79 @@ class TestBlockSplit:
         assert solution.solved_sizes == ((sizes[0],), (sizes[1],))
         assert np.allclose(solution.blocks[0],
                            np.diag(1.0 + np.arange(sizes[0])), atol=1e-6)
+
+
+class TestDirectSum:
+    """A problem whose rows fall into groups that share no block and no
+    free scalar is a direct sum: one solve iterates it as one embedding
+    over its KKT blocks, each factored apart with its own KKT shift, and
+    each part's solution is its solution solved alone."""
+
+    @staticmethod
+    def cqlf_probe(b):
+        """The degree-2 common Lyapunov program of the linear pair at b."""
+        from switchcert.certify import SwitchedSystem
+        from conftest import linear_pair_matrices
+        system = SwitchedSystem.from_matrices(linear_pair_matrices(b))
+        program, _ = build_absorbing_program(system, ell=1, delta=1.0,
+                                             degree=2, beta=0.0)
+        return encode(program).problem
+
+    def test_parts_solve_as_alone(self, monkeypatch):
+        # the planted part has as many rows as its block has entries, so
+        # its X is unique; the CQLF probe and the dependent part are
+        # feasibility programs, judged on their own rows
+        parts = [planted_feasible(np.random.default_rng(46), 4, 10,
+                                  objective=np.eye(4)),
+                 self.cqlf_probe(5.0),
+                 TestDependentConstraints.dependent_program()]
+        problem = direct_sum(*parts)
+        emb = sdp._Embedding(problem)
+        assert len(emb.kkt_blocks) == 3
+        # each KKT block decides its own shift: only the dependent part's
+        # rows are shifted
+        newton = sdp._newton_system(emb, *sdp._cone_factors(emb), None)
+        assert newton.shift == (0.0, 0.0, sdp.DEPENDENT_SHIFT)
+
+        solves = []
+        inner = sdp._solve
+        monkeypatch.setattr(sdp, "_solve", lambda p: solves.append(p)
+                            or inner(p))
+        got = solve(problem)
+        assert len(solves) == 1 and solves[0] is problem
+        alone = [solve(part) for part in parts]
+        assert got.status == "optimal"
+        assert [s.status for s in alone] == ["optimal"] * 3
+        assert got.objective == pytest.approx(alone[0].objective, rel=1e-6)
+        assert np.allclose(got.blocks[0], alone[0].blocks[0], rtol=1e-6,
+                           atol=1e-6)
+        block = scalar = 0
+        for part in parts:
+            blocks = got.blocks[block:block + len(part.block_sizes)]
+            free = got.free[scalar:scalar + part.n_free]
+            residual, _ = TestReportedOnOriginalData.reference(
+                part, blocks, free)
+            assert residual <= sdp.TOL
+            assert min(got.min_eigenvalues[block:block + len(blocks)]) >= \
+                -sdp.PSD_TOL
+            block += len(blocks)
+            scalar += part.n_free
+
+    def test_an_infeasible_part_makes_the_sum_infeasible(self):
+        # the ray's part on the infeasible rows proves that part alone
+        # infeasible; the feasible part cannot help, as b.y <= 0 there
+        feasible = self.cqlf_probe(5.0)
+        infeasible = self.cqlf_probe(20.0)
+        assert solve(infeasible).status == "infeasible"
+        problem = direct_sum(feasible, infeasible)
+        solution = solve(problem)
+        assert solution.status == "infeasible"
+        y = solution.certificate["ray_y"][feasible.m:]
+        dense = dense_constraints(infeasible, np.ones(infeasible.m))
+        assert float(infeasible.rhs @ y) > 0
+        for A in dense:
+            assert min_eigenvalue(-np.einsum("k,kij->ij", y, A)) >= \
+                -1e-6 * float(infeasible.rhs @ y)
 
 
 class TestRowNorms:
@@ -1065,10 +1208,11 @@ class TestDependentConstraints:
         problem = self.dependent_program() if dependent else \
             TestStackedIteration.program(np.random.default_rng(3), (3, 3, 6))
         emb = sdp._Embedding(problem)
+        assert len(emb.kkt_blocks) == 1
         newton = sdp._newton_system(emb, *sdp._cone_factors(emb), None)
-        assert newton.shift == (sdp.DEPENDENT_SHIFT if dependent else 0.0)
+        assert newton.shift == (sdp.DEPENDENT_SHIFT if dependent else 0.0,)
         assert newton.shift == \
-            (0.0 if _reference_independent(emb) else sdp.DEPENDENT_SHIFT)
+            (0.0 if _reference_independent(emb) else sdp.DEPENDENT_SHIFT,)
 
 
 class TestDirectLapack:
@@ -1103,14 +1247,18 @@ class TestDirectLapack:
 
     @staticmethod
     def newton(monkeypatch, B, D):
-        """_newton_system on a stub embedding whose Schur complement is B
-        and whose free-scalar columns are D; returns it with its rhs."""
+        """_newton_system on a stub embedding of one KKT block, whose Schur
+        complement is B and whose free-scalar columns are D; returns it
+        with its rhs."""
         m, f = D.shape
         rng = np.random.default_rng(m)
+        kkt = sdp._KktBlock(rows=np.arange(m), index=np.arange(m + f),
+                            blocks=(), schur_index=np.zeros(0, dtype=np.intp),
+                            D=D)
         emb = types.SimpleNamespace(m=m, f=f, D=D, b=rng.normal(size=m),
-                                    g=rng.normal(size=f))
-        monkeypatch.setattr(sdp, "_schur", lambda emb, Sinv: B)
-        newton = sdp._newton_system(emb, None, None, None, 0.0)
+                                    g=rng.normal(size=f), kkt_blocks=[kkt])
+        monkeypatch.setattr(sdp, "_schur", lambda emb, Sinv: [B])
+        newton = sdp._newton_system(emb, None, None, None, (0.0,))
         return newton, np.concatenate([emb.b, emb.g])
 
     @pytest.mark.parametrize("size", SIZES)
@@ -1120,10 +1268,10 @@ class TestDirectLapack:
         D = rng.normal(size=(size, min(size, 3)))
         newton, rhs = self.newton(monkeypatch, B, D)
         K = np.block([[B, D], [D.T, np.zeros((D.shape[1],) * 2)]])
-        assert np.array_equal(newton.K, K)
+        assert np.array_equal(newton.K[0], K)
         lu = sla.lu_factor(K)
-        assert np.array_equal(newton.lu[0], lu[0])
-        assert np.array_equal(newton.lu[1], lu[1])
+        assert np.array_equal(newton.lu[0][0], lu[0])
+        assert np.array_equal(newton.lu[0][1], lu[1])
 
         def refined(r):
             sol = sla.lu_solve(lu, r, check_finite=False)
@@ -1131,8 +1279,8 @@ class TestDirectLapack:
 
         assert np.array_equal(newton.q, refined(rhs))
         other = rng.normal(size=len(K))
-        assert np.array_equal(sdp._kkt_solve(newton.K, newton.lu, other),
-                              refined(other))
+        assert np.array_equal(
+            sdp._kkt_solve(newton.K[0], newton.lu[0], other), refined(other))
 
     def test_singular_kkt_is_a_silent_breakdown(self, monkeypatch):
         B = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -540,6 +540,11 @@ def _reference_encode(program):
     scalar_index = {name: k for k, name in enumerate(program.scalars)}
     unknowns = {u.name: (b, u.basis) for b, u in enumerate(program.unknowns)}
 
+    def term_names(identity):
+        """The unknowns and scalars an identity's terms name."""
+        return {("scalar", t.scalar) if isinstance(t, ScalarTerm)
+                else ("unknown", t.unknown) for t in identity.terms}
+
     def pairs(basis):
         monos = basis.monomials
         return [(i, j, mono_mul(monos[i], monos[j]))
@@ -606,7 +611,30 @@ def _reference_encode(program):
     first = len(program.unknowns)
     tables = [identity_rows(ident, first + k)
               for k, ident in enumerate(program.identities)]
-    span = invariant_parities(program)
+    # the components: identities that share an unknown or a scalar, grown
+    # until none outside shares one with them; each has its own span
+    spans = [None] * len(program.identities)
+    block_spans = [()] * (first + len(program.identities))
+    for k in range(len(program.identities)):
+        if spans[k] is not None:
+            continue
+        names, part = set(), set()
+        while True:
+            grown = {j for j, ident in enumerate(program.identities)
+                     if j == k or names & term_names(ident)}
+            names = set().union(*(term_names(program.identities[j])
+                                  for j in grown))
+            if grown == part:
+                break
+            part = grown
+        span = invariant_parities(SosProgram(
+            identities=tuple(program.identities[j] for j in sorted(part)),
+            unknowns=program.unknowns))
+        for j in part:
+            spans[j] = block_spans[first + j] = span
+        for kind, name in names:
+            if kind == "unknown":
+                block_spans[unknowns[name][0]] = span
     for ident, (rows, _) in zip(program.identities, tables):
         known_scale = 1.0 + ident.known.max_abs_coefficient()
         for mono in sorted(ident.known.terms.keys() - rows.keys(),
@@ -615,30 +643,32 @@ def _reference_encode(program):
             if abs(coef) > 1e-12 * known_scale:
                 raise IllFormedIdentityError(
                     f"identity {ident.name!r}: monomial {mono} has known "
-                    f"coefficient {coef} but no unknown can produce it")
+                    f"coefficient {coef} but no unknown can produce it",
+                    ident.name)
     problem_rows = [
         row(-ident.known.coefficient(mono), *rows[mono])
-        for ident, (rows, _) in zip(program.identities, tables)
+        for ident, (rows, _), span in zip(program.identities, tables, spans)
         for mono in sorted(rows, key=grlex_key)
         if sosprog._reduce(sosprog._parity(mono), span) == 0]
     bases = tuple(u.basis for u in program.unknowns) \
         + tuple(basis for _, basis in tables)
-    return problem_rows, bases, sum(len(rows) for rows, _ in tables), span
+    return (problem_rows, bases, sum(len(rows) for rows, _ in tables),
+            tuple(block_spans))
 
 
 def _assert_same_bytes(program):
     """encode's problem holds the reference's rows byte for byte, and its
     tables are the reference's; or both raise the same error."""
     try:
-        rows, bases, n_equalities, span = _reference_encode(program)
+        rows, bases, n_equalities, spans = _reference_encode(program)
     except ValueError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             encode(program)
         return
     enc = encode(program)
     problem = enc.problem
-    assert (enc.bases, enc.n_equalities, enc.parity_span) == \
-        (bases, n_equalities, span)
+    assert (enc.bases, enc.n_equalities, enc.parity_spans) == \
+        (bases, n_equalities, spans)
     assert enc.blocks == {name: b for b, name in enumerate(
         [u.name for u in program.unknowns]
         + [ident.name for ident in program.identities])}
@@ -819,3 +849,107 @@ class TestNoPolynomialPerProduct:
         encode(program)
         terms = sum(len(ident.terms) for ident in program.identities)
         assert len(built) <= terms
+
+
+def _captured_membership_program(system, cert, monkeypatch):
+    """The one membership program verify_certificate poses for cert."""
+    programs = []
+    inner = encode
+
+    def capturing(program):
+        programs.append(program)
+        return inner(program)
+
+    from switchcert import certify
+    monkeypatch.setattr(certify, "encode", capturing)
+    certify.verify_certificate(system, cert, sample_count=200)
+    program, = programs
+    return program
+
+
+class TestDirectSum:
+    """A program of several components (identities linked by a shared
+    unknown or scalar) encodes as the direct sum of its components encoded
+    apart: their rows in turn, byte for byte, with each component's block
+    and scalar indices moved to the program's."""
+
+    @staticmethod
+    def assert_direct_sum(program, parts):
+        whole = encode(program)
+        problem, row = whole.problem, 0
+        for part in parts:
+            enc = encode(part)
+            block = {b: whole.blocks[name] for name, b in enc.blocks.items()}
+            scalar = np.array([whole.scalar_index[name] for name in
+                               sorted(enc.scalar_index,
+                                      key=enc.scalar_index.get)],
+                              dtype=np.intp)
+            for b, basis in enumerate(enc.bases):
+                assert whole.bases[block[b]] == basis
+                assert whole.parity_spans[block[b]] == enc.parity_spans[b]
+                assert problem.block_sizes[block[b]] == \
+                    enc.problem.block_sizes[b]
+            for j in range(enc.problem.m):
+                assert problem.rhs[row + j].tobytes() == \
+                    enc.problem.rhs[j].tobytes()
+                assert [(block[e.block], e.rows.tobytes(), e.cols.tobytes(),
+                         e.vals.tobytes()) for e in enc.problem.entries[j]] \
+                    == [(e.block, e.rows.tobytes(), e.cols.tobytes(),
+                         e.vals.tobytes()) for e in problem.entries[row + j]]
+                idx, vals = enc.problem.free_rows[j]
+                got_idx, got_vals = problem.free_rows[row + j]
+                assert scalar[idx].tobytes() == got_idx.tobytes()
+                assert vals.tobytes() == got_vals.tobytes()
+            assert (problem.obj_free[scalar].tobytes()
+                    == enc.problem.obj_free.tobytes())
+            row += enc.problem.m
+        assert row == problem.m
+        assert whole.n_equalities == sum(encode(p).n_equalities for p in parts)
+        assert len(problem.block_sizes) == sum(len(encode(p).bases)
+                                               for p in parts)
+
+    def test_membership_program_of_a_certificate(self, affine_pair,
+                                                 affine_pair_certificate,
+                                                 monkeypatch):
+        # seven checks, one identity and one slack scalar each: with one
+        # span taken over all seven the program would pose 68 rows, where
+        # its components pose 5 + 4 + 9 + 6 + 15 + 4 + 9 = 52
+        program = _captured_membership_program(
+            affine_pair, affine_pair_certificate, monkeypatch)
+        assert len(program.identities) == len(program.scalars) == 7
+        assert sosprog._linked(program) == list(range(7))
+        parts = [SosProgram(identities=(ident,), unknowns=(),
+                            scalars=(ident.name,),
+                            objective={ident.name: 1.0})
+                 for ident in program.identities]
+        self.assert_direct_sum(program, parts)
+        assert encode(program).problem.m == 52
+
+    def test_decay_program_of_a_given_lyapunov(self):
+        # each decay identity and its multiplier p_i are a component
+        system = load_system(str(SYSTEMS / "affine_pair.sys"))
+        program = build_absorbing_program(
+            system, 2, 1.0, 4, 3.3,
+            lyapunov=parse_expression(V_AFFINE_PAIR, 2))[0]
+        assert sosprog._linked(program) == [0, 1]
+        parts = [SosProgram(identities=(ident,), unknowns=(unknown,))
+                 for ident, unknown in zip(program.identities,
+                                           program.unknowns)]
+        self.assert_direct_sum(program, parts)
+        # the linear subsystem's component keeps its sign symmetry, which
+        # the affine one's data would have broken in a program-wide span
+        spans = encode(program).parity_spans
+        assert spans[0] == spans[2] != spans[1] == spans[3]
+
+    @pytest.mark.parametrize("name, ell, delta, degree, beta, overrides", [
+        ("affine_pair.sys", 2, 1.0, 4, 3.3, None),
+        ("cubic_3d_pair.sys", 2, 1.0, 8, 0.0, None),
+        ("linear_pair.sys", 6, 1e-3, 12, 0.0, {"b": 12.0})])
+    def test_search_programs_are_connected(self, name, ell, delta, degree,
+                                           beta, overrides):
+        # S links every decay identity, so the span is the program's, as
+        # TestSameBytes checks byte for byte against the reference
+        program = _decay_program(name, ell, delta, degree, beta, overrides)
+        assert set(sosprog._linked(program)) == {0}
+        spans = encode(program).parity_spans
+        assert spans == (invariant_parities(program),) * len(spans)
