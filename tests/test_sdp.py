@@ -12,10 +12,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sparse
 
-from conftest import BETA_AFFINE_PAIR, REPO, V_AFFINE_PAIR
+from conftest import (BETA_AFFINE_PAIR, REPO, V_AFFINE_PAIR,
+                      linear_pair_matrices)
 from switchcert import sdp
-from switchcert.certify import (_multiplier_degree, _sublevel_program,
-                                build_absorbing_program)
+from switchcert.certify import (SwitchedSystem, _multiplier_degree,
+                                _sublevel_program, build_absorbing_program)
 from switchcert.cli import load_system
 from switchcert.poly import parse_expression
 from switchcert.sdp import (SdpProblemBuilder, min_eigenvalue, read_sdpa,
@@ -997,8 +998,6 @@ class TestDirectSum:
     @staticmethod
     def cqlf_probe(b):
         """The degree-2 common Lyapunov program of the linear pair at b."""
-        from switchcert.certify import SwitchedSystem
-        from conftest import linear_pair_matrices
         system = SwitchedSystem.from_matrices(linear_pair_matrices(b))
         program, _ = build_absorbing_program(system, ell=1, delta=1.0,
                                              degree=2, beta=0.0)

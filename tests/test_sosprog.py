@@ -11,7 +11,7 @@ from conftest import (SYSTEMS, V_AFFINE_PAIR, encode_posed,
                       identity_residual, same_row)
 from switchcert.poly import (Polynomial, PolynomialVectorField, grlex_key,
                              lie_derivative, mono_mul, parse_expression)
-from switchcert import sdp, sosprog
+from switchcert import certify, sdp, sosprog
 from switchcert.certify import (SwitchedSystem, _multiplier_degree,
                                 _sublevel_program, build_absorbing_program)
 from switchcert.cli import load_system
@@ -860,7 +860,6 @@ def _captured_membership_program(system, cert, monkeypatch):
         programs.append(program)
         return inner(program)
 
-    from switchcert import certify
     monkeypatch.setattr(certify, "encode", capturing)
     certify.verify_certificate(system, cert, sample_count=200)
     program, = programs
